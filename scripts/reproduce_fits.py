@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from qrationals.closedforms import d1_closed, d2_closed
+from qrationals.dedekind import s_sum
 from qrationals.exact import rat_to_str
 from qrationals.fit import (
     D1_FEATURE_NAMES,
@@ -21,7 +22,6 @@ from qrationals.fit import (
     default_d2_samples,
     fit_d1,
     fit_d2,
-    lattice_column,
 )
 
 
@@ -65,7 +65,7 @@ def main() -> int:
                      Fraction(1, b * b), Fraction(a, b * b),
                      Fraction(a * a, b * b),
                      Fraction(1, b), Fraction(a, b), Fraction(1),
-                     lattice_column(a, b))
+                     s_sum(1, 3, a, b))
             v2 = sum(c * f for c, f in zip(d2, feats))
             if v1 != d1_closed(x) or v2 != d2_closed(a, b):
                 bad += 1

@@ -13,8 +13,8 @@ import sys
 import time
 from fractions import Fraction
 
-from qrationals.closedforms import derivative_report, lemma_calibration
-from qrationals.dedekind import battery_sweep, bridge_mismatches, reciprocity_sweep
+from qrationals.closedforms import bridge_mismatches, derivative_report, lemma_calibration
+from qrationals.dedekind import battery_sweep, reciprocity_sweep
 from qrationals.fit import default_d1_samples, default_d2_samples, fit_d1, fit_d2
 from qrationals.sbtree import equivalence_mismatches, identity_sweep
 

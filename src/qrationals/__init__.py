@@ -55,6 +55,8 @@ from .sbtree import (
 from .closedforms import (
     NoInverseError,
     bracket,
+    bracket_weight_sum,
+    bridge_mismatches,
     d1_closed,
     d2_closed,
     denominator_d1_closed,
@@ -69,8 +71,6 @@ from .dedekind import (
     battery_sweep,
     bernoulli_number,
     bernoulli_poly,
-    bracket_weight_sum,
-    bridge_mismatches,
     check_identities,
     h_val,
     periodic_bernoulli,
@@ -85,7 +85,6 @@ from .fit import (
     emit_plot_data,
     fit_d1,
     fit_d2,
-    lattice_column,
     plot_data_csv,
 )
 
@@ -102,14 +101,14 @@ __all__ = [
     "derivative_identity_residual", "identity_correction",
     "equivalence_mismatches", "identity_sweep", "lineage_to_json",
     "mod_inverse", "thomae", "bracket", "d1_closed", "d2_closed",
+    "bracket_weight_sum", "bridge_mismatches",
     "numerator_d1_closed", "denominator_d1_closed",
     "derivative_report", "derivative_report_csv", "lemma_calibration",
     "bernoulli_number", "bernoulli_poly", "periodic_bernoulli",
     "s_sum", "h_val", "reciprocity_residual", "check_identities",
-    "bracket_weight_sum", "reciprocity_sweep", "bridge_mismatches",
-    "battery_sweep",
+    "reciprocity_sweep", "battery_sweep",
     "fit_d1", "fit_d2", "default_d1_samples", "default_d2_samples",
-    "lattice_column", "emit_plot_data", "plot_data_csv",
+    "emit_plot_data", "plot_data_csv",
     "ZeroDenominatorError", "PoleAtOneError", "SingularMatrixError",
     "NonUnimodularError", "VanishingLineageError", "DegenerateWeightsError",
     "InsufficientDepthError", "NoInverseError", "RankDeficientError",

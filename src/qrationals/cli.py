@@ -26,11 +26,10 @@ from .sbtree import (
     lineage_extract,
     lineage_to_json,
 )
-from .closedforms import d1_closed, d2_closed, derivative_report
+from .closedforms import bridge_mismatches, d1_closed, d2_closed, derivative_report
 from .dedekind import (
     battery_report_csv,
     battery_sweep,
-    bridge_mismatches,
     h_val,
     reciprocity_sweep,
     s_sum,
@@ -51,6 +50,15 @@ __all__ = ["main", "SWEEP_DEPTH_ENV"]
 SWEEP_DEPTH_ENV = "QRAT_SWEEP_DEPTH"
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(/\d+)?")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with "-" and a digit, such as -1/2, as a
+    value; plain argparse takes only negative integers and decimals so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def _fraction(text: str) -> Fraction:
@@ -254,7 +262,7 @@ def _cmd_plot(args) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrat",
         description="Exact q-deformed rationals: deformations, derivatives at "
                     "q = 1, identity verification sweeps, Dedekind sums, "

@@ -5,7 +5,7 @@ report.
 
 The first-derivative form is (x² − x + 1 − f(x)²)/2 with f Thomae's function.
 The second-derivative form combines a cubic polynomial part, a Thomae part,
-and a lattice sum weighted by the bracket ⟨n/a⟩_b.
+and a ⟨n/a⟩_b-weighted lattice sum, equal to −s_{1,3} by the bridges here.
 """
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ import math
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from .exact import Rat, derivative_at_one
+from .exact import Rat, derivative_at_one, rat_to_str
 from .qdeform import deform, to_cfrac, _path_from_terms
+from .dedekind import s_sum
 
 __all__ = [
     "mod_inverse",
@@ -27,6 +28,8 @@ __all__ = [
     "H",
     "d1_closed",
     "d2_closed",
+    "bracket_weight_sum",
+    "bridge_mismatches",
     "numerator_d1_closed",
     "denominator_d1_closed",
     "numerator_derivative",
@@ -89,15 +92,43 @@ def d1_closed(x: Rat) -> Rat:
 
 
 def d2_closed(a: int, b: int) -> Rat:
-    """F(a/b) + f(a/b)²·G(a/b) + 20·Σ_{n<b} ⟨n/a⟩_b·H(n/b) — the second
-    derivative of the deformation at q = 1, in closed form."""
+    """F(a/b) + f(a/b)²·G(a/b) − 20·s_{1,3}(a, b) — the second derivative of
+    the deformation at q = 1, in closed form; the substitution bridge turns
+    the paper's lattice term +20·Σ_{n<b} ⟨n/a⟩_b·H(n/b) into the s_{1,3} term."""
     if b < 1:
         raise ValueError("denominator must be >= 1")
     if math.gcd(a, b) != 1:
         raise ValueError(f"{a}/{b} is not reduced")
     x = Fraction(a, b)
-    lattice = sum(bracket(n, a, b) * H(Fraction(n, b)) for n in range(1, b))
-    return F(x) + thomae(x) ** 2 * G(x) + 20 * lattice
+    return F(x) + thomae(x) ** 2 * G(x) - 20 * s_sum(1, 3, a, b)
+
+
+def bracket_weight_sum(a: int, b: int) -> Rat:
+    """Σ_{n=1}^{b−1} ⟨n/a⟩_b·H(n/b), literally; equals −s_{1,3}(a, b)."""
+    return sum(bracket(n, a, b) * H(Fraction(n, b)) for n in range(1, b))
+
+
+def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int]]]:
+    """Check the bridges between the bracket lattice sums and the generalized
+    Dedekind sums over all reduced a/b with b ≤ max_b:
+      substitution: Σ ⟨n/a⟩_b·H(n/b) = −s_{1,3}(a, b)
+      symmetry:     s_{3,1}(a^{−1}, b) = s_{1,3}(a, b)
+      zero_sum:     Σ ⟨n/a⟩_b·(n/b)(1 − n/b) = 0
+    """
+    out = {"substitution": [], "symmetry": [], "zero_sum": []}
+    for b in range(1, max_b + 1):
+        for a in range(1, b + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            if bracket_weight_sum(a, b) != -s_sum(1, 3, a, b):
+                out["substitution"].append((a, b))
+            if s_sum(3, 1, mod_inverse(a, b), b) != s_sum(1, 3, a, b):
+                out["symmetry"].append((a, b))
+            z = sum(bracket(n, a, b) * Fraction(n, b) * (1 - Fraction(n, b))
+                    for n in range(1, b))
+            if z != 0:
+                out["zero_sum"].append((a, b))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -150,11 +181,10 @@ def denominator_derivative(a: int, b: int) -> Rat:
 # Reports
 # --------------------------------------------------------------------------
 
-def _sweep(max_b: int, max_a=None) -> Iterator[tuple[int, int]]:
-    """Reduced pairs (a, b) with 1 ≤ b ≤ max_b, 0 ≤ a ≤ 2b by default."""
+def _sweep(max_b: int) -> Iterator[tuple[int, int]]:
+    """Reduced pairs (a, b) with 1 ≤ b ≤ max_b, 0 ≤ a ≤ 2b."""
     for b in range(1, max_b + 1):
-        hi = 2 * b if max_a is None else max_a
-        for a in range(0, hi + 1):
+        for a in range(0, 2 * b + 1):
             if math.gcd(a, b) == 1:
                 yield a, b
 
@@ -183,7 +213,6 @@ def derivative_report_csv(max_b: int) -> str:
     writer = csv.writer(buf)
     writer.writerow(["a", "b", "exact_d1", "closed_d1", "exact_d2", "closed_d2",
                      "d1_match", "d2_match"])
-    from .exact import rat_to_str
     for row in derivative_report(max_b):
         writer.writerow([row["a"], row["b"],
                          rat_to_str(row["exact_d1"]), rat_to_str(row["closed_d1"]),

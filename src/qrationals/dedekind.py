@@ -1,6 +1,8 @@
-"""Bernoulli numbers and polynomials, periodic Bernoulli functions,
-generalized Dedekind sums s_{i,j}, their h-normalization, the two-index
-reciprocity formula, and an identity battery.
+"""Bernoulli numbers and polynomials, periodic Bernoulli functions, the
+integer-exact kernel for the generalized Dedekind sums s_{i,j} (the one
+lattice-sum loop that the closed forms, the fit and the lineage corrections
+share), their h-normalization, the two-index reciprocity formula, and an
+identity battery.
 
 Conventions (pinned by the test suite):
   - B_1 = −1/2 (so B̄_1(a n/b) matches the bracket's −1/2 offset).
@@ -22,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Rat, rat_to_str
-from .closedforms import H, bracket, mod_inverse
 
 __all__ = [
     "bernoulli_number",
@@ -33,9 +34,7 @@ __all__ = [
     "reciprocity_residual",
     "check_identities",
     "duplication_literal_residual",
-    "bracket_weight_sum",
     "reciprocity_sweep",
-    "bridge_mismatches",
     "battery_sweep",
     "battery_report_csv",
 ]
@@ -71,13 +70,37 @@ def periodic_bernoulli(i: int, x: Rat) -> Rat:
     return bernoulli_poly(i, x - math.floor(x))
 
 
+def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
+    """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b)."""
+    if i > BERNOULLI_BOUND:
+        raise ValueError(f"index {i} exceeds the configured bound {BERNOULLI_BOUND}")
+    terms = [math.comb(i, k) * bernoulli_number(k) / b ** (i - k) for k in range(i + 1)]
+    d = math.lcm(*(t.denominator for t in terms))
+    return [t.numerator * (d // t.denominator) for t in terms], d
+
+
 @lru_cache(maxsize=None)
 def s_sum(i: int, j: int, a: int, b: int) -> Rat:
-    """Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) (exclusive; 0 when b = 1)."""
+    """Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) (exclusive; 0 when b = 1).
+
+    The factors are B_i(n/b) and B_j(r/b) with r = a·n mod b, so one pass
+    over cleared integer polynomials and one division at the end give it."""
     if b < 1:
         raise ValueError("modulus must be >= 1")
-    return sum(periodic_bernoulli(i, Fraction(n, b)) * periodic_bernoulli(j, Fraction(a * n, b))
-               for n in range(1, b))
+    if b == 1:
+        return Fraction(0)
+    ci, di = _cleared_bernoulli(i, b)
+    cj, dj = _cleared_bernoulli(j, b)
+    total = 0
+    for n in range(1, b):
+        r = a * n % b
+        u = v = 0
+        for c in ci:
+            u = u * n + c
+        for c in cj:
+            v = v * r + c
+        total += u * v
+    return Fraction(total, di * dj)
 
 
 def _s_inclusive(i: int, j: int, a: int, b: int) -> Rat:
@@ -176,15 +199,6 @@ def check_identities(p: int, q: int, bound: int = 4) -> list[dict]:
 
 
 # --------------------------------------------------------------------------
-# Bridges to the second-derivative closed form
-# --------------------------------------------------------------------------
-
-def bracket_weight_sum(a: int, b: int) -> Rat:
-    """Σ_{n=1}^{b−1} ⟨n/a⟩_b·H(n/b); equals −s_{1,3}(a, b) exactly."""
-    return sum(bracket(n, a, b) * H(Fraction(n, b)) for n in range(1, b))
-
-
-# --------------------------------------------------------------------------
 # Sweeps
 # --------------------------------------------------------------------------
 
@@ -193,29 +207,6 @@ def reciprocity_sweep(bound: int) -> list[tuple[int, int]]:
     nonzero.  Empty list = formula verified."""
     return [(p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)
             if math.gcd(p, q) == 1 and reciprocity_residual(4, 1, p, q) != 0]
-
-
-def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int]]]:
-    """Check the bridges between the bracket lattice sums and the generalized
-    Dedekind sums over all reduced a/b with b ≤ max_b:
-      substitution: Σ ⟨n/a⟩_b·H(n/b) = −s_{1,3}(a, b)
-      symmetry:     s_{3,1}(a^{−1}, b) = s_{1,3}(a, b)
-      zero_sum:     Σ ⟨n/a⟩_b·(n/b)(1 − n/b) = 0
-    """
-    out = {"substitution": [], "symmetry": [], "zero_sum": []}
-    for b in range(1, max_b + 1):
-        for a in range(1, b + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            if bracket_weight_sum(a, b) != -s_sum(1, 3, a, b):
-                out["substitution"].append((a, b))
-            if s_sum(3, 1, mod_inverse(a, b), b) != s_sum(1, 3, a, b):
-                out["symmetry"].append((a, b))
-            z = sum(bracket(n, a, b) * Fraction(n, b) * (1 - Fraction(n, b))
-                    for n in range(1, b))
-            if z != 0:
-                out["zero_sum"].append((a, b))
-    return out
 
 
 def battery_sweep(bound: int) -> list[dict]:

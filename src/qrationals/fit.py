@@ -3,31 +3,29 @@ derivative engine and solve them over the rationals.
 
 fit_d1 recovers (α, β, γ, δ) in  d1 = α·x² + β·x + γ + δ·f(x)²  and fit_d2
 recovers the 11 coefficients of the second-derivative ansatz, including the
-weight of the lattice-sum column λ(a/b) = Σ ⟨n/a⟩_b·B_3(n/b).
+weight of the lattice-sum column λ(a/b) = s_{1,3}(a, b), the generalized
+Dedekind sum Σ_{n<b} B̄_1(n/b)·B̄_3(a·n/b).
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import Rat, derivative_at_one, matrix_rank_exact, solve_linear_exact
 from .qdeform import deform
-from .closedforms import bracket, d1_closed, d2_closed
-from .dedekind import bernoulli_poly
+from .closedforms import d1_closed, d2_closed
+from .dedekind import s_sum
 from .sbtree import build_qtree
 
 __all__ = [
-    "FitSystem",
     "RankDeficientError",
     "fit_d1",
     "fit_d2",
     "default_d1_samples",
     "default_d2_samples",
-    "lattice_column",
     "emit_plot_data",
     "plot_data_csv",
     "D1_FEATURE_NAMES",
@@ -40,15 +38,6 @@ class RankDeficientError(ValueError):
     with more varied denominators."""
 
 
-@dataclass(frozen=True)
-class FitSystem:
-    """Rows of (sample, feature vector, right-hand side) plus a description
-    of which ansatz they instantiate."""
-
-    rows: tuple[tuple[Rat, tuple[Rat, ...], Rat], ...]
-    description: str
-
-
 D1_FEATURE_NAMES = ("x^2", "x", "1", "f^2")
 
 D2_FEATURE_NAMES = (
@@ -56,15 +45,6 @@ D2_FEATURE_NAMES = (
     "1/b^2", "a/b^2", "a^2/b^2",
     "1/b", "a/b", "1", "lambda",
 )
-
-
-def lattice_column(a: int, b: int) -> Rat:
-    """λ(a/b) = Σ_{n=1}^{b−1} ⟨n/a⟩_b·B_3(n/b).
-
-    Uses the plain Bernoulli polynomial; the arguments n/b lie in (0, 1)
-    where it agrees with the periodic variant.
-    """
-    return sum(bracket(n, a, b) * bernoulli_poly(3, Fraction(n, b)) for n in range(1, b))
 
 
 def _d1_features(x: Fraction) -> tuple[Rat, ...]:
@@ -77,16 +57,17 @@ def _d2_features(a: int, b: int) -> tuple[Rat, ...]:
         Fraction(a ** 3, b ** 3),
         Fraction(1, b * b), Fraction(a, b * b), Fraction(a * a, b * b),
         Fraction(1, b), Fraction(a, b), Fraction(1),
-        lattice_column(a, b),
+        s_sum(1, 3, a, b),
     )
 
 
-def _solve_system(sys: FitSystem, width: int) -> tuple[Rat, ...]:
-    """Greedily pick the first rank-increasing rows, solve the square system,
-    then demand zero residual on every remaining row."""
+def _solve_system(rows: Sequence[tuple[tuple[Rat, ...], Rat]],
+                  width: int) -> tuple[Rat, ...]:
+    """Greedily pick the first rank-increasing (features, rhs) rows, solve
+    the square system, then demand zero residual on every remaining row."""
     chosen: list[tuple[tuple[Rat, ...], Rat]] = []
     basis: list[Sequence[Rat]] = []
-    for _, feats, rhs in sys.rows:
+    for feats, rhs in rows:
         if len(chosen) == width:
             break
         if matrix_rank_exact(basis + [feats]) > len(basis):
@@ -97,7 +78,7 @@ def _solve_system(sys: FitSystem, width: int) -> tuple[Rat, ...]:
             f"feature matrix rank {len(chosen)} < {width}; "
             "add samples with more varied denominators")
     coeffs = solve_linear_exact([c[0] for c in chosen], [c[1] for c in chosen])
-    for _, feats, rhs in sys.rows:
+    for feats, rhs in rows:
         predicted = sum(c * f for c, f in zip(coeffs, feats))
         if predicted != rhs:
             raise ValueError("sample set is inconsistent with the ansatz")
@@ -110,10 +91,8 @@ def fit_d1(samples: Sequence[Rat]) -> tuple[Rat, Rat, Rat, Rat]:
     for s in samples:
         x = Fraction(s)
         rhs = derivative_at_one(deform(x).deform, 1)
-        rows.append((x, _d1_features(x), rhs))
-    sys = FitSystem(rows=tuple(rows), description="first-derivative 4-term ansatz")
-    a, b, c, d = _solve_system(sys, 4)
-    return a, b, c, d
+        rows.append((_d1_features(x), rhs))
+    return _solve_system(rows, 4)
 
 
 def fit_d2(samples: Sequence[Rat]) -> tuple[Rat, ...]:
@@ -126,9 +105,8 @@ def fit_d2(samples: Sequence[Rat]) -> tuple[Rat, ...]:
     for s in samples:
         x = Fraction(s)
         rhs = derivative_at_one(deform(x).deform, 2)
-        rows.append((x, _d2_features(x.numerator, x.denominator), rhs))
-    sys = FitSystem(rows=tuple(rows), description="second-derivative 11-term ansatz")
-    return _solve_system(sys, 11)
+        rows.append((_d2_features(x.numerator, x.denominator), rhs))
+    return _solve_system(rows, 11)
 
 
 def default_d1_samples() -> list[Fraction]:

@@ -21,6 +21,7 @@ from .exact import (
     poly_to_json_list,
 )
 from .qdeform import QRational, deform, to_cfrac, _path_from_terms, q_integer
+from .dedekind import s_sum
 
 __all__ = [
     "Lineage",
@@ -94,11 +95,6 @@ def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
                                left.den + right.den.shift(n))
 
 
-def _endpoint(m: int) -> RatFunc:
-    """Deformed integer window endpoint."""
-    return q_integer(m)
-
-
 def build_qtree(m: int, depth: int) -> list[QRational]:
     """All q-deformed tree nodes strictly between m and m+1, to the given
     depth, by the weighted-mediant recursion.  Nodes are returned sorted by
@@ -119,7 +115,7 @@ def build_qtree(m: int, depth: int) -> list[QRational]:
         rec(lo_v, lo_rf, mid_v, mid_rf, d + 1)
         rec(mid_v, mid_rf, hi_v, hi_rf, d + 1)
 
-    rec(Fraction(m), _endpoint(m), Fraction(m + 1), _endpoint(m + 1), 0)
+    rec(Fraction(m), q_integer(m), Fraction(m + 1), q_integer(m + 1), 0)
     out.sort(key=lambda n: (n.depth, n.value))
     return out
 
@@ -364,8 +360,6 @@ def identity_correction(lin: Lineage) -> Rat:
     Σ C_i·h(member i) on the reduced members and s is the (1,3) generalized
     Dedekind sum.  Both forms hold exactly on every non-vanishing lineage.
     """
-    from .dedekind import s_sum  # runtime import keeps module layering acyclic
-
     m = lin.order
     if m not in (4, 5):
         raise ValueError("identity instances exist for orders 4 and 5")

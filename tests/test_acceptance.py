@@ -10,6 +10,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from qrationals.closedforms import (
+    bridge_mismatches,
     d1_closed,
     d2_closed,
     denominator_derivative,
@@ -17,7 +18,7 @@ from qrationals.closedforms import (
     lemma_calibration,
     numerator_derivative,
 )
-from qrationals.dedekind import battery_sweep, bridge_mismatches, reciprocity_sweep
+from qrationals.dedekind import battery_sweep, reciprocity_sweep
 from qrationals.fit import default_d1_samples, default_d2_samples, fit_d1, fit_d2
 from qrationals.sbtree import (
     build_qtree,

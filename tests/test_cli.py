@@ -32,7 +32,10 @@ def test_deform_negative_arguments(capsys):
     rc, out, _ = run(capsys, "deform", "-1")
     assert rc == 0
     assert out == "num [-1], den [0,1]\n"
-    # argparse needs "--" before a negative fraction
+    rc, out, _ = run(capsys, "deform", "-1/2")
+    assert rc == 0
+    assert out == "num [-1], den [0,1,1]\n"
+    # the "--" separator still works
     rc, out, _ = run(capsys, "deform", "--", "-1/2")
     assert rc == 0
     assert out == "num [-1], den [0,1,1]\n"
@@ -59,8 +62,17 @@ def test_derive_orders(capsys):
     assert (rc, out) == (0, "exact 9/25, closed 9/25, match\n")
 
 
+def test_derive_negative_fraction(capsys):
+    rc, out, _ = run(capsys, "derive", "-1/2", "--order", "2")
+    assert (rc, out) == (0, "exact -7/4, closed -7/4, match\n")
+    rc, out, _ = run(capsys, "derive", "-3/7")
+    assert (rc, out) == (0, "exact 39/49, closed 39/49, match\n")
+
+
 def test_derive_usage_errors(capsys):
     assert run(capsys, "derive", "0.5")[0] == 2       # decimals are rejected
+    rc, _, err = run(capsys, "derive", "-0.5")
+    assert rc == 2 and "'-0.5' is not a fraction" in err
     assert run(capsys, "derive", "1/0")[0] == 2       # zero denominator
     assert run(capsys, "derive", "2/5", "--order", "3")[0] == 2
 
@@ -109,6 +121,14 @@ def test_lineage_plain(capsys):
         "vanishing: no",
         "C: 2 -1 2",
     ]
+
+
+def test_lineage_negative_fraction(capsys):
+    rc, out, _ = run(capsys, "lineage", "-3/7", "--order", "4")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "members: -1/2 -1/3 -2/5 -3/7"
+    assert lines[-1] == "C: 2 -1 2"
 
 
 def test_lineage_vanishing_plain(capsys):

@@ -133,6 +133,20 @@ def test_closed_forms_match_exact_engine(ab):
     assert d2_closed(a, b) == derivative_at_one(rf, 2)
 
 
+def test_closed_forms_match_exact_jets_on_the_accepted_domain():
+    """Every reduced a/b with b ≤ 24 and −3b ≤ a < 5b, negative a included."""
+    count = 0
+    for b in range(1, 25):
+        for a in range(-3 * b, 5 * b):
+            if math.gcd(a, b) != 1:
+                continue
+            count += 1
+            rf = deform(Fr(a, b)).deform
+            assert d1_closed(Fr(a, b)) == derivative_at_one(rf, 1), (a, b)
+            assert d2_closed(a, b) == derivative_at_one(rf, 2), (a, b)
+    assert count == 1440
+
+
 @given(reduced_pairs)
 def test_b_cubed_clears_second_derivative(ab):
     a, b = ab

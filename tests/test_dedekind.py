@@ -12,13 +12,12 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrationals.closedforms import bracket_weight_sum, bridge_mismatches
 from qrationals.dedekind import (
     battery_report_csv,
     battery_sweep,
     bernoulli_number,
     bernoulli_poly,
-    bracket_weight_sum,
-    bridge_mismatches,
     check_identities,
     duplication_literal_residual,
     h_val,
@@ -32,6 +31,16 @@ coprime_pairs = st.integers(1, 12).flatmap(
     lambda b: st.tuples(
         st.integers(1, 24).filter(lambda a: math.gcd(a, b) == 1),
         st.just(b)))
+
+# any a in [−3b, 3b], coprime to b or not
+lattice_args = st.integers(1, 60).flatmap(
+    lambda b: st.tuples(st.integers(-3 * b, 3 * b), st.just(b)))
+
+
+def literal_s_sum(i, j, a, b):
+    """The defining sum of s_{i,j}, term by term: the oracle for the kernel."""
+    return sum((periodic_bernoulli(i, Fr(n, b)) * periodic_bernoulli(j, Fr(a * n, b))
+                for n in range(1, b)), Fr(0))
 
 
 # -- Bernoulli numbers and polynomials -------------------------------------
@@ -99,6 +108,25 @@ def test_s_sum_trivial_modulus_and_errors():
     assert s_sum(2, 2, 0, 1) == 0
     with pytest.raises(ValueError):
         s_sum(1, 3, 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), lattice_args)
+def test_s_sum_matches_literal_sum(i, j, ab):
+    a, b = ab
+    assert s_sum(i, j, a, b) == literal_s_sum(i, j, a, b)
+
+
+def test_s_sum_literal_pins():
+    """Index 12 (the bound) against the literal sum, the index-13 error, and
+    the empty sum at b = 1."""
+    for i, j, a, b in ((12, 1, 3, 7), (1, 12, -5, 11), (12, 12, 4, 9),
+                       (0, 12, 6, 8), (12, 3, -17, 13)):
+        assert s_sum(i, j, a, b) == literal_s_sum(i, j, a, b)
+    for i, j in ((13, 1), (1, 13), (13, 13)):
+        with pytest.raises(ValueError, match="index 13 exceeds the configured bound 12"):
+            s_sum(i, j, 1, 2)
+    assert s_sum(13, 13, 1, 1) == 0  # the sum is empty, so nothing is evaluated
 
 
 @given(st.integers(0, 4), st.integers(0, 4), coprime_pairs)

@@ -7,18 +7,19 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from qrationals.dedekind import bracket_weight_sum, s_sum
+from qrationals.closedforms import bracket, bracket_weight_sum
+from qrationals.dedekind import bernoulli_poly, s_sum
 from qrationals.fit import (
     D1_FEATURE_NAMES,
     D2_FEATURE_NAMES,
     RankDeficientError,
+    _d2_features,
     _dec,
     default_d1_samples,
     default_d2_samples,
     emit_plot_data,
     fit_d1,
     fit_d2,
-    lattice_column,
     plot_data_csv,
 )
 
@@ -84,19 +85,35 @@ def test_default_d2_samples_pool():
 
 # -- lattice-sum feature column --------------------------------------------
 
+def lattice_column(a, b):
+    """The fit's λ column: the last feature of the second-derivative row."""
+    assert D2_FEATURE_NAMES[-1] == "lambda"
+    return _d2_features(a, b)[-1]
+
+
+def literal_b3_sum(a, b):
+    """Σ_{n<b} ⟨n/a⟩_b·B_3(n/b), term by term (n/b lies in (0, 1))."""
+    return sum((bracket(n, a, b) * bernoulli_poly(3, Fr(n, b)) for n in range(1, b)),
+               Fr(0))
+
+
 def test_lattice_column_fixtures():
     assert lattice_column(1, 2) == 0
     assert lattice_column(3, 8) == Fr(-9, 1024)
+    assert literal_b3_sum(1, 2) == 0
+    assert literal_b3_sum(3, 8) == Fr(-9, 1024)
 
 
 def test_lattice_column_bridges():
-    """The fit's λ column is exactly the generalized Dedekind sum s_{1,3},
-    and the negative of the second-derivative lattice weight — which is why
-    the recovered λ coefficient is −20 while the closed form carries +20."""
+    """The fit's λ column is the literal sum Σ⟨n/a⟩_b·B_3(n/b), exactly the
+    generalized Dedekind sum s_{1,3}, and the negative of the second-derivative
+    lattice weight — which is why the recovered λ coefficient is −20 while
+    the closed form carries +20."""
     for b in range(1, 13):
         for a in range(1, b + 1):
             if math.gcd(a, b) != 1:
                 continue
+            assert lattice_column(a, b) == literal_b3_sum(a, b)
             assert lattice_column(a, b) == s_sum(1, 3, a, b)
             assert lattice_column(a, b) == -bracket_weight_sum(a, b)
 
