@@ -208,14 +208,6 @@ class IntPoly:
             p = IntPoly(i * c for i, c in enumerate(p.coeffs) if i > 0)
         return p
 
-    def shifted_coeff(self, j: int) -> int:
-        """Coefficient of h^j in p(1 + h), i.e. Σ_i coeffs[i]·C(i, j).
-
-        Computed directly so low-order series data never needs the full
-        binomial transform.
-        """
-        return sum(c * math.comb(i, j) for i, c in enumerate(self.coeffs) if i >= j)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -387,6 +379,19 @@ def _clear_pair(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
 # Derivatives at q = 1
 # --------------------------------------------------------------------------
 
+def _taylor_at_one(p: IntPoly, k: int) -> list[int]:
+    """Coefficients s_0..s_k of h^0..h^k in p(1 + h): the Taylor shift by
+    Horner's scheme at q = 1, stopped after k + 1 synthetic divisions by
+    q − 1.  Division j's remainder is s_j; its quotient, the running sums of
+    the coefficients from the top, is one `accumulate` pass."""
+    sums = p.coeffs[::-1]
+    s = []
+    for _ in range(k + 1):
+        sums = list(itertools.accumulate(sums))
+        s.append(sums.pop() if sums else 0)
+    return s
+
+
 def derivative_at_one(rf: RatFunc, k: int) -> Rat:
     """Exact k-th derivative of num/den at q = 1.
 
@@ -396,15 +401,15 @@ def derivative_at_one(rf: RatFunc, k: int) -> Rat:
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    if rf.den(1) == 0:
+    d = _taylor_at_one(rf.den, k)
+    if d[0] == 0:
         raise PoleAtOneError("denominator vanishes at q = 1")
-    n = [Fraction(rf.num.shifted_coeff(j)) for j in range(k + 1)]
-    d = [Fraction(rf.den.shifted_coeff(j)) for j in range(k + 1)]
+    n = _taylor_at_one(rf.num, k)
     # t = n/d as a truncated series in h
     t: list[Fraction] = []
     for j in range(k + 1):
         acc = n[j] - sum(d[j - i] * t[i] for i in range(j))
-        t.append(acc / d[0])
+        t.append(Fraction(acc) / d[0])
     return t[k] * math.factorial(k)
 
 

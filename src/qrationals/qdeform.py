@@ -8,10 +8,19 @@ evaluated bottom-up over integer-polynomial pairs, with reciprocal-variable
 factors cleared to ordinary polynomials at every step.  Each step is a 2×2
 polynomial move of determinant ±q^k, so the final pair needs only q-power /
 content / sign normalization to be canonical.
+
+The tower runs on packed integers (Kronecker substitution): a polynomial P
+with nonnegative coefficients below 2^B is held as the integer P(2^B), so
+q^k·P is a left shift by k·B bits, a sum of polynomials is an integer sum,
+and the product by [a]_q is O(log a) shifts and adds by binary doubling.
+The coefficients are bounded by the continued fraction's continuant, which
+fixes B before the tower starts (see deform_from_cfrac); unpacking is one
+to_bytes and a split into B-bit words.
 """
 from __future__ import annotations
 
-import math
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,14 +80,12 @@ def to_cfrac(x: Rat, parity: Parity = "canonical") -> CFrac:
     quotients after a_0, using the terminal rewrite a_m ↔ (a_m − 1, 1).
     """
     x = Fraction(x)
+    p, q = x.numerator, x.denominator
     terms = []
-    while True:
-        f = math.floor(x)
-        terms.append(f)
-        x -= f
-        if x == 0:
-            break
-        x = 1 / x
+    while q:
+        t, r = divmod(p, q)
+        terms.append(t)
+        p, q = q, r
     if parity != "canonical":
         tail_len = len(terms) - 1
         want_odd = parity == "odd"
@@ -111,9 +118,45 @@ def q_integer(n: int, reciprocal: bool = False) -> RatFunc:
     return RatFunc._from_clean(-(IntPoly([1] * k).shift(1)), IntPoly.const(1))
 
 
-def _qint_poly(n: int) -> IntPoly:
-    """[n]_q for n ≥ 0 as a bare polynomial."""
-    return IntPoly([1] * n)
+def _times_qint(x: int, n: int, width: int) -> int:
+    """x·[n]_q for a packed x (q = 2^width), n ≥ 0, by binary doubling:
+    [2m] = [m]·(1 + q^m) and [m + 1] = 1 + q·[m], one shift and one add each."""
+    if n == 0:
+        return 0
+    s, m = x, 1
+    for bit in bin(n)[3:]:
+        s += s << (m * width)
+        m *= 2
+        if bit == "1":
+            s = x + (s << width)
+            m += 1
+    return s
+
+
+# memoryview formats that unpack 1-, 2-, 4- and 8-byte words at C speed
+_WORD_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
+
+
+def _packed_width(bound: int) -> int:
+    """Bit width B for coefficients in [0, 2·bound]: whole bytes with a spare
+    bit, rounded up to a machine word size when that is at most 8 bytes."""
+    nbytes = (bound.bit_length() + 8) // 8
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()
+    return 8 * nbytes
+
+
+def _unpack(x: int, width: int) -> IntPoly:
+    """The polynomial whose packed form at q = 2^width is x ≥ 0."""
+    w = width // 8
+    size = -(-x.bit_length() // width) * w
+    buf = x.to_bytes(size, "little")
+    fmt = _WORD_FORMATS.get(w) if sys.byteorder == "little" else None
+    if fmt is None:
+        coeffs = [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
+    else:
+        coeffs = memoryview(buf).cast(fmt).tolist()
+    return IntPoly(coeffs)
 
 
 def deform_from_cfrac(cf: CFrac) -> RatFunc:
@@ -126,33 +169,46 @@ def deform_from_cfrac(cf: CFrac) -> RatFunc:
         even step:  (N, D) -> ([a_i]_q·N + q^{a_i}·D,  N)
         odd step:   (N, D) -> (q·[a_i]_q·N + D,        q^{a_i}·N)
 
-    The head term a_0 may be any integer; a_0 = −k uses the backwards
-    recurrence, contributing (N − [k]_q·D) / (q^k·D) to the final pair.
+    starting from ([a_m]_q, 1) at an even bottom level and from
+    ([a_m]_q, q^{a_m − 1}) at an odd one.  The head term a_0 may be any
+    integer; a_0 ≥ 0 is one more even step, and a_0 = −k uses the backwards
+    recurrence, contributing (D − [k]_q·N) / (q^k·N) to the final pair.
+
+    The steps run on packed integers at q = 2^B (see the module docstring).
+    The tail levels (i ≥ 1) only add and shift, so every coefficient is
+    nonnegative and at most the tail's final continuant p = N(1).  A
+    coefficient of [a]_q·N sums at most a consecutive ones of N, so it too is
+    at most p, and the head adds one of D, at most r = D(1) ≤ p: B holds
+    p.bit_length() + 1 bits, rounded up to whole bytes.  Only the signed
+    head step (a_0 < 0) subtracts, on unpacked polynomials.
     """
     terms = cf.terms
     a0, tail = terms[0], terms[1:]
     if not tail:
         return q_integer(a0)
-    N = D = None
-    for i in range(len(terms) - 1, 0, -1):
-        ai = terms[i]
-        if N is None:
-            if i % 2 == 0:
-                N, D = _qint_poly(ai), IntPoly.const(1)
-            else:
-                N, D = _qint_poly(ai), IntPoly.monomial(ai - 1)
+    p, r = 1, 0
+    for a in reversed(tail):
+        p, r = a * p + r, p
+    width = _packed_width(p)
+    m = len(tail)
+    N = _times_qint(1, tail[-1], width)
+    D = 1 if m % 2 == 0 else 1 << (tail[-1] - 1) * width
+    for i in range(m - 1, 0, -1):
+        a = terms[i]
+        aN = _times_qint(N, a, width)
+        if i % 2 == 0:
+            N, D = aN + (D << a * width), N
         else:
-            if i % 2 == 0:
-                N, D = _qint_poly(ai) * N + D.shift(ai), N
-            else:
-                N, D = (_qint_poly(ai) * N).shift(1) + D, N.shift(ai)
+            N, D = (aN << width) + D, N << a * width
     # head: value = a0 + 1/(tower of levels >= 1); the tower pair is (N, D),
     # so 1/tower = D/N and the head contributes like an even-level step on it.
     if a0 >= 0:
-        num, den = _qint_poly(a0) * N + D.shift(a0), N
+        num = _unpack(_times_qint(N, a0, width) + (D << a0 * width), width)
+        den = _unpack(N, width)
     else:
         k = -a0
-        num, den = D - _qint_poly(k) * N, N.shift(k)
+        num = _unpack(D, width) - _unpack(_times_qint(N, k, width), width)
+        den = _unpack(N, width).shift(k)
     return RatFunc._from_clean(num, den)
 
 

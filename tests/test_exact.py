@@ -16,6 +16,7 @@ from qrationals.exact import (
     RatFunc,
     SingularMatrixError,
     ZeroDenominatorError,
+    _taylor_at_one,
     derivative_at_one,
     derivative_at_one_quotient,
     matrix_rank_exact,
@@ -119,13 +120,16 @@ def test_poly_derivative_product_rule(a, b):
 
 @given(polys, st.integers(0, 5))
 def test_shifted_coeff_is_taylor_coefficient_at_one(p, j):
-    """shifted_coeff(j) must equal the h^j coefficient of p(1 + h)."""
+    """_taylor_at_one(p, j) must end in the h^j coefficient of p(1 + h) and
+    list the lower ones before it."""
     one_plus_h = IntPoly([1, 1])
     composed = IntPoly()
     for i, c in enumerate(p.coeffs):
         composed = composed + c * one_plus_h ** i
     expected = composed.coeffs[j] if j < len(composed.coeffs) else 0
-    assert p.shifted_coeff(j) == expected
+    assert _taylor_at_one(p, j)[j] == expected
+    padded = composed.coeffs + (0,) * (j + 1)
+    assert _taylor_at_one(p, j) == list(padded[:j + 1])
 
 
 def test_poly_str():

@@ -136,6 +136,73 @@ def test_deform_pinned_pairs():
         assert _pair(x) == want, x
 
 
+# -- packed tower against the literal IntPoly tower ------------------------
+
+def _qint_poly(n):
+    """[n]_q for n ≥ 0 as a bare polynomial."""
+    return IntPoly([1] * n)
+
+
+def _intpoly_tower(cf):
+    """The continued-fraction tower step by step on IntPoly pairs: the
+    literal form of deform_from_cfrac, kept here as its oracle."""
+    terms = cf.terms
+    a0, tail = terms[0], terms[1:]
+    if not tail:
+        return q_integer(a0)
+    N = D = None
+    for i in range(len(terms) - 1, 0, -1):
+        ai = terms[i]
+        if N is None:
+            if i % 2 == 0:
+                N, D = _qint_poly(ai), IntPoly.const(1)
+            else:
+                N, D = _qint_poly(ai), IntPoly.monomial(ai - 1)
+        else:
+            if i % 2 == 0:
+                N, D = _qint_poly(ai) * N + D.shift(ai), N
+            else:
+                N, D = (_qint_poly(ai) * N).shift(1) + D, N.shift(ai)
+    if a0 >= 0:
+        num, den = _qint_poly(a0) * N + D.shift(a0), N
+    else:
+        k = -a0
+        num, den = D - _qint_poly(k) * N, N.shift(k)
+    return RatFunc._from_clean(num, den)
+
+
+def _assert_same_tower(terms):
+    cf = CFrac(terms)
+    got, want = deform_from_cfrac(cf), _intpoly_tower(cf)
+    assert got.num.coeffs == want.num.coeffs, terms
+    assert got.den.coeffs == want.den.coeffs, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-6, 6), st.lists(st.integers(1, 60), min_size=1, max_size=40),
+       st.booleans())
+def test_packed_tower_matches_intpoly_tower(a0, tail, split_last):
+    """Both parities: the terminal rewrite a_m -> (a_m - 1, 1) flips the
+    parity of the tail length."""
+    if split_last and tail[-1] > 1:
+        tail = tail[:-1] + [tail[-1] - 1, 1]
+    _assert_same_tower((a0, *tail))
+
+
+@pytest.mark.parametrize("terms", [
+    (0, 20000),
+    (0, 2, 20000, 3),
+    (1, 1, 1, 20000, 1, 2),
+    (-3, 2, 5000, 7),
+    (1,) * 800,  # F_801 / F_800
+    (2, 3, 4, 9, 12),  # coefficients within a byte of the width bound
+    (0, 17, 18, 21),
+], ids=["0;20000", "0;2,20000,3", "1;1,1,20000,1,2", "-3;2,5000,7", "F801/F800",
+        "2;3,4,9,12", "0;17,18,21"])
+def test_packed_tower_pinned_wide_cases(terms):
+    _assert_same_tower(terms)
+
+
 def test_deform_integer_is_q_integer():
     for n in (-3, 0, 1, 4):
         assert deform(Fr(n)).deform == q_integer(n)
