@@ -12,12 +12,13 @@ import sys
 from fractions import Fraction
 
 from qrationals.closedforms import d1_closed, d2_closed
-from qrationals.dedekind import s_sum
 from qrationals.exact import rat_to_str
 from qrationals.fit import (
     D1_FEATURE_NAMES,
     D2_FEATURE_NAMES,
     RankDeficientError,
+    _d1_features,
+    _d2_features,
     default_d1_samples,
     default_d2_samples,
     fit_d1,
@@ -50,7 +51,6 @@ def main() -> int:
 
     # reassemble both formulas and compare with the library closed forms on
     # denominators the fit never saw
-    a1, b1, c1, e1 = d1
     bad = 0
     checked = 0
     for b in range(8, 30):
@@ -59,14 +59,8 @@ def main() -> int:
                 continue
             checked += 1
             x = Fraction(a, b)
-            v1 = a1 * x * x + b1 * x + c1 + e1 * Fraction(1, b * b)
-            feats = (Fraction(1, b ** 3), Fraction(a, b ** 3),
-                     Fraction(a * a, b ** 3), Fraction(a ** 3, b ** 3),
-                     Fraction(1, b * b), Fraction(a, b * b),
-                     Fraction(a * a, b * b),
-                     Fraction(1, b), Fraction(a, b), Fraction(1),
-                     s_sum(1, 3, a, b))
-            v2 = sum(c * f for c, f in zip(d2, feats))
+            v1 = sum(c * f for c, f in zip(d1, _d1_features(x)))
+            v2 = sum(c * f for c, f in zip(d2, _d2_features(a, b)))
             if v1 != d1_closed(x) or v2 != d2_closed(a, b):
                 bad += 1
     print(f"\nout-of-sample agreement with the closed forms: "

@@ -17,7 +17,6 @@ from .exact import (
     SingularMatrixError,
     ZeroDenominatorError,
     derivative_at_one,
-    derivative_at_one_quotient,
     matrix_rank_exact,
     rat_from_str,
     rat_to_str,
@@ -93,7 +92,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Rat", "IntPoly", "RatFunc", "QRational", "CFrac", "Lineage",
     "rat_to_str", "rat_from_str", "derivative_at_one",
-    "derivative_at_one_quotient", "solve_linear_exact", "matrix_rank_exact",
+    "solve_linear_exact", "matrix_rank_exact",
     "to_cfrac", "q_integer", "deform", "deform_from_cfrac",
     "qrational_to_json", "qrational_from_json",
     "mediant", "weighted_mediant", "build_qtree", "delta", "lineage_extract",

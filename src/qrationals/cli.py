@@ -17,23 +17,10 @@ import sys
 from fractions import Fraction
 
 from .exact import IntPoly, derivative_at_one, rat_to_str
-from .qdeform import deform, qrational_to_json
-from .sbtree import (
-    build_qtree,
-    equivalence_mismatches,
-    identity_sweep,
-    lagrange_coefficients,
-    lineage_extract,
-    lineage_to_json,
-)
-from .closedforms import bridge_mismatches, d1_closed, d2_closed, derivative_report
-from .dedekind import (
-    battery_report_csv,
-    battery_sweep,
-    h_val,
-    reciprocity_sweep,
-    s_sum,
-)
+from .qdeform import deform, qrational_to_json, to_cfrac
+from .sbtree import build_qtree, lagrange_coefficients, lineage_extract, lineage_to_json
+from .closedforms import d1_closed, d2_closed
+from .dedekind import battery_report_csv, h_val, s_sum
 from .fit import (
     D1_FEATURE_NAMES,
     D2_FEATURE_NAMES,
@@ -43,11 +30,18 @@ from .fit import (
     fit_d2,
     plot_data_csv,
 )
+from .sweeps import CHECKS
 
-__all__ = ["main", "SWEEP_DEPTH_ENV"]
+__all__ = ["main", "SWEEP_DEPTH_ENV", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH"]
 
 # Default depth for the depth-driven check sweeps; --depth always wins.
 SWEEP_DEPTH_ENV = "QRAT_SWEEP_DEPTH"
+
+# Largest inputs the verbs build; larger ones exit 2 before any polynomial is
+# made.  The sum of |partial quotients| of x bounds the degree of [x]_q; at a
+# given sum the all-ones expansion F_{n+1}/F_n costs the most.
+MAX_DEFORM_DEGREE = 2000
+MAX_TREE_DEPTH = 12
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
@@ -62,30 +56,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for exact fraction arguments."""
+    """argparse type for the exact fraction a verb deforms."""
     if not _FRACTION_RE.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a fraction; write a/b or an integer (no decimals)")
     try:
-        return Fraction(text.strip())
+        x = Fraction(text.strip())
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError("denominator must be nonzero") from None
+    degree = sum(abs(t) for t in to_cfrac(x).terms)
+    if degree > MAX_DEFORM_DEGREE:
+        raise argparse.ArgumentTypeError(
+            f"the partial quotients of {text.strip()} sum to {degree}, the degree "
+            f"bound of its deformation; the limit is {MAX_DEFORM_DEGREE}")
+    return x
+
+
+def _check_window(args) -> None:
+    """Refuse a tree window (--start, --depth) too large to build."""
+    if args.depth > MAX_TREE_DEPTH:
+        raise ValueError(f"tree depth {args.depth} is above the limit "
+                         f"{MAX_TREE_DEPTH} (depth d has 2^(d+1) - 1 nodes)")
+    degree = max(abs(args.start), abs(args.start + 1))
+    if degree > MAX_DEFORM_DEGREE:
+        raise ValueError(f"the window endpoints of --start {args.start} deform to "
+                         f"degree {degree}; the limit is {MAX_DEFORM_DEGREE}")
 
 
 def _coeffs(p: IntPoly) -> str:
     return "[" + ",".join(map(str, p.coeffs)) + "]"
-
-
-def _sweep_depth(args, fallback: int) -> int:
-    if args.depth is not None:
-        return args.depth
-    raw = os.environ.get(SWEEP_DEPTH_ENV)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SWEEP_DEPTH_ENV} must be an integer, got {raw!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -118,6 +117,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    _check_window(args)
     nodes = build_qtree(args.start, args.depth)
     if args.json:
         print(json.dumps([qrational_to_json(n) for n in nodes]))
@@ -151,75 +151,18 @@ def _cmd_lineage(args) -> int:
     return 0
 
 
-def _check_derivatives(order: int, max_b: int) -> int:
-    name = f"thm{order}"
-    mkey, ekey, ckey = f"d{order}_match", f"exact_d{order}", f"closed_d{order}"
-    count = 0
-    for row in derivative_report(max_b):
-        count += 1
-        if not row[mkey]:
-            print(f"FAIL {name}: counterexample {row['a']}/{row['b']}: "
-                  f"exact {rat_to_str(row[ekey])}, closed {rat_to_str(row[ckey])}")
-            return 1
-    print(f"PASS {name}: order-{order} closed form matches the exact derivative "
-          f"on all {count} reduced a/b with b <= {max_b}, 0 <= a <= 2b")
-    return 0
-
-
-def _check_equivalence(depth: int) -> int:
-    bad = equivalence_mismatches(depth)
-    if bad:
-        print(f"FAIL appendixA: constructions disagree at {rat_to_str(bad[0])} "
-              f"(depth <= {depth})")
-        return 1
-    total = 2 ** (depth + 1) - 1
-    print(f"PASS appendixA: weighted-mediant and continued-fraction "
-          f"constructions agree on all {total} nodes to depth {depth}")
-    return 0
-
-
-def _check_delta(depth: int) -> int:
-    res = identity_sweep(depth)
-    if res["failures"]:
-        print(f"FAIL delta: first violation {res['failures'][0]}")
-        return 1
-    c = res["checked"]
-    print(f"PASS delta: residual and moment identities hold on {c[4]} order-4 "
-          f"and {c[5]} order-5 lineages to depth {depth}")
-    return 0
-
-
-def _check_dedekind(max_b: int) -> int:
-    bad_r = reciprocity_sweep(max_b)
-    if bad_r:
-        print(f"FAIL dedekind: reciprocity residual nonzero at (p, q) = {bad_r[0]}")
-        return 1
-    for name, pairs in bridge_mismatches(max_b).items():
-        if pairs:
-            print(f"FAIL dedekind: {name} bridge fails at (a, b) = {pairs[0]}")
-            return 1
-    bad_b = battery_sweep(max_b)
-    if bad_b:
-        row = bad_b[0]
-        print(f"FAIL dedekind: identity {row['identity']} {row['params']} "
-              f"has residual {rat_to_str(row['residual'])}")
-        return 1
-    print(f"PASS dedekind: reciprocity, lattice-sum bridges, and the identity "
-          f"battery all hold up to {max_b}")
-    return 0
-
-
 def _cmd_check(args) -> int:
-    target = args.target
-    if target in ("thm1", "thm2"):
-        max_b = 30 if args.max_denominator is None else args.max_denominator
-        return _check_derivatives(1 if target == "thm1" else 2, max_b)
-    if target == "appendixA":
-        return _check_equivalence(_sweep_depth(args, fallback=8))
-    if target == "delta":
-        return _check_delta(_sweep_depth(args, fallback=6))
-    max_b = 10 if args.max_denominator is None else args.max_denominator
-    return _check_dedekind(max_b)
+    sweep = CHECKS[args.target]
+    bound = args.depth if sweep.by_depth else args.max_denominator
+    raw = os.environ.get(SWEEP_DEPTH_ENV) if sweep.by_depth else None
+    if bound is None and raw is not None:
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise ValueError(f"{SWEEP_DEPTH_ENV} must be an integer, got {raw!r}") from None
+    verdict = sweep.run(sweep.check_default if bound is None else bound)
+    print(verdict.line)
+    return 0 if verdict.ok else 1
 
 
 def _cmd_dedekind(args) -> int:
@@ -253,6 +196,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    _check_window(args)
     sys.stdout.write(plot_data_csv(args.depth, args.order, args.start))
     return 0
 
@@ -292,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lineage)
 
     p = sub.add_parser("check", help="run a verification sweep")
-    p.add_argument("target", choices=("thm1", "thm2", "appendixA", "dedekind", "delta"))
+    p.add_argument("target", choices=tuple(CHECKS))
     p.add_argument("--max-denominator", type=int, default=None,
                    help="sweep bound for thm1/thm2/dedekind (defaults 30/30/10)")
     p.add_argument("--depth", type=int, default=None,

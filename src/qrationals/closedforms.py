@@ -108,26 +108,29 @@ def bracket_weight_sum(a: int, b: int) -> Rat:
     return sum(bracket(n, a, b) * H(Fraction(n, b)) for n in range(1, b))
 
 
-def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int]]]:
+def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
     """Check the bridges between the bracket lattice sums and the generalized
-    Dedekind sums over all reduced a/b with b ≤ max_b:
+    Dedekind sums over all reduced a/b with 1 ≤ a ≤ b ≤ max_b:
       substitution: Σ ⟨n/a⟩_b·H(n/b) = −s_{1,3}(a, b)
       symmetry:     s_{3,1}(a^{−1}, b) = s_{1,3}(a, b)
       zero_sum:     Σ ⟨n/a⟩_b·(n/b)(1 − n/b) = 0
+    Each failure is recorded as (a, b, lhs, rhs); empty lists = all hold.
     """
     out = {"substitution": [], "symmetry": [], "zero_sum": []}
     for b in range(1, max_b + 1):
         for a in range(1, b + 1):
             if math.gcd(a, b) != 1:
                 continue
-            if bracket_weight_sum(a, b) != -s_sum(1, 3, a, b):
-                out["substitution"].append((a, b))
-            if s_sum(3, 1, mod_inverse(a, b), b) != s_sum(1, 3, a, b):
-                out["symmetry"].append((a, b))
-            z = sum(bracket(n, a, b) * Fraction(n, b) * (1 - Fraction(n, b))
-                    for n in range(1, b))
-            if z != 0:
-                out["zero_sum"].append((a, b))
+            s13 = s_sum(1, 3, a, b)
+            sides = {
+                "substitution": (bracket_weight_sum(a, b), -s13),
+                "symmetry": (s_sum(3, 1, mod_inverse(a, b), b), s13),
+                "zero_sum": (sum(bracket(n, a, b) * Fraction(n, b) * (1 - Fraction(n, b))
+                                 for n in range(1, b)), 0),
+            }
+            for name, (lhs, rhs) in sides.items():
+                if lhs != rhs:
+                    out[name].append((a, b, lhs, rhs))
     return out
 
 

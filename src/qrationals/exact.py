@@ -413,23 +413,6 @@ def derivative_at_one(rf: RatFunc, k: int) -> Rat:
     return t[k] * math.factorial(k)
 
 
-def derivative_at_one_quotient(rf: RatFunc, k: int) -> Rat:
-    """Independent implementation via the symbolic quotient rule.
-
-    Repeatedly differentiates (n/d) as (n′d − nd′)/d², keeping exact
-    polynomials, then evaluates.  Quadratic in degree — used to cross-check
-    the series method bit-for-bit, not for sweeps.
-    """
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if rf.den(1) == 0:
-        raise PoleAtOneError("denominator vanishes at q = 1")
-    n, d = rf.num, rf.den
-    for _ in range(k):
-        n, d = n.derivative() * d - n * d.derivative(), d * d
-    return Fraction(n(1), d(1))
-
-
 # --------------------------------------------------------------------------
 # Exact linear algebra
 # --------------------------------------------------------------------------

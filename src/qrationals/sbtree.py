@@ -396,7 +396,7 @@ def identity_sweep(depth: int) -> dict:
     Σ C_i·f_i^j·g_i^{m−2−j} = f_m^j·g_m^{m−2−j} hold for j = 0..m−2.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
-    tuple per violation (empty = pass).
+    tuple (m, value, identity, lhs, rhs) per violation (empty = pass).
     """
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
@@ -417,8 +417,9 @@ def identity_sweep(depth: int) -> dict:
             f, g = lin.f, lin.g
             for j in range(m - 1):
                 lhs = sum(C[i] * f[i] ** j * g[i] ** (m - 2 - j) for i in range(m - 1))
-                if lhs != f[m - 1] ** j * g[m - 1] ** (m - 2 - j):
-                    failures.append((m, node.value, "moment", j))
+                rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
+                if lhs != rhs:
+                    failures.append((m, node.value, f"moment {j}", lhs, rhs))
                     break
     return {"checked": checked, "failures": failures}
 

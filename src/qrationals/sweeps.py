@@ -1,0 +1,188 @@
+"""The verification sweeps, each defined once.
+
+`qrat check` and scripts/verify_all.py run the records below;
+tests/test_acceptance.py stays the independent gate with its own pinned
+values.  A sweep's run(bound) returns a Verdict: its PASS line with the case
+counts, or its FAIL line naming the first counterexample and both sides.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+from .exact import rat_to_str
+from .closedforms import _sweep, bridge_mismatches, d2_closed, derivative_report, lemma_calibration
+from .dedekind import battery_sweep, reciprocity_residual, reciprocity_sweep
+from .fit import default_d1_samples, default_d2_samples, fit_d1, fit_d2
+from .qdeform import deform
+from .sbtree import build_qtree, equivalence_mismatches, identity_sweep
+
+__all__ = ["Verdict", "Sweep", "SWEEPS", "CHECKS"]
+
+D1_WANT = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))
+D2_WANT = tuple(map(Fraction, ("0", "-1", "0", "1/3", "1", "0", "-1", "0", "5/3", "-1", "-20")))
+
+
+class Verdict(NamedTuple):
+    """A sweep's PASS/FAIL line; a failure also carries its first
+    counterexample as (case, one side, the other side)."""
+
+    line: str
+    counterexample: tuple[str, str, str] | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
+
+
+def _pass(name: str, summary: str) -> Verdict:
+    return Verdict(f"PASS {name}: {summary}")
+
+
+def _fail(name: str, case: str, lhs: str, rhs: str) -> Verdict:
+    return Verdict(f"FAIL {name}: counterexample {case}: {lhs}, {rhs}", (case, lhs, rhs))
+
+
+def _closed_form(order: int) -> Callable[[int], Verdict]:
+    name, exact, closed = f"thm{order}", f"exact_d{order}", f"closed_d{order}"
+
+    def run(max_b: int) -> Verdict:
+        count = 0
+        for row in derivative_report(max_b):
+            if row[exact] != row[closed]:
+                return _fail(name, f"{row['a']}/{row['b']}", f"exact {rat_to_str(row[exact])}",
+                             f"closed {rat_to_str(row[closed])}")
+            count += 1
+        return _pass(name, f"order-{order} closed form matches the exact derivative on all "
+                           f"{count} reduced a/b with b <= {max_b}, 0 <= a <= 2b")
+    return run
+
+
+def _integrality(max_b: int) -> Verdict:
+    count = 0
+    for a, b in _sweep(max_b):
+        cleared = b ** 3 * d2_closed(a, b)
+        if cleared.denominator != 1:
+            return _fail("integrality", f"{a}/{b}", f"b^3 * closed {rat_to_str(cleared)}",
+                         "want an integer")
+        count += 1
+    return _pass("integrality", f"b^3 times the order-2 closed form is an integer on all "
+                                f"{count} reduced a/b with b <= {max_b}, 0 <= a <= 2b")
+
+
+def _equivalence(depth: int) -> Verdict:
+    bad = equivalence_mismatches(depth)
+    if bad:
+        tree = next(n.deform for n in build_qtree(0, depth) if n.value == bad[0])
+        return _fail("appendixA", rat_to_str(bad[0]), f"weighted-mediant {tree}",
+                     f"continued-fraction {deform(bad[0]).deform}")
+    return _pass("appendixA", f"weighted-mediant and continued-fraction constructions "
+                              f"agree on all {2 ** (depth + 1) - 1} nodes to depth {depth}")
+
+
+def _delta(depth: int) -> Verdict:
+    res = identity_sweep(depth)
+    if res["failures"]:
+        m, value, identity, lhs, rhs = res["failures"][0]
+        return _fail("delta", f"order-{m} lineage of {rat_to_str(value)}, {identity}",
+                     f"lhs {rat_to_str(lhs)}", f"rhs {rat_to_str(rhs)}")
+    c = res["checked"]
+    return _pass("delta", f"residual and moment identities hold on {c[4]} order-4 "
+                          f"and {c[5]} order-5 lineages to depth {depth}")
+
+
+def _fits(_bound: None) -> Verdict:
+    def vector(v):
+        return "(" + ", ".join(map(rat_to_str, v)) + ")"
+
+    for which, got, want in (("d1", fit_d1(default_d1_samples()), D1_WANT),
+                             ("d2", fit_d2(default_d2_samples()), D2_WANT)):
+        if got != want:
+            return _fail("fits", which, f"fitted {vector(got)}", f"want {vector(want)}")
+    return _pass("fits", f"both ansatzes recover their coefficients exactly: "
+                         f"d1 {vector(D1_WANT)}, d2 {vector(D2_WANT)}")
+
+
+def _reciprocity(bound: int) -> Verdict:
+    bad = reciprocity_sweep(bound)
+    if bad:
+        residual = rat_to_str(reciprocity_residual(4, 1, *bad[0]))
+        return _fail("reciprocity", f"(p, q) = {bad[0]}", f"(4,1) residual {residual}", "want 0")
+    return _pass("reciprocity", f"(4,1) reciprocity holds on coprime pairs p, q <= {bound}")
+
+
+def _bridges(max_b: int) -> Verdict:
+    for bridge, cases in bridge_mismatches(max_b).items():
+        if cases:
+            a, b, lhs, rhs = cases[0]
+            return _fail("bridges", f"{bridge} at {a}/{b}", f"lhs {rat_to_str(lhs)}",
+                         f"rhs {rat_to_str(rhs)}")
+    return _pass("bridges", f"substitution, symmetry and zero-sum bridges hold on "
+                            f"reduced a/b with 1 <= a <= b <= {max_b}")
+
+
+def _battery(bound: int) -> Verdict:
+    bad = battery_sweep(bound)
+    if bad:
+        row = bad[0]
+        return _fail("battery", f"{row['identity']} {' '.join(map(str, row['params']))}",
+                     f"residual {rat_to_str(row['residual'])}", "want 0")
+    return _pass("battery", f"the identity battery holds on coprime pairs p, q <= {bound}")
+
+
+def _calibration(max_b: int) -> Verdict:
+    first, second = lemma_calibration(max_b), lemma_calibration(max_b)
+    if first != second:
+        return _fail("calibration", f"b <= {max_b}", f"first run {first}", f"second run {second}")
+    return _pass("calibration", f"depth-formula mismatch sets are reproducible for b <= {max_b}")
+
+
+def _dedekind(max_b: int) -> Verdict:
+    for part, run in (("reciprocity", _reciprocity), ("bridges", _bridges),
+                      ("battery", _battery)):
+        failed = run(max_b).counterexample
+        if failed:
+            case, lhs, rhs = failed
+            return _fail("dedekind", f"{part} {case}", lhs, rhs)
+    return _pass("dedekind", f"reciprocity, lattice-sum bridges, and the identity "
+                             f"battery all hold up to {max_b}")
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One verification sweep.  `bound` is its scale-1 bound, the acceptance
+    gate's (None: it takes none); at scale s a tree depth grows by s − 1 and
+    any other bound by a factor s.  `check_default` is its `qrat check` bound
+    when no flag gives one (None: not a check target)."""
+
+    name: str
+    run: Callable[[int | None], Verdict]
+    bound: int | None
+    by_depth: bool = False
+    check_default: int | None = None
+
+    def at_scale(self, s: int) -> int | None:
+        if self.bound is None:
+            return None
+        return self.bound + s - 1 if self.by_depth else self.bound * s
+
+
+# the acceptance sweeps, in the order scripts/verify_all.py runs them
+SWEEPS = (
+    Sweep("thm1", _closed_form(1), 40, check_default=30),
+    Sweep("thm2", _closed_form(2), 40, check_default=30),
+    Sweep("integrality", _integrality, 40),
+    Sweep("appendixA", _equivalence, 12, by_depth=True, check_default=8),
+    Sweep("delta", _delta, 10, by_depth=True, check_default=6),
+    Sweep("fits", _fits, None),
+    Sweep("reciprocity", _reciprocity, 30),
+    Sweep("bridges", _bridges, 60),
+    Sweep("battery", _battery, 20),
+    Sweep("calibration", _calibration, 20),
+)
+
+# the `qrat check` targets; `dedekind` runs reciprocity, bridges and battery
+# at one bound and prints one combined line
+CHECKS = {s.name: s for s in SWEEPS + (Sweep("dedekind", _dedekind, None, check_default=10),)
+          if s.check_default is not None}

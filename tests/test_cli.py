@@ -1,14 +1,24 @@
 """End-to-end CLI behavior: output strings, exit codes, JSON modes, the
-sweep-depth environment variable, and usage-error handling.
+sweep-depth environment variable, the FAIL path, input size limits, usage-error
+handling, and smoke runs of the scripts.
 
 Everything goes through main(argv) so the tests see exactly what a shell
 user sees (modulo argparse writing usage errors to stderr).
 """
+import importlib.util
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from qrationals.cli import SWEEP_DEPTH_ENV, main
+from qrationals import closedforms
+from qrationals.cli import MAX_DEFORM_DEGREE, MAX_TREE_DEPTH, SWEEP_DEPTH_ENV, main
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -223,6 +233,51 @@ def test_sweep_depth_env_must_be_integer(capsys, monkeypatch):
     assert SWEEP_DEPTH_ENV in err
 
 
+def test_check_fail_names_the_counterexample(capsys, monkeypatch):
+    real = closedforms.d1_closed
+    monkeypatch.setattr(closedforms, "d1_closed",
+                        lambda x: real(x) + (x == Fraction(2, 5)))
+    rc, out, _ = run(capsys, "check", "thm1", "--max-denominator", "6")
+    assert rc == 1
+    line = "FAIL thm1: counterexample 2/5: exact 9/25, closed 34/25"
+    assert out == line + "\n"
+
+    # scripts/verify_all.py prints the same registry verdict
+    spec = importlib.util.spec_from_file_location("verify_all", SCRIPTS / "verify_all.py")
+    verify_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verify_all)
+    monkeypatch.setattr(verify_all, "SWEEPS",
+                        tuple(s for s in verify_all.SWEEPS if s.name == "thm1"))
+    assert verify_all.main([]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].endswith("s  " + line)
+    assert out.splitlines()[-1] == "0/1 sweeps clean"
+
+
+# -- size limits -----------------------------------------------------------
+
+@pytest.mark.parametrize("verb", [["deform"], ["derive"], ["lineage", "--order", "2"]])
+def test_deform_degree_limit(capsys, verb):
+    rc, _, err = run(capsys, verb[0], f"1/{MAX_DEFORM_DEGREE + 1}", *verb[1:])
+    assert rc == 2
+    assert f"sum to {MAX_DEFORM_DEGREE + 1}" in err
+    assert f"limit is {MAX_DEFORM_DEGREE}" in err
+    rc, out, _ = run(capsys, verb[0], f"1/{MAX_DEFORM_DEGREE}", *verb[1:])
+    assert rc == 0 and out
+
+
+@pytest.mark.parametrize("verb", ["tree", "plot"])
+def test_tree_window_limits(capsys, verb):
+    rc, _, err = run(capsys, verb, "--depth", str(MAX_TREE_DEPTH + 1))
+    assert rc == 2 and f"above the limit {MAX_TREE_DEPTH}" in err
+    rc, out, _ = run(capsys, verb, "--depth", str(MAX_TREE_DEPTH))
+    assert rc == 0 and len(out.splitlines()) >= 2 ** (MAX_TREE_DEPTH + 1) - 1
+    rc, _, err = run(capsys, verb, "--start", str(MAX_DEFORM_DEGREE), "--depth", "0")
+    assert rc == 2 and f"limit is {MAX_DEFORM_DEGREE}" in err
+    rc, out, _ = run(capsys, verb, "--start", str(MAX_DEFORM_DEGREE - 1), "--depth", "0")
+    assert rc == 0 and out
+
+
 # -- dedekind --------------------------------------------------------------
 
 def test_dedekind_values(capsys):
@@ -278,6 +333,18 @@ def test_plot_csv(capsys):
         "0.500000000000,0.250000000000,2,0",
         "0.666666666667,0.333333333333,3,1",
     ]
+
+
+# -- scripts ---------------------------------------------------------------
+
+def test_reproduce_fits_script():
+    src = str(SCRIPTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "reproduce_fits.py")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "504/504" in proc.stdout
 
 
 # -- top level -------------------------------------------------------------

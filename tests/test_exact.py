@@ -18,7 +18,6 @@ from qrationals.exact import (
     ZeroDenominatorError,
     _taylor_at_one,
     derivative_at_one,
-    derivative_at_one_quotient,
     matrix_rank_exact,
     poly_from_json_list,
     poly_to_json_list,
@@ -27,6 +26,17 @@ from qrationals.exact import (
     rat_to_str,
     solve_linear_exact,
 )
+
+def derivative_at_one_quotient(rf: RatFunc, k: int):
+    """Oracle for derivative_at_one: differentiate n/d k times by the
+    symbolic quotient rule, (n′d − nd′)/d², on exact polynomials, then
+    evaluate at q = 1.  Quadratic in degree; independent of the series
+    method it checks."""
+    n, d = rf.num, rf.den
+    for _ in range(k):
+        n, d = n.derivative() * d - n * d.derivative(), d * d
+    return Fr(n(1), d(1))
+
 
 polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
