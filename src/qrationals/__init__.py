@@ -17,6 +17,7 @@ from .exact import (
     SingularMatrixError,
     ZeroDenominatorError,
     derivative_at_one,
+    jets_at_one,
     matrix_rank_exact,
     rat_from_str,
     rat_to_str,
@@ -49,6 +50,7 @@ from .sbtree import (
     lineage_extract,
     lineage_to_json,
     mediant,
+    walk_qtree,
     weighted_mediant,
 )
 from .closedforms import (
@@ -91,11 +93,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Rat", "IntPoly", "RatFunc", "QRational", "CFrac", "Lineage",
-    "rat_to_str", "rat_from_str", "derivative_at_one",
+    "rat_to_str", "rat_from_str", "derivative_at_one", "jets_at_one",
     "solve_linear_exact", "matrix_rank_exact",
     "to_cfrac", "q_integer", "deform", "deform_from_cfrac",
     "qrational_to_json", "qrational_from_json",
-    "mediant", "weighted_mediant", "build_qtree", "delta", "lineage_extract",
+    "mediant", "weighted_mediant", "walk_qtree", "build_qtree", "delta",
+    "lineage_extract",
     "lagrange_coefficients", "delta_identity_residual",
     "derivative_identity_residual", "identity_correction",
     "equivalence_mismatches", "identity_sweep", "lineage_to_json",

@@ -2,9 +2,10 @@
 
 Every verb maps onto one library operation set; no numeric logic lives here.
 Exit status: 0 = success / every requested check passed, 1 = a verification
-failed, 2 = usage error (malformed fraction, out-of-range order, non-coprime
-input).  Fractions are accepted only as "a/b" or a bare integer — never
-decimals — so no precision is lost at the boundary.
+failed, 2 = usage error (malformed fraction, out-of-range order or bound,
+non-coprime input, or an input past one of the size limits below).
+Fractions are accepted only as "a/b" or a bare integer — never decimals — so
+no precision is lost at the boundary.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ from .fit import (
 )
 from .sweeps import CHECKS
 
-__all__ = ["main", "SWEEP_DEPTH_ENV", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH"]
+__all__ = ["main", "SWEEP_DEPTH_ENV", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH",
+           "MAX_CHECK_DENOMINATOR", "MAX_LATTICE_MODULUS"]
 
 # Default depth for the depth-driven check sweeps; --depth always wins.
 SWEEP_DEPTH_ENV = "QRAT_SWEEP_DEPTH"
@@ -42,6 +44,14 @@ SWEEP_DEPTH_ENV = "QRAT_SWEEP_DEPTH"
 # given sum the all-ones expansion F_{n+1}/F_n costs the most.
 MAX_DEFORM_DEGREE = 2000
 MAX_TREE_DEPTH = 12
+# `qrat check thm1|thm2|dedekind` takes --max-denominator in 1..80: 80 is the
+# thm1/thm2 bound of verify_all --scale 2, and the slowest target there,
+# dedekind, runs about 15 s on a 2-core host (thm2 0.7 s).
+MAX_CHECK_DENOMINATOR = 80
+# The lattice sum behind derive --order 2 and dedekind s|h|battery is O(b) in
+# the modulus b: about 0.2 s at b = 10^5 on the same host, and 3.3 s for a
+# battery at q = 10^5, which sums over q and 2q many times.
+MAX_LATTICE_MODULUS = 10 ** 5
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
@@ -72,15 +82,27 @@ def _fraction(text: str) -> Fraction:
     return x
 
 
+def _check_depth(depth: int) -> None:
+    """Refuse a tree too deep to walk (a negative depth fails in the walker)."""
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"tree depth {depth} is above the limit "
+                         f"{MAX_TREE_DEPTH} (depth d has 2^(d+1) - 1 nodes)")
+
+
 def _check_window(args) -> None:
     """Refuse a tree window (--start, --depth) too large to build."""
-    if args.depth > MAX_TREE_DEPTH:
-        raise ValueError(f"tree depth {args.depth} is above the limit "
-                         f"{MAX_TREE_DEPTH} (depth d has 2^(d+1) - 1 nodes)")
+    _check_depth(args.depth)
     degree = max(abs(args.start), abs(args.start + 1))
     if degree > MAX_DEFORM_DEGREE:
         raise ValueError(f"the window endpoints of --start {args.start} deform to "
                          f"degree {degree}; the limit is {MAX_DEFORM_DEGREE}")
+
+
+def _check_modulus(b: int) -> None:
+    """Refuse a lattice sum too long to run."""
+    if b > MAX_LATTICE_MODULUS:
+        raise ValueError(f"modulus {b} is above the limit {MAX_LATTICE_MODULUS} "
+                         f"(the lattice sum has b - 1 terms)")
 
 
 def _coeffs(p: IntPoly) -> str:
@@ -108,6 +130,7 @@ def _cmd_derive(args) -> int:
     elif args.order == 1:
         exact, closed = derivative_at_one(rf, 1), d1_closed(x)
     else:
+        _check_modulus(x.denominator)
         exact, closed = (derivative_at_one(rf, 2),
                          d2_closed(x.numerator, x.denominator))
     ok = exact == closed
@@ -160,7 +183,13 @@ def _cmd_check(args) -> int:
             bound = int(raw)
         except ValueError:
             raise ValueError(f"{SWEEP_DEPTH_ENV} must be an integer, got {raw!r}") from None
-    verdict = sweep.run(sweep.check_default if bound is None else bound)
+    if bound is None:
+        bound = sweep.check_default
+    if sweep.by_depth:
+        _check_depth(bound)
+    elif not 1 <= bound <= MAX_CHECK_DENOMINATOR:
+        raise ValueError(f"--max-denominator {bound} is outside 1..{MAX_CHECK_DENOMINATOR}")
+    verdict = sweep.run(bound)
     print(verdict.line)
     return 0 if verdict.ok else 1
 
@@ -169,6 +198,7 @@ def _cmd_dedekind(args) -> int:
     if args.kind == "battery":
         if math.gcd(args.p, args.q) != 1:
             raise ValueError(f"{args.p} and {args.q} must be coprime")
+        _check_modulus(args.q)
         sys.stdout.write(battery_report_csv(args.p, args.q))
         return 0
     if args.i < 0 or args.j < 0:
@@ -177,6 +207,7 @@ def _cmd_dedekind(args) -> int:
         raise ValueError("modulus must be >= 1")
     if math.gcd(args.a, args.b) != 1:
         raise ValueError(f"{args.a} and {args.b} must be coprime")
+    _check_modulus(args.b)
     fn = s_sum if args.kind == "s" else h_val
     print(rat_to_str(fn(args.i, args.j, args.a, args.b)))
     return 0
@@ -238,10 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification sweep")
     p.add_argument("target", choices=tuple(CHECKS))
     p.add_argument("--max-denominator", type=int, default=None,
-                   help="sweep bound for thm1/thm2/dedekind (defaults 30/30/10)")
+                   help=f"sweep bound for thm1/thm2/dedekind (defaults 30/30/10, "
+                        f"at most {MAX_CHECK_DENOMINATOR})")
     p.add_argument("--depth", type=int, default=None,
                    help=f"tree depth for appendixA/delta (defaults 8/6, "
-                        f"or ${SWEEP_DEPTH_ENV})")
+                        f"or ${SWEEP_DEPTH_ENV}; at most {MAX_TREE_DEPTH})")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dedekind", help="evaluate generalized Dedekind sums")

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from .exact import Rat, derivative_at_one, rat_to_str
+from .exact import Rat, jets_at_one, rat_to_str
 from .qdeform import deform, to_cfrac, _path_from_terms
 from .dedekind import s_sum
 
@@ -198,9 +198,7 @@ def derivative_report(max_b: int) -> Iterator[dict]:
     """
     for a, b in _sweep(max_b):
         x = Fraction(a, b)
-        rf = deform(x).deform
-        e1 = derivative_at_one(rf, 1)
-        e2 = derivative_at_one(rf, 2)
+        _, e1, e2 = jets_at_one(deform(x).deform, 2)
         c1 = d1_closed(x)
         c2 = d2_closed(a, b)
         yield {

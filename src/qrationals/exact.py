@@ -20,6 +20,7 @@ __all__ = [
     "IntPoly",
     "RatFunc",
     "derivative_at_one",
+    "jets_at_one",
     "solve_linear_exact",
     "ZeroDenominatorError",
     "PoleAtOneError",
@@ -392,11 +393,11 @@ def _taylor_at_one(p: IntPoly, k: int) -> list[int]:
     return s
 
 
-def derivative_at_one(rf: RatFunc, k: int) -> Rat:
-    """Exact k-th derivative of num/den at q = 1.
+def jets_at_one(rf: RatFunc, k: int) -> list[Rat]:
+    """Exact derivatives f(1), f′(1), ..., f^(k)(1) of f = num/den.
 
-    Shifts to h = q − 1 and divides truncated power series: only the first
-    k+1 shifted coefficients of each polynomial are needed, so the cost is
+    Shifts to h = q − 1 and divides truncated power series: one Taylor pass
+    per polynomial gives the first k+1 shifted coefficients, so the cost is
     O(k · degree) regardless of polynomial size.
     """
     if k < 0:
@@ -405,12 +406,17 @@ def derivative_at_one(rf: RatFunc, k: int) -> Rat:
     if d[0] == 0:
         raise PoleAtOneError("denominator vanishes at q = 1")
     n = _taylor_at_one(rf.num, k)
-    # t = n/d as a truncated series in h
+    # t = n/d as a truncated series in h; the j-th derivative is j!·t_j
     t: list[Fraction] = []
     for j in range(k + 1):
         acc = n[j] - sum(d[j - i] * t[i] for i in range(j))
         t.append(Fraction(acc) / d[0])
-    return t[k] * math.factorial(k)
+    return [tj * math.factorial(j) for j, tj in enumerate(t)]
+
+
+def derivative_at_one(rf: RatFunc, k: int) -> Rat:
+    """Exact k-th derivative of num/den at q = 1 (see jets_at_one)."""
+    return jets_at_one(rf, k)[k]
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .exact import Rat, derivative_at_one, matrix_rank_exact, solve_linear_exact
 from .qdeform import deform
 from .closedforms import d1_closed, d2_closed
 from .dedekind import s_sum
-from .sbtree import build_qtree
+from .sbtree import walk_qtree
 
 __all__ = [
     "RankDeficientError",
@@ -143,7 +143,8 @@ def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     rows = []
-    for node in build_qtree(start, depth):
+    for stack in walk_qtree(start, depth):  # in increasing value
+        node = stack[-1].node
         x = node.value
         if order == 0:
             val = x
@@ -152,7 +153,6 @@ def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
         else:
             val = d2_closed(x.numerator, x.denominator)
         rows.append((x, val, x.denominator, node.depth))
-    rows.sort(key=lambda r: r[0])
     return rows
 
 

@@ -2,31 +2,38 @@
 extraction with polynomial weight tables, the Δ_i operator, and the Lagrange
 coefficients of the order-m linear-dependence identity.
 
-The weighted-mediant construction here never calls the continued-fraction
-deformation; their bit-exact agreement is a verified equivalence, not a
-dependency.
+One depth-first walker, walk_qtree, yields the tree's ancestor stack, and
+lineages are read off such stacks.  The weighted-mediant construction calls
+the continued-fraction deformation only at the window endpoints; their
+bit-exact agreement is a verified equivalence, not a dependency.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterator
 
 from .exact import (
     IntPoly,
     PoleAtOneError,
     Rat,
     RatFunc,
+    _taylor_at_one,
     derivative_at_one,
+    jets_at_one,
     poly_to_json_list,
 )
-from .qdeform import QRational, deform, to_cfrac, _path_from_terms, q_integer
+from .qdeform import QRational, deform, qrational_to_json, to_cfrac, _path_from_terms
 from .dedekind import s_sum
 
 __all__ = [
     "Lineage",
     "mediant",
     "weighted_mediant",
+    "Frame",
+    "walk_qtree",
     "build_qtree",
     "lineage_extract",
     "delta",
@@ -95,29 +102,65 @@ def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
                                left.den + right.den.shift(n))
 
 
+def _farey(x: Fraction, y: Fraction) -> Fraction:
+    """mediant() less its adjacency check, for descents adjacent by construction."""
+    return Fraction(x.numerator + y.numerator, x.denominator + y.denominator)
+
+
+class Frame:
+    """A descent-stack entry: a tree value, the stack indices of its two
+    parents (None at the window endpoints), and its node (value, canonical
+    pair, depth, path) and jets at q = 1, each computed on first use unless
+    assigned before."""
+
+    def __init__(self, value: Fraction, lo: int | None = None, hi: int | None = None):
+        self.value, self.lo, self.hi = value, lo, hi
+
+    @cached_property
+    def node(self) -> QRational:
+        return deform(self.value)
+
+    @cached_property
+    def jets(self) -> list[Rat]:
+        """f(1), f′(1), f″(1) of the node's deformation f."""
+        return jets_at_one(self.node.deform, 2)
+
+
+def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
+    """Depth-first walk, in increasing value, of the q-deformed tree nodes
+    strictly between m and m+1 to the given depth, by weighted mediants.
+
+    Yields the ancestor stack at each node, one list reused from step to
+    step: frames 0 and 1 hold deform(m) and deform(m + 1), frame 2 + d the
+    depth-d ancestor, and the last frame the node itself.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    stack = [Frame(Fraction(m)), Frame(Fraction(m + 1))]
+
+    def visit(lo: int, hi: int, d: int, path: str):
+        left, right = stack[lo].node, stack[hi].node
+        frame = Frame(_farey(left.value, right.value), lo, hi)
+        frame.node = QRational(frame.value, weighted_mediant(left.deform, right.deform), d, path)
+        k = d + 2
+        stack[k:] = [frame]
+        if d < depth:
+            yield from visit(lo, k, d + 1, path + "L")
+            del stack[k + 1:]
+        yield stack
+        if d < depth:
+            yield from visit(k, hi, d + 1, path + "R")
+
+    return visit(0, 1, 0, "L")
+
+
 def build_qtree(m: int, depth: int) -> list[QRational]:
     """All q-deformed tree nodes strictly between m and m+1, to the given
     depth, by the weighted-mediant recursion.  Nodes are returned sorted by
     (depth, value); polynomials are canonical pairs.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    out: list[QRational] = []
-
-    def rec(lo_v: Fraction, lo_rf: RatFunc, hi_v: Fraction, hi_rf: RatFunc, d: int):
-        if d > depth:
-            return
-        mid_v = Fraction(lo_v.numerator + hi_v.numerator,
-                         lo_v.denominator + hi_v.denominator)
-        mid_rf = weighted_mediant(lo_rf, hi_rf)
-        path, _ = _path_from_terms(to_cfrac(mid_v).terms)
-        out.append(QRational(value=mid_v, deform=mid_rf, depth=d, path=path))
-        rec(lo_v, lo_rf, mid_v, mid_rf, d + 1)
-        rec(mid_v, mid_rf, hi_v, hi_rf, d + 1)
-
-    rec(Fraction(m), q_integer(m), Fraction(m + 1), q_integer(m + 1), 0)
-    out.sort(key=lambda n: (n.depth, n.value))
-    return out
+    return sorted((stack[-1].node for stack in walk_qtree(m, depth)),
+                  key=lambda n: (n.depth, n.value))
 
 
 # --------------------------------------------------------------------------
@@ -133,13 +176,13 @@ def delta(rf: RatFunc, i: int) -> Rat:
     """
     if i < 1:
         raise ValueError("delta order must be >= 1")
-    b1 = rf.den(1)
-    if b1 == 0:
+    # p^{(i)}(1) = i!·s_i, with s_i the h^i coefficient of p(1 + h)
+    beta = _taylor_at_one(rf.den, i)
+    if beta[0] == 0:
         raise PoleAtOneError("denominator vanishes at q = 1")
-    a1 = rf.num(1)
-    ai = rf.num.derivative(i)(1)
-    bi = rf.den.derivative(i)(1)
-    return Fraction(ai, b1) + Fraction((-1) ** i * a1 * bi, b1 ** (i + 1))
+    alpha = _taylor_at_one(rf.num, i)
+    return math.factorial(i) * (Fraction(alpha[i], beta[0])
+                                + Fraction((-1) ** i * alpha[0] * beta[i], beta[0] ** (i + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -170,118 +213,75 @@ class Lineage:
         return len(self.members)
 
 
-def _descent_chain(x: Fraction) -> list[dict]:
-    """Mediant-descent walk to x from its integer window.
+def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame]]:
+    """The order-m lineage of a descent stack's last frame, and its members'
+    frames; the caller ensures the target's depth is at least m − 2.
 
-    Entry k holds the k-th mediant's value and the identities of its two
-    parents: ("int", floor) / ("int", floor+1) for window endpoints, or
-    ("m", j) for the j-th mediant.
+    Members 2..m are the last m−1 frames (each the deeper parent of the
+    next); member 1 is the shallow parent of member 3, or for m = 2 the
+    target's deeper parent (the left endpoint at depth 0).  ζ_n is the
+    member index of member n's shallow parent.  Weight recurrence:
+    𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where {small, big} are the two parents
+    {n−1, ζ_n} ordered by value (the q-power attaches to the greater), and
+    ξ_n = max(1, deg b_small − deg b_big + 1) on the members' canonical
+    denominator polynomials.
     """
-    path, _ = _path_from_terms(to_cfrac(x).terms)
-    lo, hi = Fraction(math.floor(x)), Fraction(math.floor(x) + 1)
-    lo_id, hi_id = ("int", lo), ("int", hi)
-    chain: list[dict] = []
-    cur = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-    chain.append({"value": cur, "parents": (lo_id, hi_id)})
-    for ch in path[1:]:
-        k = len(chain) - 1
-        if ch == "L":
-            hi, hi_id = chain[k]["value"], ("m", k)
-        else:
-            lo, lo_id = chain[k]["value"], ("m", k)
-        cur = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-        chain.append({"value": cur, "parents": (lo_id, hi_id)})
-    return chain
+    t = len(stack) - 1
+    if m == 2:
+        idx = [t - 1 if t > 2 else 0, t]
+    else:
+        first = t - m + 2  # stack index of member 2
+        third = stack[first + 1]
+        idx = [third.hi if third.lo == first else third.lo, *range(first, t + 1)]
+    frames = [stack[j] for j in idx]
+    member_of = {j: n for n, j in enumerate(idx, start=1)}
+    zeta = []
+    for n in range(3, m + 1):
+        frame = frames[n - 1]
+        shallow = frame.hi if frame.lo == idx[n - 2] else frame.lo
+        zeta.append(member_of[shallow])  # member n − 2 or ζ_{n−1}, by induction
 
+    members = tuple(fr.node for fr in frames)
+    F = [IntPoly.const(1), IntPoly()]
+    G = [IntPoly(), IntPoly.const(1)]
+    xi = []
+    for n, z in enumerate(zeta, start=3):
+        big, small = (n - 1, z) if frames[n - 2].value > frames[z - 1].value else (z, n - 1)
+        gap = (members[small - 1].deform.den.degree()
+               - members[big - 1].deform.den.degree() + 1)
+        xi.append(max(1, gap))
+        F.append(F[small - 1] + F[big - 1].shift(xi[-1]))
+        G.append(G[small - 1] + G[big - 1].shift(xi[-1]))
+        # the weights must rebuild member n from members 1 and 2 exactly
+        rn = F[-1] * members[0].deform.num + G[-1] * members[1].deform.num
+        rd = F[-1] * members[0].deform.den + G[-1] * members[1].deform.den
+        if rn != members[n - 1].deform.num or rd != members[n - 1].deform.den:
+            raise ValueError(f"weight reconstruction failed for member {n} of {stack[t].value}")
 
-def _id_value(pid, chain) -> Fraction:
-    return pid[1] if pid[0] == "int" else chain[pid[1]]["value"]
+    lin = Lineage(members=members, zeta=tuple(zeta), xi=tuple(xi),
+                  Fpoly=tuple(F), Gpoly=tuple(G),
+                  f=tuple(p(1) for p in F), g=tuple(p(1) for p in G),
+                  vanishing=frames[0].value.denominator == 1)
+    return lin, frames
 
 
 def lineage_extract(x: Rat, m: int) -> Lineage:
-    """Extract the order-m lineage of x.
-
-    Members 2..m are the last m−1 mediants of the descent to x (each the
-    deeper parent of the next); member 1 is the shallow parent of member 3.
-    Weight recurrence: 𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where {small, big} are
-    the two parents {n−1, ζ_n} ordered by value (the q-power attaches to the
-    greater), and ξ_n = max(1, deg b_small − deg b_big + 1) on the members'
-    canonical denominator polynomials.
-    """
+    """Extract the order-m lineage of x (see _lineage_from_stack) off the
+    Fraction-level descent to x; only the member frames are deformed."""
     x = Fraction(x)
     if m < 2:
         raise ValueError("lineage order must be >= 2")
-    node = deform(x)
-    if node.depth < m - 2:
-        raise InsufficientDepthError(requested=m, max_order=node.depth + 2)
-
-    if m == 2:
-        chain = _descent_chain(x) if node.depth >= 0 else []
-        if len(chain) >= 2:
-            parent = chain[-2]["value"]
-        else:
-            parent = Fraction(math.floor(x))  # depth-0 target: tie to the left
-        members = (deform(parent), node)
-        return Lineage(members=members, zeta=(), xi=(),
-                       Fpoly=(IntPoly.const(1), IntPoly()),
-                       Gpoly=(IntPoly(), IntPoly.const(1)),
-                       f=(1, 0), g=(0, 1),
-                       vanishing=parent.denominator == 1)
-
-    chain = _descent_chain(x)
-    d = len(chain) - 1
-    k0 = d - m + 2  # chain index of member 2
-
-    ent3 = chain[k0 + 1]
-    loid, hiid = ent3["parents"]
-    sh_id = hiid if loid == ("m", k0) else loid
-    a1 = _id_value(sh_id, chain)
-
-    values = [a1] + [chain[k0 + i]["value"] for i in range(m - 1)]
-
-    zetas: dict[int, int] = {3: 1}
-    for n in range(4, m + 1):
-        ent = chain[k0 + n - 2]
-        loid, hiid = ent["parents"]
-        sh = hiid if loid == ("m", k0 + n - 3) else loid
-        if sh[0] == "m" and sh[1] >= k0:
-            zetas[n] = sh[1] - k0 + 2
-        elif sh == sh_id:
-            zetas[n] = 1
-        else:
-            raise ValueError(f"shallow parent of member {n} left the chain at {x}")
-
-    members = tuple(deform(v) for v in values)
-    F = {1: IntPoly.const(1), 2: IntPoly()}
-    G = {1: IntPoly(), 2: IntPoly.const(1)}
-    xis: dict[int, int] = {}
-    for n in range(3, m + 1):
-        i_deep, i_sh = n - 1, zetas[n]
-        if values[i_deep - 1] > values[i_sh - 1]:
-            big, small = i_deep, i_sh
-        else:
-            big, small = i_sh, i_deep
-        gap = (members[small - 1].deform.den.degree()
-               - members[big - 1].deform.den.degree() + 1)
-        xis[n] = max(1, gap)
-        F[n] = F[small] + F[big].shift(xis[n])
-        G[n] = G[small] + G[big].shift(xis[n])
-        # the weights must rebuild member n from members 1 and 2 exactly
-        rn = F[n] * members[0].deform.num + G[n] * members[1].deform.num
-        rd = F[n] * members[0].deform.den + G[n] * members[1].deform.den
-        if rn != members[n - 1].deform.num or rd != members[n - 1].deform.den:
-            raise ValueError(f"weight reconstruction failed for member {n} of {x}")
-
-    return Lineage(
-        members=members,
-        zeta=tuple(zetas[n] for n in range(3, m + 1)),
-        xi=tuple(xis[n] for n in range(3, m + 1)),
-        Fpoly=tuple(F[n] for n in range(1, m + 1)),
-        Gpoly=tuple(G[n] for n in range(1, m + 1)),
-        f=tuple(F[n](1) for n in range(1, m + 1)),
-        g=tuple(G[n](1) for n in range(1, m + 1)),
-        vanishing=a1.denominator == 1,
-    )
+    path, depth = _path_from_terms(to_cfrac(x).terms)
+    if depth < m - 2:
+        raise InsufficientDepthError(requested=m, max_order=depth + 2)
+    stack = [Frame(Fraction(v)) for v in (math.floor(x), math.floor(x) + 1)]
+    lo, hi = 0, 1
+    for step in path:
+        k = len(stack) - 1
+        if k > 1:  # below the root, the step picks a half of the interval
+            lo, hi = (lo, k) if step == "L" else (k, hi)
+        stack.append(Frame(_farey(stack[lo].value, stack[hi].value), lo, hi))
+    return _lineage_from_stack(stack, m)[0]
 
 
 def lagrange_coefficients(lin: Lineage) -> tuple[Rat, ...]:
@@ -316,16 +316,17 @@ def lagrange_coefficients(lin: Lineage) -> tuple[Rat, ...]:
 # Order-m identity residuals
 # --------------------------------------------------------------------------
 
-def _scaled_sum(lin: Lineage, values: list[Fraction]) -> Fraction:
+def _identity_order(lin: Lineage) -> int:
+    if lin.order not in (4, 5):
+        raise ValueError("identity instances exist for orders 4 and 5")
+    return lin.order
+
+
+def _scaled_sum(lin: Lineage, C: tuple[Rat, ...], values: list[Rat]) -> Rat:
     """target value − Σ C_i (b_i/b_m)^{m−2} · member value."""
-    m = lin.order
-    C = lagrange_coefficients(lin)
-    bm = lin.members[-1].value.denominator
-    total = Fraction(0)
-    for i in range(1, m):
-        bi = lin.members[i - 1].value.denominator
-        total += C[i - 1] * Fraction(bi, bm) ** (m - 2) * values[i - 1]
-    return values[m - 1] - total
+    m, bm = lin.order, lin.members[-1].value.denominator
+    return values[-1] - sum(C[i] * Fraction(lin.members[i].value.denominator, bm) ** (m - 2)
+                            * values[i] for i in range(m - 1))
 
 
 def delta_identity_residual(lin: Lineage) -> Rat:
@@ -336,20 +337,16 @@ def delta_identity_residual(lin: Lineage) -> Rat:
     forms coincide, for order 5 they differ because Δ_2 is representative-
     dependent.
     """
-    m = lin.order
-    if m not in (4, 5):
-        raise ValueError("identity instances exist for orders 4 and 5")
+    m = _identity_order(lin)
     vals = [delta(mem.deform, m - 3) for mem in lin.members]
-    return _scaled_sum(lin, vals)
+    return _scaled_sum(lin, lagrange_coefficients(lin), vals)
 
 
 def derivative_identity_residual(lin: Lineage) -> Rat:
     """Residual of the plain d^{m−3}/dq^{m−3} linear-dependence form."""
-    m = lin.order
-    if m not in (4, 5):
-        raise ValueError("identity instances exist for orders 4 and 5")
+    m = _identity_order(lin)
     vals = [derivative_at_one(mem.deform, m - 3) for mem in lin.members]
-    return _scaled_sum(lin, vals)
+    return _scaled_sum(lin, lagrange_coefficients(lin), vals)
 
 
 def identity_correction(lin: Lineage) -> Rat:
@@ -360,10 +357,12 @@ def identity_correction(lin: Lineage) -> Rat:
     Σ C_i·h(member i) on the reduced members and s is the (1,3) generalized
     Dedekind sum.  Both forms hold exactly on every non-vanishing lineage.
     """
+    _identity_order(lin)
+    return _correction(lin, lagrange_coefficients(lin))
+
+
+def _correction(lin: Lineage, C: tuple[Rat, ...]) -> Rat:
     m = lin.order
-    if m not in (4, 5):
-        raise ValueError("identity instances exist for orders 4 and 5")
-    C = lagrange_coefficients(lin)
     nums = [mem.value.numerator for mem in lin.members]
     dens = [mem.value.denominator for mem in lin.members]
     bm = dens[-1]
@@ -385,8 +384,8 @@ def identity_correction(lin: Lineage) -> Rat:
 def equivalence_mismatches(depth: int, start: int = 0) -> list[Fraction]:
     """Nodes (by value) where the weighted-mediant polynomials differ from the
     continued-fraction deformation.  Empty list = bit-exact equivalence."""
-    return [node.value for node in build_qtree(start, depth)
-            if node.deform != deform(node.value).deform]
+    return [stack[-1].value for stack in walk_qtree(start, depth)
+            if stack[-1].node.deform != deform(stack[-1].value).deform]
 
 
 def identity_sweep(depth: int) -> dict:
@@ -394,32 +393,34 @@ def identity_sweep(depth: int) -> dict:
     tree nodes to the given depth:  the derivative linear-dependence residual
     equals its closed-form correction, and the coefficient moment identities
     Σ C_i·f_i^j·g_i^{m−2−j} = f_m^j·g_m^{m−2−j} hold for j = 0..m−2.
+    Lineages are read off the walker's stack; each node's jets are computed
+    once, however many lineages it belongs to.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
     tuple (m, value, identity, lhs, rhs) per violation (empty = pass).
     """
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
-    for node in build_qtree(0, depth):
+    for stack in walk_qtree(0, depth):
         for m in (4, 5):
-            if node.depth < m - 2:
+            if stack[-1].node.depth < m - 2:
                 continue
-            lin = lineage_extract(node.value, m)
+            lin, frames = _lineage_from_stack(stack, m)
             if lin.vanishing:
                 continue
             checked[m] += 1
-            resid = derivative_identity_residual(lin)
-            corr = identity_correction(lin)
-            if resid != corr:
-                failures.append((m, node.value, "residual", resid, corr))
-                continue
             C = lagrange_coefficients(lin)
+            resid = _scaled_sum(lin, C, [fr.jets[m - 3] for fr in frames])
+            corr = _correction(lin, C)
+            if resid != corr:
+                failures.append((m, stack[-1].value, "residual", resid, corr))
+                continue
             f, g = lin.f, lin.g
             for j in range(m - 1):
                 lhs = sum(C[i] * f[i] ** j * g[i] ** (m - 2 - j) for i in range(m - 1))
                 rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
                 if lhs != rhs:
-                    failures.append((m, node.value, f"moment {j}", lhs, rhs))
+                    failures.append((m, stack[-1].value, f"moment {j}", lhs, rhs))
                     break
     return {"checked": checked, "failures": failures}
 
@@ -429,8 +430,6 @@ def identity_sweep(depth: int) -> dict:
 # --------------------------------------------------------------------------
 
 def lineage_to_json(lin: Lineage) -> dict:
-    from .qdeform import qrational_to_json
-
     return {
         "members": [qrational_to_json(mem) for mem in lin.members],
         "zeta": list(lin.zeta),

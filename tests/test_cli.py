@@ -7,6 +7,7 @@ user sees (modulo argparse writing usage errors to stderr).
 """
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -15,8 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-from qrationals import closedforms
-from qrationals.cli import MAX_DEFORM_DEGREE, MAX_TREE_DEPTH, SWEEP_DEPTH_ENV, main
+from qrationals import cli, closedforms
+from qrationals.cli import (
+    MAX_CHECK_DENOMINATOR,
+    MAX_DEFORM_DEGREE,
+    MAX_LATTICE_MODULUS,
+    MAX_TREE_DEPTH,
+    SWEEP_DEPTH_ENV,
+    main,
+)
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -276,6 +284,82 @@ def test_tree_window_limits(capsys, verb):
     assert rc == 2 and f"limit is {MAX_DEFORM_DEGREE}" in err
     rc, out, _ = run(capsys, verb, "--start", str(MAX_DEFORM_DEGREE - 1), "--depth", "0")
     assert rc == 0 and out
+
+
+@pytest.mark.parametrize("target", ["thm1", "thm2", "dedekind"])
+def test_check_denominator_limits(capsys, monkeypatch, target):
+    for bound in ("-5", "0", str(MAX_CHECK_DENOMINATOR + 1)):
+        rc, out, err = run(capsys, "check", target, "--max-denominator", bound)
+        assert rc == 2 and not out
+        assert f"--max-denominator {bound} is outside 1..{MAX_CHECK_DENOMINATOR}" in err
+    rc, out, _ = run(capsys, "check", target, "--max-denominator", "1")
+    assert rc == 0 and out.startswith("PASS")
+    # at and just above a limit small enough to run every target
+    monkeypatch.setattr(cli, "MAX_CHECK_DENOMINATOR", 3)
+    assert run(capsys, "check", target, "--max-denominator", "3")[0] == 0
+    assert run(capsys, "check", target, "--max-denominator", "4")[0] == 2
+
+
+def test_check_runs_at_the_denominator_limit(capsys):
+    rc, out, _ = run(capsys, "check", "thm1", "--max-denominator", str(MAX_CHECK_DENOMINATOR))
+    assert rc == 0 and f"b <= {MAX_CHECK_DENOMINATOR}," in out
+
+
+@pytest.mark.parametrize("target", ["appendixA", "delta"])
+def test_check_depth_limits(capsys, monkeypatch, target):
+    for depth, message in (("-1", "depth must be >= 0"),
+                           (str(MAX_TREE_DEPTH + 1), f"above the limit {MAX_TREE_DEPTH}")):
+        rc, out, err = run(capsys, "check", target, "--depth", depth)
+        assert rc == 2 and not out and message in err
+        monkeypatch.setenv(SWEEP_DEPTH_ENV, depth)
+        rc, out, err = run(capsys, "check", target)
+        assert rc == 2 and not out and message in err
+    monkeypatch.delenv(SWEEP_DEPTH_ENV)
+    rc, out, _ = run(capsys, "check", target, "--depth", "0")
+    assert rc == 0 and out.startswith("PASS")
+    monkeypatch.setattr(cli, "MAX_TREE_DEPTH", 3)
+    for depth, rc in (("3", 0), ("4", 2)):
+        assert run(capsys, "check", target, "--depth", depth)[0] == rc
+        monkeypatch.setenv(SWEEP_DEPTH_ENV, depth)
+        assert run(capsys, "check", target)[0] == rc
+        monkeypatch.delenv(SWEEP_DEPTH_ENV)
+
+
+def test_check_runs_at_the_depth_limit(capsys, monkeypatch):
+    monkeypatch.setenv(SWEEP_DEPTH_ENV, str(MAX_TREE_DEPTH))
+    rc, out, _ = run(capsys, "check", "appendixA")
+    assert rc == 0 and f"{2 ** (MAX_TREE_DEPTH + 1) - 1} nodes" in out
+
+
+def _coprime_golden(b):
+    """A fraction a/b near 0.618 with small partial quotients."""
+    a = b * 618 // 1000
+    while math.gcd(a, b) != 1:
+        a += 1
+    return a, b
+
+
+def test_lattice_modulus_limit(capsys, monkeypatch):
+    a, b = _coprime_golden(MAX_LATTICE_MODULUS + 1)
+    for argv in (["derive", f"{a}/{b}", "--order", "2"],
+                 ["dedekind", "s", "1", "3", str(a), str(b)],
+                 ["dedekind", "h", "2", "2", str(a), str(b)],
+                 ["dedekind", "battery", str(a), str(b)]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and not out
+        assert f"modulus {b} is above the limit {MAX_LATTICE_MODULUS}" in err
+    # orders 0 and 1 need no lattice sum
+    for order in ("0", "1"):
+        rc, out, _ = run(capsys, "derive", f"{a}/{b}", "--order", order)
+        assert rc == 0 and out.endswith("match\n")
+    a, b = _coprime_golden(MAX_LATTICE_MODULUS)
+    rc, out, _ = run(capsys, "derive", f"{a}/{b}", "--order", "2")
+    assert rc == 0 and out.endswith(", match\n")
+    assert run(capsys, "dedekind", "s", "1", "3", str(a), str(b))[0] == 0
+    # a battery at the real limit takes seconds; check the same rule lower down
+    monkeypatch.setattr(cli, "MAX_LATTICE_MODULUS", 7)
+    assert run(capsys, "dedekind", "battery", "1", "7")[0] == 0
+    assert run(capsys, "dedekind", "battery", "1", "8")[0] == 2
 
 
 # -- dedekind --------------------------------------------------------------

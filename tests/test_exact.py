@@ -18,6 +18,7 @@ from qrationals.exact import (
     ZeroDenominatorError,
     _taylor_at_one,
     derivative_at_one,
+    jets_at_one,
     matrix_rank_exact,
     poly_from_json_list,
     poly_to_json_list,
@@ -239,6 +240,24 @@ def test_series_and_quotient_rule_derivatives_agree(n, d, k):
     if rf.den(1) == 0:
         return
     assert derivative_at_one(rf, k) == derivative_at_one_quotient(rf, k)
+
+
+@settings(max_examples=60)
+@given(nonzero_polys, nonzero_polys, st.integers(0, 3))
+def test_jets_match_quotient_rule_derivatives(n, d, k):
+    rf = RatFunc(n, d)
+    if rf.den(1) == 0:
+        with pytest.raises(PoleAtOneError):
+            jets_at_one(rf, k)
+        return
+    jets = jets_at_one(rf, k)
+    assert jets == [derivative_at_one_quotient(rf, j) for j in range(k + 1)]
+    assert derivative_at_one(rf, k) == jets[k]
+
+
+def test_jets_reject_negative_order():
+    with pytest.raises(ValueError):
+        jets_at_one(RatFunc(IntPoly([1]), IntPoly([1])), -1)
 
 
 def test_derivative_matches_finite_difference_coarsely():

@@ -9,13 +9,14 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrationals.exact import IntPoly, PoleAtOneError, RatFunc, derivative_at_one
+from qrationals.exact import IntPoly, PoleAtOneError, RatFunc, derivative_at_one, jets_at_one
 from qrationals.qdeform import deform
 from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
     NonUnimodularError,
     VanishingLineageError,
+    _lineage_from_stack,
     build_qtree,
     delta,
     delta_identity_residual,
@@ -27,6 +28,7 @@ from qrationals.sbtree import (
     lineage_extract,
     lineage_to_json,
     mediant,
+    walk_qtree,
     weighted_mediant,
 )
 
@@ -88,6 +90,47 @@ def test_tree_depth_matches_deformation_depth():
     for n in build_qtree(0, 5):
         assert n.depth == deform(n.value).depth
         assert n.path == deform(n.value).path
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 3), st.integers(0, 7))
+def test_walker_matches_deform_and_build_qtree(start, depth):
+    """Every walker node equals the continued-fraction deformation of its
+    value (pair, depth and path), the stack holds the endpoints and one
+    ancestor per depth, each frame is the mediant of its two parent frames,
+    and the walk visits each node once, in increasing value; sorted, it is
+    build_qtree."""
+    nodes = []
+    for stack in walk_qtree(start, depth):
+        node = stack[-1].node
+        want = deform(node.value)
+        assert (node.value, node.deform, node.depth, node.path) == \
+            (want.value, want.deform, want.depth, want.path)
+        assert stack[-1].jets == jets_at_one(want.deform, 2)
+        assert len(stack) == node.depth + 3
+        assert [fr.node for fr in stack[:2]] == [deform(start), deform(start + 1)]
+        for k, frame in enumerate(stack[2:], start=2):
+            assert frame.lo < k and frame.hi < k
+            assert frame.value == mediant(stack[frame.lo].value, stack[frame.hi].value)
+        nodes.append(node)
+    assert len(nodes) == 2 ** (depth + 1) - 1
+    assert all(u.value < v.value for u, v in zip(nodes, nodes[1:]))
+    assert sorted(nodes, key=lambda n: (n.depth, n.value)) == build_qtree(start, depth)
+
+
+@pytest.mark.parametrize("start", [0, -2])
+def test_lineages_off_the_walker_match_lineage_extract(start):
+    """The walker's stack and the Fraction-level descent give the same
+    lineage (members, ζ, ξ, weight tables) at every node to depth 8."""
+    read = 0
+    for stack in walk_qtree(start, 8):
+        node = stack[-1].node
+        for m in range(2, min(5, node.depth + 2) + 1):
+            lin, frames = _lineage_from_stack(stack, m)
+            assert lin == lineage_extract(node.value, m), (node.value, m)
+            assert tuple(fr.node for fr in frames) == lin.members
+            read += 1
+    assert read == 511 + 510 + 508 + 504
 
 
 @pytest.mark.parametrize("start", [-1, 0, 1, 3])
