@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from .exact import Rat, jets_at_one, rat_to_str
+from .exact import Rat, _taylor_at_one, jets_at_one, rat_to_str
 from .qdeform import deform, to_cfrac, _path_from_terms
 from .dedekind import s_sum
 
@@ -172,12 +172,12 @@ def denominator_d1_closed(a: int, b: int, convention: DepthConvention = "mediant
 
 def numerator_derivative(a: int, b: int) -> Rat:
     """Exact derivative at q = 1 of the canonical numerator polynomial."""
-    return Fraction(deform(Fraction(a, b)).deform.num.derivative()(1))
+    return Fraction(_taylor_at_one(deform(Fraction(a, b)).deform.num, 1)[1])
 
 
 def denominator_derivative(a: int, b: int) -> Rat:
     """Exact derivative at q = 1 of the canonical denominator polynomial."""
-    return Fraction(deform(Fraction(a, b)).deform.den.derivative()(1))
+    return Fraction(_taylor_at_one(deform(Fraction(a, b)).deform.den, 1)[1])
 
 
 # --------------------------------------------------------------------------

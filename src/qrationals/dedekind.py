@@ -33,7 +33,6 @@ __all__ = [
     "h_val",
     "reciprocity_residual",
     "check_identities",
-    "duplication_literal_residual",
     "reciprocity_sweep",
     "battery_sweep",
     "battery_report_csv",
@@ -54,10 +53,10 @@ def bernoulli_number(i: int) -> Rat:
     return -total / (i + 1)
 
 
-def bernoulli_poly(i: int, x: Rat, bound: int = BERNOULLI_BOUND) -> Rat:
+def bernoulli_poly(i: int, x: Rat) -> Rat:
     """B_i(x) = Σ_k C(i,k)·B_k·x^{i−k}, exactly."""
-    if i > bound:
-        raise ValueError(f"index {i} exceeds the configured bound {bound}")
+    if i > BERNOULLI_BOUND:
+        raise ValueError(f"index {i} exceeds the configured bound {BERNOULLI_BOUND}")
     x = Fraction(x)
     return sum(Fraction(math.comb(i, k)) * bernoulli_number(k) * x ** (i - k)
                for k in range(i + 1))
@@ -146,18 +145,6 @@ def reciprocity_residual(i: int, j: int, p: int, q: int) -> Rat:
 # --------------------------------------------------------------------------
 # Identity battery
 # --------------------------------------------------------------------------
-
-def duplication_literal_residual(i: int, j: int, p: int, q: int) -> Rat:
-    """s_{i,j}(2p, q) − 2^i·s_{i,j}(p, q) for odd q.
-
-    This two-term scaling is NOT an identity (the battery gates the correct
-    three-term duplication law instead); the residual is exposed so that its
-    failure can be pinned rather than hidden.
-    """
-    if q % 2 == 0:
-        raise ValueError("literal scaling is only stated for odd moduli")
-    return s_sum(i, j, 2 * p, q) - Fraction(2) ** i * s_sum(i, j, p, q)
-
 
 def check_identities(p: int, q: int, bound: int = 4) -> list[dict]:
     """Verify the identity battery at coprime (p, q): even-index boundary

@@ -45,7 +45,7 @@ class SingularMatrixError(ValueError):
     """Raised by the exact solver on a rank-deficient system.
 
     Attributes:
-        rank: the rank found before elimination stalled.
+        rank: the matrix's rank.
     """
 
     def __init__(self, rank: int, size: int):
@@ -88,6 +88,12 @@ def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs divided by their content (unchanged when it is 0 or 1)."""
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
 
 
 @dataclass(frozen=True)
@@ -168,18 +174,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q^k (k ≥ 0)."""
         if k < 0:
@@ -202,12 +196,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self, k: int = 1) -> "IntPoly":
-        p = self
-        for _ in range(k):
-            p = IntPoly(i * c for i, c in enumerate(p.coeffs) if i > 0)
-        return p
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -242,38 +230,28 @@ def poly_from_json_list(items: Sequence) -> IntPoly:
 # Rational functions num/den over IntPoly
 # --------------------------------------------------------------------------
 
+def _pseudo_remainder(p: list[int], d: Sequence[int]) -> list[int]:
+    """Primitive part of a remainder of p by d in ℤ[q] (coefficient lists,
+    lowest degree first, no trailing zeros): each step scales p by
+    lc(d)/gcd(lc(p), lc(d)) so that its leading term cancels over ℤ."""
+    while len(p) >= len(d):
+        g = math.gcd(p[-1], d[-1])
+        scale, f, off = d[-1] // g, p[-1] // g, len(p) - len(d)
+        p = [scale * c for c in p]
+        for i, c in enumerate(d):
+            p[off + i] -= f * c
+        p = _primitive(list(_strip(p)))
+    return p
+
+
 def _poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over ℤ[q] via monic Euclid over ℚ, then content clearing."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-
-    def deg(p):
-        return len(p) - 1
-
-    def rem(p, d):
-        p = p[:]
-        while deg(p) >= deg(d) and p:
-            if p[-1] == 0:
-                p.pop()
-                continue
-            f = p[-1] / d[-1]
-            off = deg(p) - deg(d)
-            for i, c in enumerate(d):
-                p[i + off] -= f * c
-            while p and p[-1] == 0:
-                p.pop()
-        return p
-
-    while fb:
-        fa, fb = fb, rem(fa, fb)
-    if not fa:
-        return IntPoly()
-    lcm_den = 1
-    for c in fa:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in fa]
-    g = math.gcd(*ints)
-    return IntPoly(c // g for c in ints)
+    """Primitive gcd over ℤ[q] with a positive leading coefficient: Euclid on
+    primitive pseudo-remainders (Brown–Collins), integers throughout."""
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        x, y = y, _pseudo_remainder(x, y)
+    x = _primitive(x)
+    return IntPoly(c if x[-1] > 0 else -c for c in x)
 
 
 @dataclass(frozen=True)
@@ -335,27 +313,25 @@ class RatFunc:
 
 
 def _poly_divexact(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact polynomial division (raises if not exact)."""
+    """Exact polynomial division by integer long division (raises if not
+    exact); a primitive d that divides p over ℚ leaves an integer quotient
+    (Gauss's lemma)."""
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    out = [Fraction(0)] * max(len(p.coeffs) - len(d.coeffs) + 1, 0)
-    rem = [Fraction(c) for c in p.coeffs]
-    dd = [Fraction(c) for c in d.coeffs]
-    while len(rem) >= len(dd) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(dd):
-            break
-        f = rem[-1] / dd[-1]
+    rem, dd = list(p.coeffs), d.coeffs
+    out = [0] * max(len(rem) - len(dd) + 1, 0)
+    while len(rem) >= len(dd):
+        f, r = divmod(rem[-1], dd[-1])
+        if r:
+            raise ValueError("quotient not integral")
         off = len(rem) - len(dd)
         out[off] = f
         for i, c in enumerate(dd):
             rem[i + off] -= f * c
-    if any(rem):
+        rem = list(_strip(rem))
+    if rem:
         raise ValueError("inexact polynomial division")
-    if any(c.denominator != 1 for c in out):
-        raise ValueError("quotient not integral")
-    return IntPoly(int(c) for c in out)
+    return IntPoly(out)
 
 
 def _clear_pair(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -423,64 +399,47 @@ def derivative_at_one(rf: RatFunc, k: int) -> Rat:
 # Exact linear algebra
 # --------------------------------------------------------------------------
 
-def solve_linear_exact(A: Sequence[Sequence[Rat]], y: Sequence[Rat]) -> list[Rat]:
-    """Solve A·x = y exactly over the rationals.
+def _echelon(rows: Iterable[Sequence[Rat]], width: int) -> list[tuple[int, list[int]]]:
+    """Fraction-free Gauss–Jordan reduction, one row at a time.
 
-    Gaussian elimination with full pivoting on nonzero entries: the pivot is
-    the first nonzero entry of the remaining submatrix in row-major order —
-    deterministic, and exact arithmetic needs no magnitude heuristics.
+    Each row is cleared to integers and reduced against the rows kept so far
+    (r ← k_p·r − r_p·k, then divided by its content).  It is kept when a
+    nonzero entry remains among its first `width` columns; later columns ride
+    along.  So the kept rows are the first rank-increasing rows in input
+    order, each with its pivot column, and each kept row is zero in every
+    other kept row's pivot column.  Returns (pivot column, primitive integer
+    row) per kept row.
     """
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = [Fraction(c) for c in row]
+        den = math.lcm(*(c.denominator for c in row))
+        r = [c.numerator * (den // c.denominator) for c in row]
+        for p, k in kept:
+            if r[p]:
+                r = _primitive([k[p] * x - r[p] * y for x, y in zip(r, k)])
+        col = next((j for j in range(width) if r[j]), None)
+        if col is None:
+            continue
+        for i, (p, k) in enumerate(kept):
+            if k[col]:
+                kept[i] = p, _primitive([r[col] * y - k[col] * x for x, y in zip(r, k)])
+        kept.append((col, r))
+    return kept
+
+
+def solve_linear_exact(A: Sequence[Sequence[Rat]], y: Sequence[Rat]) -> list[Rat]:
+    """Solve A·x = y exactly over the rationals: the fraction-free reduction
+    of [A | y], then one division per unknown."""
     n = len(A)
     if any(len(row) != n for row in A) or len(y) != n:
         raise ValueError("matrix must be square and match the vector length")
-    M = [[Fraction(c) for c in row] + [Fraction(v)] for row, v in zip(A, y)]
-    col_perm = list(range(n))
-    for step in range(n):
-        pr = pc = -1
-        for i in range(step, n):
-            for j in range(step, n):
-                if M[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            raise SingularMatrixError(rank=step, size=n)
-        M[step], M[pr] = M[pr], M[step]
-        if pc != step:
-            for row in M:
-                row[step], row[pc] = row[pc], row[step]
-            col_perm[step], col_perm[pc] = col_perm[pc], col_perm[step]
-        piv = M[step][step]
-        for i in range(n):
-            if i == step or M[i][step] == 0:
-                continue
-            f = M[i][step] / piv
-            for j in range(step, n + 1):
-                M[i][j] -= f * M[step][j]
-    x = [Fraction(0)] * n
-    for i in range(n):
-        x[col_perm[i]] = M[i][n] / M[i][i]
-    return x
+    kept = _echelon([[*row, v] for row, v in zip(A, y)], n)
+    if len(kept) < n:
+        raise SingularMatrixError(rank=len(kept), size=n)
+    return [Fraction(r[n], r[p]) for p, r in sorted(kept)]
 
 
 def matrix_rank_exact(rows: Sequence[Sequence[Rat]]) -> int:
     """Rank of a rational matrix by exact elimination (any shape)."""
-    M = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(M[0]) if M else 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, len(M)) if M[i][j] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][j]
-        for i in range(len(M)):
-            if i != rank and M[i][j] != 0:
-                f = M[i][j] / pv
-                for jj in range(j, cols):
-                    M[i][jj] -= f * M[rank][jj]
-        rank += 1
-        if rank == len(M):
-            break
-    return rank
+    return len(_echelon(rows, len(rows[0]) if rows else 0))

@@ -14,9 +14,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Rat, derivative_at_one, matrix_rank_exact, solve_linear_exact
+from .exact import Rat, _echelon, derivative_at_one
 from .qdeform import deform
-from .closedforms import d1_closed, d2_closed
 from .dedekind import s_sum
 from .sbtree import walk_qtree
 
@@ -63,21 +62,14 @@ def _d2_features(a: int, b: int) -> tuple[Rat, ...]:
 
 def _solve_system(rows: Sequence[tuple[tuple[Rat, ...], Rat]],
                   width: int) -> tuple[Rat, ...]:
-    """Greedily pick the first rank-increasing (features, rhs) rows, solve
-    the square system, then demand zero residual on every remaining row."""
-    chosen: list[tuple[tuple[Rat, ...], Rat]] = []
-    basis: list[Sequence[Rat]] = []
-    for feats, rhs in rows:
-        if len(chosen) == width:
-            break
-        if matrix_rank_exact(basis + [feats]) > len(basis):
-            basis.append(feats)
-            chosen.append((feats, rhs))
-    if len(chosen) < width:
+    """Reduce the (features | rhs) rows, whose first `width` rank-increasing
+    rows fix the coefficients, then demand zero residual on every row."""
+    kept = _echelon([(*feats, rhs) for feats, rhs in rows], width)
+    if len(kept) < width:
         raise RankDeficientError(
-            f"feature matrix rank {len(chosen)} < {width}; "
+            f"feature matrix rank {len(kept)} < {width}; "
             "add samples with more varied denominators")
-    coeffs = solve_linear_exact([c[0] for c in chosen], [c[1] for c in chosen])
+    coeffs = [Fraction(r[width], r[p]) for p, r in sorted(kept)]
     for feats, rhs in rows:
         predicted = sum(c * f for c, f in zip(coeffs, feats))
         if predicted != rhs:
@@ -144,15 +136,9 @@ def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
         raise ValueError("order must be 0, 1, or 2")
     rows = []
     for stack in walk_qtree(start, depth):  # in increasing value
-        node = stack[-1].node
-        x = node.value
-        if order == 0:
-            val = x
-        elif order == 1:
-            val = d1_closed(x)
-        else:
-            val = d2_closed(x.numerator, x.denominator)
-        rows.append((x, val, x.denominator, node.depth))
+        frame = stack[-1]
+        x = frame.node.value
+        rows.append((x, frame.jets[order], x.denominator, frame.node.depth))
     return rows
 
 

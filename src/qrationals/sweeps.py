@@ -7,13 +7,14 @@ counts, or its FAIL line naming the first counterexample and both sides.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .exact import derivative_at_one, rat_to_str
 from . import closedforms
-from .closedforms import _sweep, bridge_mismatches, lemma_calibration
+from .closedforms import _sweep, bridge_mismatches
 from .dedekind import battery_sweep, reciprocity_residual, reciprocity_sweep
 from .fit import default_d1_samples, default_d2_samples, fit_d1, fit_d2
 from .qdeform import deform
@@ -136,10 +137,20 @@ def _battery(bound: int) -> Verdict:
 
 
 def _calibration(max_b: int) -> Verdict:
-    first, second = lemma_calibration(max_b), lemma_calibration(max_b)
-    if first != second:
-        return _fail("calibration", f"b <= {max_b}", f"first run {first}", f"second run {second}")
-    return _pass("calibration", f"depth-formula mismatch sets are reproducible for b <= {max_b}")
+    count = 0
+    for b in range(1, max_b + 1):
+        for a in range(1, b + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            lhs = (closedforms.numerator_derivative(a, b) * b
+                   - a * closedforms.denominator_derivative(a, b))
+            rhs = b * b * closedforms.d1_closed(Fraction(a, b))
+            if lhs != rhs:
+                return _fail("calibration", f"{a}/{b}", f"a'(1)b - ab'(1) {rat_to_str(lhs)}",
+                             f"b^2 d1 {rat_to_str(rhs)}")
+            count += 1
+    return _pass("calibration", f"the quotient-rule combination a'(1)b - ab'(1) = b^2 d1 "
+                                f"holds on all {count} reduced a/b with 1 <= a <= b <= {max_b}")
 
 
 def _dedekind(max_b: int) -> Verdict:

@@ -25,6 +25,7 @@ from qrationals.cli import (
     SWEEP_DEPTH_ENV,
     main,
 )
+from qrationals.sweeps import SWEEPS
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -260,6 +261,17 @@ def test_check_fail_names_the_counterexample(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.splitlines()[0].endswith("s  " + line)
     assert out.splitlines()[-1] == "0/1 sweeps clean"
+
+
+def test_calibration_sweep_fails_on_a_wrong_numerator_derivative(monkeypatch):
+    calibration = next(s for s in SWEEPS if s.name == "calibration")
+    assert calibration.run(20).ok
+    real = closedforms.numerator_derivative
+    monkeypatch.setattr(closedforms, "numerator_derivative",
+                        lambda a, b: real(a, b) + ((a, b) == (2, 5)))
+    verdict = calibration.run(20)
+    assert verdict.line == "FAIL calibration: counterexample 2/5: a'(1)b - ab'(1) 14, b^2 d1 9"
+    assert verdict.counterexample == ("2/5", "a'(1)b - ab'(1) 14", "b^2 d1 9")
 
 
 # -- size limits -----------------------------------------------------------

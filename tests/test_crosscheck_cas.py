@@ -1,19 +1,26 @@
 """Independent cross-checks against sympy.
 
 Every core quantity — the canonical polynomial pairs, the derivatives at
-q = 1, Bernoulli numbers and polynomials, the double lattice sums, and the
-exact linear solver — is recomputed here through a separate computer-algebra
-path and compared exactly.  Nothing in this module reuses the package's
-arithmetic beyond the objects under test.
+q = 1, Bernoulli numbers and polynomials, the double lattice sums, the exact
+linear solver and rank, and the ℤ[q] gcd — is recomputed here through a
+separate computer-algebra path and compared exactly.  Nothing in this module
+reuses the package's arithmetic beyond the objects under test.
 """
 import math
 import random
 from fractions import Fraction as Fr
 
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from qrationals.dedekind import bernoulli_number, bernoulli_poly, s_sum
-from qrationals.exact import derivative_at_one, matrix_rank_exact, solve_linear_exact
+from qrationals.exact import (
+    IntPoly,
+    RatFunc,
+    derivative_at_one,
+    matrix_rank_exact,
+    solve_linear_exact,
+)
 from qrationals.qdeform import deform
 
 q = sp.Symbol("q")
@@ -129,3 +136,40 @@ def test_linear_solver_matches_cas():
     M = sp.Matrix([[sp.Rational(entry) for entry in row] for row in A])
     want = M.solve(sp.Matrix([sp.Rational(v) for v in rhs]))
     assert [sp.Rational(v) for v in got] == list(want)
+
+
+def _fractions(n: int):
+    return st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                    min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.data())
+def test_matrix_rank_matches_cas(rows, cols, k, data):
+    """A rows×k times k×cols product has rank at most k, so small k gives
+    rank-deficient matrices of every shape."""
+    L = [data.draw(_fractions(k)) for _ in range(rows)]
+    R = [data.draw(_fractions(cols)) for _ in range(k)]
+    A = [[sum((L[i][t] * R[t][j] for t in range(k)), Fr(0)) for j in range(cols)]
+         for i in range(rows)]
+    want = sp.Matrix(rows, cols, [sp.Rational(v) for row in A for v in row]).rank()
+    assert matrix_rank_exact(A) == want
+
+
+def _expr(p: IntPoly):
+    return sum((c * q ** i for i, c in enumerate(p.coeffs)), sp.Integer(0))
+
+
+int_polys = st.lists(st.integers(-6, 6), max_size=5).map(IntPoly)
+nonzero_int_polys = int_polys.filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys, nonzero_int_polys, nonzero_int_polys)
+def test_ratfunc_reduction_matches_cas_cancel(n, d, h):
+    """RatFunc(n·h, d·h) is sympy's cancelled n/d times one rational constant."""
+    rf = RatFunc(n * h, d * h)
+    num, den = sp.fraction(sp.cancel(_expr(n) / _expr(d)))
+    c = sp.Rational(rf.den.leading()) / sp.Poly(den, q).LC()
+    for got, want in ((rf.num, num), (rf.den, den)):
+        assert sp.Poly(_expr(got), q) == sp.Poly(sp.expand(c * want), q)

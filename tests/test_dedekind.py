@@ -19,7 +19,6 @@ from qrationals.dedekind import (
     bernoulli_number,
     bernoulli_poly,
     check_identities,
-    duplication_literal_residual,
     h_val,
     periodic_bernoulli,
     reciprocity_residual,
@@ -180,6 +179,18 @@ def test_reciprocity_sweep_is_empty():
 
 
 # -- identity battery ------------------------------------------------------
+
+def duplication_literal_residual(i: int, j: int, p: int, q: int) -> Fr:
+    """s_{i,j}(2p, q) − 2^i·s_{i,j}(p, q) for odd q.
+
+    This two-term scaling is NOT an identity (the battery gates the correct
+    three-term duplication law instead); the residual is computed here so
+    that its failure can be pinned rather than hidden.
+    """
+    if q % 2 == 0:
+        raise ValueError("literal scaling is only stated for odd moduli")
+    return s_sum(i, j, 2 * p, q) - Fr(2) ** i * s_sum(i, j, p, q)
+
 
 def test_duplication_literal_scaling_fails():
     """The naive two-term scaling s(2p,q) = 2^i·s(p,q) is false; the residual

@@ -16,6 +16,8 @@ from qrationals.exact import (
     RatFunc,
     SingularMatrixError,
     ZeroDenominatorError,
+    _poly_divexact,
+    _poly_gcd,
     _taylor_at_one,
     derivative_at_one,
     jets_at_one,
@@ -28,6 +30,11 @@ from qrationals.exact import (
     solve_linear_exact,
 )
 
+def derivative(p: IntPoly) -> IntPoly:
+    """p′, coefficient by coefficient."""
+    return IntPoly(i * c for i, c in enumerate(p.coeffs) if i > 0)
+
+
 def derivative_at_one_quotient(rf: RatFunc, k: int):
     """Oracle for derivative_at_one: differentiate n/d k times by the
     symbolic quotient rule, (n′d − nd′)/d², on exact polynomials, then
@@ -35,7 +42,7 @@ def derivative_at_one_quotient(rf: RatFunc, k: int):
     method it checks."""
     n, d = rf.num, rf.den
     for _ in range(k):
-        n, d = n.derivative() * d - n * d.derivative(), d * d
+        n, d = derivative(n) * d - n * derivative(d), d * d
     return Fr(n(1), d(1))
 
 
@@ -107,14 +114,6 @@ def test_poly_evaluation_is_a_homomorphism(a, b, x):
 
 
 @given(polys, st.integers(0, 4))
-def test_poly_pow_matches_repeated_multiplication(p, n):
-    expected = IntPoly.const(1)
-    for _ in range(n):
-        expected = expected * p
-    assert p ** n == expected
-
-
-@given(polys, st.integers(0, 4))
 def test_poly_shift_unshift_round_trip(p, k):
     assert p.shift(k).unshift(k) == p
 
@@ -126,17 +125,17 @@ def test_poly_unshift_requires_divisibility():
 
 @given(polys, polys)
 def test_poly_derivative_product_rule(a, b):
-    assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+    assert derivative(a * b) == derivative(a) * b + a * derivative(b)
 
 
 @given(polys, st.integers(0, 5))
 def test_shifted_coeff_is_taylor_coefficient_at_one(p, j):
     """_taylor_at_one(p, j) must end in the h^j coefficient of p(1 + h) and
     list the lower ones before it."""
-    one_plus_h = IntPoly([1, 1])
-    composed = IntPoly()
-    for i, c in enumerate(p.coeffs):
-        composed = composed + c * one_plus_h ** i
+    composed, power = IntPoly(), IntPoly.const(1)
+    for c in p.coeffs:  # power = (1 + h)^i
+        composed = composed + c * power
+        power = power * IntPoly([1, 1])
     expected = composed.coeffs[j] if j < len(composed.coeffs) else 0
     assert _taylor_at_one(p, j)[j] == expected
     padded = composed.coeffs + (0,) * (j + 1)
@@ -166,6 +165,23 @@ def test_ratfunc_cancels_common_factors():
     rf = RatFunc(IntPoly([0, 1, 1]), IntPoly([0, 0, 1, 1]))
     assert rf.num == IntPoly([1])
     assert rf.den == IntPoly([0, 1])
+
+
+def test_poly_gcd_is_primitive_with_positive_leading_coefficient():
+    # gcd(2(1 − q), 3(q² − 1)) = q − 1
+    assert _poly_gcd(IntPoly([2, -2]), IntPoly([-3, 0, 3])) == IntPoly([-1, 1])
+    assert _poly_gcd(IntPoly([0, -4, -6]), IntPoly()) == IntPoly([0, 2, 3])
+    assert _poly_gcd(IntPoly([3, 3]), IntPoly([5])) == IntPoly([1])
+
+
+def test_poly_divexact_stays_in_integers():
+    assert _poly_divexact(IntPoly([-1, 0, 1]), IntPoly([-1, 1])) == IntPoly([1, 1])
+    with pytest.raises(ValueError, match="not integral"):
+        _poly_divexact(IntPoly([0, 1]), IntPoly([0, 2]))
+    with pytest.raises(ValueError, match="inexact"):
+        _poly_divexact(IntPoly([1, 0, 1]), IntPoly([0, 1]))
+    with pytest.raises(ZeroDivisionError):
+        _poly_divexact(IntPoly([1]), IntPoly())
 
 
 def test_ratfunc_normalizes_sign_and_content():
@@ -305,6 +321,10 @@ def test_solver_reports_rank_on_singular_input():
     with pytest.raises(SingularMatrixError) as exc:
         solve_linear_exact([[1, 2], [2, 4]], [1, 2])
     assert exc.value.rank == 1 and exc.value.size == 2
+    # an inconsistent right-hand side raises rather than widening the rank
+    with pytest.raises(SingularMatrixError) as exc:
+        solve_linear_exact([[1, 2], [2, 4]], [1, 3])
+    assert exc.value.rank == 1
 
 
 def test_solver_validates_shapes():

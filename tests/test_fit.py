@@ -7,7 +7,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from qrationals.closedforms import bracket, bracket_weight_sum
+from qrationals.closedforms import bracket, bracket_weight_sum, d1_closed, d2_closed
 from qrationals.dedekind import bernoulli_poly, s_sum
 from qrationals.fit import (
     D1_FEATURE_NAMES,
@@ -15,6 +15,7 @@ from qrationals.fit import (
     RankDeficientError,
     _d2_features,
     _dec,
+    _solve_system,
     default_d1_samples,
     default_d2_samples,
     emit_plot_data,
@@ -47,6 +48,14 @@ def test_fit_d1_integer_samples_are_rank_deficient():
     column and the system cannot be solved."""
     with pytest.raises(RankDeficientError):
         fit_d1([1, 2, 3, 4, 5])
+
+
+def test_solver_keeps_first_rank_increasing_rows_and_checks_every_row():
+    # the second row adds no rank and is consistent; the fourth contradicts
+    rows = [((Fr(1), Fr(0)), Fr(1)), ((Fr(2), Fr(0)), Fr(2)), ((Fr(0), Fr(1)), Fr(3))]
+    assert _solve_system(rows, 2) == (1, 3)
+    with pytest.raises(ValueError, match="inconsistent"):
+        _solve_system(rows + [((Fr(1), Fr(1)), Fr(5))], 2)
 
 
 def test_default_d1_samples():
@@ -134,6 +143,15 @@ def test_emit_plot_data_order0_and_windows():
     xs = [r[0] for r in rows]
     assert xs == sorted(xs)
     assert emit_plot_data(0, 0, start=1) == [(Fr(3, 2), Fr(3, 2), 2, 0)]
+
+
+def test_emit_plot_data_derivatives_match_closed_forms():
+    """The plot's values are the exact jets; the closed forms are the other side."""
+    for x, val, _, _ in emit_plot_data(4, 1):
+        assert val == d1_closed(x)
+    for x, val, b, _ in emit_plot_data(4, 2):
+        assert val == d2_closed(x.numerator, b)
+    assert len(emit_plot_data(4, 2)) == 2 ** 5 - 1
 
 
 def test_emit_plot_data_validates_order():
