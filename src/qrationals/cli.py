@@ -152,8 +152,6 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_lineage(args) -> int:
-    if args.order < 2:
-        raise ValueError("lineage order must be >= 2")
     lin = lineage_extract(args.x, args.order)
     C = None if lin.vanishing else lagrange_coefficients(lin)
     if args.json:
@@ -201,8 +199,6 @@ def _cmd_dedekind(args) -> int:
         _check_modulus(args.q)
         sys.stdout.write(battery_report_csv(args.p, args.q))
         return 0
-    if args.i < 0 or args.j < 0:
-        raise ValueError("indices must be nonnegative")
     if args.b < 1:
         raise ValueError("modulus must be >= 1")
     if math.gcd(args.a, args.b) != 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Literal
 
 from .exact import Rat, _taylor_at_one, jets_at_one, rat_to_str
-from .qdeform import deform, to_cfrac, _path_from_terms
+from .qdeform import deform
 from .dedekind import s_sum
 
 __all__ = [
@@ -139,7 +139,7 @@ def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
 # --------------------------------------------------------------------------
 
 def _depth_value(a: int, b: int, convention: DepthConvention) -> int:
-    _, depth = _path_from_terms(to_cfrac(Fraction(a, b)).terms)
+    depth = deform(Fraction(a, b)).depth
     return depth if convention == "depth" else depth + 1
 
 

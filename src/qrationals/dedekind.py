@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 BERNOULLI_BOUND = 12
+# total index weight i + j of the identity battery
+BATTERY_WEIGHT = 4
 
 
 @lru_cache(maxsize=None)
@@ -54,12 +56,14 @@ def bernoulli_number(i: int) -> Rat:
 
 
 def bernoulli_poly(i: int, x: Rat) -> Rat:
-    """B_i(x) = Σ_k C(i,k)·B_k·x^{i−k}, exactly."""
-    if i > BERNOULLI_BOUND:
-        raise ValueError(f"index {i} exceeds the configured bound {BERNOULLI_BOUND}")
+    """B_i(x) = Σ_k C(i,k)·B_k·x^{i−k}, exactly: the cleared coefficients of
+    B_i(r/b) at x = r/b, one Horner pass and one division."""
     x = Fraction(x)
-    return sum(Fraction(math.comb(i, k)) * bernoulli_number(k) * x ** (i - k)
-               for k in range(i + 1))
+    c, d = _cleared_bernoulli(i, x.denominator)
+    u = 0
+    for ck in c:
+        u = u * x.numerator + ck
+    return Fraction(u, d)
 
 
 @lru_cache(maxsize=None)
@@ -71,6 +75,8 @@ def periodic_bernoulli(i: int, x: Rat) -> Rat:
 
 def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
     """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b)."""
+    if i < 0:
+        raise ValueError("index must be nonnegative")
     if i > BERNOULLI_BOUND:
         raise ValueError(f"index {i} exceeds the configured bound {BERNOULLI_BOUND}")
     terms = [math.comb(i, k) * bernoulli_number(k) / b ** (i - k) for k in range(i + 1)]
@@ -110,9 +116,10 @@ def _s_inclusive(i: int, j: int, a: int, b: int) -> Rat:
 def h_val(i: int, j: int, a: int, b: int) -> Rat:
     """(−1)^{i+j}/(i!j!) · (s_{i,j}(a,b) + (1 − d_{i,j})·B_i·B_j),
     d_{i,j} = 1 iff i = 1 or j = 1."""
+    s = s_sum(i, j, a, b)  # first, so that a bad index fails there
     d = 1 if (i == 1 or j == 1) else 0
     return (Fraction((-1) ** (i + j), math.factorial(i) * math.factorial(j))
-            * (s_sum(i, j, a, b) + (1 - d) * bernoulli_number(i) * bernoulli_number(j)))
+            * (s + (1 - d) * bernoulli_number(i) * bernoulli_number(j)))
 
 
 def reciprocity_residual(i: int, j: int, p: int, q: int) -> Rat:
@@ -146,11 +153,12 @@ def reciprocity_residual(i: int, j: int, p: int, q: int) -> Rat:
 # Identity battery
 # --------------------------------------------------------------------------
 
-def check_identities(p: int, q: int, bound: int = 4) -> list[dict]:
+def check_identities(p: int, q: int) -> list[dict]:
     """Verify the identity battery at coprime (p, q): even-index boundary
     values, the parity law, shift periodicity, and the three-term duplication
-    law (at total index weight 4).  Returns one record per identity instance
-    with its residual and a pass flag.
+    law: parity and shift up to total index weight BATTERY_WEIGHT, the rest
+    at it.  Returns one record per identity instance with its residual and a
+    pass flag.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"{p} and {q} must be coprime")
@@ -161,22 +169,22 @@ def check_identities(p: int, q: int, bound: int = 4) -> list[dict]:
                      "residual": residual, "ok": residual == 0})
 
     # boundary values: h_{i,0} = h_{0,i} = (B_i/i!)·q^{1−i} for even i
-    for i in (2, 4):
+    for i in range(2, BATTERY_WEIGHT + 1, 2):
         want = bernoulli_number(i) / math.factorial(i) * Fraction(q) ** (1 - i)
         add("even_boundary", (i, 0, p, q), h_val(i, 0, p, q) - want)
         add("even_boundary", (0, i, p, q), h_val(0, i, p, q) - want)
 
     # parity law h(−p, q) = (−1)^j h(p, q), uniform in (i, j)
-    for i in range(0, bound + 1):
-        for j in range(0, bound + 1 - i):
+    for i in range(0, BATTERY_WEIGHT + 1):
+        for j in range(0, BATTERY_WEIGHT + 1 - i):
             add("parity", (i, j, p, q),
                 h_val(i, j, -p, q) - Fraction(-1) ** j * h_val(i, j, p, q))
             add("shift", (i, j, p, q),
                 h_val(i, j, p + q, q) - h_val(i, j, p, q))
 
-    # three-term duplication law on inclusive sums, total weight 4
-    for i in range(0, 5):
-        j = 4 - i
+    # three-term duplication law on inclusive sums
+    for i in range(0, BATTERY_WEIGHT + 1):
+        j = BATTERY_WEIGHT - i
         lhs = (_s_inclusive(i, j, p, 2 * q) + _s_inclusive(i, j, p + q, 2 * q)
                + Fraction(2) ** (1 - j) * _s_inclusive(i, j, 2 * p, q))
         rhs = (2 + Fraction(2) ** (2 - i - j)) * _s_inclusive(i, j, p, q)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -100,12 +101,13 @@ def _primitive(coeffs: list[int]) -> list[int]:
 class IntPoly:
     """Dense polynomial over arbitrary-precision integers; coeffs[i] is the
     coefficient of q^i.  The zero polynomial has an empty coefficient tuple;
-    otherwise the leading coefficient is nonzero."""
+    otherwise the leading coefficient is nonzero.  A coefficient that is not
+    an integer raises TypeError."""
 
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _strip(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _strip(map(operator.index, coeffs)))
 
     # -- constructors ------------------------------------------------------
 
@@ -222,10 +224,6 @@ def poly_to_json_list(p: IntPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def poly_from_json_list(items: Sequence) -> IntPoly:
-    return IntPoly(int(c) for c in items)
-
-
 # --------------------------------------------------------------------------
 # Rational functions num/den over IntPoly
 # --------------------------------------------------------------------------
@@ -288,19 +286,6 @@ class RatFunc:
         object.__setattr__(rf, "num", num)
         object.__setattr__(rf, "den", den)
         return rf
-
-    # -- arithmetic (enough for tower/mediant work and tests) -------------
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
 
     def value_at_one(self) -> Rat:
         d = self.den(1)

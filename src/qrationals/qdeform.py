@@ -30,7 +30,6 @@ from .exact import (
     IntPoly,
     Rat,
     RatFunc,
-    poly_from_json_list,
     poly_to_json_list,
     rat_to_str,
 )
@@ -169,9 +168,10 @@ def deform_from_cfrac(cf: CFrac) -> RatFunc:
         even step:  (N, D) -> ([a_i]_q·N + q^{a_i}·D,  N)
         odd step:   (N, D) -> (q·[a_i]_q·N + D,        q^{a_i}·N)
 
-    starting from ([a_m]_q, 1) at an even bottom level and from
-    ([a_m]_q, q^{a_m − 1}) at an odd one.  The head term a_0 may be any
-    integer; a_0 ≥ 0 is one more even step, and a_0 = −k uses the backwards
+    starting from the empty tower (N, D) = (1, 0), where 1/tower = 0, so an
+    integer is its head alone and an odd tail carries one common factor q,
+    which canonicalization strips.  The head term a_0 may be any integer;
+    a_0 ≥ 0 is one more even step, and a_0 = −k uses the backwards
     recurrence, contributing (D − [k]_q·N) / (q^k·N) to the final pair.
 
     The steps run on packed integers at q = 2^B (see the module docstring).
@@ -183,48 +183,25 @@ def deform_from_cfrac(cf: CFrac) -> RatFunc:
     head step (a_0 < 0) subtracts, on unpacked polynomials.
     """
     terms = cf.terms
-    a0, tail = terms[0], terms[1:]
-    if not tail:
-        return q_integer(a0)
+    a0 = terms[0]
     p, r = 1, 0
-    for a in reversed(tail):
+    for a in reversed(terms[1:]):
         p, r = a * p + r, p
     width = _packed_width(p)
-    m = len(tail)
-    N = _times_qint(1, tail[-1], width)
-    D = 1 if m % 2 == 0 else 1 << (tail[-1] - 1) * width
-    for i in range(m - 1, 0, -1):
+    N, D = 1, 0
+    for i in range(len(terms) - 1, -1 if a0 >= 0 else 0, -1):
         a = terms[i]
         aN = _times_qint(N, a, width)
         if i % 2 == 0:
             N, D = aN + (D << a * width), N
         else:
             N, D = (aN << width) + D, N << a * width
-    # head: value = a0 + 1/(tower of levels >= 1); the tower pair is (N, D),
-    # so 1/tower = D/N and the head contributes like an even-level step on it.
-    if a0 >= 0:
-        num = _unpack(_times_qint(N, a0, width) + (D << a0 * width), width)
-        den = _unpack(N, width)
-    else:
-        k = -a0
-        num = _unpack(D, width) - _unpack(_times_qint(N, k, width), width)
-        den = _unpack(N, width).shift(k)
-    return RatFunc._from_clean(num, den)
-
-
-def _path_from_terms(terms: tuple[int, ...]) -> tuple[str, int]:
-    """Branch word and depth from a canonical expansion.
-
-    The tail (a_1, ..., a_m) maps to the run-length word
-    L^{u_1} R^{u_2} L^{u_3} ... with u = (a_1, ..., a_{m-1}, a_m − 1);
-    depth is Σu − 1 (integers: empty word, depth −1).
-    """
-    tail = terms[1:]
-    if not tail:
-        return "", -1
-    u = list(tail[:-1]) + [tail[-1] - 1]
-    word = "".join(("L" if i % 2 == 0 else "R") * v for i, v in enumerate(u))
-    return word, sum(u) - 1
+    if a0 >= 0:  # the head was level 0 of the loop
+        return RatFunc._from_clean(_unpack(N, width), _unpack(D, width))
+    # value = a0 + 1/(tower of levels >= 1) with 1/tower = D/N
+    k = -a0
+    num = _unpack(D, width) - _unpack(_times_qint(N, k, width), width)
+    return RatFunc._from_clean(num, _unpack(N, width).shift(k))
 
 
 @dataclass(frozen=True)
@@ -240,12 +217,18 @@ class QRational:
 
 @lru_cache(maxsize=None)
 def deform(x: Rat) -> QRational:
-    """Canonical q-deformation of x with depth and branch word attached."""
+    """Canonical q-deformation of x with depth and branch word attached.
+
+    The canonical tail (a_1, ..., a_m) maps to the run-length branch word
+    L^{u_1} R^{u_2} L^{u_3} ... with u = (a_1, ..., a_{m-1}, a_m − 1);
+    depth is Σu − 1 (integers: empty word, depth −1).
+    """
     x = Fraction(x)
     cf = to_cfrac(x)
-    rf = deform_from_cfrac(cf)
-    path, depth = _path_from_terms(cf.terms)
-    return QRational(value=x, deform=rf, depth=depth, path=path)
+    tail = cf.terms[1:]
+    u = [*tail[:-1], tail[-1] - 1] if tail else []
+    path = "".join(("L" if i % 2 == 0 else "R") * v for i, v in enumerate(u))
+    return QRational(value=x, deform=deform_from_cfrac(cf), depth=sum(u) - 1, path=path)
 
 
 def qrational_to_json(qr: QRational) -> dict:
@@ -260,6 +243,12 @@ def qrational_to_json(qr: QRational) -> dict:
 
 
 def qrational_from_json(obj: dict) -> QRational:
-    value = Fraction(int(obj["a"]), int(obj["b"]))
-    rf = RatFunc(poly_from_json_list(obj["num"]), poly_from_json_list(obj["den"]))
-    return QRational(value=value, deform=rf, depth=int(obj["depth"]), path=str(obj["path"]))
+    """The QRational of a record written by qrational_to_json: deform(a/b),
+    after checking every field of the record against that deformation's own
+    record (ValueError naming the first field that differs)."""
+    qr = deform(Fraction(int(obj["a"]), int(obj["b"])))
+    for key, want in qrational_to_json(qr).items():
+        if obj.get(key) != want:
+            raise ValueError(f"field {key!r} of the record does not match the "
+                             f"deformation of {rat_to_str(qr.value)}")
+    return qr

@@ -25,7 +25,7 @@ from .exact import (
     jets_at_one,
     poly_to_json_list,
 )
-from .qdeform import QRational, deform, qrational_to_json, to_cfrac, _path_from_terms
+from .qdeform import QRational, deform, qrational_to_json
 from .dedekind import s_sum
 
 __all__ = [
@@ -90,14 +90,17 @@ def mediant(x: Rat, y: Rat) -> Rat:
     return Fraction(a + c, b + d)
 
 
-def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
-    """q-deformed mediant of two deformed neighbours (left value < right).
+def _degree_gap(left: RatFunc, right: RatFunc) -> int:
+    """n = max(1, deg βL − deg δR + 1) on the canonical denominators of two
+    neighbours (left value < right): the degree-gap rule that makes the tree
+    reproduce the continued-fraction deformation exactly."""
+    return max(1, left.den.degree() - right.den.degree() + 1)
 
-    The right pair is weighted by q^n with n = max(1, deg βL − deg δR + 1),
-    the degree-gap rule that makes the tree reproduce the continued-fraction
-    deformation exactly.
-    """
-    n = max(1, left.den.degree() - right.den.degree() + 1)
+
+def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
+    """q-deformed mediant of two deformed neighbours (left value < right),
+    the right pair weighted by q^n with n the degree gap (_degree_gap)."""
+    n = _degree_gap(left, right)
     return RatFunc._from_clean(left.num + right.num.shift(n),
                                left.den + right.den.shift(n))
 
@@ -108,10 +111,10 @@ def _farey(x: Fraction, y: Fraction) -> Fraction:
 
 
 class Frame:
-    """A descent-stack entry: a tree value, the stack indices of its two
-    parents (None at the window endpoints), and its node (value, canonical
-    pair, depth, path) and jets at q = 1, each computed on first use unless
-    assigned before."""
+    """A descent-stack entry: a tree value, the stack indices of its left
+    (smaller) parent lo and right (greater) parent hi (None at the window
+    endpoints), and its node (value, canonical pair, depth, path) and jets
+    at q = 1, each computed on first use unless assigned before."""
 
     def __init__(self, value: Fraction, lo: int | None = None, hi: int | None = None):
         self.value, self.lo, self.hi = value, lo, hi
@@ -221,10 +224,9 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
     next); member 1 is the shallow parent of member 3, or for m = 2 the
     target's deeper parent (the left endpoint at depth 0).  ζ_n is the
     member index of member n's shallow parent.  Weight recurrence:
-    𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where {small, big} are the two parents
-    {n−1, ζ_n} ordered by value (the q-power attaches to the greater), and
-    ξ_n = max(1, deg b_small − deg b_big + 1) on the members' canonical
-    denominator polynomials.
+    𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where small and big are member n's left
+    and right parents, {n−1, ζ_n}, read off its frame (the q-power attaches
+    to the greater), and ξ_n is their mediant's degree gap (_degree_gap).
     """
     t = len(stack) - 1
     if m == 2:
@@ -235,21 +237,15 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
         idx = [third.hi if third.lo == first else third.lo, *range(first, t + 1)]
     frames = [stack[j] for j in idx]
     member_of = {j: n for n, j in enumerate(idx, start=1)}
-    zeta = []
-    for n in range(3, m + 1):
-        frame = frames[n - 1]
-        shallow = frame.hi if frame.lo == idx[n - 2] else frame.lo
-        zeta.append(member_of[shallow])  # member n − 2 or ζ_{n−1}, by induction
-
     members = tuple(fr.node for fr in frames)
     F = [IntPoly.const(1), IntPoly()]
     G = [IntPoly(), IntPoly.const(1)]
-    xi = []
-    for n, z in enumerate(zeta, start=3):
-        big, small = (n - 1, z) if frames[n - 2].value > frames[z - 1].value else (z, n - 1)
-        gap = (members[small - 1].deform.den.degree()
-               - members[big - 1].deform.den.degree() + 1)
-        xi.append(max(1, gap))
+    zeta, xi = [], []
+    for n in range(3, m + 1):
+        # both parents are members: n − 1 and ζ_n, which is n − 2 or ζ_{n−1}
+        small, big = member_of[frames[n - 1].lo], member_of[frames[n - 1].hi]
+        zeta.append(big if small == n - 1 else small)
+        xi.append(_degree_gap(members[small - 1].deform, members[big - 1].deform))
         F.append(F[small - 1] + F[big - 1].shift(xi[-1]))
         G.append(G[small - 1] + G[big - 1].shift(xi[-1]))
         # the weights must rebuild member n from members 1 and 2 exactly
@@ -267,20 +263,20 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
 
 def lineage_extract(x: Rat, m: int) -> Lineage:
     """Extract the order-m lineage of x (see _lineage_from_stack) off the
-    Fraction-level descent to x; only the member frames are deformed."""
+    Fraction-level Stern–Brocot search for x from ⌊x⌋ and ⌊x⌋ + 1; only the
+    member frames are deformed."""
     x = Fraction(x)
     if m < 2:
         raise ValueError("lineage order must be >= 2")
-    path, depth = _path_from_terms(to_cfrac(x).terms)
-    if depth < m - 2:
-        raise InsufficientDepthError(requested=m, max_order=depth + 2)
     stack = [Frame(Fraction(v)) for v in (math.floor(x), math.floor(x) + 1)]
     lo, hi = 0, 1
-    for step in path:
-        k = len(stack) - 1
-        if k > 1:  # below the root, the step picks a half of the interval
-            lo, hi = (lo, k) if step == "L" else (k, hi)
+    while stack[lo].value != x:  # invariant: stack[lo] <= x < stack[hi]
+        k = len(stack)
         stack.append(Frame(_farey(stack[lo].value, stack[hi].value), lo, hi))
+        lo, hi = (lo, k) if x < stack[k].value else (k, hi)
+    depth = len(stack) - 3  # an integer stops at once, at depth −1
+    if depth < m - 2:
+        raise InsufficientDepthError(requested=m, max_order=depth + 2)
     return _lineage_from_stack(stack, m)[0]
 
 

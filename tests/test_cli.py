@@ -387,6 +387,9 @@ def test_dedekind_usage_errors(capsys):
     rc, _, err = run(capsys, "dedekind", "s", "1", "3", "2", "4")
     assert rc == 2 and "coprime" in err
     assert run(capsys, "dedekind", "s", "1", "3", "1", "0")[0] == 2
+    for kind in ("s", "h"):
+        rc, _, err = run(capsys, "dedekind", kind, "-1", "3", "1", "5")
+        assert rc == 2 and "index must be nonnegative" in err
     assert run(capsys, "dedekind", "battery", "2", "4")[0] == 2
 
 

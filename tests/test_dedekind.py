@@ -68,6 +68,15 @@ def test_bernoulli_poly_fixtures():
         bernoulli_poly(13, 0)
 
 
+def test_negative_bernoulli_indices_raise():
+    """A negative index raises like bernoulli_number(−1) instead of
+    evaluating to 0 (at b = 1 the sum is empty and evaluates nothing)."""
+    for call in (lambda: bernoulli_poly(-2, 3), lambda: s_sum(-1, 3, 1, 5),
+                 lambda: s_sum(1, -3, 1, 2), lambda: h_val(-1, 2, 1, 5)):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            call()
+
+
 @given(st.integers(0, 8), st.fractions(min_value=-4, max_value=4, max_denominator=9))
 def test_bernoulli_poly_difference_equation(i, x):
     """B_i(x+1) − B_i(x) = i·x^{i−1}."""

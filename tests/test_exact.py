@@ -22,7 +22,6 @@ from qrationals.exact import (
     derivative_at_one,
     jets_at_one,
     matrix_rank_exact,
-    poly_from_json_list,
     poly_to_json_list,
     rat_from_str,
     rat_reduce,
@@ -85,6 +84,13 @@ def test_poly_normalization():
     assert IntPoly().leading() == 0
     assert IntPoly([0, 0, 3]).trailing_order() == 2
     assert IntPoly([4, 6]).content() == 2
+
+
+def test_poly_rejects_non_integer_coefficients():
+    for coeffs in ([0.5], [1.9, 3], [1, "3"], [Fr(1, 2)], [2.0]):
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
+    assert IntPoly([True, 2]).coeffs == (1, 2)
 
 
 def test_poly_constructors():
@@ -151,7 +157,7 @@ def test_poly_str():
 
 @given(polys)
 def test_poly_json_round_trip(p):
-    assert poly_from_json_list(poly_to_json_list(p)) == p
+    assert IntPoly(map(int, poly_to_json_list(p))) == p
 
 
 def test_poly_json_is_decimal_strings_lowest_first():
@@ -210,18 +216,6 @@ def test_from_clean_agrees_with_full_constructor(n, d, scale, k, flip):
     c = -scale if flip else scale
     fast = RatFunc._from_clean(rf.num.shift(k) * c, rf.den.shift(k) * c)
     assert fast == rf
-
-
-@given(nonzero_polys, nonzero_polys, nonzero_polys, nonzero_polys)
-def test_ratfunc_field_operations(a, b, c, d):
-    x, y = RatFunc(a, b), RatFunc(c, d)
-    if x.den(1) == 0 or y.den(1) == 0:
-        return
-    s, p = x + y, x * y
-    if s.den(1) != 0:
-        assert s.value_at_one() == x.value_at_one() + y.value_at_one()
-    if p.den(1) != 0:
-        assert p.value_at_one() == x.value_at_one() * y.value_at_one()
 
 
 def test_pole_detection():

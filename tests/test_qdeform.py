@@ -108,10 +108,9 @@ def test_q_integer_reciprocal_table():
 
 def test_q_integer_recurrence():
     """[n+1]_q = q·[n]_q + 1, across zero in both directions."""
-    q = RatFunc(IntPoly([0, 1]), IntPoly([1]))
-    one = RatFunc(IntPoly([1]), IntPoly([1]))
     for n in range(-6, 6):
-        assert q_integer(n + 1) == q * q_integer(n) + one
+        rf = q_integer(n)
+        assert q_integer(n + 1) == RatFunc(rf.num.shift(1) + rf.den, rf.den)
 
 
 @given(st.integers(-8, 8))
@@ -179,12 +178,13 @@ def _assert_same_tower(terms):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(-6, 6), st.lists(st.integers(1, 60), min_size=1, max_size=40),
+@given(st.integers(-6, 6), st.lists(st.integers(1, 60), min_size=0, max_size=40),
        st.booleans())
 def test_packed_tower_matches_intpoly_tower(a0, tail, split_last):
     """Both parities: the terminal rewrite a_m -> (a_m - 1, 1) flips the
-    parity of the tail length."""
-    if split_last and tail[-1] > 1:
+    parity of the tail length.  An empty tail checks integers against
+    q_integer."""
+    if split_last and tail and tail[-1] > 1:
         tail = tail[:-1] + [tail[-1] - 1, 1]
     _assert_same_tower((a0, *tail))
 
@@ -272,6 +272,21 @@ def test_qrational_json_round_trip(x):
     assert set(obj) == {"a", "b", "depth", "path", "num", "den"}
     assert isinstance(obj["a"], str) and isinstance(obj["b"], str)
     assert qrational_from_json(obj) == qr
+
+
+def test_qrational_from_json_rejects_inconsistent_records():
+    good = qrational_to_json(deform(Fr(1, 2)))
+    assert qrational_from_json(good) is deform(Fr(1, 2))
+    bad = {"a": "1", "b": "2", "depth": 5, "path": "RRR", "num": ["1"], "den": ["1"]}
+    with pytest.raises(ValueError, match="'depth'"):
+        qrational_from_json(bad)
+    for key, value in (("a", "2"), ("depth", "0"), ("path", "R"),
+                       ("num", ["0", "2"]), ("den", ["1", "1", "0"])):
+        record = dict(good, **{key: value})
+        if key == "a":
+            record["b"] = "4"  # 2/4 is 1/2, but not its record
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            qrational_from_json(record)
 
 
 def test_deform_memoizes():

@@ -118,7 +118,7 @@ def test_walker_matches_deform_and_build_qtree(start, depth):
     assert sorted(nodes, key=lambda n: (n.depth, n.value)) == build_qtree(start, depth)
 
 
-@pytest.mark.parametrize("start", [0, -2])
+@pytest.mark.parametrize("start", [0, -2, 3])
 def test_lineages_off_the_walker_match_lineage_extract(start):
     """The walker's stack and the Fraction-level descent give the same
     lineage (members, ζ, ξ, weight tables) at every node to depth 8."""
