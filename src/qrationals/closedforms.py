@@ -6,6 +6,11 @@ report.
 The first-derivative form is (x² − x + 1 − f(x)²)/2 with f Thomae's function.
 The second-derivative form combines a cubic polynomial part, a Thomae part,
 and a ⟨n/a⟩_b-weighted lattice sum, equal to −s_{1,3} by the bridges here.
+d2_closed takes s_{1,3} from dedekind.s_sum, which computes it in O(log b)
+integer steps of Apostol's reciprocity law, u(a, b) = (a·b·(5a²b² − a⁴ −
+b⁴ − 3) − b²·u(b mod a, a))/a² with u = 120·b⁴·s_{1,3}, folded bottom-up
+over the Euclid chain of (a, b); the bridges check it against the literal
+bracket sums and against the O(b) loop through s_{3,1}(a^{−1}, b).
 """
 from __future__ import annotations
 

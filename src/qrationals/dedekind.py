@@ -1,8 +1,14 @@
 """Bernoulli numbers and polynomials, periodic Bernoulli functions, the
-integer-exact kernel for the generalized Dedekind sums s_{i,j} (the one
-lattice-sum loop that the closed forms, the fit and the lineage corrections
-share), their h-normalization, the two-index reciprocity formula, and an
-identity battery.
+integer-exact kernel s_sum for the generalized Dedekind sums s_{i,j}, their
+h-normalization, the two-index reciprocity formula, and an identity battery.
+
+s_sum has two paths.  s_{1,3}, the one sum that the closed forms, the fit
+and the lineage corrections need, takes O(log b) steps of Apostol's
+reciprocity law 4·(a·b³·s(a, b) + b·a³·s(b, a)) = (5a²b² − a⁴ − b⁴ − 3)/30,
+as the integer recurrence u(a, b) = (a·b·(5a²b² − a⁴ − b⁴ − 3) −
+b²·u(b mod a, a))/a² on u = 120·b⁴·s, folded bottom-up over the Euclid
+chain of (a, b).  Every other (i, j) is one O(b) lattice loop over cleared
+Bernoulli polynomials.
 
 Conventions (pinned by the test suite):
   - B_1 = −1/2 (so B̄_1(a n/b) matches the bracket's −1/2 offset).
@@ -73,12 +79,17 @@ def periodic_bernoulli(i: int, x: Rat) -> Rat:
     return bernoulli_poly(i, x - math.floor(x))
 
 
-def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
-    """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b)."""
+def _check_index(i: int) -> None:
+    """Reject a Bernoulli index outside 0…BERNOULLI_BOUND."""
     if i < 0:
         raise ValueError("index must be nonnegative")
     if i > BERNOULLI_BOUND:
         raise ValueError(f"index {i} exceeds the configured bound {BERNOULLI_BOUND}")
+
+
+def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
+    """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b)."""
+    _check_index(i)
     terms = [math.comb(i, k) * bernoulli_number(k) / b ** (i - k) for k in range(i + 1)]
     d = math.lcm(*(t.denominator for t in terms))
     return [t.numerator * (d // t.denominator) for t in terms], d
@@ -88,12 +99,36 @@ def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
 def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     """Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) (exclusive; 0 when b = 1).
 
-    The factors are B_i(n/b) and B_j(r/b) with r = a·n mod b, so one pass
-    over cleared integer polynomials and one division at the end give it."""
+    Both indices must lie in 0…BERNOULLI_BOUND and b ≥ 1, even when the sum
+    is empty.  Every (i, j) but (1, 3) is one O(b) pass: the factors are
+    B_i(n/b) and B_j(r/b) with r = a·n mod b, so cleared integer polynomials
+    and one division at the end give it.
+
+    s = s_{1,3}, the lattice term of the second derivative, takes O(log b)
+    integer steps instead.  It depends on a only mod b, and the distribution
+    relation of B̄_1 gives s(a, b) = s(a/g, b/g) with g = gcd(a, b).  For
+    coprime a, b ≥ 1, Apostol's reciprocity law for odd p = 3 (Duke Math. J.
+    17, 1950, Thm 1) reads
+
+        4·(a·b³·s(a, b) + b·a³·s(b, a)) = (5a²b² − a⁴ − b⁴ − 3)/30.
+
+    On the integers u(a, b) = 120·b⁴·s(a, b) (4b⁴·s is already one: the
+    factors have denominators 2b and 2b³) it becomes the exact division
+
+        u(a, b) = (a·b·(5a²b² − a⁴ − b⁴ − 3) − b²·u(b mod a, a)) / a²,
+
+    with u(·, 1) = 0 at the bottom of the Euclid chain of (a, b).  The chain
+    is recorded and folded bottom-up, so every intermediate u is the value
+    at its own pair, O(digits of b) in size, and one Fraction u/(120·b⁴) is
+    built at the end."""
     if b < 1:
         raise ValueError("modulus must be >= 1")
+    _check_index(i)
+    _check_index(j)
     if b == 1:
         return Fraction(0)
+    if (i, j) == (1, 3):
+        return _s13_descent(a, b)
     ci, di = _cleared_bernoulli(i, b)
     cj, dj = _cleared_bernoulli(j, b)
     total = 0
@@ -106,6 +141,24 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
             v = v * r + c
         total += u * v
     return Fraction(total, di * dj)
+
+
+def _s13_descent(a: int, b: int) -> Rat:
+    """s_{1,3}(a, b) for b > 1 by the Euclid descent in s_sum's docstring.
+    A remainder in its exact division would be a bug, so it raises."""
+    g = math.gcd(a, b)
+    top = b // g
+    a, b = a // g % top, top
+    chain = []
+    while b > 1:
+        chain.append((a, b))
+        a, b = b % a, a
+    u = 0
+    for a, b in reversed(chain):
+        u, rem = divmod(a * b * (5 * a * a * b * b - a ** 4 - b ** 4 - 3) - b * b * u, a * a)
+        if rem:
+            raise ArithmeticError(f"reciprocity left a remainder at ({a}, {b})")
+    return Fraction(u, 120 * top ** 4)
 
 
 def _s_inclusive(i: int, j: int, a: int, b: int) -> Rat:

@@ -112,6 +112,14 @@ class IntPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _from_stripped(coeffs: tuple[int, ...]) -> "IntPoly":
+        """Trusted constructor: coeffs is already a tuple of ints that is
+        empty or ends in a nonzero entry, so neither check runs again."""
+        p = object.__new__(IntPoly)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
+    @staticmethod
     def const(c: int) -> "IntPoly":
         return IntPoly((c,))
 

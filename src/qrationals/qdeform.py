@@ -146,7 +146,8 @@ def _packed_width(bound: int) -> int:
 
 
 def _unpack(x: int, width: int) -> IntPoly:
-    """The polynomial whose packed form at q = 2^width is x ≥ 0."""
+    """The polynomial whose packed form at q = 2^width is x ≥ 0.  The words
+    are ints, and the top one holds x's top bit, so nothing is stripped."""
     w = width // 8
     size = -(-x.bit_length() // width) * w
     buf = x.to_bytes(size, "little")
@@ -155,7 +156,7 @@ def _unpack(x: int, width: int) -> IntPoly:
         coeffs = [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
     else:
         coeffs = memoryview(buf).cast(fmt).tolist()
-    return IntPoly(coeffs)
+    return IntPoly._from_stripped(tuple(coeffs))
 
 
 def deform_from_cfrac(cf: CFrac) -> RatFunc:

@@ -88,6 +88,16 @@ def test_derive_negative_fraction(capsys):
     assert (rc, out) == (0, "exact 39/49, closed 39/49, match\n")
 
 
+def test_derive_second_order_at_a_wide_denominator(capsys):
+    """F₃₀₁/F₃₀₀ has a 63-digit denominator; its lattice term takes the
+    O(log b) descent, so no modulus limit applies."""
+    lo, hi = 0, 1
+    for _ in range(300):
+        lo, hi = hi, lo + hi
+    rc, out, _ = run(capsys, "derive", f"{hi}/{lo}", "--order", "2")
+    assert rc == 0 and out.endswith(", match\n")
+
+
 def test_derive_usage_errors(capsys):
     assert run(capsys, "derive", "0.5")[0] == 2       # decimals are rejected
     rc, _, err = run(capsys, "derive", "-0.5")
@@ -353,15 +363,14 @@ def _coprime_golden(b):
 
 def test_lattice_modulus_limit(capsys, monkeypatch):
     a, b = _coprime_golden(MAX_LATTICE_MODULUS + 1)
-    for argv in (["derive", f"{a}/{b}", "--order", "2"],
-                 ["dedekind", "s", "1", "3", str(a), str(b)],
+    for argv in (["dedekind", "s", "1", "3", str(a), str(b)],
                  ["dedekind", "h", "2", "2", str(a), str(b)],
                  ["dedekind", "battery", str(a), str(b)]):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and not out
         assert f"modulus {b} is above the limit {MAX_LATTICE_MODULUS}" in err
-    # orders 0 and 1 need no lattice sum
-    for order in ("0", "1"):
+    # derive needs at most s_{1,3}, which takes the O(log b) descent
+    for order in ("0", "1", "2"):
         rc, out, _ = run(capsys, "derive", f"{a}/{b}", "--order", order)
         assert rc == 0 and out.endswith("match\n")
     a, b = _coprime_golden(MAX_LATTICE_MODULUS)
@@ -386,10 +395,12 @@ def test_dedekind_values(capsys):
 def test_dedekind_usage_errors(capsys):
     rc, _, err = run(capsys, "dedekind", "s", "1", "3", "2", "4")
     assert rc == 2 and "coprime" in err
-    assert run(capsys, "dedekind", "s", "1", "3", "1", "0")[0] == 2
+    rc, _, err = run(capsys, "dedekind", "s", "1", "3", "1", "0")
+    assert rc == 2 and "modulus must be >= 1" in err
     for kind in ("s", "h"):
-        rc, _, err = run(capsys, "dedekind", kind, "-1", "3", "1", "5")
-        assert rc == 2 and "index must be nonnegative" in err
+        for b in ("5", "1"):
+            rc, _, err = run(capsys, "dedekind", kind, "-1", "3", "1", b)
+            assert rc == 2 and "index must be nonnegative" in err
     assert run(capsys, "dedekind", "battery", "2", "4")[0] == 2
 
 

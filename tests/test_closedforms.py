@@ -9,13 +9,14 @@ combination is the hard gate.
 import csv
 import io
 import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrationals.exact import derivative_at_one
-from qrationals.qdeform import deform
+from qrationals.exact import derivative_at_one, jets_at_one
+from qrationals.qdeform import CFrac, deform
 from qrationals.closedforms import (
     F,
     G,
@@ -145,6 +146,30 @@ def test_closed_forms_match_exact_jets_on_the_accepted_domain():
             assert d1_closed(Fr(a, b)) == derivative_at_one(rf, 1), (a, b)
             assert d2_closed(a, b) == derivative_at_one(rf, 2), (a, b)
     assert count == 1440
+
+
+def fibonacci_ratio(n):
+    """F_{n+1}/F_n, whose partial quotients are all 1."""
+    lo, hi = 0, 1
+    for _ in range(n):
+        lo, hi = hi, lo + hi
+    return Fr(hi, lo)
+
+
+def test_second_derivative_at_wide_denominators():
+    """The second-derivative closed form where no lattice loop reaches:
+    F₃₀₁/F₃₀₀ and small-quotient expansions with 50–100-digit denominators,
+    against the exact jets of the deformation."""
+    rng = random.Random(2)
+    xs = [fibonacci_ratio(300)]
+    for digits in (50, 64, 80, 100):
+        terms = [rng.randint(-2, 2)]
+        while len(str(CFrac(tuple(terms)).value().denominator)) < digits:
+            terms.append(rng.choice((1, 1, 2, 3)))
+        xs.append(CFrac(tuple(terms)).value())
+    for x in xs:
+        assert 50 <= len(str(x.denominator)) <= 100
+        assert d2_closed(x.numerator, x.denominator) == jets_at_one(deform(x).deform, 2)[2], x
 
 
 @given(reduced_pairs)

@@ -34,6 +34,8 @@ coprime_pairs = st.integers(1, 12).flatmap(
 # any a in [−3b, 3b], coprime to b or not
 lattice_args = st.integers(1, 60).flatmap(
     lambda b: st.tuples(st.integers(-3 * b, 3 * b), st.just(b)))
+wide_lattice_args = st.integers(1, 500).flatmap(
+    lambda b: st.tuples(st.integers(-3 * b, 3 * b), st.just(b)))
 
 
 def literal_s_sum(i, j, a, b):
@@ -70,9 +72,10 @@ def test_bernoulli_poly_fixtures():
 
 def test_negative_bernoulli_indices_raise():
     """A negative index raises like bernoulli_number(−1) instead of
-    evaluating to 0 (at b = 1 the sum is empty and evaluates nothing)."""
+    evaluating to 0, also where the sum is empty (b = 1)."""
     for call in (lambda: bernoulli_poly(-2, 3), lambda: s_sum(-1, 3, 1, 5),
-                 lambda: s_sum(1, -3, 1, 2), lambda: h_val(-1, 2, 1, 5)):
+                 lambda: s_sum(1, -3, 1, 2), lambda: h_val(-1, 2, 1, 5),
+                 lambda: s_sum(-1, 3, 1, 1), lambda: h_val(1, -3, 0, 1)):
         with pytest.raises(ValueError, match="index must be nonnegative"):
             call()
 
@@ -126,15 +129,23 @@ def test_s_sum_matches_literal_sum(i, j, ab):
 
 
 def test_s_sum_literal_pins():
-    """Index 12 (the bound) against the literal sum, the index-13 error, and
-    the empty sum at b = 1."""
+    """Index 12 (the bound) against the literal sum, and the index-13 error,
+    also at b = 1, where the sum is empty."""
     for i, j, a, b in ((12, 1, 3, 7), (1, 12, -5, 11), (12, 12, 4, 9),
                        (0, 12, 6, 8), (12, 3, -17, 13)):
         assert s_sum(i, j, a, b) == literal_s_sum(i, j, a, b)
-    for i, j in ((13, 1), (1, 13), (13, 13)):
+    for i, j, b in ((13, 1, 2), (1, 13, 2), (13, 13, 2), (13, 13, 1), (1, 13, 1)):
         with pytest.raises(ValueError, match="index 13 exceeds the configured bound 12"):
-            s_sum(i, j, 1, 2)
-    assert s_sum(13, 13, 1, 1) == 0  # the sum is empty, so nothing is evaluated
+            s_sum(i, j, 1, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_lattice_args)
+def test_s13_descent_matches_literal_sum(ab):
+    """s_{1,3}, the one pair that takes the reciprocity descent instead of
+    the lattice loop, against its defining sum, non-coprime a included."""
+    a, b = ab
+    assert s_sum(1, 3, a, b) == literal_s_sum(1, 3, a, b)
 
 
 @given(st.integers(0, 4), st.integers(0, 4), coprime_pairs)
