@@ -19,7 +19,6 @@ from .exact import (
     derivative_at_one,
     jets_at_one,
     matrix_rank_exact,
-    rat_from_str,
     rat_to_str,
     solve_linear_exact,
 )
@@ -28,7 +27,6 @@ from .qdeform import (
     QRational,
     deform,
     deform_from_cfrac,
-    q_integer,
     qrational_from_json,
     qrational_to_json,
     to_cfrac,
@@ -61,8 +59,6 @@ from .closedforms import (
     d1_closed,
     d2_closed,
     denominator_d1_closed,
-    derivative_report,
-    derivative_report_csv,
     lemma_calibration,
     mod_inverse,
     numerator_d1_closed,
@@ -93,9 +89,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Rat", "IntPoly", "RatFunc", "QRational", "CFrac", "Lineage",
-    "rat_to_str", "rat_from_str", "derivative_at_one", "jets_at_one",
+    "rat_to_str", "derivative_at_one", "jets_at_one",
     "solve_linear_exact", "matrix_rank_exact",
-    "to_cfrac", "q_integer", "deform", "deform_from_cfrac",
+    "to_cfrac", "deform", "deform_from_cfrac",
     "qrational_to_json", "qrational_from_json",
     "mediant", "weighted_mediant", "walk_qtree", "build_qtree", "delta",
     "lineage_extract",
@@ -105,7 +101,7 @@ __all__ = [
     "mod_inverse", "thomae", "bracket", "d1_closed", "d2_closed",
     "bracket_weight_sum", "bridge_mismatches",
     "numerator_d1_closed", "denominator_d1_closed",
-    "derivative_report", "derivative_report_csv", "lemma_calibration",
+    "lemma_calibration",
     "bernoulli_number", "bernoulli_poly", "periodic_bernoulli",
     "s_sum", "h_val", "reciprocity_residual", "check_identities",
     "reciprocity_sweep", "battery_sweep",

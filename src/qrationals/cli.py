@@ -152,6 +152,9 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_lineage(args) -> int:
+    if args.order > MAX_TREE_DEPTH + 2:
+        raise ValueError(f"lineage order {args.order} is above the limit {MAX_TREE_DEPTH + 2}, "
+                         f"the deepest lineage in a tree of depth {MAX_TREE_DEPTH}")
     lin = lineage_extract(args.x, args.order)
     C = None if lin.vanishing else lagrange_coefficients(lin)
     if args.json:
@@ -174,7 +177,12 @@ def _cmd_lineage(args) -> int:
 
 def _cmd_check(args) -> int:
     sweep = CHECKS[args.target]
-    bound = args.depth if sweep.by_depth else args.max_denominator
+    flags = {"--depth": args.depth, "--max-denominator": args.max_denominator}
+    own = "--depth" if sweep.by_depth else "--max-denominator"
+    for flag, value in flags.items():
+        if flag != own and value is not None:
+            raise ValueError(f"{flag} does not apply to {args.target}; it takes {own}")
+    bound = flags[own]
     raw = os.environ.get(SWEEP_DEPTH_ENV) if sweep.by_depth else None
     if bound is None and raw is not None:
         try:
@@ -256,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lineage", help="ancestor chain with weight tables and C_i")
     p.add_argument("x", type=_fraction)
-    p.add_argument("--order", type=int, default=4, help="chain length m >= 2")
+    p.add_argument("--order", type=int, default=4,
+                   help=f"chain length m, 2..{MAX_TREE_DEPTH + 2}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lineage)
 

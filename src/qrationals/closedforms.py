@@ -14,13 +14,11 @@ bracket sums and against the O(b) loop through s_{3,1}(a^{−1}, b).
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Literal
 
-from .exact import Rat, _taylor_at_one, jets_at_one, rat_to_str
+from .exact import Rat, _taylor_at_one
 from .qdeform import deform
 from .dedekind import s_sum
 
@@ -39,8 +37,6 @@ __all__ = [
     "denominator_d1_closed",
     "numerator_derivative",
     "denominator_derivative",
-    "derivative_report",
-    "derivative_report_csv",
     "lemma_calibration",
     "NoInverseError",
 ]
@@ -183,48 +179,6 @@ def numerator_derivative(a: int, b: int) -> Rat:
 def denominator_derivative(a: int, b: int) -> Rat:
     """Exact derivative at q = 1 of the canonical denominator polynomial."""
     return Fraction(_taylor_at_one(deform(Fraction(a, b)).deform.den, 1)[1])
-
-
-# --------------------------------------------------------------------------
-# Reports
-# --------------------------------------------------------------------------
-
-def _sweep(max_b: int) -> Iterator[tuple[int, int]]:
-    """Reduced pairs (a, b) with 1 ≤ b ≤ max_b, 0 ≤ a ≤ 2b."""
-    for b in range(1, max_b + 1):
-        for a in range(0, 2 * b + 1):
-            if math.gcd(a, b) == 1:
-                yield a, b
-
-
-def derivative_report(max_b: int) -> Iterator[dict]:
-    """Closed forms against the exact engine for every reduced a/b with
-    b ≤ max_b, 0 ≤ a ≤ 2b.  Yields one record per fraction with match flags.
-    """
-    for a, b in _sweep(max_b):
-        x = Fraction(a, b)
-        _, e1, e2 = jets_at_one(deform(x).deform, 2)
-        c1 = d1_closed(x)
-        c2 = d2_closed(a, b)
-        yield {
-            "a": a, "b": b,
-            "exact_d1": e1, "closed_d1": c1,
-            "exact_d2": e2, "closed_d2": c2,
-            "d1_match": e1 == c1, "d2_match": e2 == c2,
-        }
-
-
-def derivative_report_csv(max_b: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["a", "b", "exact_d1", "closed_d1", "exact_d2", "closed_d2",
-                     "d1_match", "d2_match"])
-    for row in derivative_report(max_b):
-        writer.writerow([row["a"], row["b"],
-                         rat_to_str(row["exact_d1"]), rat_to_str(row["closed_d1"]),
-                         rat_to_str(row["exact_d2"]), rat_to_str(row["closed_d2"]),
-                         int(row["d1_match"]), int(row["d2_match"])])
-    return buf.getvalue()
 
 
 def lemma_calibration(max_b: int) -> dict:

@@ -15,9 +15,7 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "Rat",
-    "rat_reduce",
     "rat_to_str",
-    "rat_from_str",
     "IntPoly",
     "RatFunc",
     "derivative_at_one",
@@ -55,29 +53,9 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular matrix: rank {rank} < {size}")
 
 
-def rat_reduce(num: int, den: int) -> Rat:
-    """Canonical reduced rational with positive denominator.
-
-    >>> rat_reduce(2, 4)
-    Fraction(1, 2)
-    """
-    if den == 0:
-        raise ZeroDenominatorError("denominator must be nonzero")
-    return Fraction(num, den)
-
-
 def rat_to_str(r: Rat) -> str:
     """Serialize a rational as "p/q", or just "p" when the denominator is 1."""
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-
-
-def rat_from_str(s: str) -> Rat:
-    """Parse "p/q" or "p" (integers only; no decimals)."""
-    s = s.strip()
-    if "/" in s:
-        p, _, q = s.partition("/")
-        return rat_reduce(int(p), int(q))
-    return Fraction(int(s))
 
 
 # --------------------------------------------------------------------------
@@ -122,13 +100,6 @@ class IntPoly:
     @staticmethod
     def const(c: int) -> "IntPoly":
         return IntPoly((c,))
-
-    @staticmethod
-    def monomial(k: int, c: int = 1) -> "IntPoly":
-        """c * q^k"""
-        if k < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return IntPoly((0,) * k + (c,))
 
     # -- structure ---------------------------------------------------------
 

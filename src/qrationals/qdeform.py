@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal
 
 from .exact import (
     IntPoly,
@@ -37,15 +36,12 @@ from .exact import (
 __all__ = [
     "CFrac",
     "QRational",
-    "q_integer",
     "to_cfrac",
     "deform",
     "deform_from_cfrac",
     "qrational_to_json",
     "qrational_from_json",
 ]
-
-Parity = Literal["even", "odd", "canonical"]
 
 
 @dataclass(frozen=True)
@@ -71,12 +67,11 @@ class CFrac:
         return v
 
 
-def to_cfrac(x: Rat, parity: Parity = "canonical") -> CFrac:
+def to_cfrac(x: Rat) -> CFrac:
     """Expand x by the Euclidean algorithm (floor-based, so negatives work).
 
     The canonical expansion never ends in a partial quotient of 1 except for
-    integers.  "even"/"odd" request the parity of the number of partial
-    quotients after a_0, using the terminal rewrite a_m ↔ (a_m − 1, 1).
+    integers.
     """
     x = Fraction(x)
     p, q = x.numerator, x.denominator
@@ -85,36 +80,7 @@ def to_cfrac(x: Rat, parity: Parity = "canonical") -> CFrac:
         t, r = divmod(p, q)
         terms.append(t)
         p, q = q, r
-    if parity != "canonical":
-        tail_len = len(terms) - 1
-        want_odd = parity == "odd"
-        if (tail_len % 2 == 1) != want_odd:
-            if tail_len == 0:
-                terms = [terms[0] - 1, 1]
-            else:  # canonical tails never end in 1, so the split is valid
-                terms = terms[:-1] + [terms[-1] - 1, 1]
     return CFrac(tuple(terms))
-
-
-def q_integer(n: int, reciprocal: bool = False) -> RatFunc:
-    """[n]_q (or [n]_{1/q} with reciprocal powers cleared) as a RatFunc.
-
-    [n]_q = 1 + q + ... + q^{n-1} for n ≥ 0; negative n comes from running
-    [x+1]_q = q·[x]_q + 1 backwards, giving [−k]_q = −[k]_q / q^k.
-    The reciprocal variant substitutes q → 1/q and clears:
-    [n]_{1/q} = [n]_q / q^{n−1} for n > 0 and [−k]_{1/q} = −q·[k]_q.
-    """
-    if not reciprocal:
-        if n >= 0:
-            return RatFunc._from_clean(IntPoly([1] * n), IntPoly.const(1))
-        k = -n
-        return RatFunc._from_clean(-IntPoly([1] * k), IntPoly.monomial(k))
-    if n > 0:
-        return RatFunc._from_clean(IntPoly([1] * n), IntPoly.monomial(n - 1))
-    if n == 0:
-        return RatFunc._from_clean(IntPoly(), IntPoly.const(1))
-    k = -n
-    return RatFunc._from_clean(-(IntPoly([1] * k).shift(1)), IntPoly.const(1))
 
 
 def _times_qint(x: int, n: int, width: int) -> int:
@@ -161,7 +127,7 @@ def _unpack(x: int, width: int) -> IntPoly:
 
 def deform_from_cfrac(cf: CFrac) -> RatFunc:
     """Evaluate the alternating continued-fraction tower for any valid
-    expansion of a rational (canonical or parity-rewritten) and canonicalize.
+    expansion of a rational (either terminal form) and canonicalize.
 
     Levels are counted from a_0: even levels contribute [a_i]_q + q^{a_i}/rest,
     odd levels [a_i]_{1/q} + q^{-a_i}/rest.  Bottom-up on cleared pairs:

@@ -97,12 +97,19 @@ def _degree_gap(left: RatFunc, right: RatFunc) -> int:
     return max(1, left.den.degree() - right.den.degree() + 1)
 
 
+def _qmediant(left: tuple[IntPoly, IntPoly], right: tuple[IntPoly, IntPoly],
+              xi: int) -> tuple[IntPoly, IntPoly]:
+    """(L₀, L₁), (R₀, R₁), ξ ↦ (L₀ + R₀·q^ξ, L₁ + R₁·q^ξ): the weighted-mediant
+    recurrence, shared by tree nodes, lineage weights and the lineage check."""
+    return left[0] + right[0].shift(xi), left[1] + right[1].shift(xi)
+
+
 def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
     """q-deformed mediant of two deformed neighbours (left value < right),
     the right pair weighted by q^n with n the degree gap (_degree_gap)."""
-    n = _degree_gap(left, right)
-    return RatFunc._from_clean(left.num + right.num.shift(n),
-                               left.den + right.den.shift(n))
+    num, den = _qmediant((left.num, left.den), (right.num, right.den),
+                         _degree_gap(left, right))
+    return RatFunc._from_clean(num, den)
 
 
 def _farey(x: Fraction, y: Fraction) -> Fraction:
@@ -227,6 +234,8 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
     𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where small and big are member n's left
     and right parents, {n−1, ζ_n}, read off its frame (the q-power attaches
     to the greater), and ξ_n is their mediant's degree gap (_degree_gap).
+    Member n's canonical pair must be the same recurrence of its parents'
+    pairs (ValueError otherwise), so no weight is multiplied out.
     """
     t = len(stack) - 1
     if m == 2:
@@ -238,24 +247,23 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
     frames = [stack[j] for j in idx]
     member_of = {j: n for n, j in enumerate(idx, start=1)}
     members = tuple(fr.node for fr in frames)
-    F = [IntPoly.const(1), IntPoly()]
-    G = [IntPoly(), IntPoly.const(1)]
+    pairs = [(mem.deform.num, mem.deform.den) for mem in members]
+    weights = [(IntPoly.const(1), IntPoly()), (IntPoly(), IntPoly.const(1))]
     zeta, xi = [], []
     for n in range(3, m + 1):
         # both parents are members: n − 1 and ζ_n, which is n − 2 or ζ_{n−1}
         small, big = member_of[frames[n - 1].lo], member_of[frames[n - 1].hi]
         zeta.append(big if small == n - 1 else small)
         xi.append(_degree_gap(members[small - 1].deform, members[big - 1].deform))
-        F.append(F[small - 1] + F[big - 1].shift(xi[-1]))
-        G.append(G[small - 1] + G[big - 1].shift(xi[-1]))
-        # the weights must rebuild member n from members 1 and 2 exactly
-        rn = F[-1] * members[0].deform.num + G[-1] * members[1].deform.num
-        rd = F[-1] * members[0].deform.den + G[-1] * members[1].deform.den
-        if rn != members[n - 1].deform.num or rd != members[n - 1].deform.den:
+        weights.append(_qmediant(weights[small - 1], weights[big - 1], xi[-1]))
+        # member n must be its parents' weighted mediant, unnormalized; by
+        # induction on n the weights then rebuild it from members 1 and 2
+        if _qmediant(pairs[small - 1], pairs[big - 1], xi[-1]) != pairs[n - 1]:
             raise ValueError(f"weight reconstruction failed for member {n} of {stack[t].value}")
+    F, G = zip(*weights)
 
     lin = Lineage(members=members, zeta=tuple(zeta), xi=tuple(xi),
-                  Fpoly=tuple(F), Gpoly=tuple(G),
+                  Fpoly=F, Gpoly=G,
                   f=tuple(p(1) for p in F), g=tuple(p(1) for p in G),
                   vanishing=frames[0].value.denominator == 1)
     return lin, frames

@@ -1,20 +1,21 @@
 """The verification sweeps, each defined once.
 
 `qrat check` and scripts/verify_all.py run the records below;
-tests/test_acceptance.py stays the independent gate with its own pinned
-values.  A sweep's run(bound) returns a Verdict: its PASS line with the case
-counts, or its FAIL line naming the first counterexample and both sides.
+tests/test_acceptance.py pins the thm1, thm2 and integrality lines and keeps
+its own pinned gates for the rest.  A sweep's run(bound) returns a Verdict:
+its PASS line with the case counts, or its FAIL line naming the first
+counterexample and both sides.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .exact import derivative_at_one, rat_to_str
 from . import closedforms
-from .closedforms import _sweep, bridge_mismatches
+from .closedforms import bridge_mismatches
 from .dedekind import battery_sweep, reciprocity_residual, reciprocity_sweep
 from .fit import default_d1_samples, default_d2_samples, fit_d1, fit_d2
 from .qdeform import deform
@@ -44,6 +45,14 @@ def _pass(name: str, summary: str) -> Verdict:
 
 def _fail(name: str, case: str, lhs: str, rhs: str) -> Verdict:
     return Verdict(f"FAIL {name}: counterexample {case}: {lhs}, {rhs}", (case, lhs, rhs))
+
+
+def _sweep(max_b: int) -> Iterator[tuple[int, int]]:
+    """Reduced pairs (a, b) with 1 ≤ b ≤ max_b, 0 ≤ a ≤ 2b."""
+    for b in range(1, max_b + 1):
+        for a in range(0, 2 * b + 1):
+            if math.gcd(a, b) == 1:
+                yield a, b
 
 
 def _closed_form(order: int) -> Callable[[int], Verdict]:

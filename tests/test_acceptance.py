@@ -3,18 +3,17 @@ exact (Fraction / integer-polynomial arithmetic, no tolerances anywhere).
 
 Each test prints one PASS/FAIL summary line; run pytest with -s to see the
 lines for passing tests, or read them from the captured output on failure.
+Tests 01, 02 and 09 run the registry's thm1, thm2 and integrality sweeps,
+the code behind `qrat check` and scripts/verify_all.py, and pin their lines.
 """
 import math
 from fractions import Fraction as Fr
-
-import pytest
 
 from qrationals.closedforms import (
     bridge_mismatches,
     d1_closed,
     d2_closed,
     denominator_derivative,
-    derivative_report,
     lemma_calibration,
     numerator_derivative,
 )
@@ -30,8 +29,11 @@ from qrationals.sbtree import (
     lagrange_coefficients,
     lineage_extract,
 )
+from qrationals.sweeps import SWEEPS
 
 SWEEP_MAX_B = 40
+SWEEP = {s.name: s for s in SWEEPS}
+DOMAIN = f"on all 981 reduced a/b with b <= {SWEEP_MAX_B}, 0 <= a <= 2b"
 
 # canonical polynomial table of the tree between 0 and 1, down to depth 3,
 # cross-checked against an independent CAS construction (see the crosscheck
@@ -55,27 +57,22 @@ TREE_TABLE = {
 }
 
 
-@pytest.fixture(scope="module")
-def report40():
-    return list(derivative_report(SWEEP_MAX_B))
-
-
 def _verdict(ok: bool, label: str) -> None:
     print(("PASS " if ok else "FAIL ") + label)
     assert ok, label
 
 
-def test_01_first_derivative_closed_form(report40):
-    bad = [(r["a"], r["b"]) for r in report40 if not r["d1_match"]]
-    _verdict(
-        bad == [] and len(report40) == 981,
-        f"first-derivative closed form == exact derivative on all "
-        f"{len(report40)} reduced a/b with b <= {SWEEP_MAX_B}, 0 <= a <= 2b "
-        f"({len(bad)} mismatches)")
+def _registry_verdict(name: str, want: str, extra_ok: bool = True, extra: str = "") -> None:
+    """Run registry sweep `name` at the acceptance bound and pin its line."""
+    line = SWEEP[name].run(SWEEP_MAX_B).line
+    _verdict(line == f"PASS {name}: {want}" and extra_ok, line.split(" ", 1)[1] + extra)
 
 
-def test_02_second_derivative_closed_form(report40):
-    bad = [(r["a"], r["b"]) for r in report40 if not r["d2_match"]]
+def test_01_first_derivative_closed_form():
+    _registry_verdict("thm1", f"order-1 closed form matches the exact derivative {DOMAIN}")
+
+
+def test_02_second_derivative_closed_form():
     anchors = (
         d2_closed(1, 2) == Fr(-1, 4)
         and d2_closed(1, 3) == Fr(-2, 9)
@@ -83,11 +80,8 @@ def test_02_second_derivative_closed_form(report40):
         and d2_closed(3, 8) == Fr(-5, 16)
         and d2_closed(5, 13) == Fr(-764, 2197)
         and d2_closed(3, 2) == Fr(1, 4))
-    _verdict(
-        bad == [] and anchors,
-        f"second-derivative closed form == exact derivative on all "
-        f"{len(report40)} reduced a/b with b <= {SWEEP_MAX_B} plus six pinned "
-        f"anchor values ({len(bad)} mismatches)")
+    _registry_verdict("thm2", f"order-2 closed form matches the exact derivative {DOMAIN}",
+                      anchors, "; plus six pinned anchor values")
 
 
 def test_03_tree_reproduces_polynomial_table():
@@ -189,11 +183,5 @@ def test_08_calibration_stable_and_quotient_gate():
         "holds for every reduced a/b with b <= 20")
 
 
-def test_09_cleared_second_derivative_is_integral(report40):
-    bad = [(r["a"], r["b"]) for r in report40
-           if (r["b"] ** 3 * r["closed_d2"]).denominator != 1]
-    _verdict(
-        bad == [],
-        f"b^3 times the second-derivative closed form is an integer for all "
-        f"{len(report40)} reduced a/b with b <= {SWEEP_MAX_B} "
-        f"({len(bad)} exceptions)")
+def test_09_cleared_second_derivative_is_integral():
+    _registry_verdict("integrality", f"b^3 times the order-2 closed form is an integer {DOMAIN}")

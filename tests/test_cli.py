@@ -308,6 +308,24 @@ def test_tree_window_limits(capsys, verb):
     assert rc == 0 and out
 
 
+def test_lineage_order_limit(capsys):
+    top = MAX_TREE_DEPTH + 2  # the deepest lineage in a tree at the depth limit
+    rc, out, _ = run(capsys, "lineage", f"1/{top}", "--order", str(top))
+    assert rc == 0 and out.startswith("members: 0 1/2 1/3 ")
+    rc, out, err = run(capsys, "lineage", f"1/{top + 6}", "--order", str(top + 1))
+    assert rc == 2 and not out
+    assert f"lineage order {top + 1} is above the limit {top}" in err
+
+
+@pytest.mark.parametrize("target, flag", [
+    ("thm1", "--depth"), ("thm2", "--depth"), ("dedekind", "--depth"),
+    ("appendixA", "--max-denominator"), ("delta", "--max-denominator")])
+def test_check_rejects_a_flag_its_target_does_not_take(capsys, target, flag):
+    rc, out, err = run(capsys, "check", target, flag, "3")
+    assert rc == 2 and not out
+    assert f"{flag} does not apply to {target}" in err
+
+
 @pytest.mark.parametrize("target", ["thm1", "thm2", "dedekind"])
 def test_check_denominator_limits(capsys, monkeypatch, target):
     for bound in ("-5", "0", str(MAX_CHECK_DENOMINATOR + 1)):

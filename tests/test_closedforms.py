@@ -6,8 +6,6 @@ are NOT correct on all inputs under either depth convention, and the tests
 document precisely where they fail.  The convention-independent quotient-rule
 combination is the hard gate.
 """
-import csv
-import io
 import math
 import random
 from fractions import Fraction as Fr
@@ -26,8 +24,6 @@ from qrationals.closedforms import (
     d1_closed,
     d2_closed,
     denominator_d1_closed,
-    derivative_report,
-    derivative_report_csv,
     lemma_calibration,
     mod_inverse,
     numerator_d1_closed,
@@ -35,6 +31,9 @@ from qrationals.closedforms import (
     denominator_derivative,
     thomae,
 )
+from qrationals.sweeps import SWEEPS, _sweep
+
+SWEEPS_BY_NAME = {s.name: s for s in SWEEPS}
 
 reduced_pairs = st.integers(1, 16).flatmap(
     lambda b: st.tuples(
@@ -231,22 +230,13 @@ def test_quotient_rule_combination_is_convention_free():
             assert lhs == b * b * d1_closed(Fr(a, b)), (a, b)
 
 
-# -- reports ---------------------------------------------------------------
+# -- the closed-form sweeps ------------------------------------------------
 
-def test_derivative_report_rows():
-    rows = list(derivative_report(3))
-    assert all(r["d1_match"] and r["d2_match"] for r in rows)
-    pairs = [(r["a"], r["b"]) for r in rows]
+def test_closed_form_sweep_rows():
+    pairs = list(_sweep(3))
     assert pairs[0] == (0, 1)
     assert (2, 3) in pairs and (6, 3) not in pairs
     assert all(0 <= a <= 2 * b and math.gcd(a, b) == 1 for a, b in pairs)
-
-
-def test_derivative_report_csv_shape():
-    text = derivative_report_csv(2)
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["a", "b", "exact_d1", "closed_d1",
-                       "exact_d2", "closed_d2", "d1_match", "d2_match"]
-    assert rows[1] == ["0", "1", "0", "0", "0", "0", "1", "1"]
-    assert rows[2] == ["1", "1", "0", "0", "0", "0", "1", "1"]
-    assert all(r[-2:] == ["1", "1"] for r in rows[1:])
+    for name in ("thm1", "thm2", "integrality"):
+        assert SWEEPS_BY_NAME[name].run(3).line.endswith(
+            f"on all {len(pairs)} reduced a/b with b <= 3, 0 <= a <= 2b"), name

@@ -2,9 +2,8 @@
 
 Pinned coefficient tables come from hand-evaluated tower steps; the
 hypothesis properties check the structural identities the construction must
-satisfy (parity insensitivity, value recovery, modular recurrences).
+satisfy (either terminal form, value recovery, modular recurrences).
 """
-import math
 from fractions import Fraction as Fr
 
 import pytest
@@ -15,7 +14,6 @@ from qrationals.qdeform import (
     CFrac,
     deform,
     deform_from_cfrac,
-    q_integer,
     qrational_from_json,
     qrational_to_json,
     to_cfrac,
@@ -23,6 +21,20 @@ from qrationals.qdeform import (
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=21)
 nonintegers = rationals.filter(lambda x: x.denominator > 1)
+
+
+def _split(cf):
+    """The other terminal form of a canonical expansion: (..., a_m) ->
+    (..., a_m − 1, 1)."""
+    return CFrac((*cf.terms[:-1], cf.terms[-1] - 1, 1))
+
+
+def _q_integer(n):
+    """[n]_q written out: (1 + q + ... + q^{n−1}, 1) for n ≥ 0, and
+    (−[k]_q, q^k) for n = −k."""
+    if n >= 0:
+        return RatFunc(IntPoly([1] * n), IntPoly([1]))
+    return RatFunc(-IntPoly([1] * -n), IntPoly([0] * -n + [1]))
 
 
 def _pair(x):
@@ -40,20 +52,11 @@ def test_cfrac_canonical_fixtures():
     assert to_cfrac(Fr(3)).terms == (3,)
 
 
-def test_cfrac_parity_rewrites():
-    assert to_cfrac(Fr(1, 2), "odd").terms == (0, 2)
-    assert to_cfrac(Fr(1, 2), "even").terms == (0, 1, 1)
-    assert to_cfrac(Fr(5), "odd").terms == (4, 1)
-    assert to_cfrac(Fr(5), "even").terms == (5,)
-    assert to_cfrac(Fr(2, 5), "even").terms == (0, 2, 2)
-    assert to_cfrac(Fr(2, 5), "odd").terms == (0, 2, 1, 1)
-
-
 @given(rationals)
 def test_cfrac_value_round_trip(x):
-    for parity in ("canonical", "even", "odd"):
-        cf = to_cfrac(x, parity)
-        assert cf.value() == x
+    cf = to_cfrac(x)
+    assert cf.value() == x
+    assert _split(cf).value() == x
 
 
 @given(rationals)
@@ -61,13 +64,6 @@ def test_cfrac_canonical_never_ends_in_one(x):
     terms = to_cfrac(x).terms
     if len(terms) > 1:
         assert terms[-1] >= 2
-
-
-@given(rationals, st.sampled_from(["even", "odd"]))
-def test_cfrac_parity_is_honored(x, parity):
-    cf = to_cfrac(x, parity)
-    tail = len(cf.terms) - 1
-    assert tail % 2 == (1 if parity == "odd" else 0)
 
 
 def test_cfrac_validates_terms():
@@ -88,35 +84,20 @@ def test_q_integer_table():
         -1: ([-1], [0, 1]),
         -2: ([-1, -1], [0, 0, 1]),
     }
-    for n, (num, den) in cases.items():
-        rf = q_integer(n)
-        assert (list(rf.num.coeffs), list(rf.den.coeffs)) == (num, den), n
-
-
-def test_q_integer_reciprocal_table():
-    cases = {
-        3: ([1, 1, 1], [0, 0, 1]),
-        1: ([1], [1]),
-        0: ([], [1]),
-        -1: ([0, -1], [1]),
-        -2: ([0, -1, -1], [1]),
-    }
-    for n, (num, den) in cases.items():
-        rf = q_integer(n, reciprocal=True)
-        assert (list(rf.num.coeffs), list(rf.den.coeffs)) == (num, den), n
+    for n, want in cases.items():
+        assert _pair(Fr(n)) == want, n
 
 
 def test_q_integer_recurrence():
     """[n+1]_q = q·[n]_q + 1, across zero in both directions."""
     for n in range(-6, 6):
-        rf = q_integer(n)
-        assert q_integer(n + 1) == RatFunc(rf.num.shift(1) + rf.den, rf.den)
+        rf = deform(Fr(n)).deform
+        assert deform(Fr(n + 1)).deform == RatFunc(rf.num.shift(1) + rf.den, rf.den)
 
 
 @given(st.integers(-8, 8))
 def test_q_integer_values(n):
-    assert q_integer(n).value_at_one() == n
-    assert q_integer(n, reciprocal=True).value_at_one() == n
+    assert deform(Fr(n)).deform.value_at_one() == n
 
 
 # -- the deformation -------------------------------------------------------
@@ -148,7 +129,7 @@ def _intpoly_tower(cf):
     terms = cf.terms
     a0, tail = terms[0], terms[1:]
     if not tail:
-        return q_integer(a0)
+        return _q_integer(a0)
     N = D = None
     for i in range(len(terms) - 1, 0, -1):
         ai = terms[i]
@@ -156,7 +137,7 @@ def _intpoly_tower(cf):
             if i % 2 == 0:
                 N, D = _qint_poly(ai), IntPoly.const(1)
             else:
-                N, D = _qint_poly(ai), IntPoly.monomial(ai - 1)
+                N, D = _qint_poly(ai), IntPoly.const(1).shift(ai - 1)
         else:
             if i % 2 == 0:
                 N, D = _qint_poly(ai) * N + D.shift(ai), N
@@ -181,9 +162,9 @@ def _assert_same_tower(terms):
 @given(st.integers(-6, 6), st.lists(st.integers(1, 60), min_size=0, max_size=40),
        st.booleans())
 def test_packed_tower_matches_intpoly_tower(a0, tail, split_last):
-    """Both parities: the terminal rewrite a_m -> (a_m - 1, 1) flips the
-    parity of the tail length.  An empty tail checks integers against
-    q_integer."""
+    """Both terminal forms: the rewrite a_m -> (a_m - 1, 1) flips the
+    parity of the tail length.  An empty tail checks integers against the
+    written-out [a_0]_q."""
     if split_last and tail and tail[-1] > 1:
         tail = tail[:-1] + [tail[-1] - 1, 1]
     _assert_same_tower((a0, *tail))
@@ -204,8 +185,8 @@ def test_packed_tower_pinned_wide_cases(terms):
 
 
 def test_deform_integer_is_q_integer():
-    for n in (-3, 0, 1, 4):
-        assert deform(Fr(n)).deform == q_integer(n)
+    for n in range(-6, 7):
+        assert deform(Fr(n)).deform == _q_integer(n), n
 
 
 @given(rationals)
@@ -215,10 +196,11 @@ def test_deform_value_at_one_recovers_x(x):
 
 @given(rationals)
 def test_deform_is_parity_insensitive(x):
-    """Both terminal conventions must canonicalize to the same pair."""
-    rf = deform(x).deform
-    for parity in ("even", "odd"):
-        assert deform_from_cfrac(to_cfrac(x, parity)) == rf
+    """deform_from_cfrac accepts either terminal form, (..., a_m) or
+    (..., a_m − 1, 1), and canonicalizes both to the same pair."""
+    cf = to_cfrac(x)
+    assert deform_from_cfrac(cf) == deform(x).deform
+    assert deform_from_cfrac(_split(cf)) == deform(x).deform
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=34))

@@ -7,15 +7,17 @@ literal zero-residual form and the corrected closed-form residual.
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qrationals.exact import IntPoly, PoleAtOneError, RatFunc, derivative_at_one, jets_at_one
-from qrationals.qdeform import deform
+from qrationals.qdeform import QRational, deform
 from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
     NonUnimodularError,
     VanishingLineageError,
+    Frame,
+    _degree_gap,
     _lineage_from_stack,
     build_qtree,
     delta,
@@ -299,6 +301,78 @@ def test_lineage_members_chain_structure(idx, m):
         ai, bi = vals[i].numerator, vals[i].denominator
         assert lin.f[i] * vals[0].numerator + lin.g[i] * vals[1].numerator == ai
         assert lin.f[i] * vals[0].denominator + lin.g[i] * vals[1].denominator == bi
+
+
+# -- the lineage check against the literal product form -----------------------
+
+def _rebuilt_by_products(lin):
+    """𝔉_n·a₁ + 𝔊_n·a₂ = a_n multiplied out, numerators and denominators,
+    for every member n."""
+    a1, a2 = lin.members[0].deform, lin.members[1].deform
+    return all(F * a1.num + G * a2.num == mem.deform.num
+               and F * a1.den + G * a2.den == mem.deform.den
+               for F, G, mem in zip(lin.Fpoly, lin.Gpoly, lin.members))
+
+
+def _first_member_not_rebuilt(members, zeta):
+    """The literal check: build 𝔉_n, 𝔊_n by the weight recurrence over the
+    parents n − 1 and ζ_n (the smaller value on the left) and compare
+    𝔉_n·a₁ + 𝔊_n·a₂ with member n; the first member that differs, or None."""
+    a1, a2 = members[0].deform, members[1].deform
+    F, G = [IntPoly([1]), IntPoly()], [IntPoly(), IntPoly([1])]
+    for n in range(3, len(members) + 1):
+        small, big = sorted((n - 1, zeta[n - 3]), key=lambda k: members[k - 1].value)
+        xi = _degree_gap(members[small - 1].deform, members[big - 1].deform)
+        F.append(F[small - 1] + F[big - 1].shift(xi))
+        G.append(G[small - 1] + G[big - 1].shift(xi))
+        an = members[n - 1].deform
+        if F[-1] * a1.num + G[-1] * a2.num != an.num or F[-1] * a1.den + G[-1] * a2.den != an.den:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("start", [-2, 0, 3])
+def test_walker_lineage_weights_rebuild_members_by_products(start):
+    read = 0
+    for stack in walk_qtree(start, 8):
+        for m in range(2, min(5, stack[-1].node.depth + 2) + 1):
+            lin, _ = _lineage_from_stack(stack, m)
+            assert _rebuilt_by_products(lin), (stack[-1].value, m)
+            read += 1
+    assert read == 511 + 510 + 508 + 504
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=80), st.integers(2, 7))
+def test_lineage_extract_weights_rebuild_members_by_products(x, m):
+    assume(deform(x).depth >= m - 2)
+    assert _rebuilt_by_products(lineage_extract(x, m))
+
+
+def test_corrupted_member_is_rejected_where_the_products_reject_it():
+    """Replace one member's pair by another node's: the recurrence check and
+    the literal product check reject at the same member, or both accept."""
+    stacks = [list(stack) for stack in walk_qtree(0, 5)]
+    rejected = accepted = 0
+    for i, stack in enumerate(stacks):
+        for m in range(2, min(5, stack[-1].node.depth + 2) + 1):
+            lin, frames = _lineage_from_stack(stack, m)
+            for k in range(1, m + 1):
+                other = stacks[(i + 5 * k + 1) % len(stacks)][-1].node
+                old = frames[k - 1]
+                new = Frame(old.value, old.lo, old.hi)
+                new.node = QRational(old.value, other.deform, old.node.depth, old.node.path)
+                bad = [new if fr is old else fr for fr in stack]
+                members = [*lin.members[:k - 1], new.node, *lin.members[k:]]
+                want = _first_member_not_rebuilt(members, lin.zeta)
+                if want is None:
+                    _lineage_from_stack(bad, m)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError, match=f"failed for member {want} of "):
+                        _lineage_from_stack(bad, m)
+                    rejected += 1
+    assert rejected > 3 * accepted
 
 
 def test_lagrange_rejects_vanishing_lineage():
