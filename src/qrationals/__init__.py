@@ -70,7 +70,6 @@ from .dedekind import (
     bernoulli_poly,
     check_identities,
     h_val,
-    periodic_bernoulli,
     reciprocity_residual,
     reciprocity_sweep,
     s_sum,
@@ -102,7 +101,7 @@ __all__ = [
     "bracket_weight_sum", "bridge_mismatches",
     "numerator_d1_closed", "denominator_d1_closed",
     "lemma_calibration",
-    "bernoulli_number", "bernoulli_poly", "periodic_bernoulli",
+    "bernoulli_number", "bernoulli_poly",
     "s_sum", "h_val", "reciprocity_residual", "check_identities",
     "reciprocity_sweep", "battery_sweep",
     "fit_d1", "fit_d2", "default_d1_samples", "default_d2_samples",

@@ -34,7 +34,6 @@ from .exact import Rat, rat_to_str
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
-    "periodic_bernoulli",
     "s_sum",
     "h_val",
     "reciprocity_residual",
@@ -74,7 +73,9 @@ def bernoulli_poly(i: int, x: Rat) -> Rat:
 
 @lru_cache(maxsize=None)
 def periodic_bernoulli(i: int, x: Rat) -> Rat:
-    """B_i of the fractional part of x."""
+    """B_i of the fractional part of x.  No package code calls it: it is the
+    factor of the tests' literal lattice sum, and perfbench's cache reset
+    still names it."""
     x = Fraction(x)
     return bernoulli_poly(i, x - math.floor(x))
 

@@ -21,6 +21,7 @@ __all__ = [
     "derivative_at_one",
     "jets_at_one",
     "solve_linear_exact",
+    "matrix_rank_exact",
     "ZeroDenominatorError",
     "PoleAtOneError",
     "SingularMatrixError",
@@ -80,7 +81,9 @@ class IntPoly:
     """Dense polynomial over arbitrary-precision integers; coeffs[i] is the
     coefficient of q^i.  The zero polynomial has an empty coefficient tuple;
     otherwise the leading coefficient is nonzero.  A coefficient that is not
-    an integer raises TypeError."""
+    an integer raises TypeError.  It adds, subtracts, negates, shifts and
+    evaluates; the package multiplies polynomials only in the packed tower
+    of qdeform."""
 
     coeffs: tuple[int, ...]
 
@@ -138,23 +141,6 @@ class IntPoly:
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self.coeffs)
 
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q^k (k ≥ 0)."""
         if k < 0:
@@ -207,35 +193,19 @@ def poly_to_json_list(p: IntPoly) -> list[str]:
 # Rational functions num/den over IntPoly
 # --------------------------------------------------------------------------
 
-def _pseudo_remainder(p: list[int], d: Sequence[int]) -> list[int]:
-    """Primitive part of a remainder of p by d in ℤ[q] (coefficient lists,
-    lowest degree first, no trailing zeros): each step scales p by
-    lc(d)/gcd(lc(p), lc(d)) so that its leading term cancels over ℤ."""
-    while len(p) >= len(d):
-        g = math.gcd(p[-1], d[-1])
-        scale, f, off = d[-1] // g, p[-1] // g, len(p) - len(d)
-        p = [scale * c for c in p]
-        for i, c in enumerate(d):
-            p[off + i] -= f * c
-        p = _primitive(list(_strip(p)))
-    return p
-
-
-def _poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over ℤ[q] with a positive leading coefficient: Euclid on
-    primitive pseudo-remainders (Brown–Collins), integers throughout."""
-    x, y = list(a.coeffs), list(b.coeffs)
-    while y:
-        x, y = y, _pseudo_remainder(x, y)
-    x = _primitive(x)
-    return IntPoly(c if x[-1] > 0 else -c for c in x)
-
-
 @dataclass(frozen=True)
 class RatFunc:
-    """num(q)/den(q) in canonical form: den nonzero, no common polynomial
-    factor or integer content, and den(1) > 0 (falling back to a positive
-    leading denominator coefficient when den(1) = 0)."""
+    """num(q)/den(q) in canonical form: den nonzero, no common q-power or
+    integer content, and den(1) > 0 (falling back to a positive leading
+    denominator coefficient when den(1) = 0).
+
+    The constructor clears exactly those and nothing else, so num and den
+    must have no common factor but a monomial c·q^k.  Every pair the package
+    builds meets this: each continued-fraction step and each weighted mediant
+    is a 2×2 polynomial move of determinant ±q^k, so, by induction from a
+    coprime start, a common factor of what it builds divides a power of q.
+    tests/test_crosscheck_cas.py checks with sympy that deformations and
+    tree nodes come out coprime."""
 
     num: IntPoly
     den: IntPoly
@@ -243,28 +213,21 @@ class RatFunc:
     def __init__(self, num: IntPoly, den: IntPoly):
         if den.is_zero:
             raise ZeroDenominatorError("denominator polynomial is zero")
-        if not num.is_zero:
-            g = _poly_gcd(num, den)
-            if g.degree() > 0:
-                num = _poly_divexact(num, g)
-                den = _poly_divexact(den, g)
-        num, den = _clear_pair(num, den)
+        if num.is_zero:
+            num, den = IntPoly(), IntPoly.const(1)
+        else:
+            k = min(num.trailing_order(), den.trailing_order())
+            if k:
+                num, den = num.unshift(k), den.unshift(k)
+            g = math.gcd(num.content(), den.content())
+            if g > 1:
+                num = IntPoly(c // g for c in num.coeffs)
+                den = IntPoly(c // g for c in den.coeffs)
+            d1 = den(1)
+            if d1 < 0 or (d1 == 0 and den.leading() < 0):
+                num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def _from_clean(num: IntPoly, den: IntPoly) -> "RatFunc":
-        """Fast constructor for pairs already free of nonconstant common
-        factors (e.g. outputs of the deformation tower, whose steps are 2×2
-        polynomial moves of determinant ±q^k).  Only clears a common q-power,
-        integer content, and the sign."""
-        if den.is_zero:
-            raise ZeroDenominatorError("denominator polynomial is zero")
-        num, den = _clear_pair(num, den)
-        rf = object.__new__(RatFunc)
-        object.__setattr__(rf, "num", num)
-        object.__setattr__(rf, "den", den)
-        return rf
 
     def value_at_one(self) -> Rat:
         d = self.den(1)
@@ -274,46 +237,6 @@ class RatFunc:
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
-
-
-def _poly_divexact(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact polynomial division by integer long division (raises if not
-    exact); a primitive d that divides p over ℚ leaves an integer quotient
-    (Gauss's lemma)."""
-    if d.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem, dd = list(p.coeffs), d.coeffs
-    out = [0] * max(len(rem) - len(dd) + 1, 0)
-    while len(rem) >= len(dd):
-        f, r = divmod(rem[-1], dd[-1])
-        if r:
-            raise ValueError("quotient not integral")
-        off = len(rem) - len(dd)
-        out[off] = f
-        for i, c in enumerate(dd):
-            rem[i + off] -= f * c
-        rem = list(_strip(rem))
-    if rem:
-        raise ValueError("inexact polynomial division")
-    return IntPoly(out)
-
-
-def _clear_pair(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Common q-power, integer content, and sign normalization."""
-    if num.is_zero:
-        return IntPoly(), IntPoly.const(1)
-    k = min(num.trailing_order(), den.trailing_order())
-    if k:
-        num, den = num.unshift(k), den.unshift(k)
-    g = math.gcd(num.content(), den.content())
-    if g > 1:
-        num = IntPoly(c // g for c in num.coeffs)
-        den = IntPoly(c // g for c in den.coeffs)
-    d1 = den(1)
-    negative = d1 < 0 or (d1 == 0 and den.leading() < 0)
-    if negative:
-        num, den = -num, -den
-    return num, den
 
 
 # --------------------------------------------------------------------------

@@ -164,11 +164,11 @@ def deform_from_cfrac(cf: CFrac) -> RatFunc:
         else:
             N, D = (aN << width) + D, N << a * width
     if a0 >= 0:  # the head was level 0 of the loop
-        return RatFunc._from_clean(_unpack(N, width), _unpack(D, width))
+        return RatFunc(_unpack(N, width), _unpack(D, width))
     # value = a0 + 1/(tower of levels >= 1) with 1/tower = D/N
     k = -a0
     num = _unpack(D, width) - _unpack(_times_qint(N, k, width), width)
-    return RatFunc._from_clean(num, _unpack(N, width).shift(k))
+    return RatFunc(num, _unpack(N, width).shift(k))
 
 
 @dataclass(frozen=True)

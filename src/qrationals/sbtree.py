@@ -109,7 +109,7 @@ def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
     the right pair weighted by q^n with n the degree gap (_degree_gap)."""
     num, den = _qmediant((left.num, left.den), (right.num, right.den),
                          _degree_gap(left, right))
-    return RatFunc._from_clean(num, den)
+    return RatFunc(num, den)
 
 
 def _farey(x: Fraction, y: Fraction) -> Fraction:

@@ -2,8 +2,9 @@
 
 Every core quantity — the canonical polynomial pairs, the derivatives at
 q = 1, Bernoulli numbers and polynomials, the double lattice sums, the exact
-linear solver and rank, and the ℤ[q] gcd — is recomputed here through a
-separate computer-algebra path and compared exactly.  Nothing in this module
+linear solver and rank, and the coprimality of every built pair — is
+recomputed here through a separate computer-algebra path and compared
+exactly.  Nothing in this module
 reuses the package's arithmetic beyond the objects under test.
 """
 import math
@@ -13,15 +14,16 @@ from fractions import Fraction as Fr
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from oracles import poly_mul
 from qrationals.dedekind import bernoulli_number, bernoulli_poly, s_sum
 from qrationals.exact import (
     IntPoly,
-    RatFunc,
     derivative_at_one,
     matrix_rank_exact,
     solve_linear_exact,
 )
 from qrationals.qdeform import deform
+from qrationals.sbtree import walk_qtree
 
 q = sp.Symbol("q")
 
@@ -156,20 +158,43 @@ def test_matrix_rank_matches_cas(rows, cols, k, data):
     assert matrix_rank_exact(A) == want
 
 
-def _expr(p: IntPoly):
-    return sum((c * q ** i for i, c in enumerate(p.coeffs)), sp.Integer(0))
+def _poly(p: IntPoly) -> sp.Poly:
+    return sp.Poly.from_list(p.coeffs[::-1], q, domain=sp.ZZ)
 
 
 int_polys = st.lists(st.integers(-6, 6), max_size=5).map(IntPoly)
-nonzero_int_polys = int_polys.filter(lambda p: not p.is_zero)
 
 
-@settings(max_examples=80, deadline=None)
-@given(int_polys, nonzero_int_polys, nonzero_int_polys)
-def test_ratfunc_reduction_matches_cas_cancel(n, d, h):
-    """RatFunc(n·h, d·h) is sympy's cancelled n/d times one rational constant."""
-    rf = RatFunc(n * h, d * h)
-    num, den = sp.fraction(sp.cancel(_expr(n) / _expr(d)))
-    c = sp.Rational(rf.den.leading()) / sp.Poly(den, q).LC()
-    for got, want in ((rf.num, num), (rf.den, den)):
-        assert sp.Poly(_expr(got), q) == sp.Poly(sp.expand(c * want), q)
+@given(int_polys, int_polys)
+def test_oracle_product_matches_cas(a, b):
+    """The test-side product that the literal oracles multiply with."""
+    assert _poly(poly_mul(a, b)) == _poly(a) * _poly(b)
+
+
+def _assert_coprime(rf, x):
+    """num and den coprime over ℤ[q] (sympy's gcd is ±1), integer content 1
+    and den(1) > 0: RatFunc clears only monomial factors, so a pair built
+    with any other common factor would keep it."""
+    assert sp.gcd(_poly(rf.num), _poly(rf.den)).as_expr() in (1, -1), x
+    assert math.gcd(*rf.num.coeffs, *rf.den.coeffs) == 1, x
+    assert rf.den(1) > 0, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2000).flatmap(
+    lambda b: st.tuples(st.integers(-3 * b, 3 * b), st.just(b))))
+def test_deformations_are_coprime(ab):
+    """Continued-fraction towers, negative heads and integers included."""
+    x = Fr(*ab)
+    _assert_coprime(deform(x).deform, x)
+
+
+def test_tree_nodes_are_coprime():
+    """Weighted mediants, every node of three windows to depth 7."""
+    seen = 0
+    for start in (-2, 0, 3):
+        for stack in walk_qtree(start, 7):
+            node = stack[-1].node
+            _assert_coprime(node.deform, node.value)
+            seen += 1
+    assert seen == 3 * 255

@@ -9,14 +9,14 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qrationals
+from qrationals import exact
 from qrationals.exact import (
     IntPoly,
     PoleAtOneError,
     RatFunc,
     SingularMatrixError,
     ZeroDenominatorError,
-    _poly_divexact,
-    _poly_gcd,
     _taylor_at_one,
     derivative_at_one,
     jets_at_one,
@@ -25,6 +25,8 @@ from qrationals.exact import (
     rat_to_str,
     solve_linear_exact,
 )
+from oracles import poly_mul
+
 
 def derivative(p: IntPoly) -> IntPoly:
     """p′, coefficient by coefficient."""
@@ -38,13 +40,20 @@ def derivative_at_one_quotient(rf: RatFunc, k: int):
     method it checks."""
     n, d = rf.num, rf.den
     for _ in range(k):
-        n, d = derivative(n) * d - n * derivative(d), d * d
+        n, d = (poly_mul(derivative(n), d) - poly_mul(n, derivative(d)),
+                poly_mul(d, d))
     return Fr(n(1), d(1))
 
 
 polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+def test_all_lists_what_the_package_reexports():
+    reexported = {name for name in qrationals.__all__
+                  if getattr(exact, name, None) is getattr(qrationals, name)}
+    assert reexported == set(exact.__all__)
 
 
 # -- rationals -------------------------------------------------------------
@@ -84,21 +93,9 @@ def test_poly_constructors():
     assert IntPoly.const(0).is_zero
 
 
-@given(polys, polys, polys)
-def test_poly_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + (-a) == IntPoly()
-    assert a * IntPoly.const(1) == a
-
-
 @given(polys, polys, st.fractions(max_denominator=6, min_value=-3, max_value=3))
 def test_poly_evaluation_is_a_homomorphism(a, b, x):
     assert (a + b)(x) == a(x) + b(x)
-    assert (a * b)(x) == a(x) * b(x)
 
 
 @given(polys, st.integers(0, 4))
@@ -111,19 +108,14 @@ def test_poly_unshift_requires_divisibility():
         IntPoly([1, 1]).unshift(1)
 
 
-@given(polys, polys)
-def test_poly_derivative_product_rule(a, b):
-    assert derivative(a * b) == derivative(a) * b + a * derivative(b)
-
-
 @given(polys, st.integers(0, 5))
 def test_shifted_coeff_is_taylor_coefficient_at_one(p, j):
     """_taylor_at_one(p, j) must end in the h^j coefficient of p(1 + h) and
     list the lower ones before it."""
     composed, power = IntPoly(), IntPoly.const(1)
     for c in p.coeffs:  # power = (1 + h)^i
-        composed = composed + c * power
-        power = power * IntPoly([1, 1])
+        composed = composed + poly_mul(IntPoly.const(c), power)
+        power = poly_mul(power, IntPoly([1, 1]))
     expected = composed.coeffs[j] if j < len(composed.coeffs) else 0
     assert _taylor_at_one(p, j)[j] == expected
     padded = composed.coeffs + (0,) * (j + 1)
@@ -148,36 +140,15 @@ def test_poly_json_is_decimal_strings_lowest_first():
 
 # -- RatFunc ---------------------------------------------------------------
 
-def test_ratfunc_cancels_common_factors():
-    # (q^2 + q)/(q^3 + q^2) = 1/q after gcd and q-power clearing
-    rf = RatFunc(IntPoly([0, 1, 1]), IntPoly([0, 0, 1, 1]))
-    assert rf.num == IntPoly([1])
-    assert rf.den == IntPoly([0, 1])
-
-
-def test_poly_gcd_is_primitive_with_positive_leading_coefficient():
-    # gcd(2(1 − q), 3(q² − 1)) = q − 1
-    assert _poly_gcd(IntPoly([2, -2]), IntPoly([-3, 0, 3])) == IntPoly([-1, 1])
-    assert _poly_gcd(IntPoly([0, -4, -6]), IntPoly()) == IntPoly([0, 2, 3])
-    assert _poly_gcd(IntPoly([3, 3]), IntPoly([5])) == IntPoly([1])
-
-
-def test_poly_divexact_stays_in_integers():
-    assert _poly_divexact(IntPoly([-1, 0, 1]), IntPoly([-1, 1])) == IntPoly([1, 1])
-    with pytest.raises(ValueError, match="not integral"):
-        _poly_divexact(IntPoly([0, 1]), IntPoly([0, 2]))
-    with pytest.raises(ValueError, match="inexact"):
-        _poly_divexact(IntPoly([1, 0, 1]), IntPoly([0, 1]))
-    with pytest.raises(ZeroDivisionError):
-        _poly_divexact(IntPoly([1]), IntPoly())
-
-
 def test_ratfunc_normalizes_sign_and_content():
     rf = RatFunc(IntPoly([0, 1]), IntPoly([-1, -1]))
     assert rf.num == IntPoly([0, -1])
     assert rf.den == IntPoly([1, 1])
     rf = RatFunc(IntPoly([2, 2]), IntPoly([4]))
     assert (rf.num, rf.den) == (IntPoly([1, 1]), IntPoly([2]))
+    # only the monomial part of a common factor q(1 + q) goes
+    rf = RatFunc(IntPoly([0, 1, 1]), IntPoly([0, 0, 1, 1]))
+    assert (rf.num, rf.den) == (IntPoly([1, 1]), IntPoly([0, 1, 1]))
 
 
 def test_ratfunc_zero_numerator_collapses():
@@ -192,12 +163,11 @@ def test_ratfunc_rejects_zero_denominator():
 
 @given(nonzero_polys, nonzero_polys, st.integers(1, 5), st.integers(0, 3),
        st.booleans())
-def test_from_clean_agrees_with_full_constructor(n, d, scale, k, flip):
+def test_ratfunc_clears_monomial_factors(n, d, scale, k, flip):
     """Scaling a canonical pair by ±c·q^k must normalize back to itself."""
     rf = RatFunc(n, d)
-    c = -scale if flip else scale
-    fast = RatFunc._from_clean(rf.num.shift(k) * c, rf.den.shift(k) * c)
-    assert fast == rf
+    m = IntPoly.const(-scale if flip else scale).shift(k)
+    assert RatFunc(poly_mul(rf.num, m), poly_mul(rf.den, m)) == rf
 
 
 def test_pole_detection():

@@ -18,6 +18,7 @@ from qrationals.qdeform import (
     qrational_to_json,
     to_cfrac,
 )
+from oracles import poly_mul
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=21)
 nonintegers = rationals.filter(lambda x: x.denominator > 1)
@@ -140,15 +141,15 @@ def _intpoly_tower(cf):
                 N, D = _qint_poly(ai), IntPoly.const(1).shift(ai - 1)
         else:
             if i % 2 == 0:
-                N, D = _qint_poly(ai) * N + D.shift(ai), N
+                N, D = poly_mul(_qint_poly(ai), N) + D.shift(ai), N
             else:
-                N, D = (_qint_poly(ai) * N).shift(1) + D, N.shift(ai)
+                N, D = poly_mul(_qint_poly(ai), N).shift(1) + D, N.shift(ai)
     if a0 >= 0:
-        num, den = _qint_poly(a0) * N + D.shift(a0), N
+        num, den = poly_mul(_qint_poly(a0), N) + D.shift(a0), N
     else:
         k = -a0
-        num, den = D - _qint_poly(k) * N, N.shift(k)
-    return RatFunc._from_clean(num, den)
+        num, den = D - poly_mul(_qint_poly(k), N), N.shift(k)
+    return RatFunc(num, den)
 
 
 def _assert_same_tower(terms):

@@ -33,6 +33,7 @@ from qrationals.sbtree import (
     walk_qtree,
     weighted_mediant,
 )
+from oracles import poly_mul
 
 
 def _values(lin):
@@ -305,12 +306,17 @@ def test_lineage_members_chain_structure(idx, m):
 
 # -- the lineage check against the literal product form -----------------------
 
+def _combine(F, G, a1, a2):
+    """(𝔉·num₁ + 𝔊·num₂, 𝔉·den₁ + 𝔊·den₂), multiplied out."""
+    return (poly_mul(F, a1.num) + poly_mul(G, a2.num),
+            poly_mul(F, a1.den) + poly_mul(G, a2.den))
+
+
 def _rebuilt_by_products(lin):
     """𝔉_n·a₁ + 𝔊_n·a₂ = a_n multiplied out, numerators and denominators,
     for every member n."""
     a1, a2 = lin.members[0].deform, lin.members[1].deform
-    return all(F * a1.num + G * a2.num == mem.deform.num
-               and F * a1.den + G * a2.den == mem.deform.den
+    return all(_combine(F, G, a1, a2) == (mem.deform.num, mem.deform.den)
                for F, G, mem in zip(lin.Fpoly, lin.Gpoly, lin.members))
 
 
@@ -326,7 +332,7 @@ def _first_member_not_rebuilt(members, zeta):
         F.append(F[small - 1] + F[big - 1].shift(xi))
         G.append(G[small - 1] + G[big - 1].shift(xi))
         an = members[n - 1].deform
-        if F[-1] * a1.num + G[-1] * a2.num != an.num or F[-1] * a1.den + G[-1] * a2.den != an.den:
+        if _combine(F[-1], G[-1], a1, a2) != (an.num, an.den):
             return n
     return None
 
