@@ -35,7 +35,6 @@ from .sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
     Lineage,
-    NonUnimodularError,
     VanishingLineageError,
     build_qtree,
     delta,
@@ -47,7 +46,6 @@ from .sbtree import (
     lagrange_coefficients,
     lineage_extract,
     lineage_to_json,
-    mediant,
     walk_qtree,
     weighted_mediant,
 )
@@ -92,7 +90,7 @@ __all__ = [
     "solve_linear_exact", "matrix_rank_exact",
     "to_cfrac", "deform", "deform_from_cfrac",
     "qrational_to_json", "qrational_from_json",
-    "mediant", "weighted_mediant", "walk_qtree", "build_qtree", "delta",
+    "weighted_mediant", "walk_qtree", "build_qtree", "delta",
     "lineage_extract",
     "lagrange_coefficients", "delta_identity_residual",
     "derivative_identity_residual", "identity_correction",
@@ -107,7 +105,7 @@ __all__ = [
     "fit_d1", "fit_d2", "default_d1_samples", "default_d2_samples",
     "emit_plot_data", "plot_data_csv",
     "ZeroDenominatorError", "PoleAtOneError", "SingularMatrixError",
-    "NonUnimodularError", "VanishingLineageError", "DegenerateWeightsError",
+    "VanishingLineageError", "DegenerateWeightsError",
     "InsufficientDepthError", "NoInverseError", "RankDeficientError",
     "__version__",
 ]

@@ -2,8 +2,9 @@
 
 Every verb maps onto one library operation set; no numeric logic lives here.
 Exit status: 0 = success / every requested check passed, 1 = a verification
-failed, 2 = usage error (malformed fraction, out-of-range order or bound,
-non-coprime input, or an input past one of the size limits below).
+failed, 2 = usage error (malformed fraction, out-of-range order or scale,
+unknown sweep, non-coprime input, or an input past one of the size limits
+below).
 Fractions are accepted only as "a/b" or a bare integer — never decimals — so
 no precision is lost at the boundary.
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
+import time
 from fractions import Fraction
 
 from .exact import IntPoly, derivative_at_one, rat_to_str
@@ -31,23 +32,20 @@ from .fit import (
     fit_d2,
     plot_data_csv,
 )
-from .sweeps import CHECKS
+from .sweeps import SWEEPS
 
-__all__ = ["main", "SWEEP_DEPTH_ENV", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH",
-           "MAX_CHECK_DENOMINATOR", "MAX_LATTICE_MODULUS"]
-
-# Default depth for the depth-driven check sweeps; --depth always wins.
-SWEEP_DEPTH_ENV = "QRAT_SWEEP_DEPTH"
+__all__ = ["main", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH", "MAX_CHECK_SCALE",
+           "MAX_LATTICE_MODULUS"]
 
 # Largest inputs the verbs build; larger ones exit 2 before any polynomial is
 # made.  The sum of |partial quotients| of x bounds the degree of [x]_q; at a
 # given sum the all-ones expansion F_{n+1}/F_n costs the most.
 MAX_DEFORM_DEGREE = 2000
+# bounds tree, plot and lineage; `qrat check` sets its depths by --scale
 MAX_TREE_DEPTH = 12
-# `qrat check thm1|thm2|dedekind` takes --max-denominator in 1..80: 80 is the
-# thm1/thm2 bound of verify_all --scale 2, and the slowest target there,
-# dedekind, runs about 15 s on a 2-core host (thm2 0.7 s).
-MAX_CHECK_DENOMINATOR = 80
+# `qrat check --scale 2` runs every sweep in about 20 s on a 2-core host, 12 s
+# of it in bridges; the sweeps grow roughly cubically with the scale.
+MAX_CHECK_SCALE = 2
 # dedekind s|h|battery reach the O(b) lattice sum, which serves every index
 # pair but (1, 3): about 0.2 s at b = 10^5 on the same host, and 3.3 s for a
 # battery at q = 10^5, which sums over q and 2q many times.  derive --order 2
@@ -83,16 +81,12 @@ def _fraction(text: str) -> Fraction:
     return x
 
 
-def _check_depth(depth: int) -> None:
-    """Refuse a tree too deep to walk (a negative depth fails in the walker)."""
-    if depth > MAX_TREE_DEPTH:
-        raise ValueError(f"tree depth {depth} is above the limit "
-                         f"{MAX_TREE_DEPTH} (depth d has 2^(d+1) - 1 nodes)")
-
-
 def _check_window(args) -> None:
-    """Refuse a tree window (--start, --depth) too large to build."""
-    _check_depth(args.depth)
+    """Refuse a tree window (--start, --depth) too large to build (a negative
+    depth fails in the walker)."""
+    if args.depth > MAX_TREE_DEPTH:
+        raise ValueError(f"tree depth {args.depth} is above the limit "
+                         f"{MAX_TREE_DEPTH} (depth d has 2^(d+1) - 1 nodes)")
     degree = max(abs(args.start), abs(args.start + 1))
     if degree > MAX_DEFORM_DEGREE:
         raise ValueError(f"the window endpoints of --start {args.start} deform to "
@@ -176,28 +170,21 @@ def _cmd_lineage(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    sweep = CHECKS[args.target]
-    flags = {"--depth": args.depth, "--max-denominator": args.max_denominator}
-    own = "--depth" if sweep.by_depth else "--max-denominator"
-    for flag, value in flags.items():
-        if flag != own and value is not None:
-            raise ValueError(f"{flag} does not apply to {args.target}; it takes {own}")
-    bound = flags[own]
-    raw = os.environ.get(SWEEP_DEPTH_ENV) if sweep.by_depth else None
-    if bound is None and raw is not None:
-        try:
-            bound = int(raw)
-        except ValueError:
-            raise ValueError(f"{SWEEP_DEPTH_ENV} must be an integer, got {raw!r}") from None
-    if bound is None:
-        bound = sweep.check_default
-    if sweep.by_depth:
-        _check_depth(bound)
-    elif not 1 <= bound <= MAX_CHECK_DENOMINATOR:
-        raise ValueError(f"--max-denominator {bound} is outside 1..{MAX_CHECK_DENOMINATOR}")
-    verdict = sweep.run(bound)
-    print(verdict.line)
-    return 0 if verdict.ok else 1
+    if not 1 <= args.scale <= MAX_CHECK_SCALE:
+        raise ValueError(f"--scale {args.scale} is outside 1..{MAX_CHECK_SCALE}")
+    by_name = {s.name: s for s in SWEEPS}
+    for name in args.sweeps:
+        if name not in by_name:
+            raise ValueError(f"no sweep named {name!r}; choose from {', '.join(by_name)}")
+    chosen = [by_name[name] for name in args.sweeps] or SWEEPS
+    clean = 0
+    for sweep in chosen:
+        t0 = time.perf_counter()
+        verdict = sweep.run(sweep.at_scale(args.scale))
+        print(f"{time.perf_counter() - t0:6.2f}s  {verdict.line}", flush=True)
+        clean += verdict.ok
+    print(f"{clean}/{len(chosen)} sweeps clean")
+    return 0 if clean == len(chosen) else 1
 
 
 def _cmd_dedekind(args) -> int:
@@ -269,14 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lineage)
 
-    p = sub.add_parser("check", help="run a verification sweep")
-    p.add_argument("target", choices=tuple(CHECKS))
-    p.add_argument("--max-denominator", type=int, default=None,
-                   help=f"sweep bound for thm1/thm2/dedekind (defaults 30/30/10, "
-                        f"at most {MAX_CHECK_DENOMINATOR})")
-    p.add_argument("--depth", type=int, default=None,
-                   help=f"tree depth for appendixA/delta (defaults 8/6, "
-                        f"or ${SWEEP_DEPTH_ENV}; at most {MAX_TREE_DEPTH})")
+    p = sub.add_parser("check", help="run verification sweeps, timed, one PASS/FAIL line each")
+    p.add_argument("sweeps", nargs="*", metavar="SWEEP",
+                   help=f"any of {', '.join(s.name for s in SWEEPS)} (default: all, in that order)")
+    p.add_argument("--scale", type=int, default=1,
+                   help=f"1..{MAX_CHECK_SCALE}: multiply denominator bounds by it and add "
+                        f"it minus 1 to tree depths (default 1, the acceptance bounds)")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dedekind", help="evaluate generalized Dedekind sums")

@@ -182,20 +182,26 @@ class QRational:
     path: str
 
 
-@lru_cache(maxsize=None)
-def deform(x: Rat) -> QRational:
-    """Canonical q-deformation of x with depth and branch word attached.
+def _depth_and_path(cf: CFrac) -> tuple[int, str]:
+    """Tree depth and branch word of the rational with canonical expansion cf.
 
-    The canonical tail (a_1, ..., a_m) maps to the run-length branch word
+    The tail (a_1, ..., a_m) maps to the run-length branch word
     L^{u_1} R^{u_2} L^{u_3} ... with u = (a_1, ..., a_{m-1}, a_m − 1);
     depth is Σu − 1 (integers: empty word, depth −1).
     """
-    x = Fraction(x)
-    cf = to_cfrac(x)
     tail = cf.terms[1:]
     u = [*tail[:-1], tail[-1] - 1] if tail else []
     path = "".join(("L" if i % 2 == 0 else "R") * v for i, v in enumerate(u))
-    return QRational(value=x, deform=deform_from_cfrac(cf), depth=sum(u) - 1, path=path)
+    return sum(u) - 1, path
+
+
+@lru_cache(maxsize=None)
+def deform(x: Rat) -> QRational:
+    """Canonical q-deformation of x with depth and branch word attached
+    (_depth_and_path)."""
+    x = Fraction(x)
+    cf = to_cfrac(x)
+    return QRational(x, deform_from_cfrac(cf), *_depth_and_path(cf))
 
 
 def qrational_to_json(qr: QRational) -> dict:

@@ -25,12 +25,11 @@ from .exact import (
     jets_at_one,
     poly_to_json_list,
 )
-from .qdeform import QRational, deform, qrational_to_json
+from .qdeform import QRational, _depth_and_path, deform, qrational_to_json, to_cfrac
 from .dedekind import s_sum
 
 __all__ = [
     "Lineage",
-    "mediant",
     "weighted_mediant",
     "Frame",
     "walk_qtree",
@@ -44,15 +43,10 @@ __all__ = [
     "equivalence_mismatches",
     "identity_sweep",
     "lineage_to_json",
-    "NonUnimodularError",
     "VanishingLineageError",
     "DegenerateWeightsError",
     "InsufficientDepthError",
 ]
-
-
-class NonUnimodularError(ValueError):
-    """Mediant requested for a pair that is not a tree edge (|αδ − βγ| ≠ 1)."""
 
 
 class VanishingLineageError(ValueError):
@@ -80,16 +74,6 @@ class InsufficientDepthError(ValueError):
         )
 
 
-def mediant(x: Rat, y: Rat) -> Rat:
-    """Farey sum (α+γ)/(β+δ) of a unimodular pair."""
-    x, y = Fraction(x), Fraction(y)
-    a, b = x.numerator, x.denominator
-    c, d = y.numerator, y.denominator
-    if abs(a * d - b * c) != 1:
-        raise NonUnimodularError(f"{x} and {y} are not adjacent on the tree")
-    return Fraction(a + c, b + d)
-
-
 def _degree_gap(left: RatFunc, right: RatFunc) -> int:
     """n = max(1, deg βL − deg δR + 1) on the canonical denominators of two
     neighbours (left value < right): the degree-gap rule that makes the tree
@@ -113,7 +97,7 @@ def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
 
 
 def _farey(x: Fraction, y: Fraction) -> Fraction:
-    """mediant() less its adjacency check, for descents adjacent by construction."""
+    """Farey sum (α+γ)/(β+δ) of two tree neighbours."""
     return Fraction(x.numerator + y.numerator, x.denominator + y.denominator)
 
 
@@ -271,8 +255,10 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
 
 def lineage_extract(x: Rat, m: int) -> Lineage:
     """Extract the order-m lineage of x (see _lineage_from_stack) off the
-    Fraction-level Stern–Brocot search for x from ⌊x⌋ and ⌊x⌋ + 1; only the
-    member frames are deformed."""
+    Fraction-level Stern–Brocot search for x from ⌊x⌋ and ⌊x⌋ + 1.  Only
+    members 1 and 2 are deformed; members 3..m, the last m − 2 frames, are
+    weighted mediants of their two parents, which are earlier members, with
+    the depth and path that deform attaches."""
     x = Fraction(x)
     if m < 2:
         raise ValueError("lineage order must be >= 2")
@@ -285,6 +271,10 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
     depth = len(stack) - 3  # an integer stops at once, at depth −1
     if depth < m - 2:
         raise InsufficientDepthError(requested=m, max_order=depth + 2)
+    for frame in stack[len(stack) - m + 2:]:
+        left, right = stack[frame.lo].node, stack[frame.hi].node
+        frame.node = QRational(frame.value, weighted_mediant(left.deform, right.deform),
+                               *_depth_and_path(to_cfrac(frame.value)))
     return _lineage_from_stack(stack, m)[0]
 
 

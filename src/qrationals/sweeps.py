@@ -1,6 +1,6 @@
 """The verification sweeps, each defined once.
 
-`qrat check` and scripts/verify_all.py run the records below;
+`qrat check [SWEEP ...] [--scale S]` runs the records below;
 tests/test_acceptance.py pins the thm1, thm2 and integrality lines and keeps
 its own pinned gates for the rest.  A sweep's run(bound) returns a Verdict:
 its PASS line with the case counts, or its FAIL line naming the first
@@ -17,11 +17,19 @@ from .exact import derivative_at_one, rat_to_str
 from . import closedforms
 from .closedforms import bridge_mismatches
 from .dedekind import battery_sweep, reciprocity_residual, reciprocity_sweep
-from .fit import default_d1_samples, default_d2_samples, fit_d1, fit_d2
+from .fit import (
+    RankDeficientError,
+    _d1_features,
+    _d2_features,
+    default_d1_samples,
+    default_d2_samples,
+    fit_d1,
+    fit_d2,
+)
 from .qdeform import deform
 from .sbtree import build_qtree, equivalence_mismatches, identity_sweep
 
-__all__ = ["Verdict", "Sweep", "SWEEPS", "CHECKS"]
+__all__ = ["Verdict", "Sweep", "SWEEPS"]
 
 D1_WANT = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))
 D2_WANT = tuple(map(Fraction, ("0", "-1", "0", "1/3", "1", "0", "-1", "0", "5/3", "-1", "-20")))
@@ -47,9 +55,9 @@ def _fail(name: str, case: str, lhs: str, rhs: str) -> Verdict:
     return Verdict(f"FAIL {name}: counterexample {case}: {lhs}, {rhs}", (case, lhs, rhs))
 
 
-def _sweep(max_b: int) -> Iterator[tuple[int, int]]:
-    """Reduced pairs (a, b) with 1 ≤ b ≤ max_b, 0 ≤ a ≤ 2b."""
-    for b in range(1, max_b + 1):
+def _sweep(max_b: int, min_b: int = 1) -> Iterator[tuple[int, int]]:
+    """Reduced pairs (a, b) with min_b ≤ b ≤ max_b, 0 ≤ a ≤ 2b."""
+    for b in range(min_b, max_b + 1):
         for a in range(0, 2 * b + 1):
             if math.gcd(a, b) == 1:
                 yield a, b
@@ -107,15 +115,37 @@ def _delta(depth: int) -> Verdict:
 
 
 def _fits(_bound: None) -> Verdict:
+    """The fitted vectors, then the same formulas on the denominators
+    8 ≤ b < 30 that no sample has, and the rank deficiency of integer
+    samples (f(n) = 1 makes the x² and f² columns collide)."""
     def vector(v):
         return "(" + ", ".join(map(rat_to_str, v)) + ")"
 
-    for which, got, want in (("d1", fit_d1(default_d1_samples()), D1_WANT),
-                             ("d2", fit_d2(default_d2_samples()), D2_WANT)):
+    d1, d2 = fit_d1(default_d1_samples()), fit_d2(default_d2_samples())
+    for which, got, want in (("d1", d1, D1_WANT), ("d2", d2, D2_WANT)):
         if got != want:
             return _fail("fits", which, f"fitted {vector(got)}", f"want {vector(want)}")
+    try:
+        fit_d1([1, 2, 3, 4, 5])
+    except RankDeficientError:
+        pass
+    else:
+        return _fail("fits", "d1 on the integers 1..5", "solvable", "want rank-deficient")
+    count = 0
+    for a, b in _sweep(29, min_b=8):
+        x = Fraction(a, b)
+        for which, coeffs, feats, closed in (
+                ("d1", d1, _d1_features(x), closedforms.d1_closed(x)),
+                ("d2", d2, _d2_features(a, b), closedforms.d2_closed(a, b))):
+            fitted = sum(c * f for c, f in zip(coeffs, feats))
+            if fitted != closed:
+                return _fail("fits", f"{which} at {a}/{b}", f"fitted {rat_to_str(fitted)}",
+                             f"closed {rat_to_str(closed)}")
+        count += 1
     return _pass("fits", f"both ansatzes recover their coefficients exactly: "
-                         f"d1 {vector(D1_WANT)}, d2 {vector(D2_WANT)}")
+                         f"d1 {vector(D1_WANT)}, d2 {vector(D2_WANT)}; both match the "
+                         f"closed forms on all {count} reduced a/b with 8 <= b < 30, "
+                         f"0 <= a <= 2b, and integer samples leave d1 rank-deficient")
 
 
 def _reciprocity(bound: int) -> Verdict:
@@ -162,29 +192,16 @@ def _calibration(max_b: int) -> Verdict:
                                 f"holds on all {count} reduced a/b with 1 <= a <= b <= {max_b}")
 
 
-def _dedekind(max_b: int) -> Verdict:
-    for part, run in (("reciprocity", _reciprocity), ("bridges", _bridges),
-                      ("battery", _battery)):
-        failed = run(max_b).counterexample
-        if failed:
-            case, lhs, rhs = failed
-            return _fail("dedekind", f"{part} {case}", lhs, rhs)
-    return _pass("dedekind", f"reciprocity, lattice-sum bridges, and the identity "
-                             f"battery all hold up to {max_b}")
-
-
 @dataclass(frozen=True)
 class Sweep:
     """One verification sweep.  `bound` is its scale-1 bound, the acceptance
     gate's (None: it takes none); at scale s a tree depth grows by s − 1 and
-    any other bound by a factor s.  `check_default` is its `qrat check` bound
-    when no flag gives one (None: not a check target)."""
+    any other bound by a factor s."""
 
     name: str
     run: Callable[[int | None], Verdict]
     bound: int | None
     by_depth: bool = False
-    check_default: int | None = None
 
     def at_scale(self, s: int) -> int | None:
         if self.bound is None:
@@ -192,21 +209,16 @@ class Sweep:
         return self.bound + s - 1 if self.by_depth else self.bound * s
 
 
-# the acceptance sweeps, in the order scripts/verify_all.py runs them
+# the acceptance sweeps, in the order `qrat check` runs them
 SWEEPS = (
-    Sweep("thm1", _closed_form(1), 40, check_default=30),
-    Sweep("thm2", _closed_form(2), 40, check_default=30),
+    Sweep("thm1", _closed_form(1), 40),
+    Sweep("thm2", _closed_form(2), 40),
     Sweep("integrality", _integrality, 40),
-    Sweep("appendixA", _equivalence, 12, by_depth=True, check_default=8),
-    Sweep("delta", _delta, 10, by_depth=True, check_default=6),
+    Sweep("appendixA", _equivalence, 12, by_depth=True),
+    Sweep("delta", _delta, 10, by_depth=True),
     Sweep("fits", _fits, None),
     Sweep("reciprocity", _reciprocity, 30),
     Sweep("bridges", _bridges, 60),
     Sweep("battery", _battery, 20),
     Sweep("calibration", _calibration, 20),
 )
-
-# the `qrat check` targets; `dedekind` runs reciprocity, bridges and battery
-# at one bound and prints one combined line
-CHECKS = {s.name: s for s in SWEEPS + (Sweep("dedekind", _dedekind, None, check_default=10),)
-          if s.check_default is not None}

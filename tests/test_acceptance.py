@@ -4,7 +4,7 @@ exact (Fraction / integer-polynomial arithmetic, no tolerances anywhere).
 Each test prints one PASS/FAIL summary line; run pytest with -s to see the
 lines for passing tests, or read them from the captured output on failure.
 Tests 01, 02 and 09 run the registry's thm1, thm2 and integrality sweeps,
-the code behind `qrat check` and scripts/verify_all.py, and pin their lines.
+the code behind `qrat check`, and pin their lines.
 """
 import math
 from fractions import Fraction as Fr

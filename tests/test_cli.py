@@ -1,33 +1,27 @@
 """End-to-end CLI behavior: output strings, exit codes, JSON modes, the
-sweep-depth environment variable, the FAIL path, input size limits, usage-error
-handling, and smoke runs of the scripts.
+FAIL path, input size limits and usage-error handling.
 
 Everything goes through main(argv) so the tests see exactly what a shell
 user sees (modulo argparse writing usage errors to stderr).
 """
-import importlib.util
+import dataclasses
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
+import re
 from fractions import Fraction
 
 import pytest
 
 from qrationals import cli, closedforms
 from qrationals.cli import (
-    MAX_CHECK_DENOMINATOR,
+    MAX_CHECK_SCALE,
     MAX_DEFORM_DEGREE,
     MAX_LATTICE_MODULUS,
     MAX_TREE_DEPTH,
-    SWEEP_DEPTH_ENV,
     main,
 )
+from qrationals.exact import rat_to_str
 from qrationals.sweeps import SWEEPS
-
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(capsys, *argv):
@@ -194,83 +188,98 @@ def test_lineage_errors(capsys):
 
 # -- check -----------------------------------------------------------------
 
-def test_check_thm1(capsys):
-    rc, out, _ = run(capsys, "check", "thm1", "--max-denominator", "6")
-    assert rc == 0
-    assert out == ("PASS thm1: order-1 closed form matches the exact "
-                   "derivative on all 25 reduced a/b with b <= 6, "
-                   "0 <= a <= 2b\n")
+_TIMED = re.compile(r" *\d+\.\d\ds  (.*)")
 
 
-def test_check_thm2(capsys):
-    rc, out, _ = run(capsys, "check", "thm2", "--max-denominator", "4")
-    assert rc == 0
-    assert out == ("PASS thm2: order-2 closed form matches the exact "
-                   "derivative on all 13 reduced a/b with b <= 4, "
-                   "0 <= a <= 2b\n")
+def _bounds(monkeypatch, **bounds):
+    """Give the named registry sweeps these scale-1 bounds for `qrat check`."""
+    monkeypatch.setattr(cli, "SWEEPS", tuple(
+        dataclasses.replace(s, bound=bounds[s.name]) if s.name in bounds else s
+        for s in SWEEPS))
 
 
-def test_check_equivalence(capsys):
-    rc, out, _ = run(capsys, "check", "appendixA", "--depth", "4")
-    assert rc == 0
-    assert out == ("PASS appendixA: weighted-mediant and continued-fraction "
-                   "constructions agree on all 31 nodes to depth 4\n")
+def check(capsys, *argv):
+    """`qrat check` exit code, verdict lines less their time prefix, summary."""
+    rc, out, _ = run(capsys, "check", *argv)
+    *timed, summary = out.splitlines()
+    return rc, [_TIMED.fullmatch(line).group(1) for line in timed], summary
 
 
-def test_check_delta(capsys):
-    rc, out, _ = run(capsys, "check", "delta", "--depth", "4")
-    assert rc == 0
-    assert out == ("PASS delta: residual and moment identities hold on "
-                   "16 order-4 and 8 order-5 lineages to depth 4\n")
+def test_check_thm1(capsys, monkeypatch):
+    _bounds(monkeypatch, thm1=6)
+    assert check(capsys, "thm1") == (0, [
+        "PASS thm1: order-1 closed form matches the exact derivative on all 25 "
+        "reduced a/b with b <= 6, 0 <= a <= 2b"], "1/1 sweeps clean")
 
 
-def test_check_dedekind(capsys):
-    rc, out, _ = run(capsys, "check", "dedekind", "--max-denominator", "5")
-    assert rc == 0
-    assert out == ("PASS dedekind: reciprocity, lattice-sum bridges, and the "
-                   "identity battery all hold up to 5\n")
+def test_check_thm2(capsys, monkeypatch):
+    _bounds(monkeypatch, thm2=4)
+    assert check(capsys, "thm2") == (0, [
+        "PASS thm2: order-2 closed form matches the exact derivative on all 13 "
+        "reduced a/b with b <= 4, 0 <= a <= 2b"], "1/1 sweeps clean")
 
 
-def test_sweep_depth_env_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv(SWEEP_DEPTH_ENV, "3")
-    rc, out, _ = run(capsys, "check", "appendixA")
-    assert rc == 0
-    assert "15 nodes to depth 3" in out
+def test_check_equivalence(capsys, monkeypatch):
+    _bounds(monkeypatch, appendixA=3)  # scale 2 adds one level
+    assert check(capsys, "appendixA", "--scale", "2") == (0, [
+        "PASS appendixA: weighted-mediant and continued-fraction constructions "
+        "agree on all 31 nodes to depth 4"], "1/1 sweeps clean")
 
 
-def test_sweep_depth_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv(SWEEP_DEPTH_ENV, "3")
-    rc, out, _ = run(capsys, "check", "appendixA", "--depth", "2")
-    assert rc == 0
-    assert "7 nodes to depth 2" in out
+def test_check_delta(capsys, monkeypatch):
+    _bounds(monkeypatch, delta=4)
+    assert check(capsys, "delta") == (0, [
+        "PASS delta: residual and moment identities hold on 16 order-4 and "
+        "8 order-5 lineages to depth 4"], "1/1 sweeps clean")
 
 
-def test_sweep_depth_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv(SWEEP_DEPTH_ENV, "deep")
-    rc, _, err = run(capsys, "check", "appendixA")
-    assert rc == 2
-    assert SWEEP_DEPTH_ENV in err
+def test_check_dedekind(capsys, monkeypatch):
+    """The three Dedekind-sum sweeps in one run, bounds doubled by --scale."""
+    _bounds(monkeypatch, reciprocity=3, bridges=3, battery=3)
+    assert check(capsys, "reciprocity", "bridges", "battery", "--scale", "2") == (0, [
+        "PASS reciprocity: (4,1) reciprocity holds on coprime pairs p, q <= 6",
+        "PASS bridges: substitution, symmetry and zero-sum bridges hold on "
+        "reduced a/b with 1 <= a <= b <= 6",
+        "PASS battery: the identity battery holds on coprime pairs p, q <= 6",
+    ], "3/3 sweeps clean")
 
 
 def test_check_fail_names_the_counterexample(capsys, monkeypatch):
     real = closedforms.d1_closed
     monkeypatch.setattr(closedforms, "d1_closed",
                         lambda x: real(x) + (x == Fraction(2, 5)))
-    rc, out, _ = run(capsys, "check", "thm1", "--max-denominator", "6")
-    assert rc == 1
-    line = "FAIL thm1: counterexample 2/5: exact 9/25, closed 34/25"
-    assert out == line + "\n"
+    _bounds(monkeypatch, thm1=6)
+    assert check(capsys, "thm1") == (1, [
+        "FAIL thm1: counterexample 2/5: exact 9/25, closed 34/25"], "0/1 sweeps clean")
 
-    # scripts/verify_all.py prints the same registry verdict
-    spec = importlib.util.spec_from_file_location("verify_all", SCRIPTS / "verify_all.py")
-    verify_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(verify_all)
-    monkeypatch.setattr(verify_all, "SWEEPS",
-                        tuple(s for s in verify_all.SWEEPS if s.name == "thm1"))
-    assert verify_all.main([]) == 1
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].endswith("s  " + line)
-    assert out.splitlines()[-1] == "0/1 sweeps clean"
+
+def test_check_fits_reproduces_the_closed_forms_out_of_sample(capsys, monkeypatch):
+    rc, lines, _ = check(capsys, "fits")
+    assert rc == 0 and lines[0].endswith(
+        "both match the closed forms on all 504 reduced a/b with 8 <= b < 30, "
+        "0 <= a <= 2b, and integer samples leave d1 rank-deficient")
+    real = closedforms.d2_closed
+    monkeypatch.setattr(closedforms, "d2_closed",
+                        lambda a, b: real(a, b) + ((a, b) == (13, 17)))
+    fitted, closed = rat_to_str(real(13, 17)), rat_to_str(real(13, 17) + 1)
+    assert check(capsys, "fits") == (1, [
+        f"FAIL fits: counterexample d2 at 13/17: fitted {fitted}, closed {closed}"],
+        "0/1 sweeps clean")
+
+
+def test_check_usage_errors(capsys):
+    for scale in ("0", str(MAX_CHECK_SCALE + 1)):
+        rc, out, err = run(capsys, "check", "thm1", "--scale", scale)
+        assert rc == 2 and not out
+        assert f"--scale {scale} is outside 1..{MAX_CHECK_SCALE}" in err
+    rc, out, err = run(capsys, "check", "thm1", "dedekind")
+    assert rc == 2 and not out and "no sweep named 'dedekind'" in err
+
+
+def test_check_runs_at_the_scale_limit(capsys):
+    thm1 = next(s for s in SWEEPS if s.name == "thm1")
+    rc, lines, _ = check(capsys, "thm1", "--scale", str(MAX_CHECK_SCALE))
+    assert rc == 0 and f"b <= {thm1.at_scale(MAX_CHECK_SCALE)}," in lines[0]
 
 
 def test_calibration_sweep_fails_on_a_wrong_numerator_derivative(monkeypatch):
@@ -315,60 +324,6 @@ def test_lineage_order_limit(capsys):
     rc, out, err = run(capsys, "lineage", f"1/{top + 6}", "--order", str(top + 1))
     assert rc == 2 and not out
     assert f"lineage order {top + 1} is above the limit {top}" in err
-
-
-@pytest.mark.parametrize("target, flag", [
-    ("thm1", "--depth"), ("thm2", "--depth"), ("dedekind", "--depth"),
-    ("appendixA", "--max-denominator"), ("delta", "--max-denominator")])
-def test_check_rejects_a_flag_its_target_does_not_take(capsys, target, flag):
-    rc, out, err = run(capsys, "check", target, flag, "3")
-    assert rc == 2 and not out
-    assert f"{flag} does not apply to {target}" in err
-
-
-@pytest.mark.parametrize("target", ["thm1", "thm2", "dedekind"])
-def test_check_denominator_limits(capsys, monkeypatch, target):
-    for bound in ("-5", "0", str(MAX_CHECK_DENOMINATOR + 1)):
-        rc, out, err = run(capsys, "check", target, "--max-denominator", bound)
-        assert rc == 2 and not out
-        assert f"--max-denominator {bound} is outside 1..{MAX_CHECK_DENOMINATOR}" in err
-    rc, out, _ = run(capsys, "check", target, "--max-denominator", "1")
-    assert rc == 0 and out.startswith("PASS")
-    # at and just above a limit small enough to run every target
-    monkeypatch.setattr(cli, "MAX_CHECK_DENOMINATOR", 3)
-    assert run(capsys, "check", target, "--max-denominator", "3")[0] == 0
-    assert run(capsys, "check", target, "--max-denominator", "4")[0] == 2
-
-
-def test_check_runs_at_the_denominator_limit(capsys):
-    rc, out, _ = run(capsys, "check", "thm1", "--max-denominator", str(MAX_CHECK_DENOMINATOR))
-    assert rc == 0 and f"b <= {MAX_CHECK_DENOMINATOR}," in out
-
-
-@pytest.mark.parametrize("target", ["appendixA", "delta"])
-def test_check_depth_limits(capsys, monkeypatch, target):
-    for depth, message in (("-1", "depth must be >= 0"),
-                           (str(MAX_TREE_DEPTH + 1), f"above the limit {MAX_TREE_DEPTH}")):
-        rc, out, err = run(capsys, "check", target, "--depth", depth)
-        assert rc == 2 and not out and message in err
-        monkeypatch.setenv(SWEEP_DEPTH_ENV, depth)
-        rc, out, err = run(capsys, "check", target)
-        assert rc == 2 and not out and message in err
-    monkeypatch.delenv(SWEEP_DEPTH_ENV)
-    rc, out, _ = run(capsys, "check", target, "--depth", "0")
-    assert rc == 0 and out.startswith("PASS")
-    monkeypatch.setattr(cli, "MAX_TREE_DEPTH", 3)
-    for depth, rc in (("3", 0), ("4", 2)):
-        assert run(capsys, "check", target, "--depth", depth)[0] == rc
-        monkeypatch.setenv(SWEEP_DEPTH_ENV, depth)
-        assert run(capsys, "check", target)[0] == rc
-        monkeypatch.delenv(SWEEP_DEPTH_ENV)
-
-
-def test_check_runs_at_the_depth_limit(capsys, monkeypatch):
-    monkeypatch.setenv(SWEEP_DEPTH_ENV, str(MAX_TREE_DEPTH))
-    rc, out, _ = run(capsys, "check", "appendixA")
-    assert rc == 0 and f"{2 ** (MAX_TREE_DEPTH + 1) - 1} nodes" in out
 
 
 def _coprime_golden(b):
@@ -461,18 +416,6 @@ def test_plot_csv(capsys):
         "0.500000000000,0.250000000000,2,0",
         "0.666666666667,0.333333333333,3,1",
     ]
-
-
-# -- scripts ---------------------------------------------------------------
-
-def test_reproduce_fits_script():
-    src = str(SCRIPTS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "reproduce_fits.py")],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "504/504" in proc.stdout
 
 
 # -- top level -------------------------------------------------------------

@@ -7,14 +7,13 @@ literal zero-residual form and the corrected closed-form residual.
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qrationals.exact import IntPoly, PoleAtOneError, RatFunc, derivative_at_one, jets_at_one
 from qrationals.qdeform import QRational, deform
 from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
-    NonUnimodularError,
     VanishingLineageError,
     Frame,
     _degree_gap,
@@ -29,11 +28,10 @@ from qrationals.sbtree import (
     lagrange_coefficients,
     lineage_extract,
     lineage_to_json,
-    mediant,
     walk_qtree,
     weighted_mediant,
 )
-from oracles import poly_mul
+from oracles import NonUnimodularError, mediant, poly_mul
 
 
 def _values(lin):
@@ -353,6 +351,20 @@ def test_walker_lineage_weights_rebuild_members_by_products(start):
 def test_lineage_extract_weights_rebuild_members_by_products(x, m):
     assume(deform(x).depth >= m - 2)
     assert _rebuilt_by_products(lineage_extract(x, m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=200))
+@example(Fr(1346269, 832040))  # F₃₁/F₃₀, depth 28
+def test_lineage_extract_members_equal_their_deformations(x):
+    """lineage_extract builds members 3..m as weighted mediants of earlier
+    members; at every order the depth allows, each member must be the
+    continued-fraction deformation of its value: pair, depth and path."""
+    for m in range(2, deform(x).depth + 3):
+        for mem in lineage_extract(x, m).members:
+            want = deform(mem.value)
+            assert (mem.deform, mem.depth, mem.path) == \
+                (want.deform, want.depth, want.path), (x, m, mem.value)
 
 
 def test_corrupted_member_is_rejected_where_the_products_reject_it():
