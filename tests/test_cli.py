@@ -276,6 +276,44 @@ def test_check_usage_errors(capsys):
     assert rc == 2 and not out and "no sweep named 'dedekind'" in err
 
 
+_DENOMINATOR_SWEEPS = {"dedekind": ("reciprocity", "bridges", "battery"),
+                       "thm1": ("thm1",), "thm2": ("thm2",)}
+
+
+@pytest.mark.parametrize("target", ["dedekind", "thm1", "thm2"])
+def test_check_denominator_limits(capsys, monkeypatch, target):
+    """--scale S multiplies a denominator bound by S, for S in 1..MAX_CHECK_SCALE."""
+    names = _DENOMINATOR_SWEEPS[target]
+    for scale in ("-5", "0", str(MAX_CHECK_SCALE + 1)):
+        rc, out, err = run(capsys, "check", *names, "--scale", scale)
+        assert rc == 2 and not out
+        assert f"--scale {scale} is outside 1..{MAX_CHECK_SCALE}" in err
+    _bounds(monkeypatch, **dict.fromkeys(names, 2))
+    # at and just above a limit small enough to run every sweep
+    monkeypatch.setattr(cli, "MAX_CHECK_SCALE", 3)
+    for scale in (1, 2, 3):
+        rc, lines, summary = check(capsys, *names, "--scale", str(scale))
+        assert rc == 0 and summary == f"{len(names)}/{len(names)} sweeps clean"
+        assert all(line.startswith("PASS") and f"<= {2 * scale}" in line for line in lines)
+    assert run(capsys, "check", *names, "--scale", "4")[0] == 2
+
+
+@pytest.mark.parametrize("target", ["appendixA", "delta"])
+def test_check_depth_limits(capsys, monkeypatch, target):
+    """--scale S adds S - 1 to a tree depth, for S in 1..MAX_CHECK_SCALE."""
+    for scale in ("-1", "0", str(MAX_CHECK_SCALE + 1)):
+        rc, out, err = run(capsys, "check", target, "--scale", scale)
+        assert rc == 2 and not out
+        assert f"--scale {scale} is outside 1..{MAX_CHECK_SCALE}" in err
+    _bounds(monkeypatch, **{target: 2})
+    monkeypatch.setattr(cli, "MAX_CHECK_SCALE", 3)
+    for scale in (1, 2, 3):
+        rc, lines, _ = check(capsys, target, "--scale", str(scale))
+        assert rc == 0 and lines[0].startswith("PASS")
+        assert lines[0].endswith(f"to depth {scale + 1}")
+    assert run(capsys, "check", target, "--scale", "4")[0] == 2
+
+
 def test_check_runs_at_the_scale_limit(capsys):
     thm1 = next(s for s in SWEEPS if s.name == "thm1")
     rc, lines, _ = check(capsys, "thm1", "--scale", str(MAX_CHECK_SCALE))
