@@ -2,9 +2,9 @@
 
 Every verb maps onto one library operation set; no numeric logic lives here.
 Exit status: 0 = success / every requested check passed, 1 = a verification
-failed, 2 = usage error (malformed fraction, out-of-range order or scale,
-unknown sweep, non-coprime input, or an input past one of the size limits
-below).
+failed (a sweep that raises counts as failed; the others still run), 2 =
+usage error (malformed fraction, out-of-range order or scale, unknown sweep,
+non-coprime input, or an input past one of the size limits below).
 Fractions are accepted only as "a/b" or a bare integer — never decimals — so
 no precision is lost at the boundary.
 """
@@ -180,9 +180,13 @@ def _cmd_check(args) -> int:
     clean = 0
     for sweep in chosen:
         t0 = time.perf_counter()
-        verdict = sweep.run(sweep.at_scale(args.scale))
-        print(f"{time.perf_counter() - t0:6.2f}s  {verdict.line}", flush=True)
-        clean += verdict.ok
+        try:
+            verdict = sweep.run(sweep.at_scale(args.scale))
+            line, ok = verdict.line, verdict.ok
+        except Exception as exc:  # a sweep that raises fails; the rest still run
+            line, ok = f"FAIL {sweep.name}: raised {type(exc).__name__}: {exc}", False
+        print(f"{time.perf_counter() - t0:6.2f}s  {line}", flush=True)
+        clean += ok
     print(f"{clean}/{len(chosen)} sweeps clean")
     return 0 if clean == len(chosen) else 1
 

@@ -26,17 +26,12 @@ __all__ = [
     "mod_inverse",
     "thomae",
     "bracket",
-    "F",
-    "G",
-    "H",
     "d1_closed",
     "d2_closed",
     "bracket_weight_sum",
     "bridge_mismatches",
     "numerator_d1_closed",
     "denominator_d1_closed",
-    "numerator_derivative",
-    "denominator_derivative",
     "lemma_calibration",
     "NoInverseError",
 ]

@@ -40,12 +40,15 @@ __all__ = [
     "check_identities",
     "reciprocity_sweep",
     "battery_sweep",
-    "battery_report_csv",
 ]
 
 BERNOULLI_BOUND = 12
 # total index weight i + j of the identity battery
 BATTERY_WEIGHT = 4
+# `s_sum`'s cache bound, above the 56 212 entries one `qrat check --scale 2`
+# process leaves.  `bernoulli_number` needs none: the package asks it for at
+# most BERNOULLI_BOUND + 1 indices.
+S_SUM_CACHE_SIZE = 65536
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +99,7 @@ def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
     return [t.numerator * (d // t.denominator) for t in terms], d
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=S_SUM_CACHE_SIZE)
 def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     """Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) (exclusive; 0 when b = 1).
 

@@ -27,8 +27,6 @@ __all__ = [
     "default_d2_samples",
     "emit_plot_data",
     "plot_data_csv",
-    "D1_FEATURE_NAMES",
-    "D2_FEATURE_NAMES",
 ]
 
 
@@ -107,20 +105,14 @@ def default_d1_samples() -> list[Fraction]:
     return [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5)]
 
 
-def default_d2_samples(max_b: int = 40, need: int = 17) -> list[Fraction]:
-    """Deterministic sample pool: reduced proper fractions ordered by (b, a).
+def default_d2_samples() -> list[Fraction]:
+    """The 17 reduced proper fractions with b ≤ 7, ordered by (b, a).
 
     The greedy selector inside fit_d2 then picks the lexicographically first
     full-rank subset.  All pool members are tree nodes of small depth.
     """
-    out: list[Fraction] = []
-    for b in range(2, max_b):
-        for a in range(1, b):
-            if math.gcd(a, b) == 1:
-                out.append(Fraction(a, b))
-        if len(out) >= need:
-            break
-    return out
+    return [Fraction(a, b) for b in range(2, 8) for a in range(1, b)
+            if math.gcd(a, b) == 1]
 
 
 # --------------------------------------------------------------------------
@@ -142,17 +134,15 @@ def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
     return rows
 
 
-def _dec(x: Rat, places: int = 12) -> str:
-    """Exact decimal rendering to a fixed number of places (round half away
-    from zero is irrelevant here; truncation error < 10^−places)."""
+def _dec(x: Rat) -> str:
+    """Exact decimal rendering to 12 places, rounded half away from zero."""
     sign = "-" if x < 0 else ""
-    x = abs(Fraction(x))
-    scaled = x * 10 ** places
+    scaled = abs(Fraction(x)) * 10 ** 12
     whole, rem = divmod(scaled.numerator, scaled.denominator)
     if 2 * rem >= scaled.denominator:
         whole += 1
-    digits = f"{whole:0{places + 1}d}"
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = f"{whole:013d}"
+    return f"{sign}{digits[:-12]}.{digits[-12:]}"
 
 
 def plot_data_csv(depth: int, order: int, start: int = 0) -> str:

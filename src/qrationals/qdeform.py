@@ -195,7 +195,12 @@ def _depth_and_path(cf: CFrac) -> tuple[int, str]:
     return sum(u) - 1, path
 
 
-@lru_cache(maxsize=None)
+# `deform`'s reuse is short-range: thm2 re-reads thm1's 3933 deformations at
+# `qrat check --scale 2`, while a depth-12 tree walk deforms 8191 values once.
+DEFORM_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=DEFORM_CACHE_SIZE)
 def deform(x: Rat) -> QRational:
     """Canonical q-deformation of x with depth and branch word attached
     (_depth_and_path)."""

@@ -31,7 +31,6 @@ from .dedekind import s_sum
 __all__ = [
     "Lineage",
     "weighted_mediant",
-    "Frame",
     "walk_qtree",
     "build_qtree",
     "lineage_extract",
@@ -375,10 +374,11 @@ def _correction(lin: Lineage, C: tuple[Rat, ...]) -> Rat:
 # Sweeps
 # --------------------------------------------------------------------------
 
-def equivalence_mismatches(depth: int, start: int = 0) -> list[Fraction]:
-    """Nodes (by value) where the weighted-mediant polynomials differ from the
-    continued-fraction deformation.  Empty list = bit-exact equivalence."""
-    return [stack[-1].value for stack in walk_qtree(start, depth)
+def equivalence_mismatches(depth: int) -> list[Fraction]:
+    """Nodes (by value) between 0 and 1 where the weighted-mediant polynomials
+    differ from the continued-fraction deformation.  Empty list = bit-exact
+    equivalence."""
+    return [stack[-1].value for stack in walk_qtree(0, depth)
             if stack[-1].node.deform != deform(stack[-1].value).deform]
 
 

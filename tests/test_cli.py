@@ -9,10 +9,11 @@ import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qrationals import cli, closedforms
+from qrationals import cli, closedforms, sbtree
 from qrationals.cli import (
     MAX_CHECK_SCALE,
     MAX_DEFORM_DEGREE,
@@ -267,6 +268,17 @@ def test_check_fits_reproduces_the_closed_forms_out_of_sample(capsys, monkeypatc
         "0/1 sweeps clean")
 
 
+def test_check_sweep_that_raises_fails_and_the_rest_run(capsys, monkeypatch):
+    def broken(stack, m):
+        raise ValueError("weight reconstruction failed")
+    monkeypatch.setattr(sbtree, "_lineage_from_stack", broken)
+    _bounds(monkeypatch, thm1=3, delta=3, calibration=3)
+    rc, lines, summary = check(capsys, "thm1", "delta", "calibration")
+    assert rc == 1 and summary == "2/3 sweeps clean"
+    assert lines[0].startswith("PASS thm1:") and lines[2].startswith("PASS calibration:")
+    assert lines[1] == "FAIL delta: raised ValueError: weight reconstruction failed"
+
+
 def test_check_usage_errors(capsys):
     for scale in ("0", str(MAX_CHECK_SCALE + 1)):
         rc, out, err = run(capsys, "check", "thm1", "--scale", scale)
@@ -464,3 +476,64 @@ def test_no_verb_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# -- README ----------------------------------------------------------------
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _readme_section(title: str) -> str:
+    return README.split(f"{title}\n", 1)[1].split("\n#", 1)[0]
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """(command, expected output) for each `$ qrat ...` line of the CLI block."""
+    block = _readme_section("## CLI").split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *expected = chunk.splitlines()
+        assert command.startswith("$ qrat "), chunk
+        examples.append((command[2:], "\n".join(expected)))
+    return examples
+
+
+def _normalize(text: str) -> str:
+    """Nonblank lines less any sweep-time prefix, runs of whitespace collapsed."""
+    lines = (" ".join(re.sub(r"^ *\d+\.\d\ds ", "", line).split())
+             for line in text.splitlines())
+    return "\n".join(line for line in lines if line)
+
+
+_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, expected", _EXAMPLES, ids=[c for c, _ in _EXAMPLES])
+def test_readme_cli_examples(capsys, command, expected):
+    """Each README example prints what the README shows; `...` elides."""
+    argv = command.split()[1:]
+    if ">" in argv:
+        assert run(capsys, *argv[:argv.index(">")])[0] == 0
+        return
+    keep = None
+    if "|" in argv:
+        argv, pipe = argv[:argv.index("|")], argv[argv.index("|") + 1:]
+        assert pipe[0] == "head" and pipe[1].startswith("-")
+        keep = int(pipe[1][1:])
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    got = "\n".join(_normalize(out).splitlines()[:keep])
+    pattern = ".*?".join(re.escape(part) for part in _normalize(expected).split("..."))
+    assert re.fullmatch(pattern, got, re.DOTALL), (got, expected)
+
+
+def test_readme_check_targets_table():
+    """The Check targets table lists the registry's sweeps in order, each with
+    its scale-1 bound."""
+    rows = [line.split("|")[1:-1] for line in _readme_section("### Check targets").splitlines()
+            if line.startswith("| `")]
+    listed = [(name.strip().strip("`"), bound.strip()) for name, _, bound in rows]
+    assert [name for name, _ in listed] == [s.name for s in SWEEPS]
+    for (name, bound), sweep in zip(listed, SWEEPS):
+        want = "none" if sweep.bound is None else str(sweep.bound)
+        assert bound.split()[-1] == want, (name, bound)

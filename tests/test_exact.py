@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qrationals
-from qrationals import exact
+from qrationals import closedforms, dedekind, exact, fit, qdeform, sbtree
 from qrationals.exact import (
     IntPoly,
     PoleAtOneError,
@@ -51,9 +51,16 @@ rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
 def test_all_lists_what_the_package_reexports():
-    reexported = {name for name in qrationals.__all__
-                  if getattr(exact, name, None) is getattr(qrationals, name)}
-    assert reexported == set(exact.__all__)
+    """The package publishes exactly the union of its six modules' lists,
+    each name as the module's own object, and no two modules list the same
+    name (a later wildcard import would silently shadow the earlier one)."""
+    modules = (exact, qdeform, sbtree, closedforms, dedekind, fit)
+    listed = [name for m in modules for name in m.__all__]
+    assert len(listed) == len(set(listed))
+    assert set(qrationals.__all__) == {*listed, "__version__"}
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(qrationals, name) is getattr(m, name), (m.__name__, name)
 
 
 # -- rationals -------------------------------------------------------------

@@ -164,6 +164,9 @@ def test_decimal_rendering():
     assert _dec(Fr(2, 3)) == "0.666666666667"
     assert _dec(Fr(-1, 8)) == "-0.125000000000"
     assert _dec(Fr(2)) == "2.000000000000"
+    # a half in the last place rounds away from zero
+    assert _dec(Fr(1, 2 * 10 ** 12)) == "0.000000000001"
+    assert _dec(Fr(-1, 2 * 10 ** 12)) == "-0.000000000001"
 
 
 def test_plot_data_csv_depth1():

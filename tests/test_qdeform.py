@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrationals.exact import IntPoly, RatFunc
 from qrationals.qdeform import (
+    DEFORM_CACHE_SIZE,
     CFrac,
     deform,
     deform_from_cfrac,
@@ -18,6 +19,7 @@ from qrationals.qdeform import (
     qrational_to_json,
     to_cfrac,
 )
+from qrationals.dedekind import S_SUM_CACHE_SIZE, s_sum
 from oracles import poly_mul
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=21)
@@ -274,3 +276,10 @@ def test_qrational_from_json_rejects_inconsistent_records():
 
 def test_deform_memoizes():
     assert deform(Fr(2, 5)) is deform(Fr(2, 5))
+
+
+def test_caches_are_bounded():
+    """deform and s_sum keep a finite LRU cache, so no input stream grows
+    them without limit."""
+    assert deform.cache_parameters()["maxsize"] == DEFORM_CACHE_SIZE == 4096
+    assert s_sum.cache_parameters()["maxsize"] == S_SUM_CACHE_SIZE == 65536
