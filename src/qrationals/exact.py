@@ -256,25 +256,38 @@ def _taylor_at_one(p: IntPoly, k: int) -> list[int]:
     return s
 
 
-def jets_at_one(rf: RatFunc, k: int) -> list[Rat]:
-    """Exact derivatives f(1), f′(1), ..., f^(k)(1) of f = num/den.
+def _cleared_jets(rf: RatFunc, k: int) -> tuple[int, list[int]]:
+    """(b, [J_0, ..., J_k]) with b = den(1) and J_j = b^{j+1}·f⁽ʲ⁾(1), all
+    integers, for f = num/den.
 
-    Shifts to h = q − 1 and divides truncated power series: one Taylor pass
-    per polynomial gives the first k+1 shifted coefficients, so the cost is
-    O(k · degree) regardless of polynomial size.
+    Shifts to h = q − 1 and divides truncated power series without leaving
+    the integers: with n_j, d_j the h^j coefficients of num(1 + h) and
+    den(1 + h) (one Taylor pass per polynomial, O(k · degree) whatever the
+    polynomial size) and b = d_0, the cleared quotient
+    T_j = b^j·n_j − Σ_{i<j} d_{j−i}·b^{j−1−i}·T_i is b^{j+1} times the h^j
+    coefficient of f, so J_j = j!·T_j.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     d = _taylor_at_one(rf.den, k)
-    if d[0] == 0:
+    b = d[0]
+    if b == 0:
         raise PoleAtOneError("denominator vanishes at q = 1")
     n = _taylor_at_one(rf.num, k)
-    # t = n/d as a truncated series in h; the j-th derivative is j!·t_j
-    t: list[Fraction] = []
+    T: list[int] = []
     for j in range(k + 1):
-        acc = n[j] - sum(d[j - i] * t[i] for i in range(j))
-        t.append(Fraction(acc) / d[0])
-    return [tj * math.factorial(j) for j, tj in enumerate(t)]
+        acc = n[j]
+        for i, Ti in enumerate(T):  # T_j by Horner's rule in b
+            acc = acc * b - d[j - i] * Ti
+        T.append(acc)
+    return b, [math.factorial(j) * Tj for j, Tj in enumerate(T)]
+
+
+def jets_at_one(rf: RatFunc, k: int) -> list[Rat]:
+    """Exact derivatives f(1), f′(1), ..., f^(k)(1) of f = num/den: the
+    cleared jets of _cleared_jets, each divided once by b^{j+1}."""
+    b, J = _cleared_jets(rf, k)
+    return [Fraction(Jj, b ** (j + 1)) for j, Jj in enumerate(J)]
 
 
 def derivative_at_one(rf: RatFunc, k: int) -> Rat:

@@ -20,8 +20,8 @@ from .exact import (
     PoleAtOneError,
     Rat,
     RatFunc,
+    _cleared_jets,
     _taylor_at_one,
-    derivative_at_one,
     jets_at_one,
     poly_to_json_list,
 )
@@ -104,7 +104,8 @@ class Frame:
     """A descent-stack entry: a tree value, the stack indices of its left
     (smaller) parent lo and right (greater) parent hi (None at the window
     endpoints), and its node (value, canonical pair, depth, path) and jets
-    at q = 1, each computed on first use unless assigned before."""
+    at q = 1, cleared and as Fractions, each computed on first use unless
+    assigned before."""
 
     def __init__(self, value: Fraction, lo: int | None = None, hi: int | None = None):
         self.value, self.lo, self.hi = value, lo, hi
@@ -112,6 +113,12 @@ class Frame:
     @cached_property
     def node(self) -> QRational:
         return deform(self.value)
+
+    @cached_property
+    def cleared_jets(self) -> list[int]:
+        """J_0, J_1, J_2 with J_j = b^{j+1}·f⁽ʲ⁾(1), for the node's
+        deformation f with denominator b (see exact._cleared_jets)."""
+        return _cleared_jets(self.node.deform, 2)[1]
 
     @cached_property
     def jets(self) -> list[Rat]:
@@ -206,19 +213,16 @@ class Lineage:
         return len(self.members)
 
 
-def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame]]:
-    """The order-m lineage of a descent stack's last frame, and its members'
-    frames; the caller ensures the target's depth is at least m − 2.
+def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], list[tuple[int, int]]]:
+    """The frames of the order-m lineage of a descent stack's last frame,
+    and for each member n = 3..m the member indices (small, big) of its left
+    and right parents; the caller ensures the target's depth is at least
+    m − 2.
 
     Members 2..m are the last m−1 frames (each the deeper parent of the
     next); member 1 is the shallow parent of member 3, or for m = 2 the
-    target's deeper parent (the left endpoint at depth 0).  ζ_n is the
-    member index of member n's shallow parent.  Weight recurrence:
-    𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where small and big are member n's left
-    and right parents, {n−1, ζ_n}, read off its frame (the q-power attaches
-    to the greater), and ξ_n is their mediant's degree gap (_degree_gap).
-    Member n's canonical pair must be the same recurrence of its parents'
-    pairs (ValueError otherwise), so no weight is multiplied out.
+    target's deeper parent (the left endpoint at depth 0).  Member n's
+    parents are members n − 1 and ζ_n, which is n − 2 or ζ_{n−1}.
     """
     t = len(stack) - 1
     if m == 2:
@@ -229,25 +233,53 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
         idx = [third.hi if third.lo == first else third.lo, *range(first, t + 1)]
     frames = [stack[j] for j in idx]
     member_of = {j: n for n, j in enumerate(idx, start=1)}
-    members = tuple(fr.node for fr in frames)
-    pairs = [(mem.deform.num, mem.deform.den) for mem in members]
+    return frames, [(member_of[fr.lo], member_of[fr.hi]) for fr in frames[2:]]
+
+
+def _weights_at_one(parents: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(f, g): the weights 𝔉_n(1), 𝔊_n(1) of members 1..m, by the integer
+    recurrence f_n = f_small + f_big (at q = 1, q^ξ is 1)."""
+    f, g = [1, 0], [0, 1]
+    for small, big in parents:
+        f.append(f[small - 1] + f[big - 1])
+        g.append(g[small - 1] + g[big - 1])
+    return tuple(f), tuple(g)
+
+
+def _mediant_gap(stack: list[Frame], frame: Frame) -> int:
+    """ξ, the degree gap of a frame's two parent frames, after checking that
+    the frame's canonical pair is their weighted mediant unnormalized
+    (ValueError naming the node otherwise)."""
+    left, right = stack[frame.lo].node.deform, stack[frame.hi].node.deform
+    xi = _degree_gap(left, right)
+    pair = frame.node.deform
+    if _qmediant((left.num, left.den), (right.num, right.den), xi) != (pair.num, pair.den):
+        raise ValueError(f"weight reconstruction failed at node {frame.value}: "
+                         f"not the weighted mediant of its parents")
+    return xi
+
+
+def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame]]:
+    """The order-m lineage of a descent stack's last frame, and its members'
+    frames (as in _lineage_members).  ζ_n is the member index of member n's
+    shallow parent.  Weight recurrence: 𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where
+    small and big are member n's left and right parents (the q-power
+    attaches to the greater), and ξ_n is their mediant's degree gap.  Each
+    member n ≥ 3 must be the same recurrence of its parents' canonical pairs
+    (_mediant_gap), so by induction on n the weights rebuild every member
+    from members 1 and 2, and no weight is multiplied out.
+    """
+    frames, parents = _lineage_members(stack, m)
     weights = [(IntPoly.const(1), IntPoly()), (IntPoly(), IntPoly.const(1))]
     zeta, xi = [], []
-    for n in range(3, m + 1):
-        # both parents are members: n − 1 and ζ_n, which is n − 2 or ζ_{n−1}
-        small, big = member_of[frames[n - 1].lo], member_of[frames[n - 1].hi]
+    for n, (small, big) in enumerate(parents, start=3):
         zeta.append(big if small == n - 1 else small)
-        xi.append(_degree_gap(members[small - 1].deform, members[big - 1].deform))
+        xi.append(_mediant_gap(stack, frames[n - 1]))
         weights.append(_qmediant(weights[small - 1], weights[big - 1], xi[-1]))
-        # member n must be its parents' weighted mediant, unnormalized; by
-        # induction on n the weights then rebuild it from members 1 and 2
-        if _qmediant(pairs[small - 1], pairs[big - 1], xi[-1]) != pairs[n - 1]:
-            raise ValueError(f"weight reconstruction failed for member {n} of {stack[t].value}")
     F, G = zip(*weights)
-
-    lin = Lineage(members=members, zeta=tuple(zeta), xi=tuple(xi),
-                  Fpoly=F, Gpoly=G,
-                  f=tuple(p(1) for p in F), g=tuple(p(1) for p in G),
+    f, g = _weights_at_one(parents)
+    lin = Lineage(members=tuple(fr.node for fr in frames), zeta=tuple(zeta), xi=tuple(xi),
+                  Fpoly=F, Gpoly=G, f=f, g=g,
                   vanishing=frames[0].value.denominator == 1)
     return lin, frames
 
@@ -277,37 +309,51 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
     return _lineage_from_stack(stack, m)[0]
 
 
+def _lagrange(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, list[int]]:
+    """(L, [c_1, ..., c_{m−1}]) with C_i = c_i/L, for the weights f, g of
+    members 1..m: L is the lcm of the reduced denominators of
+    C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i)."""
+    m = len(f)
+    nums, dens = [], []
+    for i in range(m - 1):
+        num = den = 1
+        for n in range(m - 1):
+            if n == i:
+                continue
+            num *= f[m - 1] * g[n] - f[n] * g[m - 1]
+            dn = f[i] * g[n] - f[n] * g[i]
+            if dn == 0:
+                raise DegenerateWeightsError(f"members {i + 1} and {n + 1} have dependent weights")
+            den *= dn
+        r = math.gcd(num, den)
+        nums.append(num // r)
+        dens.append(den // r)
+    L = math.lcm(*dens)
+    return L, [num * (L // den) for num, den in zip(nums, dens)]
+
+
+def _lineage_lagrange(lin: Lineage) -> tuple[int, list[int]]:
+    if lin.vanishing:
+        raise VanishingLineageError("lineage starts at an integer")
+    return _lagrange(lin.f, lin.g)
+
+
 def lagrange_coefficients(lin: Lineage) -> tuple[Rat, ...]:
     """C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i), i < m.
 
     Only defined for non-vanishing lineages with pairwise independent weights.
     """
-    if lin.vanishing:
-        raise VanishingLineageError("lineage starts at an integer")
-    m = lin.order
-    f, g = lin.f, lin.g
-
-    def w(i: int, n: int) -> int:
-        return f[i - 1] * g[n - 1] - f[n - 1] * g[i - 1]
-
-    out = []
-    for i in range(1, m):
-        num = den = 1
-        for n in range(1, m):
-            if n == i:
-                continue
-            num *= w(m, n)
-            dn = w(i, n)
-            if dn == 0:
-                raise DegenerateWeightsError(f"members {i} and {n} have dependent weights")
-            den *= dn
-        out.append(Fraction(num, den))
-    return tuple(out)
+    L, c = _lineage_lagrange(lin)
+    return tuple(Fraction(ci, L) for ci in c)
 
 
 # --------------------------------------------------------------------------
 # Order-m identity residuals
 # --------------------------------------------------------------------------
+#
+# With C_i = c_i/L and member values a_i/b_i, every residual and correction
+# below is computed times L·b_m^{m−2}, which makes the derivative residual
+# an integer (_cleared_jets), and divided once at the end.
 
 def _identity_order(lin: Lineage) -> int:
     if lin.order not in (4, 5):
@@ -315,15 +361,23 @@ def _identity_order(lin: Lineage) -> int:
     return lin.order
 
 
-def _scaled_sum(lin: Lineage, C: tuple[Rat, ...], values: list[Rat]) -> Rat:
-    """target value − Σ C_i (b_i/b_m)^{m−2} · member value."""
-    m, bm = lin.order, lin.members[-1].value.denominator
-    return values[-1] - sum(C[i] * Fraction(lin.members[i].value.denominator, bm) ** (m - 2)
-                            * values[i] for i in range(m - 1))
+def _lam(L: int, c: list[int], h: list) -> Rat:
+    """L·Λ(h) = L·h_m − Σ_{i<m} c_i·h_i for values h_1..h_m of the members."""
+    return L * h[-1] - sum(ci * hi for ci, hi in zip(c, h))
+
+
+def _scale(L: int, values: list[Fraction]) -> int:
+    """L·b_m^{m−2} for member values a_1/b_1 ... a_m/b_m."""
+    return L * values[-1].denominator ** (len(values) - 2)
+
+
+def _values(lin: Lineage) -> list[Fraction]:
+    return [mem.value for mem in lin.members]
 
 
 def delta_identity_residual(lin: Lineage) -> Rat:
-    """Residual of the Δ_{m−3} linear-dependence form (orders 4 and 5).
+    """Residual of the Δ_{m−3} linear-dependence form (orders 4 and 5):
+    Δ(member m) − Σ C_i·(b_i/b_m)^{m−2}·Δ(member i).
 
     Zero is NOT expected in general: the true identity carries a correction
     term (see identity_correction); for order 4 the Δ and plain-derivative
@@ -331,15 +385,19 @@ def delta_identity_residual(lin: Lineage) -> Rat:
     dependent.
     """
     m = _identity_order(lin)
-    vals = [delta(mem.deform, m - 3) for mem in lin.members]
-    return _scaled_sum(lin, lagrange_coefficients(lin), vals)
+    h = [mem.value.denominator ** (m - 2) * delta(mem.deform, m - 3) for mem in lin.members]
+    L, c = _lineage_lagrange(lin)
+    return _lam(L, c, h) / _scale(L, _values(lin))
 
 
 def derivative_identity_residual(lin: Lineage) -> Rat:
-    """Residual of the plain d^{m−3}/dq^{m−3} linear-dependence form."""
+    """Residual of the plain d^{m−3}/dq^{m−3} linear-dependence form; times
+    L·b_m^{m−2} it is L·J_m − Σ c_i·J_i on the cleared jets J_i =
+    b_i^{m−2}·f_i^{(m−3)}(1)."""
     m = _identity_order(lin)
-    vals = [derivative_at_one(mem.deform, m - 3) for mem in lin.members]
-    return _scaled_sum(lin, lagrange_coefficients(lin), vals)
+    J = [_cleared_jets(mem.deform, m - 3)[1][m - 3] for mem in lin.members]
+    L, c = _lineage_lagrange(lin)
+    return Fraction(_lam(L, c, J), _scale(L, _values(lin)))
 
 
 def identity_correction(lin: Lineage) -> Rat:
@@ -351,23 +409,22 @@ def identity_correction(lin: Lineage) -> Rat:
     Dedekind sum.  Both forms hold exactly on every non-vanishing lineage.
     """
     _identity_order(lin)
-    return _correction(lin, lagrange_coefficients(lin))
+    L, c = _lineage_lagrange(lin)
+    values = _values(lin)
+    return _cleared_correction(values, L, c) / _scale(L, values)
 
 
-def _correction(lin: Lineage, C: tuple[Rat, ...]) -> Rat:
-    m = lin.order
-    nums = [mem.value.numerator for mem in lin.members]
-    dens = [mem.value.denominator for mem in lin.members]
-    bm = dens[-1]
-    if m == 4:
-        return Fraction(sum(C) - 1, 2 * bm * bm)
-
-    def lam(h):
-        return h(m - 1) - sum(C[i] * h(i) for i in range(m - 1))
-
-    l_ba = lam(lambda i: Fraction(dens[i] - nums[i]))
-    l_s = lam(lambda i: dens[i] ** 3 * s_sum(1, 3, nums[i], dens[i]))
-    return (l_ba - 20 * l_s) / bm ** 3
+def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> Rat:
+    """L·b_m^{m−2} times the correction: (Σc − L)/2 at order 4,
+    L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) at order 5."""
+    if len(values) == 4:
+        return Fraction(sum(c) - L, 2)
+    l_ba = _lam(L, c, [x.denominator - x.numerator for x in values])
+    s = [s_sum(1, 3, x.numerator, x.denominator) for x in values]
+    D = math.lcm(*(si.denominator for si in s))  # D·L·Λ(b³·s₁,₃) is an integer
+    l_s = _lam(L, c, [x.denominator ** 3 * si.numerator * (D // si.denominator)
+                      for x, si in zip(values, s)])
+    return Fraction(D * l_ba - 20 * l_s, D)
 
 
 # --------------------------------------------------------------------------
@@ -387,34 +444,44 @@ def identity_sweep(depth: int) -> dict:
     tree nodes to the given depth:  the derivative linear-dependence residual
     equals its closed-form correction, and the coefficient moment identities
     Σ C_i·f_i^j·g_i^{m−2−j} = f_m^j·g_m^{m−2−j} hold for j = 0..m−2.
-    Lineages are read off the walker's stack; each node's jets are computed
-    once, however many lineages it belongs to.
+
+    Lineages are read off the walker's stack, in integers: weights at
+    q = 1, the Lagrange numerators c_i over their common denominator L, and
+    each node's cleared jets, computed once however many lineages it
+    belongs to.  Each node is also checked once to be the unnormalized
+    weighted mediant of its parents (ValueError naming it otherwise), which
+    the lineage weights rely on.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
-    tuple (m, value, identity, lhs, rhs) per violation (empty = pass).
+    tuple (m, value, identity, lhs, rhs) per violation (empty = pass); lhs
+    and rhs are the unscaled residual and correction, or moment and target.
     """
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
     for stack in walk_qtree(0, depth):
+        node = stack[-1]
+        _mediant_gap(stack, node)
         for m in (4, 5):
-            if stack[-1].node.depth < m - 2:
+            if node.node.depth < m - 2:
                 continue
-            lin, frames = _lineage_from_stack(stack, m)
-            if lin.vanishing:
+            frames, parents = _lineage_members(stack, m)
+            if frames[0].value.denominator == 1:  # vanishing
                 continue
             checked[m] += 1
-            C = lagrange_coefficients(lin)
-            resid = _scaled_sum(lin, C, [fr.jets[m - 3] for fr in frames])
-            corr = _correction(lin, C)
+            f, g = _weights_at_one(parents)
+            L, c = _lagrange(f, g)
+            values = [fr.value for fr in frames]
+            resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
+            corr = _cleared_correction(values, L, c)
             if resid != corr:
-                failures.append((m, stack[-1].value, "residual", resid, corr))
+                scale = _scale(L, values)
+                failures.append((m, node.value, "residual", Fraction(resid, scale), corr / scale))
                 continue
-            f, g = lin.f, lin.g
             for j in range(m - 1):
-                lhs = sum(C[i] * f[i] ** j * g[i] ** (m - 2 - j) for i in range(m - 1))
+                lhs = sum(ci * f[i] ** j * g[i] ** (m - 2 - j) for i, ci in enumerate(c))
                 rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
-                if lhs != rhs:
-                    failures.append((m, stack[-1].value, f"moment {j}", lhs, rhs))
+                if lhs != L * rhs:
+                    failures.append((m, node.value, f"moment {j}", Fraction(lhs, L), rhs))
                     break
     return {"checked": checked, "failures": failures}
 

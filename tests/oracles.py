@@ -1,5 +1,6 @@
-"""Test-side oracles: the adjacency-checked Farey mediant and the ℤ[q]
-product.
+"""Test-side oracles: the adjacency-checked Farey mediant, the ℤ[q]
+product, the quotient-rule derivative, and the literal Fraction forms of the
+lineage identity (Lagrange coefficients, residual and correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
@@ -9,10 +10,15 @@ oracles that multiply polynomials out term by term (the literal tower, the
 product form of the lineage weights, the quotient rule and the Taylor
 shift) use this schoolbook convolution, which shares no code with the tower
 it checks.
+
+The package computes the lineage identity in integers, over the common
+denominator L of the Lagrange coefficients and with cleared jets; the
+literal forms here take one Fraction per coefficient and per term.
 """
 from fractions import Fraction
 
-from qrationals.exact import IntPoly
+from qrationals.dedekind import s_sum
+from qrationals.exact import IntPoly, RatFunc
 
 
 class NonUnimodularError(ValueError):
@@ -38,3 +44,64 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
         for j, y in enumerate(b.coeffs):
             out[i + j] += x * y
     return IntPoly(out)
+
+
+def derivative(p: IntPoly) -> IntPoly:
+    """p′, coefficient by coefficient."""
+    return IntPoly(i * c for i, c in enumerate(p.coeffs) if i > 0)
+
+
+def derivative_at_one_quotient(rf: RatFunc, k: int) -> Fraction:
+    """Oracle for derivative_at_one: differentiate n/d k times by the
+    symbolic quotient rule, (n′d − nd′)/d², on exact polynomials, then
+    evaluate at q = 1.  Quadratic in degree; independent of the series
+    method it checks."""
+    n, d = rf.num, rf.den
+    for _ in range(k):
+        n, d = (poly_mul(derivative(n), d) - poly_mul(n, derivative(d)),
+                poly_mul(d, d))
+    return Fraction(n(1), d(1))
+
+
+def lagrange_coefficients(lin) -> tuple[Fraction, ...]:
+    """C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i), i < m, one
+    Fraction each."""
+    f, g, m = lin.f, lin.g, lin.order
+
+    def w(i: int, n: int) -> int:
+        return f[i - 1] * g[n - 1] - f[n - 1] * g[i - 1]
+
+    out = []
+    for i in range(1, m):
+        num = den = 1
+        for n in range(1, m):
+            if n != i:
+                num *= w(m, n)
+                den *= w(i, n)
+        out.append(Fraction(num, den))
+    return tuple(out)
+
+
+def scaled_sum(lin, C: tuple[Fraction, ...], values: list[Fraction]) -> Fraction:
+    """target value − Σ C_i (b_i/b_m)^{m−2} · member value."""
+    m, bm = lin.order, lin.members[-1].value.denominator
+    return values[-1] - sum(C[i] * Fraction(lin.members[i].value.denominator, bm) ** (m - 2)
+                            * values[i] for i in range(m - 1))
+
+
+def correction(lin, C: tuple[Fraction, ...]) -> Fraction:
+    """(ΣC − 1)/(2·b_m²) at order 4, [Λ(b−a) − 20·Λ(b³·s₁,₃)]/b_m³ at order
+    5, with Λ(h) = h(member m) − Σ C_i·h(member i)."""
+    m = lin.order
+    nums = [mem.value.numerator for mem in lin.members]
+    dens = [mem.value.denominator for mem in lin.members]
+    bm = dens[-1]
+    if m == 4:
+        return Fraction(sum(C) - 1, 2 * bm * bm)
+
+    def lam(h):
+        return h(m - 1) - sum(C[i] * h(i) for i in range(m - 1))
+
+    l_ba = lam(lambda i: Fraction(dens[i] - nums[i]))
+    l_s = lam(lambda i: dens[i] ** 3 * s_sum(1, 3, nums[i], dens[i]))
+    return (l_ba - 20 * l_s) / bm ** 3

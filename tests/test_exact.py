@@ -7,7 +7,7 @@ anywhere in this file.
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qrationals
 from qrationals import closedforms, dedekind, exact, fit, qdeform, sbtree
@@ -17,6 +17,7 @@ from qrationals.exact import (
     RatFunc,
     SingularMatrixError,
     ZeroDenominatorError,
+    _cleared_jets,
     _taylor_at_one,
     derivative_at_one,
     jets_at_one,
@@ -25,24 +26,7 @@ from qrationals.exact import (
     rat_to_str,
     solve_linear_exact,
 )
-from oracles import poly_mul
-
-
-def derivative(p: IntPoly) -> IntPoly:
-    """p′, coefficient by coefficient."""
-    return IntPoly(i * c for i, c in enumerate(p.coeffs) if i > 0)
-
-
-def derivative_at_one_quotient(rf: RatFunc, k: int):
-    """Oracle for derivative_at_one: differentiate n/d k times by the
-    symbolic quotient rule, (n′d − nd′)/d², on exact polynomials, then
-    evaluate at q = 1.  Quadratic in degree; independent of the series
-    method it checks."""
-    n, d = rf.num, rf.den
-    for _ in range(k):
-        n, d = (poly_mul(derivative(n), d) - poly_mul(n, derivative(d)),
-                poly_mul(d, d))
-    return Fr(n(1), d(1))
+from oracles import derivative_at_one_quotient, poly_mul
 
 
 polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
@@ -213,14 +197,24 @@ def test_series_and_quotient_rule_derivatives_agree(n, d, k):
 
 @settings(max_examples=60)
 @given(nonzero_polys, nonzero_polys, st.integers(0, 3))
+@example(IntPoly([-5, 0, -1]), IntPoly([1, 2, 1]), 3)  # f(1) = −3/2
+@example(IntPoly([2, -7]), IntPoly([0, 0, 1]), 3)  # negative jets, den(1) = 1
+@example(IntPoly([1, 1]), IntPoly([1, 0, -1]), 2)  # pole at q = 1
 def test_jets_match_quotient_rule_derivatives(n, d, k):
+    """jets_at_one and the cleared jets it divides: b = den(1) and integers
+    J_j = b^{j+1}·f⁽ʲ⁾(1), against the quotient rule; a pole raises."""
     rf = RatFunc(n, d)
     if rf.den(1) == 0:
-        with pytest.raises(PoleAtOneError):
-            jets_at_one(rf, k)
+        for jets in (jets_at_one, _cleared_jets):
+            with pytest.raises(PoleAtOneError):
+                jets(rf, k)
         return
+    want = [derivative_at_one_quotient(rf, j) for j in range(k + 1)]
+    b, J = _cleared_jets(rf, k)
+    assert b == rf.den(1) and len(J) == k + 1
+    assert all(type(Jj) is int and Jj == b ** (j + 1) * w for j, (Jj, w) in enumerate(zip(J, want)))
     jets = jets_at_one(rf, k)
-    assert jets == [derivative_at_one_quotient(rf, j) for j in range(k + 1)]
+    assert jets == want
     assert derivative_at_one(rf, k) == jets[k]
 
 

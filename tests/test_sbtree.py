@@ -9,6 +9,8 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
+from qrationals import sbtree
 from qrationals.exact import IntPoly, PoleAtOneError, RatFunc, derivative_at_one, jets_at_one
 from qrationals.qdeform import QRational, deform
 from qrationals.sbtree import (
@@ -30,7 +32,7 @@ from qrationals.sbtree import (
     walk_qtree,
     weighted_mediant,
 )
-from oracles import NonUnimodularError, mediant, poly_mul
+from oracles import NonUnimodularError, derivative_at_one_quotient, mediant, poly_mul
 
 
 def _values(lin):
@@ -389,7 +391,7 @@ def test_corrupted_member_is_rejected_where_the_products_reject_it():
                     _lineage_from_stack(bad, m)
                     accepted += 1
                 else:
-                    with pytest.raises(ValueError, match=f"failed for member {want} of "):
+                    with pytest.raises(ValueError, match=f"at node {members[want - 1].value}: "):
                         _lineage_from_stack(bad, m)
                     rejected += 1
     assert rejected > 3 * accepted
@@ -455,6 +457,71 @@ def test_identity_sweep_small_depth():
     res = identity_sweep(4)
     assert res["failures"] == []
     assert res["checked"] == {4: 16, 5: 8}
+
+
+@pytest.mark.parametrize("start", [-2, 0, 3])
+def test_identity_functions_match_literal_forms_off_the_walker(start):
+    """On every non-vanishing order-4/5 lineage to depth 7, the integer
+    forms behind lagrange_coefficients, the residuals and identity_correction
+    equal the literal Fraction forms (jets by the quotient rule), and the
+    residual equals the correction."""
+    read = 0
+    for stack in walk_qtree(start, 7):
+        for m in (4, 5):
+            if stack[-1].node.depth < m - 2:
+                continue
+            lin, _ = _lineage_from_stack(stack, m)
+            if lin.vanishing:
+                continue
+            C = oracles.lagrange_coefficients(lin)
+            assert lagrange_coefficients(lin) == C
+            jets = [derivative_at_one_quotient(mem.deform, m - 3) for mem in lin.members]
+            deltas = [delta(mem.deform, m - 3) for mem in lin.members]
+            resid = derivative_identity_residual(lin)
+            assert resid == oracles.scaled_sum(lin, C, jets) == identity_correction(lin)
+            assert identity_correction(lin) == oracles.correction(lin, C)
+            assert delta_identity_residual(lin) == oracles.scaled_sum(lin, C, deltas)
+            read += 1
+    assert read == 436
+
+
+def test_identity_sweep_reports_unscaled_failures(monkeypatch):
+    """With s₁,₃ wrong at 2/5, every failure is an order-5 residual whose
+    lineage has 2/5 as a member, reported as the literal residual and the
+    literal correction of the wrong s₁,₃."""
+    real = sbtree.s_sum
+
+    def wrong(i, j, a, b):
+        return real(i, j, a, b) + ((a, b) == (2, 5))
+    monkeypatch.setattr(sbtree, "s_sum", wrong)
+    monkeypatch.setattr(oracles, "s_sum", wrong)
+    res = identity_sweep(5)
+    assert res["checked"] == {4: 44, 5: 32} and res["failures"]
+    for m, value, identity, lhs, rhs in res["failures"]:
+        lin = lineage_extract(value, m)
+        assert (m, identity) == (5, "residual") and Fr(2, 5) in _values(lin)
+        C = oracles.lagrange_coefficients(lin)
+        jets = [derivative_at_one_quotient(mem.deform, 2) for mem in lin.members]
+        assert (lhs, rhs) == (oracles.scaled_sum(lin, C, jets), oracles.correction(lin, C))
+        assert lhs != rhs
+
+
+def test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant(monkeypatch):
+    """Each node is checked once to be its parents' weighted mediant: with
+    3/8's pair swapped for 2/5's as the walker yields it, the sweep raises
+    naming 3/8."""
+    real = sbtree.walk_qtree
+    other = deform(Fr(2, 5)).deform
+
+    def swapped(m, depth):
+        for stack in real(m, depth):
+            node = stack[-1].node
+            if node.value == Fr(3, 8):
+                stack[-1].node = QRational(node.value, other, node.depth, node.path)
+            yield stack
+    monkeypatch.setattr(sbtree, "walk_qtree", swapped)
+    with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
+        identity_sweep(4)
 
 
 # -- export ----------------------------------------------------------------
