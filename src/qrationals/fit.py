@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Rat, _echelon, derivative_at_one
+from .exact import Rat, _echelon, derivative_at_one, jets_at_one
 from .qdeform import deform
 from .dedekind import s_sum
 from .sbtree import walk_qtree
@@ -128,9 +128,9 @@ def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
         raise ValueError("order must be 0, 1, or 2")
     rows = []
     for stack in walk_qtree(start, depth):  # in increasing value
-        frame = stack[-1]
-        x = frame.node.value
-        rows.append((x, frame.jets[order], x.denominator, frame.node.depth))
+        node = stack[-1].node
+        rows.append((node.value, jets_at_one(node.deform, order)[order],
+                     node.value.denominator, node.depth))
     return rows
 
 

@@ -223,8 +223,18 @@ def qrational_to_json(qr: QRational) -> dict:
 def qrational_from_json(obj: dict) -> QRational:
     """The QRational of a record written by qrational_to_json: deform(a/b),
     after checking every field of the record against that deformation's own
-    record (ValueError naming the first field that differs)."""
-    qr = deform(Fraction(int(obj["a"]), int(obj["b"])))
+    record (ValueError naming the first field that is malformed or differs)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a q-rational record is a JSON object, not {type(obj).__name__}")
+    ab = []
+    for key in ("a", "b"):
+        try:
+            ab.append(int(obj[key]))
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"field {key!r} of the record is missing or not an integer") from None
+    if ab[1] == 0:
+        raise ValueError("field 'b' of the record is zero")
+    qr = deform(Fraction(*ab))
     for key, want in qrational_to_json(qr).items():
         if obj.get(key) != want:
             raise ValueError(f"field {key!r} of the record does not match the "

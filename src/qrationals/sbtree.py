@@ -22,7 +22,6 @@ from .exact import (
     RatFunc,
     _cleared_jets,
     _taylor_at_one,
-    jets_at_one,
     poly_to_json_list,
 )
 from .qdeform import QRational, _depth_and_path, deform, qrational_to_json, to_cfrac
@@ -83,7 +82,7 @@ def _degree_gap(left: RatFunc, right: RatFunc) -> int:
 def _qmediant(left: tuple[IntPoly, IntPoly], right: tuple[IntPoly, IntPoly],
               xi: int) -> tuple[IntPoly, IntPoly]:
     """(L₀, L₁), (R₀, R₁), ξ ↦ (L₀ + R₀·q^ξ, L₁ + R₁·q^ξ): the weighted-mediant
-    recurrence, shared by tree nodes, lineage weights and the lineage check."""
+    recurrence, shared by tree nodes and lineage weights."""
     return left[0] + right[0].shift(xi), left[1] + right[1].shift(xi)
 
 
@@ -103,12 +102,14 @@ def _farey(x: Fraction, y: Fraction) -> Fraction:
 class Frame:
     """A descent-stack entry: a tree value, the stack indices of its left
     (smaller) parent lo and right (greater) parent hi (None at the window
-    endpoints), and its node (value, canonical pair, depth, path) and jets
-    at q = 1, cleared and as Fractions, each computed on first use unless
-    assigned before."""
+    endpoints), the degree gap xi of their weighted mediant (None unless
+    _mediant_frame built the frame), and its node (value, canonical pair,
+    depth, path) and cleared jets at q = 1, each computed on first use
+    unless assigned before."""
 
     def __init__(self, value: Fraction, lo: int | None = None, hi: int | None = None):
         self.value, self.lo, self.hi = value, lo, hi
+        self.xi: int | None = None
 
     @cached_property
     def node(self) -> QRational:
@@ -120,15 +121,30 @@ class Frame:
         deformation f with denominator b (see exact._cleared_jets)."""
         return _cleared_jets(self.node.deform, 2)[1]
 
-    @cached_property
-    def jets(self) -> list[Rat]:
-        """f(1), f′(1), f″(1) of the node's deformation f."""
-        return jets_at_one(self.node.deform, 2)
+
+def _mediant_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> Frame:
+    """The frame of the tree node at the given depth and path whose parents
+    are stack[lo] (left) and stack[hi] (right): its pair is their pairs'
+    weighted mediant with ξ = _degree_gap, kept on the frame.  Lineage
+    weights rebuild a member from its parents by this same recurrence, so
+    the pair must be canonical exactly as built (ValueError naming the node
+    otherwise)."""
+    left, right = stack[lo].node.deform, stack[hi].node.deform
+    frame = Frame(_farey(stack[lo].value, stack[hi].value), lo, hi)
+    frame.xi = _degree_gap(left, right)
+    raw = _qmediant((left.num, left.den), (right.num, right.den), frame.xi)
+    pair = RatFunc(*raw)
+    if (pair.num, pair.den) != raw:
+        raise ValueError(f"weight reconstruction failed at node {frame.value}: "
+                         f"not the weighted mediant of its parents")
+    frame.node = QRational(frame.value, pair, depth, path)
+    return frame
 
 
 def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
     """Depth-first walk, in increasing value, of the q-deformed tree nodes
-    strictly between m and m+1 to the given depth, by weighted mediants.
+    strictly between m and m+1 to the given depth, by weighted mediants,
+    each node checked where it is built (_mediant_frame).
 
     Yields the ancestor stack at each node, one list reused from step to
     step: frames 0 and 1 hold deform(m) and deform(m + 1), frame 2 + d the
@@ -139,11 +155,8 @@ def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
     stack = [Frame(Fraction(m)), Frame(Fraction(m + 1))]
 
     def visit(lo: int, hi: int, d: int, path: str):
-        left, right = stack[lo].node, stack[hi].node
-        frame = Frame(_farey(left.value, right.value), lo, hi)
-        frame.node = QRational(frame.value, weighted_mediant(left.deform, right.deform), d, path)
         k = d + 2
-        stack[k:] = [frame]
+        stack[k:] = [_mediant_frame(stack, lo, hi, d, path)]
         if d < depth:
             yield from visit(lo, k, d + 1, path + "L")
             del stack[k + 1:]
@@ -246,40 +259,27 @@ def _weights_at_one(parents: list[tuple[int, int]]) -> tuple[tuple[int, ...], tu
     return tuple(f), tuple(g)
 
 
-def _mediant_gap(stack: list[Frame], frame: Frame) -> int:
-    """ξ, the degree gap of a frame's two parent frames, after checking that
-    the frame's canonical pair is their weighted mediant unnormalized
-    (ValueError naming the node otherwise)."""
-    left, right = stack[frame.lo].node.deform, stack[frame.hi].node.deform
-    xi = _degree_gap(left, right)
-    pair = frame.node.deform
-    if _qmediant((left.num, left.den), (right.num, right.den), xi) != (pair.num, pair.den):
-        raise ValueError(f"weight reconstruction failed at node {frame.value}: "
-                         f"not the weighted mediant of its parents")
-    return xi
-
-
 def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame]]:
     """The order-m lineage of a descent stack's last frame, and its members'
     frames (as in _lineage_members).  ζ_n is the member index of member n's
     shallow parent.  Weight recurrence: 𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where
     small and big are member n's left and right parents (the q-power
-    attaches to the greater), and ξ_n is their mediant's degree gap.  Each
-    member n ≥ 3 must be the same recurrence of its parents' canonical pairs
-    (_mediant_gap), so by induction on n the weights rebuild every member
-    from members 1 and 2, and no weight is multiplied out.
+    attaches to the greater), and ξ_n is their mediant's degree gap, read
+    off member n's frame.  Each member n ≥ 3 was built as the same
+    recurrence of its parents' canonical pairs and checked canonical as
+    built (_mediant_frame), so by induction on n the weights rebuild every
+    member from members 1 and 2, and no weight is multiplied out.
     """
     frames, parents = _lineage_members(stack, m)
     weights = [(IntPoly.const(1), IntPoly()), (IntPoly(), IntPoly.const(1))]
-    zeta, xi = [], []
+    zeta = []
     for n, (small, big) in enumerate(parents, start=3):
         zeta.append(big if small == n - 1 else small)
-        xi.append(_mediant_gap(stack, frames[n - 1]))
-        weights.append(_qmediant(weights[small - 1], weights[big - 1], xi[-1]))
+        weights.append(_qmediant(weights[small - 1], weights[big - 1], frames[n - 1].xi))
     F, G = zip(*weights)
     f, g = _weights_at_one(parents)
-    lin = Lineage(members=tuple(fr.node for fr in frames), zeta=tuple(zeta), xi=tuple(xi),
-                  Fpoly=F, Gpoly=G, f=f, g=g,
+    lin = Lineage(members=tuple(fr.node for fr in frames), zeta=tuple(zeta),
+                  xi=tuple(fr.xi for fr in frames[2:]), Fpoly=F, Gpoly=G, f=f, g=g,
                   vanishing=frames[0].value.denominator == 1)
     return lin, frames
 
@@ -288,24 +288,22 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
     """Extract the order-m lineage of x (see _lineage_from_stack) off the
     Fraction-level Stern–Brocot search for x from ⌊x⌋ and ⌊x⌋ + 1.  Only
     members 1 and 2 are deformed; members 3..m, the last m − 2 frames, are
-    weighted mediants of their two parents, which are earlier members, with
-    the depth and path that deform attaches."""
+    built from their two parents, which are earlier members, as the walker
+    builds them (_mediant_frame), with depth and path sliced from x's."""
     x = Fraction(x)
     if m < 2:
         raise ValueError("lineage order must be >= 2")
+    depth, path = _depth_and_path(to_cfrac(x))  # an integer has depth −1
+    if depth < m - 2:
+        raise InsufficientDepthError(requested=m, max_order=depth + 2)
     stack = [Frame(Fraction(v)) for v in (math.floor(x), math.floor(x) + 1)]
     lo, hi = 0, 1
     while stack[lo].value != x:  # invariant: stack[lo] <= x < stack[hi]
         k = len(stack)
         stack.append(Frame(_farey(stack[lo].value, stack[hi].value), lo, hi))
         lo, hi = (lo, k) if x < stack[k].value else (k, hi)
-    depth = len(stack) - 3  # an integer stops at once, at depth −1
-    if depth < m - 2:
-        raise InsufficientDepthError(requested=m, max_order=depth + 2)
-    for frame in stack[len(stack) - m + 2:]:
-        left, right = stack[frame.lo].node, stack[frame.hi].node
-        frame.node = QRational(frame.value, weighted_mediant(left.deform, right.deform),
-                               *_depth_and_path(to_cfrac(frame.value)))
+    for k in range(len(stack) - m + 2, len(stack)):  # frame k has depth k − 2
+        stack[k] = _mediant_frame(stack, stack[k].lo, stack[k].hi, k - 2, path[:k - 1])
     return _lineage_from_stack(stack, m)[0]
 
 
@@ -448,9 +446,9 @@ def identity_sweep(depth: int) -> dict:
     Lineages are read off the walker's stack, in integers: weights at
     q = 1, the Lagrange numerators c_i over their common denominator L, and
     each node's cleared jets, computed once however many lineages it
-    belongs to.  Each node is also checked once to be the unnormalized
-    weighted mediant of its parents (ValueError naming it otherwise), which
-    the lineage weights rely on.
+    belongs to.  The lineage weights rely on each node being the
+    unnormalized weighted mediant of its parents, which the walker checks
+    where it builds the node (ValueError naming it otherwise).
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
     tuple (m, value, identity, lhs, rhs) per violation (empty = pass); lhs
@@ -460,7 +458,6 @@ def identity_sweep(depth: int) -> dict:
     failures: list[tuple] = []
     for stack in walk_qtree(0, depth):
         node = stack[-1]
-        _mediant_gap(stack, node)
         for m in (4, 5):
             if node.node.depth < m - 2:
                 continue

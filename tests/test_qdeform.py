@@ -272,6 +272,13 @@ def test_qrational_from_json_rejects_inconsistent_records():
             record["b"] = "4"  # 2/4 is 1/2, but not its record
         with pytest.raises(ValueError, match=f"'{key}'"):
             qrational_from_json(record)
+    for key, record in (("a", {"b": "2"}), ("b", {"a": "1"}), ("b", dict(good, b="0")),
+                        ("a", dict(good, a=None)), ("b", dict(good, b="two"))):
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            qrational_from_json(record)
+    for record in (["1", "2"], None, "1/2"):
+        with pytest.raises(ValueError, match="JSON object"):
+            qrational_from_json(record)
 
 
 def test_deform_memoizes():

@@ -17,13 +17,13 @@ from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
     VanishingLineageError,
-    Frame,
     _degree_gap,
     _lineage_from_stack,
     build_qtree,
     delta,
     delta_identity_residual,
     derivative_identity_residual,
+    equivalence_mismatches,
     identity_correction,
     identity_sweep,
     lagrange_coefficients,
@@ -99,21 +99,24 @@ def test_tree_depth_matches_deformation_depth():
 def test_walker_matches_deform_and_build_qtree(start, depth):
     """Every walker node equals the continued-fraction deformation of its
     value (pair, depth and path), the stack holds the endpoints and one
-    ancestor per depth, each frame is the mediant of its two parent frames,
-    and the walk visits each node once, in increasing value; sorted, it is
-    build_qtree."""
+    ancestor per depth, each frame is the mediant of its two parent frames
+    and keeps their degree gap, and the walk visits each node once, in
+    increasing value; sorted, it is build_qtree."""
     nodes = []
     for stack in walk_qtree(start, depth):
         node = stack[-1].node
         want = deform(node.value)
         assert (node.value, node.deform, node.depth, node.path) == \
             (want.value, want.deform, want.depth, want.path)
-        assert stack[-1].jets == jets_at_one(want.deform, 2)
+        b = want.deform.den(1)
+        assert stack[-1].cleared_jets == \
+            [b ** (j + 1) * v for j, v in enumerate(jets_at_one(want.deform, 2))]
         assert len(stack) == node.depth + 3
         assert [fr.node for fr in stack[:2]] == [deform(start), deform(start + 1)]
         for k, frame in enumerate(stack[2:], start=2):
             assert frame.lo < k and frame.hi < k
             assert frame.value == mediant(stack[frame.lo].value, stack[frame.hi].value)
+            assert frame.xi == _degree_gap(stack[frame.lo].node.deform, stack[frame.hi].node.deform)
         nodes.append(node)
     assert len(nodes) == 2 ** (depth + 1) - 1
     assert all(u.value < v.value for u, v in zip(nodes, nodes[1:]))
@@ -371,30 +374,40 @@ def test_lineage_extract_members_equal_their_deformations(x):
                 (want.deform, want.depth, want.path), (x, m, mem.value)
 
 
-def test_corrupted_member_is_rejected_where_the_products_reject_it():
-    """Replace one member's pair by another node's: the recurrence check and
-    the literal product check reject at the same member, or both accept."""
+def _build_as(monkeypatch, value, other):
+    """Make the build step canonicalize the weighted mediant that is value's
+    pair to the pair other, as a wrong canonical form would."""
+    want = deform(value).deform
+
+    def canonical(num, den):
+        return other if (num, den) == (want.num, want.den) else RatFunc(num, den)
+    monkeypatch.setattr(sbtree, "RatFunc", canonical)
+
+
+def test_corrupted_member_is_rejected_where_the_products_reject_it(monkeypatch):
+    """Replace one member's pair by another node's where the walker builds
+    it: the literal product check rejects at member max(k, 3), the first
+    one rebuilt from the replaced member k (nothing is rebuilt at order 2),
+    and the build step rejects member k itself, naming it.  Members at the
+    window endpoints are deformed, not built, so they are not replaced."""
     stacks = [list(stack) for stack in walk_qtree(0, 5)]
-    rejected = accepted = 0
+    rejected = 0
     for i, stack in enumerate(stacks):
         for m in range(2, min(5, stack[-1].node.depth + 2) + 1):
             lin, frames = _lineage_from_stack(stack, m)
-            for k in range(1, m + 1):
-                other = stacks[(i + 5 * k + 1) % len(stacks)][-1].node
-                old = frames[k - 1]
-                new = Frame(old.value, old.lo, old.hi)
-                new.node = QRational(old.value, other.deform, old.node.depth, old.node.path)
-                bad = [new if fr is old else fr for fr in stack]
-                members = [*lin.members[:k - 1], new.node, *lin.members[k:]]
-                want = _first_member_not_rebuilt(members, lin.zeta)
-                if want is None:
-                    _lineage_from_stack(bad, m)
-                    accepted += 1
-                else:
-                    with pytest.raises(ValueError, match=f"at node {members[want - 1].value}: "):
-                        _lineage_from_stack(bad, m)
-                    rejected += 1
-    assert rejected > 3 * accepted
+            for k, old in enumerate(frames, start=1):
+                other = stacks[(i + 5 * k + 1) % len(stacks)][-1].node.deform
+                if old.lo is None or other == old.node.deform:
+                    continue
+                new = QRational(old.value, other, old.node.depth, old.node.path)
+                members = [*lin.members[:k - 1], new, *lin.members[k:]]
+                assert _first_member_not_rebuilt(members, lin.zeta) == \
+                    (max(k, 3) if m > 2 else None)
+                _build_as(monkeypatch, old.value, other)
+                with pytest.raises(ValueError, match=f"at node {old.value}: "):
+                    list(walk_qtree(0, old.node.depth))
+                rejected += 1
+    assert rejected == 777
 
 
 def test_lagrange_rejects_vanishing_lineage():
@@ -507,21 +520,14 @@ def test_identity_sweep_reports_unscaled_failures(monkeypatch):
 
 
 def test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant(monkeypatch):
-    """Each node is checked once to be its parents' weighted mediant: with
-    3/8's pair swapped for 2/5's as the walker yields it, the sweep raises
-    naming 3/8."""
-    real = sbtree.walk_qtree
-    other = deform(Fr(2, 5)).deform
-
-    def swapped(m, depth):
-        for stack in real(m, depth):
-            node = stack[-1].node
-            if node.value == Fr(3, 8):
-                stack[-1].node = QRational(node.value, other, node.depth, node.path)
-            yield stack
-    monkeypatch.setattr(sbtree, "walk_qtree", swapped)
-    with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
-        identity_sweep(4)
+    """Each node is checked where it is built to be its parents' weighted
+    mediant: with 3/8's mediant canonicalized to 2/5's pair, the identity
+    and equivalence sweeps and lineage_extract raise naming 3/8."""
+    _build_as(monkeypatch, Fr(3, 8), deform(Fr(2, 5)).deform)
+    for run in (lambda: identity_sweep(4), lambda: equivalence_mismatches(4),
+                lambda: lineage_extract(Fr(3, 8), 3)):
+        with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
+            run()
 
 
 # -- export ----------------------------------------------------------------
