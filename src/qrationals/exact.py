@@ -130,13 +130,17 @@ class IntPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    def _zip(self, op, other: "IntPoly") -> "IntPoly":
+        """op on the coefficients, the shorter list padded with zeros; sums
+        and differences of ints are ints, so only the strip runs again."""
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPoly._from_stripped(_strip(itertools.starmap(op, pairs)))
+
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        return IntPoly(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+        return self._zip(operator.add, other)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        return IntPoly(x - y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+        return self._zip(operator.sub, other)
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self.coeffs)
@@ -147,7 +151,7 @@ class IntPoly:
             raise ValueError("shift must be nonnegative")
         if self.is_zero:
             return self
-        return IntPoly((0,) * k + self.coeffs)
+        return IntPoly._from_stripped((0,) * k + self.coeffs)
 
     def unshift(self, k: int) -> "IntPoly":
         """Exact division by q^k; requires the low k coefficients to vanish."""
@@ -223,7 +227,7 @@ class RatFunc:
             if g > 1:
                 num = IntPoly(c // g for c in num.coeffs)
                 den = IntPoly(c // g for c in den.coeffs)
-            d1 = den(1)
+            d1 = sum(den.coeffs)  # den(1)
             if d1 < 0 or (d1 == 0 and den.leading() < 0):
                 num, den = -num, -den
         object.__setattr__(self, "num", num)
@@ -258,25 +262,27 @@ def _taylor_at_one(p: IntPoly, k: int) -> list[int]:
 
 def _cleared_jets(rf: RatFunc, k: int) -> tuple[int, list[int]]:
     """(b, [J_0, ..., J_k]) with b = den(1) and J_j = b^{j+1}·f⁽ʲ⁾(1), all
-    integers, for f = num/den.
-
-    Shifts to h = q − 1 and divides truncated power series without leaving
-    the integers: with n_j, d_j the h^j coefficients of num(1 + h) and
-    den(1 + h) (one Taylor pass per polynomial, O(k · degree) whatever the
-    polynomial size) and b = d_0, the cleared quotient
-    T_j = b^j·n_j − Σ_{i<j} d_{j−i}·b^{j−1−i}·T_i is b^{j+1} times the h^j
-    coefficient of f, so J_j = j!·T_j.
-    """
+    integers, for f = num/den: one Taylor pass per polynomial (O(k · degree)
+    whatever the polynomial size), then _series_quotient."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    d = _taylor_at_one(rf.den, k)
+    return _series_quotient(_taylor_at_one(rf.num, k), _taylor_at_one(rf.den, k))
+
+
+def _series_quotient(n: Sequence[int], d: Sequence[int]) -> tuple[int, list[int]]:
+    """(b, [J_0, ..., J_k]) with b = d_0 and J_j = b^{j+1}·f⁽ʲ⁾(1), for the
+    f whose numerator and denominator have the h^j coefficients n_j, d_j at
+    q = 1 + h, j ≤ k.
+
+    Divides the truncated power series without leaving the integers: the
+    cleared quotient T_j = b^j·n_j − Σ_{i<j} d_{j−i}·b^{j−1−i}·T_i is
+    b^{j+1} times the h^j coefficient of f, so J_j = j!·T_j.
+    """
     b = d[0]
     if b == 0:
         raise PoleAtOneError("denominator vanishes at q = 1")
-    n = _taylor_at_one(rf.num, k)
     T: list[int] = []
-    for j in range(k + 1):
-        acc = n[j]
+    for j, acc in enumerate(n):
         for i, Ti in enumerate(T):  # T_j by Horner's rule in b
             acc = acc * b - d[j - i] * Ti
         T.append(acc)
@@ -291,8 +297,10 @@ def jets_at_one(rf: RatFunc, k: int) -> list[Rat]:
 
 
 def derivative_at_one(rf: RatFunc, k: int) -> Rat:
-    """Exact k-th derivative of num/den at q = 1 (see jets_at_one)."""
-    return jets_at_one(rf, k)[k]
+    """Exact k-th derivative of num/den at q = 1: the cleared jet J_k of
+    _cleared_jets divided by b^{k+1}, the one Fraction built."""
+    b, J = _cleared_jets(rf, k)
+    return Fraction(J[k], b ** (k + 1))
 
 
 # --------------------------------------------------------------------------

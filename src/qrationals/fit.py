@@ -14,10 +14,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Rat, _echelon, derivative_at_one, jets_at_one
+from .exact import Rat, _echelon, derivative_at_one
 from .qdeform import deform
 from .dedekind import s_sum
-from .sbtree import walk_qtree
+from .sbtree import _jet_frame, _walk
 
 __all__ = [
     "RankDeficientError",
@@ -122,15 +122,19 @@ def default_d2_samples() -> list[Fraction]:
 def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
     """Rows (x, value, b, depth) for every tree node between start and
     start+1 down to the given depth, sorted by x; value is the exact
-    derivative of the given order (0 returns the node value itself).
+    derivative of the given order (0 returns the node value itself), read
+    off the tree walk on Taylor data at q = 1 (sbtree._jet_frame), which
+    builds no polynomials and checks each node's N(1), D(1) against its
+    reduced a, b.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     rows = []
-    for stack in walk_qtree(start, depth):  # in increasing value
-        node = stack[-1].node
-        rows.append((node.value, jets_at_one(node.deform, order)[order],
-                     node.value.denominator, node.depth))
+    for stack in _walk(start, depth, _jet_frame):  # in increasing value
+        frame = stack[-1]
+        b = frame.value.denominator
+        rows.append((frame.value, Fraction(frame.cleared_jets[order], b ** (order + 1)),
+                     b, len(stack) - 3))
     return rows
 
 

@@ -182,15 +182,19 @@ class QRational:
     path: str
 
 
-def _depth_and_path(cf: CFrac) -> tuple[int, str]:
-    """Tree depth and branch word of the rational with canonical expansion cf.
-
-    The tail (a_1, ..., a_m) maps to the run-length branch word
-    L^{u_1} R^{u_2} L^{u_3} ... with u = (a_1, ..., a_{m-1}, a_m − 1);
-    depth is Σu − 1 (integers: empty word, depth −1).
-    """
+def _branch_runs(cf: CFrac) -> list[int]:
+    """Run lengths u of the branch word L^{u_1} R^{u_2} L^{u_3} ... of the
+    rational with canonical expansion cf: the tail (a_1, ..., a_m) gives
+    u = (a_1, ..., a_{m-1}, a_m − 1), an integer none."""
     tail = cf.terms[1:]
-    u = [*tail[:-1], tail[-1] - 1] if tail else []
+    return [*tail[:-1], tail[-1] - 1] if tail else []
+
+
+def _depth_and_path(cf: CFrac) -> tuple[int, str]:
+    """Tree depth and branch word of the rational with canonical expansion
+    cf: the word spells out _branch_runs, and depth is Σu − 1 (integers:
+    empty word, depth −1)."""
+    u = _branch_runs(cf)
     path = "".join(("L" if i % 2 == 0 else "R") * v for i, v in enumerate(u))
     return sum(u) - 1, path
 

@@ -2,10 +2,13 @@
 extraction with polynomial weight tables, the Δ_i operator, and the Lagrange
 coefficients of the order-m linear-dependence identity.
 
-One depth-first walker, walk_qtree, yields the tree's ancestor stack, and
-lineages are read off such stacks.  The weighted-mediant construction calls
-the continued-fraction deformation only at the window endpoints; their
-bit-exact agreement is a verified equivalence, not a dependency.
+One depth-first recursion yields the tree's ancestor stack, and lineages
+are read off such stacks.  It takes a node builder: walk_qtree builds each
+node's canonical polynomial pair (_mediant_frame), and the identity sweep
+and the plot data walk Taylor data at q = 1 (_jet_frame).  The
+weighted-mediant construction calls the continued-fraction deformation only
+at the window endpoints; their bit-exact agreement is a verified
+equivalence, not a dependency.
 """
 from __future__ import annotations
 
@@ -21,10 +24,11 @@ from .exact import (
     Rat,
     RatFunc,
     _cleared_jets,
+    _series_quotient,
     _taylor_at_one,
     poly_to_json_list,
 )
-from .qdeform import QRational, _depth_and_path, deform, qrational_to_json, to_cfrac
+from .qdeform import QRational, _branch_runs, _depth_and_path, deform, qrational_to_json, to_cfrac
 from .dedekind import s_sum
 
 __all__ = [
@@ -72,11 +76,12 @@ class InsufficientDepthError(ValueError):
         )
 
 
-def _degree_gap(left: RatFunc, right: RatFunc) -> int:
-    """n = max(1, deg βL − deg δR + 1) on the canonical denominators of two
-    neighbours (left value < right): the degree-gap rule that makes the tree
-    reproduce the continued-fraction deformation exactly."""
-    return max(1, left.den.degree() - right.den.degree() + 1)
+def _degree_gap(left_degree: int, right_degree: int) -> int:
+    """n = max(1, deg βL − deg δR + 1) from the degrees of the canonical
+    denominators of two neighbours (left value < right): the degree-gap rule
+    that makes the tree reproduce the continued-fraction deformation
+    exactly."""
+    return max(1, left_degree - right_degree + 1)
 
 
 def _qmediant(left: tuple[IntPoly, IntPoly], right: tuple[IntPoly, IntPoly],
@@ -86,11 +91,21 @@ def _qmediant(left: tuple[IntPoly, IntPoly], right: tuple[IntPoly, IntPoly],
     return left[0] + right[0].shift(xi), left[1] + right[1].shift(xi)
 
 
+def _taylor_mediant(left: tuple[list[int], list[int]], right: tuple[list[int], list[int]],
+                    xi: int) -> tuple[list[int], ...]:
+    """_qmediant on the h^0..h^2 coefficients of the polynomials at
+    q = 1 + h, where q^ξ = (1 + h)^ξ multiplies by the binomial row
+    C(ξ, 0), C(ξ, 1), C(ξ, 2)."""
+    c2 = xi * (xi - 1) // 2
+    return tuple([u[0] + v[0], u[1] + v[1] + xi * v[0], u[2] + v[2] + xi * v[1] + c2 * v[0]]
+                 for u, v in zip(left, right))
+
+
 def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
     """q-deformed mediant of two deformed neighbours (left value < right),
     the right pair weighted by q^n with n the degree gap (_degree_gap)."""
     num, den = _qmediant((left.num, left.den), (right.num, right.den),
-                         _degree_gap(left, right))
+                         _degree_gap(left.den.degree(), right.den.degree()))
     return RatFunc(num, den)
 
 
@@ -102,10 +117,10 @@ def _farey(x: Fraction, y: Fraction) -> Fraction:
 class Frame:
     """A descent-stack entry: a tree value, the stack indices of its left
     (smaller) parent lo and right (greater) parent hi (None at the window
-    endpoints), the degree gap xi of their weighted mediant (None unless
-    _mediant_frame built the frame), and its node (value, canonical pair,
-    depth, path) and cleared jets at q = 1, each computed on first use
-    unless assigned before."""
+    endpoints), the degree gap xi of their weighted mediant (None at the
+    endpoints), and three views of its node, each computed on first use
+    unless its builder assigned it: the node (value, canonical pair, depth,
+    path), the Taylor data at q = 1 and the cleared jets."""
 
     def __init__(self, value: Fraction, lo: int | None = None, hi: int | None = None):
         self.value, self.lo, self.hi = value, lo, hi
@@ -116,10 +131,23 @@ class Frame:
         return deform(self.value)
 
     @cached_property
+    def taylor(self) -> tuple[list[int], list[int], int]:
+        """(n, d, deg): the h^0..h^2 coefficients of num(1 + h) and
+        den(1 + h) for the node's canonical pair num/den, and deg den."""
+        rf = self.node.deform
+        return _taylor_at_one(rf.num, 2), _taylor_at_one(rf.den, 2), rf.den.degree()
+
+    @cached_property
     def cleared_jets(self) -> list[int]:
         """J_0, J_1, J_2 with J_j = b^{j+1}·f⁽ʲ⁾(1), for the node's
-        deformation f with denominator b (see exact._cleared_jets)."""
-        return _cleared_jets(self.node.deform, 2)[1]
+        deformation f with denominator b (see exact._series_quotient)."""
+        n, d, _ = self.taylor
+        return _series_quotient(n, d)[1]
+
+
+def _not_mediant(value: Fraction) -> ValueError:
+    return ValueError(f"weight reconstruction failed at node {value}: "
+                      f"not the weighted mediant of its parents")
 
 
 def _mediant_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> Frame:
@@ -131,32 +159,49 @@ def _mediant_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) 
     otherwise)."""
     left, right = stack[lo].node.deform, stack[hi].node.deform
     frame = Frame(_farey(stack[lo].value, stack[hi].value), lo, hi)
-    frame.xi = _degree_gap(left, right)
+    frame.xi = _degree_gap(left.den.degree(), right.den.degree())
     raw = _qmediant((left.num, left.den), (right.num, right.den), frame.xi)
     pair = RatFunc(*raw)
     if (pair.num, pair.den) != raw:
-        raise ValueError(f"weight reconstruction failed at node {frame.value}: "
-                         f"not the weighted mediant of its parents")
+        raise _not_mediant(frame.value)
     frame.node = QRational(frame.value, pair, depth, path)
     return frame
 
 
-def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
-    """Depth-first walk, in increasing value, of the q-deformed tree nodes
-    strictly between m and m+1 to the given depth, by weighted mediants,
-    each node checked where it is built (_mediant_frame).
+def _jet_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> Frame:
+    """The frame of the tree node whose parents are stack[lo] (left) and
+    stack[hi] (right), built on Taylor data instead of polynomials: the
+    same recurrence as _mediant_frame with q^ξ = (1 + h)^ξ
+    (_taylor_mediant), the denominator degree deg R + ξ (ξ exceeds
+    deg L − deg R, so no leading term cancels), and the cleared jets.  The
+    node itself is not built.
 
-    Yields the ancestor stack at each node, one list reused from step to
-    step: frames 0 and 1 hold deform(m) and deform(m + 1), frame 2 + d the
-    depth-d ancestor, and the last frame the node itself.
-    """
+    The one part of _mediant_frame's check that the jets depend on is
+    checked here: the built N(1), D(1) must be the node's reduced (a, b),
+    since the cleared jets scale with D(1) (ValueError naming the node
+    otherwise); a common q-power would change no jet."""
+    (nl, dl, deg_l), (nr, dr, deg_r) = stack[lo].taylor, stack[hi].taylor
+    frame = Frame(_farey(stack[lo].value, stack[hi].value), lo, hi)
+    frame.xi = xi = _degree_gap(deg_l, deg_r)
+    n, d = _taylor_mediant((nl, dl), (nr, dr), xi)
+    if (n[0], d[0]) != (frame.value.numerator, frame.value.denominator):
+        raise _not_mediant(frame.value)
+    frame.taylor = n, d, deg_r + xi
+    frame.cleared_jets = _series_quotient(n, d)[1]
+    return frame
+
+
+def _walk(m: int, depth: int, build) -> Iterator[list[Frame]]:
+    """The depth-first walk of walk_qtree, each node's frame made by
+    build(stack, lo, hi, depth, path): _mediant_frame (polynomials) or
+    _jet_frame (Taylor data at q = 1)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     stack = [Frame(Fraction(m)), Frame(Fraction(m + 1))]
 
     def visit(lo: int, hi: int, d: int, path: str):
         k = d + 2
-        stack[k:] = [_mediant_frame(stack, lo, hi, d, path)]
+        stack[k:] = [build(stack, lo, hi, d, path)]
         if d < depth:
             yield from visit(lo, k, d + 1, path + "L")
             del stack[k + 1:]
@@ -165,6 +210,20 @@ def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
             yield from visit(k, hi, d + 1, path + "R")
 
     return visit(0, 1, 0, "L")
+
+
+def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
+    """Depth-first walk, in increasing value, of the q-deformed tree nodes
+    strictly between m and m+1 to the given depth, by weighted mediants,
+    each node's canonical pair built and checked where it is built
+    (_mediant_frame).
+
+    Yields the ancestor stack at each node, one list reused from step to
+    step: frames 0 and 1 hold deform(m) and deform(m + 1), frame 2 + d the
+    depth-d ancestor, and the last frame the node itself.  identity_sweep
+    and fit.emit_plot_data run the same walk on Taylor data (_jet_frame).
+    """
+    return _walk(m, depth, _mediant_frame)
 
 
 def build_qtree(m: int, depth: int) -> list[QRational]:
@@ -235,7 +294,9 @@ def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], list[tupl
     Members 2..m are the last m−1 frames (each the deeper parent of the
     next); member 1 is the shallow parent of member 3, or for m = 2 the
     target's deeper parent (the left endpoint at depth 0).  Member n's
-    parents are members n − 1 and ζ_n, which is n − 2 or ζ_{n−1}.
+    parents are members n − 1 and ζ_n, which is n − 2 or ζ_{n−1}.  The
+    same rules read a stack of the m members alone, member 1 first
+    (lineage_extract's).
     """
     t = len(stack) - 1
     if m == 2:
@@ -285,25 +346,50 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
 
 
 def lineage_extract(x: Rat, m: int) -> Lineage:
-    """Extract the order-m lineage of x (see _lineage_from_stack) off the
-    Fraction-level Stern–Brocot search for x from ⌊x⌋ and ⌊x⌋ + 1.  Only
-    members 1 and 2 are deformed; members 3..m, the last m − 2 frames, are
-    built from their two parents, which are earlier members, as the walker
-    builds them (_mediant_frame), with depth and path sliced from x's."""
+    """Extract the order-m lineage of x (see _lineage_from_stack) from a
+    stack of its m members alone.
+
+    The descent from ⌊x⌋ and ⌊x⌋ + 1 to member 2 runs along x's branch
+    word (qdeform._branch_runs) one run at a time, on (numerator,
+    denominator) pairs: k equal moves from the interval (l, r) reach
+    (l, k·l + r) going left and (l + k·r, r) going right, so the search
+    takes one step per partial quotient and keeps no frame per level.
+    Member 1 is the parent of member 3 that the next move keeps (for
+    m = 2, the target's deeper parent, the left endpoint at depth 0).
+    Members 1 and 2 are deformed; members 3..m are built from their two
+    parents, which are earlier members, as the walker builds them
+    (_mediant_frame), with depth and path sliced from x's."""
     x = Fraction(x)
     if m < 2:
         raise ValueError("lineage order must be >= 2")
-    depth, path = _depth_and_path(to_cfrac(x))  # an integer has depth −1
+    cf = to_cfrac(x)
+    depth, path = _depth_and_path(cf)  # an integer has depth −1
     if depth < m - 2:
         raise InsufficientDepthError(requested=m, max_order=depth + 2)
-    stack = [Frame(Fraction(v)) for v in (math.floor(x), math.floor(x) + 1)]
-    lo, hi = 0, 1
-    while stack[lo].value != x:  # invariant: stack[lo] <= x < stack[hi]
-        k = len(stack)
-        stack.append(Frame(_farey(stack[lo].value, stack[hi].value), lo, hi))
-        lo, hi = (lo, k) if x < stack[k].value else (k, hi)
-    for k in range(len(stack) - m + 2, len(stack)):  # frame k has depth k − 2
-        stack[k] = _mediant_frame(stack, stack[k].lo, stack[k].hi, k - 2, path[:k - 1])
+    top = depth - m + 2  # member 2's depth
+    left, right = (cf.terms[0], 1), (cf.terms[0] + 1, 1)  # the node left + right is at depth d
+    d = 0
+    for i, u in enumerate(_branch_runs(cf)):
+        if d == top:
+            break
+        k = min(u - (i == 0), top - d)  # the depth-0 node spells the word's first L
+        if i % 2 == 0:
+            right = (right[0] + k * left[0], right[1] + k * left[1])
+        else:
+            left = (left[0] + k * right[0], left[1] + k * right[1])
+        d += k
+    if m == 2:
+        first = right if depth and path[depth] == "L" else left
+    else:
+        first = left if path[top + 1] == "L" else right
+    stack = [Frame(Fraction(*first)), Frame(Fraction(left[0] + right[0], left[1] + right[1]))]
+    lo = hi = 0
+    for d in range(top + 1, depth + 1):
+        if path[d] == "L":
+            hi = len(stack) - 1
+        else:
+            lo = len(stack) - 1
+        stack.append(_mediant_frame(stack, lo, hi, d, path[:d + 1]))
     return _lineage_from_stack(stack, m)[0]
 
 
@@ -409,20 +495,28 @@ def identity_correction(lin: Lineage) -> Rat:
     _identity_order(lin)
     L, c = _lineage_lagrange(lin)
     values = _values(lin)
-    return _cleared_correction(values, L, c) / _scale(L, values)
+    num, den = _cleared_correction(values, L, c)
+    return Fraction(num, den * _scale(L, values))
 
 
-def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> Rat:
-    """L·b_m^{m−2} times the correction: (Σc − L)/2 at order 4,
-    L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) at order 5."""
+def _order4_correction(L: int, c: list[int]) -> tuple[int, int]:
+    """L·b_m² times the order-4 correction, as (numerator, denominator):
+    (Σc − L)/2, which depends on the lineage's weights alone."""
+    return sum(c) - L, 2
+
+
+def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> tuple[int, int]:
+    """L·b_m^{m−2} times the correction, as (numerator, denominator):
+    _order4_correction at order 4, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) at
+    order 5."""
     if len(values) == 4:
-        return Fraction(sum(c) - L, 2)
+        return _order4_correction(L, c)
     l_ba = _lam(L, c, [x.denominator - x.numerator for x in values])
     s = [s_sum(1, 3, x.numerator, x.denominator) for x in values]
     D = math.lcm(*(si.denominator for si in s))  # D·L·Λ(b³·s₁,₃) is an integer
     l_s = _lam(L, c, [x.denominator ** 3 * si.numerator * (D // si.denominator)
                       for x, si in zip(values, s)])
-    return Fraction(D * l_ba - 20 * l_s, D)
+    return D * l_ba - 20 * l_s, D
 
 
 # --------------------------------------------------------------------------
@@ -437,49 +531,69 @@ def equivalence_mismatches(depth: int) -> list[Fraction]:
             if stack[-1].node.deform != deform(stack[-1].value).deform]
 
 
+def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
+    """What an order-m lineage's identities need of its shape (its parent
+    pattern) alone: (L, c), the order-4 cleared correction (None at
+    order 5), and the first failing moment identity as the tail of a
+    failure record (None if all hold)."""
+    f, g = _weights_at_one(parents)
+    L, c = _lagrange(f, g)
+    moment = None
+    for j in range(m - 1):
+        lhs = sum(ci * f[i] ** j * g[i] ** (m - 2 - j) for i, ci in enumerate(c))
+        rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
+        if lhs != L * rhs:
+            moment = (f"moment {j}", Fraction(lhs, L), rhs)
+            break
+    return L, c, _order4_correction(L, c) if m == 4 else None, moment
+
+
 def identity_sweep(depth: int) -> dict:
     """Verify, for every non-vanishing lineage of orders 4 and 5 rooted at
     tree nodes to the given depth:  the derivative linear-dependence residual
     equals its closed-form correction, and the coefficient moment identities
     Σ C_i·f_i^j·g_i^{m−2−j} = f_m^j·g_m^{m−2−j} hold for j = 0..m−2.
 
-    Lineages are read off the walker's stack, in integers: weights at
-    q = 1, the Lagrange numerators c_i over their common denominator L, and
-    each node's cleared jets, computed once however many lineages it
-    belongs to.  The lineage weights rely on each node being the
-    unnormalized weighted mediant of its parents, which the walker checks
-    where it builds the node (ValueError naming it otherwise).
+    The walk runs on Taylor data at q = 1 (_jet_frame), which checks at
+    each node that the built N(1), D(1) are its reduced a, b (ValueError
+    naming it otherwise); appendixA's walk checks the full canonical pairs.
+    Per lineage shape (order and parent pattern, at most 2^{m−2} of each
+    order), computed once: the weights at q = 1, the Lagrange numerators
+    c_i over their common denominator L, the order-4 correction and the
+    moment identities.  Per lineage, in integers: the residual from the
+    members' cleared jets, each computed once per node, against the
+    correction, which at order 5 depends on the members' values.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
-    tuple (m, value, identity, lhs, rhs) per violation (empty = pass); lhs
-    and rhs are the unscaled residual and correction, or moment and target.
+    tuple (m, value, identity, lhs, rhs) per failing lineage (empty = pass),
+    the residual checked first; lhs and rhs are the unscaled residual and
+    correction, or moment and target.
     """
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
-    for stack in walk_qtree(0, depth):
+    shapes: dict = {}
+    for stack in _walk(0, depth, _jet_frame):
         node = stack[-1]
         for m in (4, 5):
-            if node.node.depth < m - 2:
+            if len(stack) - 3 < m - 2:  # the node's depth
                 continue
             frames, parents = _lineage_members(stack, m)
             if frames[0].value.denominator == 1:  # vanishing
                 continue
             checked[m] += 1
-            f, g = _weights_at_one(parents)
-            L, c = _lagrange(f, g)
+            key = (m, tuple(parents))
+            if key not in shapes:
+                shapes[key] = _shape_checks(m, parents)
+            L, c, corr, moment = shapes[key]
             values = [fr.value for fr in frames]
             resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
-            corr = _cleared_correction(values, L, c)
-            if resid != corr:
+            num, den = corr if m == 4 else _cleared_correction(values, L, c)
+            if resid * den != num:
                 scale = _scale(L, values)
-                failures.append((m, node.value, "residual", Fraction(resid, scale), corr / scale))
-                continue
-            for j in range(m - 1):
-                lhs = sum(ci * f[i] ** j * g[i] ** (m - 2 - j) for i, ci in enumerate(c))
-                rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
-                if lhs != L * rhs:
-                    failures.append((m, node.value, f"moment {j}", Fraction(lhs, L), rhs))
-                    break
+                failures.append((m, node.value, "residual", Fraction(resid, scale),
+                                 Fraction(num, den * scale)))
+            elif moment:
+                failures.append((m, node.value, *moment))
     return {"checked": checked, "failures": failures}
 
 

@@ -1,0 +1,157 @@
+"""Replayable mutants: each entry breaks one line of the package, and the
+tests it names must fail.
+
+    python tests/mutants.py [NAME ...]
+
+For each mutant (all, or those named), the runner copies src, tests and
+pyproject.toml to a temporary directory, replaces the entry's snippet, which
+must occur exactly once in its file, and runs the named tests there with
+pytest in a subprocess, one mutant at a time, under a timeout.  It first runs
+every named test on the unmutated copy, which must pass.  It prints one JSON
+line per mutant, whose status is
+
+    killed    every named test failed;
+    timeout   the tests ran past TIMEOUT_S (the mutant may loop forever);
+    survived  some named test passed (listed under "passed");
+    error     a named test was not collected, or pytest could not run;
+    stale     the snippet does not occur exactly once (the code moved);
+
+and exits 1 unless every mutant is killed or timed out.  pytest does not
+collect this file (it is not a test_*.py module).  A surviving mutant is a
+missing test: add the test, never drop the mutant.
+"""
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
+
+SBTREE = "src/qrationals/sbtree.py"
+T = "tests/test_sbtree.py::"
+
+MUTANTS = [
+    {
+        "name": "jet-xi-one-too-large",
+        "file": SBTREE,
+        "old": "    frame.xi = xi = _degree_gap(deg_l, deg_r)\n",
+        "new": "    frame.xi = xi = _degree_gap(deg_l, deg_r) + 1\n",
+        "tests": [T + "test_jet_walker_matches_polynomial_walker",
+                  T + "test_identity_sweep_small_depth"],
+    },
+    {
+        "name": "jet-denominator-degree-one-too-small",
+        "file": SBTREE,
+        "old": "    frame.taylor = n, d, deg_r + xi\n",
+        "new": "    frame.taylor = n, d, deg_r + xi - 1\n",
+        "tests": [T + "test_jet_walker_matches_polynomial_walker",
+                  T + "test_identity_sweep_small_depth"],
+    },
+    {
+        "name": "shape-cache-keyed-on-order-alone",
+        "file": SBTREE,
+        "old": "            key = (m, tuple(parents))\n",
+        "new": "            key = m\n",
+        "tests": [T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "jet-value-guard-deleted",
+        "file": SBTREE,
+        "old": "    if (n[0], d[0]) != (frame.value.numerator, frame.value.denominator):\n",
+        "new": "    if False:\n",
+        "tests": [T + "test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant"],
+    },
+    {
+        "name": "run-length-jump-off-by-one",
+        "file": SBTREE,
+        "old": "        k = min(u - (i == 0), top - d)",
+        "new": "        k = min(u, top - d)",
+        "tests": [T + "test_lineage_extract_matches_the_farey_step_search",
+                  T + "test_lineage_order4_fixtures"],
+    },
+]
+
+
+def _copy(dest: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(REPO / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(REPO / "pyproject.toml", dest)
+
+
+def _run_tests(root: Path, tests: list[str]) -> tuple[str, dict, list[str]]:
+    """Run the tests under root; (outcome, per-test verdicts, pytest tail).
+    A named test fails if any of its parametrized cases fails or errors."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *tests]
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", {}, []
+    reported: dict[str, list[str]] = {}
+    for line in proc.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            test_id = rest.split(" - ")[0]
+            reported.setdefault(test_id.split("[")[0], []).append(word)
+    verdicts = {t: ("missing" if t not in reported
+                    else "passed" if set(reported[t]) == {"PASSED"} else "failed")
+                for t in tests}
+    return "ran", verdicts, proc.stdout.splitlines()[-3:] + proc.stderr.splitlines()[-3:]
+
+
+def _run_mutant(mutant: dict) -> dict:
+    record = {"mutant": mutant["name"], "file": mutant["file"]}
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="qrat-mutant-") as tmp:
+        root = Path(tmp)
+        _copy(root)
+        path = root / mutant["file"]
+        text = path.read_text(encoding="utf-8")
+        count = text.count(mutant["old"])
+        if count != 1:
+            return {**record, "status": "stale", "occurrences": count}
+        path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
+        outcome, verdicts, tail = _run_tests(root, mutant["tests"])
+    record["seconds"] = round(time.perf_counter() - start, 2)
+    if outcome == "timeout":
+        return {**record, "status": "timeout"}
+    if "missing" in verdicts.values():
+        return {**record, "status": "error", "missing": [t for t, v in verdicts.items()
+                                                         if v == "missing"], "pytest": tail}
+    passed = [t for t, v in verdicts.items() if v == "passed"]
+    return {**record, "status": "survived" if passed else "killed", "passed": passed}
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m["name"] in argv]
+    unknown = set(argv) - {m["name"] for m in MUTANTS}
+    if unknown:
+        print(f"no mutant named {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    tests = sorted({t for m in chosen for t in m["tests"]})
+    with tempfile.TemporaryDirectory(prefix="qrat-mutant-") as tmp:
+        _copy(Path(tmp))
+        outcome, verdicts, tail = _run_tests(Path(tmp), tests)
+    broken = [t for t, v in verdicts.items() if v != "passed"]
+    if outcome != "ran" or broken:
+        print(json.dumps({"mutant": None, "status": "baseline failed",
+                          "tests": broken or tests, "pytest": tail}))
+        return 1
+    ok = True
+    for mutant in chosen:
+        record = _run_mutant(mutant)
+        print(json.dumps(record), flush=True)
+        ok &= record["status"] in ("killed", "timeout")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

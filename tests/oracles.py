@@ -14,11 +14,21 @@ it checks.
 The package computes the lineage identity in integers, over the common
 denominator L of the Lagrange coefficients and with cleared jets; the
 literal forms here take one Fraction per coefficient and per term.
+
+The package's identity sweep walks Taylor data at q = 1 and checks each
+lineage shape once; identity_sweep here walks polynomials and repeats every
+check per lineage.  Its lineage_extract jumps along the branch word one run
+at a time; lineage_extract_by_search here takes one checked Farey step and
+keeps one frame per level.  Both call the package's helpers through the
+sbtree module, so a test that patches one patches both sides.
 """
+import math
 from fractions import Fraction
 
+from qrationals import sbtree
 from qrationals.dedekind import s_sum
 from qrationals.exact import IntPoly, RatFunc
+from qrationals.qdeform import _depth_and_path, to_cfrac
 
 
 class NonUnimodularError(ValueError):
@@ -105,3 +115,54 @@ def correction(lin, C: tuple[Fraction, ...]) -> Fraction:
     l_ba = lam(lambda i: Fraction(dens[i] - nums[i]))
     l_s = lam(lambda i: dens[i] ** 3 * s_sum(1, 3, nums[i], dens[i]))
     return (l_ba - 20 * l_s) / bm ** 3
+
+
+def lineage_extract_by_search(x, m: int):
+    """sbtree.lineage_extract by the Fraction-level Stern–Brocot search for
+    x from ⌊x⌋ and ⌊x⌋ + 1, one checked Farey step and one frame per level
+    of depth; members 3..m, the last m − 2 frames, are rebuilt by the
+    package's build step.  The caller ensures x's depth is at least m − 2."""
+    x = Fraction(x)
+    path = _depth_and_path(to_cfrac(x))[1]
+    stack = [sbtree.Frame(Fraction(v)) for v in (math.floor(x), math.floor(x) + 1)]
+    lo, hi = 0, 1
+    while stack[lo].value != x:  # invariant: stack[lo] <= x < stack[hi]
+        k = len(stack)
+        stack.append(sbtree.Frame(mediant(stack[lo].value, stack[hi].value), lo, hi))
+        lo, hi = (lo, k) if x < stack[k].value else (k, hi)
+    for k in range(len(stack) - m + 2, len(stack)):  # frame k has depth k − 2
+        stack[k] = sbtree._mediant_frame(stack, stack[k].lo, stack[k].hi, k - 2, path[:k - 1])
+    return sbtree._lineage_from_stack(stack, m)[0]
+
+
+def identity_sweep(depth: int) -> dict:
+    """sbtree.identity_sweep lineage by lineage on the polynomial walker:
+    each lineage's weights, Lagrange numerators, correction and moment
+    identities computed anew, and its residual compared as a Fraction."""
+    checked = {4: 0, 5: 0}
+    failures: list[tuple] = []
+    for stack in sbtree.walk_qtree(0, depth):
+        node = stack[-1]
+        for m in (4, 5):
+            if node.node.depth < m - 2:
+                continue
+            frames, parents = sbtree._lineage_members(stack, m)
+            if frames[0].value.denominator == 1:  # vanishing
+                continue
+            checked[m] += 1
+            f, g = sbtree._weights_at_one(parents)
+            L, c = sbtree._lagrange(f, g)
+            values = [fr.value for fr in frames]
+            resid = sbtree._lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
+            corr = Fraction(*sbtree._cleared_correction(values, L, c))
+            if resid != corr:
+                scale = sbtree._scale(L, values)
+                failures.append((m, node.value, "residual", Fraction(resid, scale), corr / scale))
+                continue
+            for j in range(m - 1):
+                lhs = sum(ci * f[i] ** j * g[i] ** (m - 2 - j) for i, ci in enumerate(c))
+                rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
+                if lhs != L * rhs:
+                    failures.append((m, node.value, f"moment {j}", Fraction(lhs, L), rhs))
+                    break
+    return {"checked": checked, "failures": failures}

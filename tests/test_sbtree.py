@@ -11,14 +11,24 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from qrationals import sbtree
-from qrationals.exact import IntPoly, PoleAtOneError, RatFunc, derivative_at_one, jets_at_one
+from qrationals.exact import (
+    IntPoly,
+    PoleAtOneError,
+    RatFunc,
+    _cleared_jets,
+    derivative_at_one,
+    jets_at_one,
+)
 from qrationals.qdeform import QRational, deform
 from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
     VanishingLineageError,
     _degree_gap,
+    _jet_frame,
     _lineage_from_stack,
+    _lineage_members,
+    _walk,
     build_qtree,
     delta,
     delta_identity_residual,
@@ -116,7 +126,8 @@ def test_walker_matches_deform_and_build_qtree(start, depth):
         for k, frame in enumerate(stack[2:], start=2):
             assert frame.lo < k and frame.hi < k
             assert frame.value == mediant(stack[frame.lo].value, stack[frame.hi].value)
-            assert frame.xi == _degree_gap(stack[frame.lo].node.deform, stack[frame.hi].node.deform)
+            assert frame.xi == _degree_gap(stack[frame.lo].node.deform.den.degree(),
+                                           stack[frame.hi].node.deform.den.degree())
         nodes.append(node)
     assert len(nodes) == 2 ** (depth + 1) - 1
     assert all(u.value < v.value for u, v in zip(nodes, nodes[1:]))
@@ -144,6 +155,23 @@ def test_tree_equals_cfrac_construction_on_shifted_windows(start):
     assert len(nodes) == 127
     for node in nodes:
         assert node.deform == deform(node.value).deform, node.value
+
+
+@pytest.mark.parametrize("start", [-2, 0, 3])
+def test_jet_walker_matches_polynomial_walker(start):
+    """The walk on Taylor data builds, node by node, what the polynomial
+    walk builds: value, parents, ξ, the Taylor data at q = 1 of the
+    canonical pair (so the denominator degree and N(1), D(1)) and the
+    cleared jets, which the polynomial frame derives from its pair."""
+    walked = 0
+    for poly, jets in zip(walk_qtree(start, 8), _walk(start, 8, _jet_frame)):
+        assert len(poly) == len(jets)
+        p, j = poly[-1], jets[-1]
+        assert (j.value, j.lo, j.hi, j.xi) == (p.value, p.lo, p.hi, p.xi)
+        assert j.taylor == p.taylor
+        assert j.cleared_jets == p.cleared_jets == _cleared_jets(p.node.deform, 2)[1]
+        walked += 1
+    assert walked == 2 ** 9 - 1
 
 
 # -- Δ_i -------------------------------------------------------------------
@@ -333,7 +361,7 @@ def _first_member_not_rebuilt(members, zeta):
     F, G = [IntPoly([1]), IntPoly()], [IntPoly(), IntPoly([1])]
     for n in range(3, len(members) + 1):
         small, big = sorted((n - 1, zeta[n - 3]), key=lambda k: members[k - 1].value)
-        xi = _degree_gap(members[small - 1].deform, members[big - 1].deform)
+        xi = _degree_gap(members[small - 1].deform.den.degree(), members[big - 1].deform.den.degree())
         F.append(F[small - 1] + F[big - 1].shift(xi))
         G.append(G[small - 1] + G[big - 1].shift(xi))
         an = members[n - 1].deform
@@ -372,6 +400,25 @@ def test_lineage_extract_members_equal_their_deformations(x):
             want = deform(mem.value)
             assert (mem.deform, mem.depth, mem.path) == \
                 (want.deform, want.depth, want.path), (x, m, mem.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5000).flatmap(lambda b: st.tuples(st.integers(-3 * b, 3 * b), st.just(b))),
+       st.integers(2, 14))
+@example((1, 5000), 14)
+@example((4999, 5000), 3)
+@example((-14999, 5000), 2)
+@example((2, 5), 4)
+@example((1, 2), 2)
+def test_lineage_extract_matches_the_farey_step_search(ab, m):
+    """The run-length descent gives the lineage the one-step Stern–Brocot
+    search gives, in every field, at the largest order the depth allows up
+    to m."""
+    x = Fr(*ab)
+    depth = deform(x).depth
+    assume(depth >= 0)
+    m = min(m, depth + 2)
+    assert lineage_extract(x, m) == oracles.lineage_extract_by_search(x, m)
 
 
 def _build_as(monkeypatch, value, other):
@@ -519,15 +566,66 @@ def test_identity_sweep_reports_unscaled_failures(monkeypatch):
         assert lhs != rhs
 
 
+def _jets_as(monkeypatch, value, other):
+    """Make the jet build step compute the Taylor data of value's weighted
+    mediant as other's, as a wrong mediant would."""
+    real, want, wrong = sbtree._taylor_mediant, sbtree.Frame(value).taylor[:2], \
+        sbtree.Frame(other).taylor[:2]
+
+    def mediant(left, right, xi):
+        got = real(left, right, xi)
+        return wrong if got == want else got
+    monkeypatch.setattr(sbtree, "_taylor_mediant", mediant)
+
+
 def test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant(monkeypatch):
     """Each node is checked where it is built to be its parents' weighted
-    mediant: with 3/8's mediant canonicalized to 2/5's pair, the identity
-    and equivalence sweeps and lineage_extract raise naming 3/8."""
+    mediant: with 3/8's mediant canonicalized to 2/5's pair, the
+    equivalence sweep and lineage_extract raise naming 3/8, and with 3/8's
+    Taylor data built as 2/5's, so does the identity sweep."""
+    with monkeypatch.context() as patch:
+        _jets_as(patch, Fr(3, 8), Fr(2, 5))
+        with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
+            identity_sweep(4)
     _build_as(monkeypatch, Fr(3, 8), deform(Fr(2, 5)).deform)
-    for run in (lambda: identity_sweep(4), lambda: equivalence_mismatches(4),
-                lambda: lineage_extract(Fr(3, 8), 3)):
+    for run in (lambda: equivalence_mismatches(4), lambda: lineage_extract(Fr(3, 8), 3)):
         with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
             run()
+
+
+def test_identity_sweep_matches_the_per_lineage_sweep():
+    """Per-shape checks on the jet walk, per-lineage checks on the
+    polynomial walk: the same counts and no failures."""
+    for depth in range(7):
+        assert identity_sweep(depth) == oracles.identity_sweep(depth), depth
+
+
+def test_identity_sweep_matches_the_per_lineage_sweep_under_faults(monkeypatch):
+    """The per-shape checks fail exactly where the per-lineage checks fail:
+    with s₁,₃ wrong at 2/5, and with the Lagrange numerators of one order-4
+    shape perturbed (with its mirror image, which has the same weights at
+    q = 1), where every lineage of those shapes fails."""
+    with monkeypatch.context() as patch:
+        real = sbtree.s_sum
+        patch.setattr(sbtree, "s_sum", lambda i, j, a, b: real(i, j, a, b) + ((a, b) == (2, 5)))
+        res = identity_sweep(6)
+        assert res["failures"] and res == oracles.identity_sweep(6)
+
+    shape = [(1, 2), (1, 3)]  # member 3 = a_1 ⊕ a_2, member 4 = a_1 ⊕ a_3
+    weights = sbtree._weights_at_one(shape)
+    lagrange = sbtree._lagrange
+
+    def perturbed(f, g):
+        L, c = lagrange(f, g)
+        return (L, [c[0] + 1, *c[1:]]) if (f, g) == weights else (L, c)
+    monkeypatch.setattr(sbtree, "_lagrange", perturbed)
+    res = identity_sweep(6)
+    assert res == oracles.identity_sweep(6)
+    of_shape = [stack[-1].value for stack in walk_qtree(0, 6) if len(stack) >= 5
+                for frames, parents in [_lineage_members(stack, 4)]
+                if sbtree._weights_at_one(parents) == weights
+                and frames[0].value.denominator != 1]
+    assert of_shape and [(m, v) for m, v, *_ in res["failures"]] == [(4, v) for v in of_shape]
 
 
 # -- export ----------------------------------------------------------------
