@@ -74,13 +74,17 @@ def to_cfrac(x: Rat) -> CFrac:
     integers.
     """
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
+    return CFrac(_expansion(x.numerator, x.denominator))
+
+
+def _expansion(p: int, q: int) -> tuple[int, ...]:
+    """The terms of p/q's canonical expansion (q > 0), by integer divmod."""
     terms = []
     while q:
         t, r = divmod(p, q)
         terms.append(t)
         p, q = q, r
-    return CFrac(tuple(terms))
+    return tuple(terms)
 
 
 def _times_qint(x: int, n: int, width: int) -> int:
@@ -125,21 +129,40 @@ def _unpack(x: int, width: int) -> IntPoly:
     return IntPoly._from_stripped(tuple(coeffs))
 
 
+def _tower(terms: tuple[int, ...], width: int) -> tuple[int, int]:
+    """The cleared pair (N, D) of the tower of terms, a_0 ≥ 0, packed at
+    q = 2^width and not canonicalized.  Bottom-up from the empty tower
+    (N, D) = (1, 0), where 1/tower = 0:
+
+        even step:  (N, D) -> ([a_i]_q·N + q^{a_i}·D,  N)
+        odd step:   (N, D) -> (q·[a_i]_q·N + D,        q^{a_i}·N)
+
+    Each step is a 2×2 move of determinant ±q^k, so the only common factor
+    of N and D is a power of q, and every coefficient is nonnegative.  The
+    width must hold the largest coefficient (see deform_from_cfrac); a
+    coefficient past it carries into the next word."""
+    N, D = 1, 0
+    for i in range(len(terms) - 1, -1, -1):
+        a = terms[i]
+        aN = _times_qint(N, a, width)
+        if i % 2 == 0:
+            N, D = aN + (D << a * width), N
+        else:
+            N, D = (aN << width) + D, N << a * width
+    return N, D
+
+
 def deform_from_cfrac(cf: CFrac) -> RatFunc:
     """Evaluate the alternating continued-fraction tower for any valid
     expansion of a rational (either terminal form) and canonicalize.
 
     Levels are counted from a_0: even levels contribute [a_i]_q + q^{a_i}/rest,
-    odd levels [a_i]_{1/q} + q^{-a_i}/rest.  Bottom-up on cleared pairs:
-
-        even step:  (N, D) -> ([a_i]_q·N + q^{a_i}·D,  N)
-        odd step:   (N, D) -> (q·[a_i]_q·N + D,        q^{a_i}·N)
-
-    starting from the empty tower (N, D) = (1, 0), where 1/tower = 0, so an
-    integer is its head alone and an odd tail carries one common factor q,
-    which canonicalization strips.  The head term a_0 may be any integer;
-    a_0 ≥ 0 is one more even step, and a_0 = −k uses the backwards
-    recurrence, contributing (D − [k]_q·N) / (q^k·N) to the final pair.
+    odd levels [a_i]_{1/q} + q^{-a_i}/rest, evaluated bottom-up on cleared
+    pairs by _tower.  An integer is its head alone, and an odd tail carries
+    one common factor q, which canonicalization strips.  The head term a_0
+    may be any integer; a_0 ≥ 0 is the tower's level 0, and a_0 = −k uses
+    the backwards recurrence, contributing (D − [k]_q·N) / (q^k·N) to the
+    final pair, where D/N = 1/tail is the tower of (0; a_1, ...).
 
     The steps run on packed integers at q = 2^B (see the module docstring).
     The tail levels (i ≥ 1) only add and shift, so every coefficient is
@@ -150,23 +173,15 @@ def deform_from_cfrac(cf: CFrac) -> RatFunc:
     head step (a_0 < 0) subtracts, on unpacked polynomials.
     """
     terms = cf.terms
-    a0 = terms[0]
     p, r = 1, 0
     for a in reversed(terms[1:]):
         p, r = a * p + r, p
     width = _packed_width(p)
-    N, D = 1, 0
-    for i in range(len(terms) - 1, -1 if a0 >= 0 else 0, -1):
-        a = terms[i]
-        aN = _times_qint(N, a, width)
-        if i % 2 == 0:
-            N, D = aN + (D << a * width), N
-        else:
-            N, D = (aN << width) + D, N << a * width
-    if a0 >= 0:  # the head was level 0 of the loop
+    if terms[0] >= 0:
+        N, D = _tower(terms, width)
         return RatFunc(_unpack(N, width), _unpack(D, width))
-    # value = a0 + 1/(tower of levels >= 1) with 1/tower = D/N
-    k = -a0
+    k = -terms[0]
+    D, N = _tower((0, *terms[1:]), width)
     num = _unpack(D, width) - _unpack(_times_qint(N, k, width), width)
     return RatFunc(num, _unpack(N, width).shift(k))
 
@@ -200,7 +215,8 @@ def _depth_and_path(cf: CFrac) -> tuple[int, str]:
 
 
 # `deform`'s reuse is short-range: thm2 re-reads thm1's 3933 deformations at
-# `qrat check --scale 2`, while a depth-12 tree walk deforms 8191 values once.
+# `qrat check --scale 2`, and appendixA's packed walk deforms only a node
+# whose packed pairs differ.
 DEFORM_CACHE_SIZE = 4096
 
 

@@ -4,18 +4,20 @@ coefficients of the order-m linear-dependence identity.
 
 One depth-first recursion yields the tree's ancestor stack, and lineages
 are read off such stacks.  It takes a node builder: walk_qtree builds each
-node's canonical polynomial pair (_mediant_frame), and the identity sweep
-and the plot data walk Taylor data at q = 1 (_jet_frame).  The
-weighted-mediant construction calls the continued-fraction deformation only
-at the window endpoints; their bit-exact agreement is a verified
-equivalence, not a dependency.
+node's canonical IntPoly pair (_mediant_frame), for tree output and
+lineages; appendixA's equivalence sweep walks packed integers
+(_packed_frame) and compares them with the packed continued-fraction tower
+at the same width; and the identity sweep and the plot data walk Taylor
+data at q = 1 (_jet_frame).  The weighted-mediant construction calls the
+continued-fraction deformation only at the window endpoints; their
+bit-exact agreement is a verified equivalence, not a dependency.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator
 
 from .exact import (
@@ -28,12 +30,23 @@ from .exact import (
     _taylor_at_one,
     poly_to_json_list,
 )
-from .qdeform import QRational, _branch_runs, _depth_and_path, deform, qrational_to_json, to_cfrac
+from .qdeform import (
+    QRational,
+    _branch_runs,
+    _depth_and_path,
+    _expansion,
+    _packed_width,
+    _times_qint,
+    _tower,
+    _unpack,
+    deform,
+    qrational_to_json,
+    to_cfrac,
+)
 from .dedekind import s_sum
 
 __all__ = [
     "Lineage",
-    "weighted_mediant",
     "walk_qtree",
     "build_qtree",
     "lineage_extract",
@@ -101,14 +114,6 @@ def _taylor_mediant(left: tuple[list[int], list[int]], right: tuple[list[int], l
                  for u, v in zip(left, right))
 
 
-def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
-    """q-deformed mediant of two deformed neighbours (left value < right),
-    the right pair weighted by q^n with n the degree gap (_degree_gap)."""
-    num, den = _qmediant((left.num, left.den), (right.num, right.den),
-                         _degree_gap(left.den.degree(), right.den.degree()))
-    return RatFunc(num, den)
-
-
 def _farey(x: Fraction, y: Fraction) -> Fraction:
     """Farey sum (α+γ)/(β+δ) of two tree neighbours."""
     return Fraction(x.numerator + y.numerator, x.denominator + y.denominator)
@@ -120,7 +125,12 @@ class Frame:
     endpoints), the degree gap xi of their weighted mediant (None at the
     endpoints), and three views of its node, each computed on first use
     unless its builder assigned it: the node (value, canonical pair, depth,
-    path), the Taylor data at q = 1 and the cleared jets."""
+    path), the Taylor data at q = 1 and the cleared jets.  The packed
+    builder keeps the node's pair as packed = (N, D, deg D) instead, and
+    packs the window endpoints on first use (_packed_frame); packed is None
+    otherwise."""
+
+    packed: tuple[int, int, int] | None = None
 
     def __init__(self, value: Fraction, lo: int | None = None, hi: int | None = None):
         self.value, self.lo, self.hi = value, lo, hi
@@ -191,10 +201,41 @@ def _jet_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> F
     return frame
 
 
+def _pack_endpoint(frame: Frame, width: int) -> tuple[int, int, int]:
+    """packed for a window endpoint m ≥ 0: ([m]_q, 1, 0)."""
+    frame.packed = _times_qint(1, frame.value.numerator, width), 1, 0
+    return frame.packed
+
+
+def _packed_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
+                  path: str) -> Frame:
+    """_mediant_frame on packed integers at q = 2^width, in a window m ≥ 0
+    (_packed_walk): the frame keeps packed = (N, D, deg D), the mediant is
+    L + R·q^ξ, one shift by ξ·width bits and one integer sum per
+    polynomial, and deg D is deg R + ξ (ξ exceeds deg L − deg R, so no
+    leading term cancels).
+
+    The canonical check is one mask test on D's lowest word: D(0) = 1
+    rules out a common q-power and forces content 1, and with nonnegative
+    coefficients D(1) > 0 (ValueError naming the node otherwise)."""
+    left, right = stack[lo], stack[hi]
+    nl, dl, deg_l = left.packed or _pack_endpoint(left, width)
+    nr, dr, deg_r = right.packed or _pack_endpoint(right, width)
+    frame = Frame(_farey(left.value, right.value), lo, hi)
+    frame.xi = _degree_gap(deg_l, deg_r)
+    shift = frame.xi * width
+    den = dl + (dr << shift)
+    if den & ((1 << width) - 1) != 1:
+        raise _not_mediant(frame.value)
+    frame.packed = nl + (nr << shift), den, deg_r + frame.xi
+    return frame
+
+
 def _walk(m: int, depth: int, build) -> Iterator[list[Frame]]:
     """The depth-first walk of walk_qtree, each node's frame made by
-    build(stack, lo, hi, depth, path): _mediant_frame (polynomials) or
-    _jet_frame (Taylor data at q = 1)."""
+    build(stack, lo, hi, depth, path): _mediant_frame (polynomials),
+    _packed_frame (packed integers, bound to a width) or _jet_frame (Taylor
+    data at q = 1)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     stack = [Frame(Fraction(m)), Frame(Fraction(m + 1))]
@@ -224,6 +265,28 @@ def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
     and fit.emit_plot_data run the same walk on Taylor data (_jet_frame).
     """
     return _walk(m, depth, _mediant_frame)
+
+
+def _packed_walk(m: int, depth: int) -> tuple[int, Iterator[list[Frame]]]:
+    """(B, walk): the walk of walk_qtree in a window m ≥ 0 on packed
+    integers at q = 2^B (_packed_frame), and the one width B that serves
+    every node of it.
+
+    The tree only adds and shifts the endpoints' pairs [m]_q/1 and
+    [m + 1]_q/1, so every coefficient is nonnegative, and each is at most
+    its polynomial's value at 1: N(1) = a for the numerator, D(1) = b for
+    the denominator of a node a/b.  The largest denominator at depth d is
+    F_{d+3} (Fibonacci, F_3 = 2 at depth 0, reached by the zigzag
+    L R L R ...), and a < (m + 1)·b since the node lies below m + 1.  So
+    every coefficient of the walk is at most (m + 1)·F_{depth+3}, and
+    B = _packed_width((m + 1)·F_{depth+3}).  The continued-fraction tower
+    of a node keeps its coefficients at most 2b (qdeform.deform_from_cfrac),
+    which B also holds."""
+    fib, bound = 1, 2  # F_2, F_3
+    for _ in range(depth):
+        fib, bound = bound, fib + bound
+    width = _packed_width((m + 1) * bound)
+    return width, _walk(m, depth, partial(_packed_frame, width))
 
 
 def build_qtree(m: int, depth: int) -> list[QRational]:
@@ -526,9 +589,27 @@ def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> tuple[i
 def equivalence_mismatches(depth: int) -> list[Fraction]:
     """Nodes (by value) between 0 and 1 where the weighted-mediant polynomials
     differ from the continued-fraction deformation.  Empty list = bit-exact
-    equivalence."""
-    return [stack[-1].value for stack in walk_qtree(0, depth)
-            if stack[-1].node.deform != deform(stack[-1].value).deform]
+    equivalence.
+
+    Both constructions run on packed integers at the walk's one width
+    (_packed_walk): the tree's pair, checked canonical where it is built,
+    against qdeform._tower on the node's expansion, stripped of its common
+    q-power at the lowest set bit of N | D, which leaves it canonical.  A
+    node whose packed pairs differ is compared again as polynomials, the
+    tree's pair unpacked and canonicalized against deform(value), so a
+    reported node is a true polynomial difference."""
+    width, walk = _packed_walk(0, depth)
+    bad = []
+    for stack in walk:
+        value = stack[-1].value
+        num, den, _ = stack[-1].packed
+        tn, td = _tower(_expansion(value.numerator, value.denominator), width)
+        low = ((tn | td) & -(tn | td)).bit_length() - 1
+        low -= low % width
+        if ((tn >> low, td >> low) != (num, den)
+                and RatFunc(_unpack(num, width), _unpack(den, width)) != deform(value).deform):
+            bad.append(value)
+    return bad
 
 
 def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:

@@ -76,6 +76,27 @@ MUTANTS = [
         "tests": [T + "test_lineage_extract_matches_the_farey_step_search",
                   T + "test_lineage_order4_fixtures"],
     },
+    {
+        "name": "packed-mask-guard-deleted",
+        "file": SBTREE,
+        "old": "    if den & ((1 << width) - 1) != 1:\n",
+        "new": "    if False:\n",
+        "tests": [T + "test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built"],
+    },
+    {
+        "name": "packed-xi-one-too-large",
+        "file": SBTREE,
+        "old": "    frame.xi = _degree_gap(deg_l, deg_r)\n",
+        "new": "    frame.xi = _degree_gap(deg_l, deg_r) + 1\n",
+        "tests": [T + "test_packed_walker_matches_deform"],
+    },
+    {
+        "name": "packed-width-one-byte-short",
+        "file": SBTREE,
+        "old": "    width = _packed_width((m + 1) * bound)\n",
+        "new": "    width = _packed_width((m + 1) * bound) - 8\n",
+        "tests": [T + "test_packed_walker_matches_deform"],
+    },
 ]
 
 

@@ -1,6 +1,7 @@
-"""Test-side oracles: the adjacency-checked Farey mediant, the ℤ[q]
-product, the quotient-rule derivative, and the literal Fraction forms of the
-lineage identity (Lagrange coefficients, residual and correction).
+"""Test-side oracles: the adjacency-checked Farey mediant, the weighted
+mediant of two canonical pairs, the ℤ[q] product, the quotient-rule
+derivative, and the literal Fraction forms of the lineage identity (Lagrange
+coefficients, residual and correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
@@ -43,6 +44,15 @@ def mediant(x, y) -> Fraction:
     if abs(a * d - b * c) != 1:
         raise NonUnimodularError(f"{x} and {y} are not adjacent on the tree")
     return Fraction(a + c, b + d)
+
+
+def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
+    """q-deformed mediant of two deformed neighbours (left value < right),
+    the right pair weighted by q^n with n the degree gap (sbtree._degree_gap),
+    canonicalized."""
+    num, den = sbtree._qmediant((left.num, left.den), (right.num, right.den),
+                                sbtree._degree_gap(left.den.degree(), right.den.degree()))
+    return RatFunc(num, den)
 
 
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -254,6 +254,19 @@ def test_check_fail_names_the_counterexample(capsys, monkeypatch):
         "FAIL thm1: counterexample 2/5: exact 9/25, closed 34/25"], "0/1 sweeps clean")
 
 
+def test_check_equivalence_fail_names_the_node_and_both_polynomials(capsys, monkeypatch):
+    """With every degree gap one too large, the tree builds wrong but
+    canonical pairs, which the packed comparison and its polynomial
+    fallback both reject; the first in increasing value is 1/5."""
+    real = sbtree._degree_gap
+    monkeypatch.setattr(sbtree, "_degree_gap", lambda left, right: real(left, right) + 1)
+    _bounds(monkeypatch, appendixA=3)
+    assert check(capsys, "appendixA") == (1, [
+        "FAIL appendixA: counterexample 1/5: weighted-mediant (q^8) / "
+        "(1 + q^2 + q^4 + q^6 + q^8), continued-fraction (q^4) / (1 + q + q^2 + q^3 + q^4)"],
+        "0/1 sweeps clean")
+
+
 def test_check_fits_reproduces_the_closed_forms_out_of_sample(capsys, monkeypatch):
     rc, lines, _ = check(capsys, "fits")
     assert rc == 0 and lines[0].endswith(

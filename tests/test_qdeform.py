@@ -13,6 +13,9 @@ from qrationals.exact import IntPoly, RatFunc
 from qrationals.qdeform import (
     DEFORM_CACHE_SIZE,
     CFrac,
+    _packed_width,
+    _tower,
+    _unpack,
     deform,
     deform_from_cfrac,
     qrational_from_json,
@@ -185,6 +188,25 @@ def test_packed_tower_matches_intpoly_tower(a0, tail, split_last):
         "2;3,4,9,12", "0;17,18,21"])
 def test_packed_tower_pinned_wide_cases(terms):
     _assert_same_tower(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.lists(st.integers(1, 60), min_size=0, max_size=30),
+       st.booleans(), st.integers(0, 4))
+def test_tower_at_any_wide_enough_width_is_the_canonical_pair(a0, tail, split_last, extra):
+    """For a_0 ≥ 0, _tower at the width deform_from_cfrac picks or any
+    whole number of bytes wider, stripped of the common q-power at the
+    lowest set bit of N | D and unpacked, is deform_from_cfrac's canonical
+    pair as it stands: no content or sign is left to clear."""
+    if split_last and tail and tail[-1] > 1:
+        tail = tail[:-1] + [tail[-1] - 1, 1]
+    cf = CFrac((a0, *tail))
+    width = _packed_width(cf.value().denominator) + 8 * extra
+    N, D = _tower(cf.terms, width)
+    low = ((N | D) & -(N | D)).bit_length() - 1
+    low -= low % width
+    want = deform_from_cfrac(cf)
+    assert (_unpack(N >> low, width), _unpack(D >> low, width)) == (want.num, want.den)
 
 
 def test_deform_integer_is_q_integer():

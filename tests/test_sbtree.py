@@ -19,7 +19,7 @@ from qrationals.exact import (
     derivative_at_one,
     jets_at_one,
 )
-from qrationals.qdeform import QRational, deform
+from qrationals.qdeform import QRational, _unpack, deform
 from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
@@ -40,9 +40,14 @@ from qrationals.sbtree import (
     lineage_extract,
     lineage_to_json,
     walk_qtree,
+)
+from oracles import (
+    NonUnimodularError,
+    derivative_at_one_quotient,
+    mediant,
+    poly_mul,
     weighted_mediant,
 )
-from oracles import NonUnimodularError, derivative_at_one_quotient, mediant, poly_mul
 
 
 def _values(lin):
@@ -64,6 +69,7 @@ def test_mediant_requires_unimodular_pair():
 
 
 def test_weighted_mediant_reproduces_deformation():
+    """The oracle's weighted mediant of canonical pairs."""
     got = weighted_mediant(deform(Fr(1, 3)).deform, deform(Fr(1, 2)).deform)
     assert got == deform(Fr(2, 5)).deform
     got = weighted_mediant(deform(Fr(0)).deform, deform(Fr(1)).deform)
@@ -132,6 +138,33 @@ def test_walker_matches_deform_and_build_qtree(start, depth):
     assert len(nodes) == 2 ** (depth + 1) - 1
     assert all(u.value < v.value for u, v in zip(nodes, nodes[1:]))
     assert sorted(nodes, key=lambda n: (n.depth, n.value)) == build_qtree(start, depth)
+
+
+def _path(stack):
+    """The branch word of a descent stack's last node: L for the depth-0
+    node, then L or R as each deeper frame is the left or right child of
+    the frame before it."""
+    return "L" + "".join("L" if fr.hi == k else "R" for k, fr in enumerate(stack[3:], start=2))
+
+
+@pytest.mark.parametrize("start, depth, top", [(0, 8, 11), (3, 8, 53), (3, 12, 318)])
+def test_packed_walker_matches_deform(start, depth, top):
+    """Unpacked at the walk's one width, every node of the packed walk is
+    the continued-fraction deformation of its value: the pair as built,
+    its denominator degree, depth and path.  The largest coefficient is
+    top; in window 3 at depth 12 it is 318, past a width one byte short."""
+    width, walk = sbtree._packed_walk(start, depth)
+    count = biggest = 0
+    for stack in walk:
+        frame = stack[-1]
+        num, den, deg = frame.packed
+        want = deform(frame.value)
+        assert (_unpack(num, width), _unpack(den, width), deg, len(stack) - 3, _path(stack)) == \
+            (want.deform.num, want.deform.den, want.deform.den.degree(), want.depth, want.path)
+        biggest = max(biggest, *want.deform.num.coeffs)
+        count += 1
+    assert count == 2 ** (depth + 1) - 1
+    assert biggest == top
 
 
 @pytest.mark.parametrize("start", [0, -2, 3])
@@ -580,17 +613,27 @@ def _jets_as(monkeypatch, value, other):
 
 def test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant(monkeypatch):
     """Each node is checked where it is built to be its parents' weighted
-    mediant: with 3/8's mediant canonicalized to 2/5's pair, the
-    equivalence sweep and lineage_extract raise naming 3/8, and with 3/8's
-    Taylor data built as 2/5's, so does the identity sweep."""
+    mediant: with 3/8's mediant canonicalized to 2/5's pair, lineage_extract
+    and the polynomial walk raise naming 3/8, and with 3/8's Taylor data
+    built as 2/5's, so does the identity sweep.  The equivalence sweep's
+    packed build step canonicalizes nothing; its check is the next test."""
     with monkeypatch.context() as patch:
         _jets_as(patch, Fr(3, 8), Fr(2, 5))
         with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
             identity_sweep(4)
     _build_as(monkeypatch, Fr(3, 8), deform(Fr(2, 5)).deform)
-    for run in (lambda: equivalence_mismatches(4), lambda: lineage_extract(Fr(3, 8), 3)):
+    for run in (lambda: list(walk_qtree(0, 4)), lambda: lineage_extract(Fr(3, 8), 3)):
         with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
             run()
+
+
+def test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built(monkeypatch):
+    """With the degree gap floored at 0, 1/3 is built as the plain sum of
+    0/1 and 1/(1 + q): its denominator 2 + q has constant term 2, which the
+    packed build step's mask test rejects, naming 1/3."""
+    monkeypatch.setattr(sbtree, "_degree_gap", lambda left, right: max(0, left - right + 1))
+    with pytest.raises(ValueError, match="at node 1/3: not the weighted mediant"):
+        equivalence_mismatches(4)
 
 
 def test_identity_sweep_matches_the_per_lineage_sweep():
