@@ -132,7 +132,7 @@ def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
     rows = []
     for stack in _walk(start, depth, _jet_frame):  # in increasing value
         frame = stack[-1]
-        b = frame.value.denominator
+        b = frame.b
         rows.append((frame.value, Fraction(frame.cleared_jets[order], b ** (order + 1)),
                      b, len(stack) - 3))
     return rows

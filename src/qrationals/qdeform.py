@@ -129,13 +129,30 @@ def _unpack(x: int, width: int) -> IntPoly:
     return IntPoly._from_stripped(tuple(coeffs))
 
 
+def _step(a: int, N: int, D: int, width: int, odd: bool) -> tuple[int, int]:
+    """One level of the tower on a packed pair (N, D) at q = 2^width:
+
+        even step:  (N, D) -> ([a]_q·N + q^a·D,  N)
+        odd step:   (N, D) -> (q·[a]_q·N + D,    q^a·N)
+
+    [a]_q·N is written out for a ≤ 2, which covers most partial quotients
+    of small rationals, and is _times_qint beyond."""
+    if a > 2:
+        aN = _times_qint(N, a, width)
+    elif a == 2:
+        aN = N + (N << width)
+    else:
+        aN = N if a else 0
+    if odd:
+        return (aN << width) + D, N << a * width
+    return aN + (D << a * width), N
+
+
 def _tower(terms: tuple[int, ...], width: int) -> tuple[int, int]:
     """The cleared pair (N, D) of the tower of terms, a_0 ≥ 0, packed at
-    q = 2^width and not canonicalized.  Bottom-up from the empty tower
-    (N, D) = (1, 0), where 1/tower = 0:
-
-        even step:  (N, D) -> ([a_i]_q·N + q^{a_i}·D,  N)
-        odd step:   (N, D) -> (q·[a_i]_q·N + D,        q^{a_i}·N)
+    q = 2^width and not canonicalized: _step on each term bottom-up from the
+    empty tower (N, D) = (1, 0), where 1/tower = 0, the step's parity that
+    of the term's index.
 
     Each step is a 2×2 move of determinant ±q^k, so the only common factor
     of N and D is a power of q, and every coefficient is nonnegative.  The
@@ -143,12 +160,7 @@ def _tower(terms: tuple[int, ...], width: int) -> tuple[int, int]:
     coefficient past it carries into the next word."""
     N, D = 1, 0
     for i in range(len(terms) - 1, -1, -1):
-        a = terms[i]
-        aN = _times_qint(N, a, width)
-        if i % 2 == 0:
-            N, D = aN + (D << a * width), N
-        else:
-            N, D = (aN << width) + D, N << a * width
+        N, D = _step(terms[i], N, D, width, i % 2)
     return N, D
 
 
@@ -215,8 +227,7 @@ def _depth_and_path(cf: CFrac) -> tuple[int, str]:
 
 
 # `deform`'s reuse is short-range: thm2 re-reads thm1's 3933 deformations at
-# `qrat check --scale 2`, and appendixA's packed walk deforms only a node
-# whose packed pairs differ.
+# `qrat check --scale 2`, and appendixA's packed walk deforms nothing.
 DEFORM_CACHE_SIZE = 4096
 
 

@@ -2,13 +2,14 @@
 extraction with polynomial weight tables, the Δ_i operator, and the Lagrange
 coefficients of the order-m linear-dependence identity.
 
-One depth-first recursion yields the tree's ancestor stack, and lineages
-are read off such stacks.  It takes a node builder: walk_qtree builds each
+One depth-first walk yields the tree's ancestor stack, and lineages are
+read off such stacks.  It takes a node builder: walk_qtree builds each
 node's canonical IntPoly pair (_mediant_frame), for tree output and
 lineages; appendixA's equivalence sweep walks packed integers
-(_packed_frame) and compares them with the packed continued-fraction tower
-at the same width; and the identity sweep and the plot data walk Taylor
-data at q = 1 (_jet_frame).  The weighted-mediant construction calls the
+(_packed_frame) and compares them with a table of the packed
+continued-fraction towers at the same width, built from shared tails
+(_cfrac_table); and the identity sweep and the plot data walk Taylor data
+at q = 1 (_jet_frame).  The weighted-mediant construction calls the
 continued-fraction deformation only at the window endpoints; their
 bit-exact agreement is a verified equivalence, not a dependency.
 """
@@ -34,10 +35,9 @@ from .qdeform import (
     QRational,
     _branch_runs,
     _depth_and_path,
-    _expansion,
     _packed_width,
+    _step,
     _times_qint,
-    _tower,
     _unpack,
     deform,
     qrational_to_json,
@@ -114,27 +114,34 @@ def _taylor_mediant(left: tuple[list[int], list[int]], right: tuple[list[int], l
                  for u, v in zip(left, right))
 
 
-def _farey(x: Fraction, y: Fraction) -> Fraction:
-    """Farey sum (α+γ)/(β+δ) of two tree neighbours."""
-    return Fraction(x.numerator + y.numerator, x.denominator + y.denominator)
+def _farey(stack: list[Frame], lo: int, hi: int) -> Frame:
+    """The frame of the Farey sum (α+γ)/(β+δ) of two tree neighbours
+    stack[lo] and stack[hi], on their ints."""
+    left, right = stack[lo], stack[hi]
+    return Frame(left.a + right.a, left.b + right.b, lo, hi)
 
 
 class Frame:
-    """A descent-stack entry: a tree value, the stack indices of its left
-    (smaller) parent lo and right (greater) parent hi (None at the window
-    endpoints), the degree gap xi of their weighted mediant (None at the
-    endpoints), and three views of its node, each computed on first use
-    unless its builder assigned it: the node (value, canonical pair, depth,
+    """A descent-stack entry: a tree value a/b as its reduced ints a and
+    b > 0, the stack indices of its left (smaller) parent lo and right
+    (greater) parent hi (None at the window endpoints), the degree gap xi
+    of their weighted mediant (None at the endpoints), and four views of
+    its node, each computed on first use unless its builder assigned it:
+    the value a/b as a Fraction, the node (value, canonical pair, depth,
     path), the Taylor data at q = 1 and the cleared jets.  The packed
     builder keeps the node's pair as packed = (N, D, deg D) instead, and
     packs the window endpoints on first use (_packed_frame); packed is None
     otherwise."""
 
+    xi: int | None = None
     packed: tuple[int, int, int] | None = None
 
-    def __init__(self, value: Fraction, lo: int | None = None, hi: int | None = None):
-        self.value, self.lo, self.hi = value, lo, hi
-        self.xi: int | None = None
+    def __init__(self, a: int, b: int, lo: int | None = None, hi: int | None = None):
+        self.a, self.b, self.lo, self.hi = a, b, lo, hi
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(self.a, self.b)
 
     @cached_property
     def node(self) -> QRational:
@@ -168,7 +175,7 @@ def _mediant_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) 
     the pair must be canonical exactly as built (ValueError naming the node
     otherwise)."""
     left, right = stack[lo].node.deform, stack[hi].node.deform
-    frame = Frame(_farey(stack[lo].value, stack[hi].value), lo, hi)
+    frame = _farey(stack, lo, hi)
     frame.xi = _degree_gap(left.den.degree(), right.den.degree())
     raw = _qmediant((left.num, left.den), (right.num, right.den), frame.xi)
     pair = RatFunc(*raw)
@@ -191,10 +198,10 @@ def _jet_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> F
     since the cleared jets scale with D(1) (ValueError naming the node
     otherwise); a common q-power would change no jet."""
     (nl, dl, deg_l), (nr, dr, deg_r) = stack[lo].taylor, stack[hi].taylor
-    frame = Frame(_farey(stack[lo].value, stack[hi].value), lo, hi)
+    frame = _farey(stack, lo, hi)
     frame.xi = xi = _degree_gap(deg_l, deg_r)
     n, d = _taylor_mediant((nl, dl), (nr, dr), xi)
-    if (n[0], d[0]) != (frame.value.numerator, frame.value.denominator):
+    if n[0] != frame.a or d[0] != frame.b:
         raise _not_mediant(frame.value)
     frame.taylor = n, d, deg_r + xi
     frame.cleared_jets = _series_quotient(n, d)[1]
@@ -203,7 +210,7 @@ def _jet_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> F
 
 def _pack_endpoint(frame: Frame, width: int) -> tuple[int, int, int]:
     """packed for a window endpoint m ≥ 0: ([m]_q, 1, 0)."""
-    frame.packed = _times_qint(1, frame.value.numerator, width), 1, 0
+    frame.packed = _times_qint(1, frame.a, width), 1, 0
     return frame.packed
 
 
@@ -221,7 +228,7 @@ def _packed_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
     left, right = stack[lo], stack[hi]
     nl, dl, deg_l = left.packed or _pack_endpoint(left, width)
     nr, dr, deg_r = right.packed or _pack_endpoint(right, width)
-    frame = Frame(_farey(left.value, right.value), lo, hi)
+    frame = _farey(stack, lo, hi)
     frame.xi = _degree_gap(deg_l, deg_r)
     shift = frame.xi * width
     den = dl + (dr << shift)
@@ -235,22 +242,37 @@ def _walk(m: int, depth: int, build) -> Iterator[list[Frame]]:
     """The depth-first walk of walk_qtree, each node's frame made by
     build(stack, lo, hi, depth, path): _mediant_frame (polynomials),
     _packed_frame (packed integers, bound to a width) or _jet_frame (Taylor
-    data at q = 1)."""
+    data at q = 1).  A negative depth raises here, not on the first step.
+
+    One loop, no recursion: it builds a node's frame, then its left
+    child's, down to the walk's depth, keeping each built node's right
+    child on a pending list; at the bottom it yields the node, then pops
+    the last pending entry, cuts the stack back to that node, yields it
+    and descends from its right child.  So each node is built before its
+    descendants and yielded once, after its left subtree."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    stack = [Frame(Fraction(m)), Frame(Fraction(m + 1))]
+    return _descend(m, depth, build)
 
-    def visit(lo: int, hi: int, d: int, path: str):
+
+def _descend(m: int, depth: int, build) -> Iterator[list[Frame]]:
+    stack = [Frame(m, 1), Frame(m + 1, 1)]
+    pending = []  # (k, lo, hi, path): node k, to yield before its child (lo, hi)
+    lo, hi, d, path = 0, 1, 0, "L"
+    while True:
         k = d + 2
         stack[k:] = [build(stack, lo, hi, d, path)]
         if d < depth:
-            yield from visit(lo, k, d + 1, path + "L")
-            del stack[k + 1:]
+            pending.append((k, k, hi, path + "R"))
+            hi, d, path = k, d + 1, path + "L"
+            continue
         yield stack
-        if d < depth:
-            yield from visit(k, hi, d + 1, path + "R")
-
-    return visit(0, 1, 0, "L")
+        if not pending:
+            return
+        k, lo, hi, path = pending.pop()
+        del stack[k + 1:]
+        yield stack
+        d = k - 1
 
 
 def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
@@ -279,9 +301,9 @@ def _packed_walk(m: int, depth: int) -> tuple[int, Iterator[list[Frame]]]:
     F_{d+3} (Fibonacci, F_3 = 2 at depth 0, reached by the zigzag
     L R L R ...), and a < (m + 1)·b since the node lies below m + 1.  So
     every coefficient of the walk is at most (m + 1)·F_{depth+3}, and
-    B = _packed_width((m + 1)·F_{depth+3}).  The continued-fraction tower
-    of a node keeps its coefficients at most 2b (qdeform.deform_from_cfrac),
-    which B also holds."""
+    B = _packed_width((m + 1)·F_{depth+3}).  The continued-fraction table
+    of window 0 keeps every coefficient at most the node's b
+    (_cfrac_table), which B also holds."""
     fib, bound = 1, 2  # F_2, F_3
     for _ in range(depth):
         fib, bound = bound, fib + bound
@@ -404,7 +426,7 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
     f, g = _weights_at_one(parents)
     lin = Lineage(members=tuple(fr.node for fr in frames), zeta=tuple(zeta),
                   xi=tuple(fr.xi for fr in frames[2:]), Fpoly=F, Gpoly=G, f=f, g=g,
-                  vanishing=frames[0].value.denominator == 1)
+                  vanishing=frames[0].b == 1)
     return lin, frames
 
 
@@ -445,7 +467,7 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
         first = right if depth and path[depth] == "L" else left
     else:
         first = left if path[top + 1] == "L" else right
-    stack = [Frame(Fraction(*first)), Frame(Fraction(left[0] + right[0], left[1] + right[1]))]
+    stack = [Frame(*first), Frame(left[0] + right[0], left[1] + right[1])]
     lo = hi = 0
     for d in range(top + 1, depth + 1):
         if path[d] == "L":
@@ -558,7 +580,7 @@ def identity_correction(lin: Lineage) -> Rat:
     _identity_order(lin)
     L, c = _lineage_lagrange(lin)
     values = _values(lin)
-    num, den = _cleared_correction(values, L, c)
+    num, den = _cleared_correction([(x.numerator, x.denominator) for x in values], L, c)
     return Fraction(num, den * _scale(L, values))
 
 
@@ -568,17 +590,18 @@ def _order4_correction(L: int, c: list[int]) -> tuple[int, int]:
     return sum(c) - L, 2
 
 
-def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> tuple[int, int]:
-    """L·b_m^{m−2} times the correction, as (numerator, denominator):
+def _cleared_correction(values: list[tuple[int, int]], L: int, c: list[int]) -> tuple[int, int]:
+    """L·b_m^{m−2} times the correction, for member values a_i/b_i given as
+    reduced pairs (a_i, b_i), as (numerator, denominator):
     _order4_correction at order 4, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) at
     order 5."""
     if len(values) == 4:
         return _order4_correction(L, c)
-    l_ba = _lam(L, c, [x.denominator - x.numerator for x in values])
-    s = [s_sum(1, 3, x.numerator, x.denominator) for x in values]
+    l_ba = _lam(L, c, [b - a for a, b in values])
+    s = [s_sum(1, 3, a, b) for a, b in values]
     D = math.lcm(*(si.denominator for si in s))  # D·L·Λ(b³·s₁,₃) is an integer
-    l_s = _lam(L, c, [x.denominator ** 3 * si.numerator * (D // si.denominator)
-                      for x, si in zip(values, s)])
+    l_s = _lam(L, c, [b ** 3 * si.numerator * (D // si.denominator)
+                      for (_, b), si in zip(values, s)])
     return D * l_ba - 20 * l_s, D
 
 
@@ -586,30 +609,83 @@ def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> tuple[i
 # Sweeps
 # --------------------------------------------------------------------------
 
+def _cfrac_table(depth: int, width: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """{(a, b): canonical packed pair of the continued-fraction tower of
+    a/b at q = 2^width} for every tree node a/b strictly between 0 and 1 to
+    the given depth, built from shared tails.
+
+    A node's expansion is (0; a_1, ..., a_m) with a_m ≥ 2, at depth
+    Σa_i − 2, and its tower is the bottom-up tower of its tail
+    (a_1, ..., a_m) followed by the a_0 = 0 step, which swaps the pair.
+    Nodes whose tails share (a_k, ..., a_m) share the bottom of their
+    towers, so one depth-first pass over the tails prepends one term at a
+    time from the empty tail (1, 0), keeping both parity states of each:
+    even(a, S) is the even step (qdeform._step) by a on odd(S), and odd(a,
+    S) the odd step on even(S).  A node's pair is its tail's odd state
+    swapped, two steps per node, less the common factor q that an odd
+    tail carries (qdeform.deform_from_cfrac), one word off each entry of a
+    tail of odd length; its value a/b is 1 over the tail's, from the tail's
+    continuants.  At q = 1 both steps map (N, D) to (a·N + D, N), so each
+    state's N(1) is its tail's continuant, at most the node's b, and every
+    coefficient, being nonnegative, is at most b too: a width that holds
+    the walk's denominators holds every state."""
+    top = depth + 2
+    table = {}
+    # (Σ, p, r, even state, odd state, the shift that strips a child) of the empty tail
+    tails = [(0, 1, 0, 1, 0, 1, 0, width)]
+    while tails:
+        s, p, r, ne, de, no, do, strip = tails.pop()
+        for a in range(1 if s else 2, top - s + 1):
+            even = _step(a, no, do, width, False)
+            odd = _step(a, ne, de, width, True)
+            table[p, a * p + r] = odd[1] >> strip, odd[0] >> strip
+            if s + a < top:
+                tails.append((s + a, a * p + r, p, *even, *odd, width - strip))
+    return table
+
+
 def equivalence_mismatches(depth: int) -> list[Fraction]:
-    """Nodes (by value) between 0 and 1 where the weighted-mediant polynomials
-    differ from the continued-fraction deformation.  Empty list = bit-exact
-    equivalence.
+    """Values between 0 and 1, in increasing order, where the weighted-
+    mediant tree and the continued-fraction deformation disagree to the
+    given depth: a tree node whose pair differs from its continued
+    fraction's, a tree node that the continued-fraction side lacks, or a
+    continued-fraction node that the walk never reaches.  Empty list =
+    bit-exact equivalence.
 
     Both constructions run on packed integers at the walk's one width
     (_packed_walk): the tree's pair, checked canonical where it is built,
-    against qdeform._tower on the node's expansion, stripped of its common
-    q-power at the lowest set bit of N | D, which leaves it canonical.  A
-    node whose packed pairs differ is compared again as polynomials, the
-    tree's pair unpacked and canonicalized against deform(value), so a
-    reported node is a true polynomial difference."""
+    against the node's entry in _cfrac_table, keyed by the node's ints
+    (a, b).  The table's states hold at most the node's b in each
+    coefficient, which the walk's width holds.  A node whose packed pairs
+    differ is compared again as polynomials, both pairs unpacked and
+    canonicalized, so a reported node with both pairs is a true polynomial
+    difference."""
     width, walk = _packed_walk(0, depth)
+    table = _cfrac_table(depth, width)
     bad = []
     for stack in walk:
-        value = stack[-1].value
-        num, den, _ = stack[-1].packed
-        tn, td = _tower(_expansion(value.numerator, value.denominator), width)
-        low = ((tn | td) & -(tn | td)).bit_length() - 1
-        low -= low % width
-        if ((tn >> low, td >> low) != (num, den)
-                and RatFunc(_unpack(num, width), _unpack(den, width)) != deform(value).deform):
-            bad.append(value)
-    return bad
+        frame = stack[-1]
+        num, den, _ = frame.packed
+        pair = table.pop((frame.a, frame.b), None)
+        if pair is None or (pair != (num, den)
+                            and RatFunc(_unpack(num, width), _unpack(den, width))
+                            != RatFunc(_unpack(pair[0], width), _unpack(pair[1], width))):
+            bad.append(frame.value)
+    bad.extend(Fraction(a, b) for a, b in table)
+    return sorted(bad)
+
+
+def _equivalence_sides(depth: int, value: Fraction) -> tuple[RatFunc | None, RatFunc | None]:
+    """The two pairs equivalence_mismatches compares at one value, unpacked
+    and canonicalized: the tree node's and the continued-fraction table's,
+    None where the walk has no such node or the table no such entry."""
+    width, walk = _packed_walk(0, depth)
+    key = value.numerator, value.denominator
+    tree = next((RatFunc(_unpack(f.packed[0], width), _unpack(f.packed[1], width))
+                 for f in (stack[-1] for stack in walk) if (f.a, f.b) == key), None)
+    pair = _cfrac_table(depth, width).get(key)
+    cfrac = None if pair is None else RatFunc(_unpack(pair[0], width), _unpack(pair[1], width))
+    return tree, cfrac
 
 
 def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
@@ -659,18 +735,18 @@ def identity_sweep(depth: int) -> dict:
             if len(stack) - 3 < m - 2:  # the node's depth
                 continue
             frames, parents = _lineage_members(stack, m)
-            if frames[0].value.denominator == 1:  # vanishing
+            if frames[0].b == 1:  # vanishing
                 continue
             checked[m] += 1
             key = (m, tuple(parents))
             if key not in shapes:
                 shapes[key] = _shape_checks(m, parents)
             L, c, corr, moment = shapes[key]
-            values = [fr.value for fr in frames]
             resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
-            num, den = corr if m == 4 else _cleared_correction(values, L, c)
+            num, den = corr if m == 4 else _cleared_correction(
+                [(fr.a, fr.b) for fr in frames], L, c)
             if resid * den != num:
-                scale = _scale(L, values)
+                scale = _scale(L, [fr.value for fr in frames])
                 failures.append((m, node.value, "residual", Fraction(resid, scale),
                                  Fraction(num, den * scale)))
             elif moment:

@@ -27,7 +27,7 @@ from .fit import (
     fit_d2,
 )
 from .qdeform import deform
-from .sbtree import build_qtree, equivalence_mismatches, identity_sweep
+from .sbtree import _equivalence_sides, equivalence_mismatches, identity_sweep
 
 __all__ = ["Verdict", "Sweep", "SWEEPS"]
 
@@ -96,9 +96,11 @@ def _integrality(max_b: int) -> Verdict:
 def _equivalence(depth: int) -> Verdict:
     bad = equivalence_mismatches(depth)
     if bad:
-        tree = next(n.deform for n in build_qtree(0, depth) if n.value == bad[0])
-        return _fail("appendixA", rat_to_str(bad[0]), f"weighted-mediant {tree}",
-                     f"continued-fraction {deform(bad[0]).deform}")
+        tree, cfrac = _equivalence_sides(depth, bad[0])
+        return _fail("appendixA", rat_to_str(bad[0]),
+                     "no weighted-mediant node" if tree is None else f"weighted-mediant {tree}",
+                     "no continued-fraction node" if cfrac is None
+                     else f"continued-fraction {cfrac}")
     return _pass("appendixA", f"weighted-mediant and continued-fraction constructions "
                               f"agree on all {2 ** (depth + 1) - 1} nodes to depth {depth}")
 

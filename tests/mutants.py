@@ -34,6 +34,7 @@ REPO = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 120
 
 SBTREE = "src/qrationals/sbtree.py"
+QDEFORM = "src/qrationals/qdeform.py"
 T = "tests/test_sbtree.py::"
 
 MUTANTS = [
@@ -64,7 +65,7 @@ MUTANTS = [
     {
         "name": "jet-value-guard-deleted",
         "file": SBTREE,
-        "old": "    if (n[0], d[0]) != (frame.value.numerator, frame.value.denominator):\n",
+        "old": "    if n[0] != frame.a or d[0] != frame.b:\n",
         "new": "    if False:\n",
         "tests": [T + "test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant"],
     },
@@ -96,6 +97,31 @@ MUTANTS = [
         "old": "    width = _packed_width((m + 1) * bound)\n",
         "new": "    width = _packed_width((m + 1) * bound) - 8\n",
         "tests": [T + "test_packed_walker_matches_deform"],
+    },
+    {
+        "name": "tail-parities-swapped",
+        "file": SBTREE,
+        "old": "            even = _step(a, no, do, width, False)\n"
+               "            odd = _step(a, ne, de, width, True)\n",
+        "new": "            even = _step(a, no, do, width, True)\n"
+               "            odd = _step(a, ne, de, width, False)\n",
+        "tests": [T + "test_cfrac_table_is_the_tower_on_every_node"],
+    },
+    {
+        "name": "q-integer-two-as-a-shift",
+        "file": QDEFORM,
+        "old": "        aN = N + (N << width)\n",
+        "new": "        aN = N << width\n",
+        "tests": ["tests/test_qdeform.py::test_step_writes_out_small_q_integers_as_times_qint"],
+    },
+    {
+        "name": "walker-right-child-first",
+        "file": SBTREE,
+        "old": "            pending.append((k, k, hi, path + \"R\"))\n"
+               "            hi, d, path = k, d + 1, path + \"L\"\n",
+        "new": "            pending.append((k, lo, k, path + \"L\"))\n"
+               "            lo, d, path = k, d + 1, path + \"R\"\n",
+        "tests": [T + "test_walk_yields_each_node_once_in_increasing_value"],
     },
 ]
 

@@ -134,11 +134,12 @@ def lineage_extract_by_search(x, m: int):
     package's build step.  The caller ensures x's depth is at least m − 2."""
     x = Fraction(x)
     path = _depth_and_path(to_cfrac(x))[1]
-    stack = [sbtree.Frame(Fraction(v)) for v in (math.floor(x), math.floor(x) + 1)]
+    stack = [sbtree.Frame(v, 1) for v in (math.floor(x), math.floor(x) + 1)]
     lo, hi = 0, 1
     while stack[lo].value != x:  # invariant: stack[lo] <= x < stack[hi]
         k = len(stack)
-        stack.append(sbtree.Frame(mediant(stack[lo].value, stack[hi].value), lo, hi))
+        mid = mediant(stack[lo].value, stack[hi].value)
+        stack.append(sbtree.Frame(mid.numerator, mid.denominator, lo, hi))
         lo, hi = (lo, k) if x < stack[k].value else (k, hi)
     for k in range(len(stack) - m + 2, len(stack)):  # frame k has depth k − 2
         stack[k] = sbtree._mediant_frame(stack, stack[k].lo, stack[k].hi, k - 2, path[:k - 1])
@@ -164,7 +165,8 @@ def identity_sweep(depth: int) -> dict:
             L, c = sbtree._lagrange(f, g)
             values = [fr.value for fr in frames]
             resid = sbtree._lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
-            corr = Fraction(*sbtree._cleared_correction(values, L, c))
+            corr = Fraction(*sbtree._cleared_correction(
+                [(v.numerator, v.denominator) for v in values], L, c))
             if resid != corr:
                 scale = sbtree._scale(L, values)
                 failures.append((m, node.value, "residual", Fraction(resid, scale), corr / scale))

@@ -9,6 +9,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,35 @@ def test_check_equivalence_fail_names_the_node_and_both_polynomials(capsys, monk
         "FAIL appendixA: counterexample 1/5: weighted-mediant (q^8) / "
         "(1 + q^2 + q^4 + q^6 + q^8), continued-fraction (q^4) / (1 + q + q^2 + q^3 + q^4)"],
         "0/1 sweeps clean")
+
+
+def _drop_one_third(real, depth, width):
+    table = real(depth, width)
+    del table[1, 3]
+    return table
+
+
+def _add_one_sixth(real, depth, width):
+    """The table with 1/6's entry from one level deeper, past the walk."""
+    table = real(depth, width)
+    table[1, 6] = real(depth + 1, width)[1, 6]
+    return table
+
+
+@pytest.mark.parametrize("edit, line", [
+    (_drop_one_third, "counterexample 1/3: weighted-mediant (q^2) / (1 + q + q^2), "
+                      "no continued-fraction node"),
+    (_add_one_sixth, "counterexample 1/6: no weighted-mediant node, "
+                     "continued-fraction (q^5) / (1 + q + q^2 + q^3 + q^4 + q^5)"),
+], ids=["dropped", "added"])
+def test_check_equivalence_fail_names_a_node_that_one_side_lacks(capsys, monkeypatch, edit,
+                                                                 line):
+    """A tree node missing from the continued-fraction table, and a table
+    entry that the walk never reaches, each fail the sweep, naming the
+    value and the side that lacks it."""
+    monkeypatch.setattr(sbtree, "_cfrac_table", partial(edit, sbtree._cfrac_table))
+    _bounds(monkeypatch, appendixA=3)
+    assert check(capsys, "appendixA") == (1, [f"FAIL appendixA: {line}"], "0/1 sweeps clean")
 
 
 def test_check_fits_reproduces_the_closed_forms_out_of_sample(capsys, monkeypatch):

@@ -14,6 +14,8 @@ from qrationals.qdeform import (
     DEFORM_CACHE_SIZE,
     CFrac,
     _packed_width,
+    _step,
+    _times_qint,
     _tower,
     _unpack,
     deform,
@@ -207,6 +209,21 @@ def test_tower_at_any_wide_enough_width_is_the_canonical_pair(a0, tail, split_la
     low -= low % width
     want = deform_from_cfrac(cf)
     assert (_unpack(N >> low, width), _unpack(D >> low, width)) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 64])
+def test_step_writes_out_small_q_integers_as_times_qint(width):
+    """The tower step's [a]_q·N, written out for a ≤ 2, is _times_qint's
+    binary doubling for a = 0..6, in both parities, on packed N whose
+    coefficients leave the product room in the width."""
+    top = (1 << (width - 3)) - 1
+    for coeffs in ([1], [top], [3, 0, 1, top], [top, 5, 0, 0, 2, 1]):
+        N = sum(c << (i * width) for i, c in enumerate(coeffs))
+        D = N + 1
+        for a in range(7):
+            aN = _times_qint(N, a, width)
+            assert _step(a, N, D, width, False) == (aN + (D << a * width), N), (a, coeffs)
+            assert _step(a, N, D, width, True) == ((aN << width) + D, N << a * width), (a, coeffs)
 
 
 def test_deform_integer_is_q_integer():

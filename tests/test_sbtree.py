@@ -5,6 +5,7 @@ from the mediant-descent chains; the identity tests pin both the failing
 literal zero-residual form and the corrected closed-form residual.
 """
 from fractions import Fraction as Fr
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from qrationals.exact import (
     derivative_at_one,
     jets_at_one,
 )
-from qrationals.qdeform import QRational, _unpack, deform
+from qrationals.qdeform import QRational, _expansion, _tower, _unpack, deform
 from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
@@ -165,6 +166,48 @@ def test_packed_walker_matches_deform(start, depth, top):
         count += 1
     assert count == 2 ** (depth + 1) - 1
     assert biggest == top
+
+
+def _stripped(pair, width):
+    """A packed pair less its common q-power, at the lowest set bit of N | D."""
+    N, D = pair
+    low = ((N | D) & -(N | D)).bit_length() - 1
+    low -= low % width
+    return N >> low, D >> low
+
+
+@pytest.mark.parametrize("depth", [*range(10), 12])
+def test_cfrac_table_is_the_tower_on_every_node(depth):
+    """The continued-fraction table built from shared tails holds exactly
+    the walk's nodes, and each entry is qdeform._tower on the node's
+    expansion at the walk's width, stripped of its common q-power."""
+    width, walk = sbtree._packed_walk(0, depth)
+    table = sbtree._cfrac_table(depth, width)
+    assert sorted(table) == sorted((stack[-1].a, stack[-1].b) for stack in walk)
+    for (a, b), pair in table.items():
+        assert pair == _stripped(_tower(_expansion(a, b), width), width), (a, b)
+
+
+@pytest.mark.parametrize("build", [sbtree._mediant_frame, partial(sbtree._packed_frame, 16),
+                                   _jet_frame], ids=["polynomial", "packed", "jet"])
+def test_walk_yields_each_node_once_in_increasing_value(build):
+    """With each node builder, the walk yields one reused ancestor stack
+    per node, every node to depth 6 once and in increasing value: frame
+    2 + d is the depth-d ancestor, between its two parents.  A negative
+    depth raises at the call, before any step."""
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        _walk(1, -1, build)
+    seen, stacks = [], set()
+    for stack in _walk(1, 6, build):
+        stacks.add(id(stack))
+        for k, frame in enumerate(stack[2:], start=2):
+            lo, hi = stack[frame.lo], stack[frame.hi]
+            assert frame.lo < k and frame.hi < k
+            assert lo.a * frame.b < frame.a * lo.b and frame.a * hi.b < hi.a * frame.b
+        seen.append(stack[-1].value)
+        assert len(stack) == deform(seen[-1]).depth + 3
+    assert len(seen) == 2 ** 7 - 1 and len(stacks) == 1
+    assert all(x < y for x, y in zip(seen, seen[1:]))
 
 
 @pytest.mark.parametrize("start", [0, -2, 3])
@@ -602,8 +645,9 @@ def test_identity_sweep_reports_unscaled_failures(monkeypatch):
 def _jets_as(monkeypatch, value, other):
     """Make the jet build step compute the Taylor data of value's weighted
     mediant as other's, as a wrong mediant would."""
-    real, want, wrong = sbtree._taylor_mediant, sbtree.Frame(value).taylor[:2], \
-        sbtree.Frame(other).taylor[:2]
+    real, want, wrong = sbtree._taylor_mediant, \
+        sbtree.Frame(value.numerator, value.denominator).taylor[:2], \
+        sbtree.Frame(other.numerator, other.denominator).taylor[:2]
 
     def mediant(left, right, xi):
         got = real(left, right, xi)
