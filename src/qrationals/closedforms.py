@@ -3,14 +3,24 @@ deformation at q = 1, modular inverses, Thomae's function, and the
 depth-based numerator/denominator derivative formulas with their calibration
 report.
 
-The first-derivative form is (x² − x + 1 − f(x)²)/2 with f Thomae's function.
-The second-derivative form combines a cubic polynomial part, a Thomae part,
-and a ⟨n/a⟩_b-weighted lattice sum, equal to −s_{1,3} by the bridges here.
-d2_closed takes s_{1,3} from dedekind.s_sum, which computes it in O(log b)
-integer steps of Apostol's reciprocity law, u(a, b) = (a·b·(5a²b² − a⁴ −
-b⁴ − 3) − b²·u(b mod a, a))/a² with u = 120·b⁴·s_{1,3}, folded bottom-up
-over the Euclid chain of (a, b); the bridges check it against the literal
-bracket sums and against the O(b) loop through s_{3,1}(a^{−1}, b).
+Both closed forms are computed on the reduced a/b in integers, with one
+division.  The first-derivative form (x² − x + 1 − f(x)²)/2, with f Thomae's
+function (f(a/b) = 1/b), is (a² − a·b + b² − 1)/(2b²).  The second-derivative
+form F(x) + f(x)²·G(x) − 20·s_{1,3}(a, b) has a cubic part F(x) = x³/3 − x²
++ 5x/3 − 1 = (a³ − 3a²b + 5ab² − 3b³)/(3b³), a Thomae part f²·G = (b − a)/b³
+with G(x) = 1 − x, and the term −20·s_{1,3} = −u/(6b⁴) with u =
+120·b⁴·s_{1,3}(a, b); over the common denominator 6b⁴ it is
+
+    (2b·(a³ − 3a²b + 5ab² − 3b³) + 6b·(b − a) − u) / (6b⁴).
+
+The s_{1,3} term is the paper's ⟨n/a⟩_b-weighted lattice sum
++20·Σ_{n<b} ⟨n/a⟩_b·H(n/b), equal to −20·s_{1,3} by the bridges here.  u
+comes from dedekind._s13_cleared, the integer kernel behind s_sum's (1, 3)
+path: O(log b) steps of Apostol's reciprocity law, u(a, b) = (a·b·(5a²b² −
+a⁴ − b⁴ − 3) − b²·u(b mod a, a))/a², folded bottom-up over the Euclid chain
+of (a, b); the bridges check it against the literal bracket sums and against
+the O(b) loop through s_{3,1}(a^{−1}, b).  The literal Fraction forms of F
+and G are test oracles.
 """
 from __future__ import annotations
 
@@ -19,8 +29,8 @@ from fractions import Fraction
 from typing import Literal
 
 from .exact import Rat, _taylor_at_one
-from .qdeform import deform
-from .dedekind import s_sum
+from .qdeform import _depth_and_path, deform, to_cfrac
+from .dedekind import _s13_cleared, s_sum
 
 __all__ = [
     "mod_inverse",
@@ -63,17 +73,6 @@ def bracket(n: int, a: int, b: int) -> Rat:
     return Fraction(mod_inverse(a, b) * n % b, b) - Fraction(1, 2)
 
 
-def F(x: Rat) -> Rat:
-    """Cubic polynomial part of the second-derivative closed form."""
-    x = Fraction(x)
-    return x ** 3 / 3 - x * x + Fraction(5, 3) * x - 1
-
-
-def G(x: Rat) -> Rat:
-    """Thomae-part multiplier of the second-derivative closed form."""
-    return 1 - Fraction(x)
-
-
 def H(x: Rat) -> Rat:
     """Lattice-sum weight x²(1 − x) of the second-derivative closed form."""
     x = Fraction(x)
@@ -82,21 +81,24 @@ def H(x: Rat) -> Rat:
 
 def d1_closed(x: Rat) -> Rat:
     """(x² − x + 1 − f(x)²)/2 — the first derivative of the deformation at
-    q = 1, in closed form."""
+    q = 1, in closed form: (a² − a·b + b² − 1)/(2b²) on the reduced a/b."""
     x = Fraction(x)
-    return (x * x - x + 1 - thomae(x) ** 2) / 2
+    a, b = x.numerator, x.denominator
+    return Fraction(a * a - a * b + b * b - 1, 2 * b * b)
 
 
 def d2_closed(a: int, b: int) -> Rat:
     """F(a/b) + f(a/b)²·G(a/b) − 20·s_{1,3}(a, b) — the second derivative of
     the deformation at q = 1, in closed form; the substitution bridge turns
-    the paper's lattice term +20·Σ_{n<b} ⟨n/a⟩_b·H(n/b) into the s_{1,3} term."""
+    the paper's lattice term +20·Σ_{n<b} ⟨n/a⟩_b·H(n/b) into the s_{1,3} term.
+    Over 6b⁴ the three parts are 2b·(a³ − 3a²b + 5ab² − 3b³), 6b·(b − a) and
+    −u with u = 120·b⁴·s_{1,3}(a, b) (dedekind._s13_cleared)."""
     if b < 1:
         raise ValueError("denominator must be >= 1")
     if math.gcd(a, b) != 1:
         raise ValueError(f"{a}/{b} is not reduced")
-    x = Fraction(a, b)
-    return F(x) + thomae(x) ** 2 * G(x) - 20 * s_sum(1, 3, a, b)
+    cubic = a ** 3 - 3 * a * a * b + 5 * a * b * b - 3 * b ** 3
+    return Fraction(2 * b * cubic + 6 * b * (b - a) - _s13_cleared(a, b), 6 * b ** 4)
 
 
 def bracket_weight_sum(a: int, b: int) -> Rat:
@@ -135,7 +137,7 @@ def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
 # --------------------------------------------------------------------------
 
 def _depth_value(a: int, b: int, convention: DepthConvention) -> int:
-    depth = deform(Fraction(a, b)).depth
+    depth = _depth_and_path(to_cfrac(Fraction(a, b)))[0]
     return depth if convention == "depth" else depth + 1
 
 

@@ -7,8 +7,8 @@ and the lineage corrections need, takes O(log b) steps of Apostol's
 reciprocity law 4·(a·b³·s(a, b) + b·a³·s(b, a)) = (5a²b² − a⁴ − b⁴ − 3)/30,
 as the integer recurrence u(a, b) = (a·b·(5a²b² − a⁴ − b⁴ − 3) −
 b²·u(b mod a, a))/a² on u = 120·b⁴·s, folded bottom-up over the Euclid
-chain of (a, b).  Every other (i, j) is one O(b) lattice loop over cleared
-Bernoulli polynomials.
+chain of (a, b), in the one integer kernel _s13_cleared.  Every other
+(i, j) is one O(b) lattice loop over cleared Bernoulli polynomials.
 
 Conventions (pinned by the test suite):
   - B_1 = −1/2 (so B̄_1(a n/b) matches the bracket's −1/2 offset).
@@ -123,8 +123,9 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
 
     with u(·, 1) = 0 at the bottom of the Euclid chain of (a, b).  The chain
     is recorded and folded bottom-up, so every intermediate u is the value
-    at its own pair, O(digits of b) in size, and one Fraction u/(120·b⁴) is
-    built at the end."""
+    at its own pair, O(digits of b) in size.  That descent is one integer
+    kernel, _s13_cleared(a, b) = 120·b⁴·s(a, b); this path is the Fraction
+    u/(120·b⁴) over it, and closedforms.d2_closed reads u directly."""
     if b < 1:
         raise ValueError("modulus must be >= 1")
     _check_index(i)
@@ -132,7 +133,7 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     if b == 1:
         return Fraction(0)
     if (i, j) == (1, 3):
-        return _s13_descent(a, b)
+        return Fraction(_s13_cleared(a, b), 120 * b ** 4)
     ci, di = _cleared_bernoulli(i, b)
     cj, dj = _cleared_bernoulli(j, b)
     total = 0
@@ -147,9 +148,11 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     return Fraction(total, di * dj)
 
 
-def _s13_descent(a: int, b: int) -> Rat:
-    """s_{1,3}(a, b) for b > 1 by the Euclid descent in s_sum's docstring.
-    A remainder in its exact division would be a bug, so it raises."""
+def _s13_cleared(a: int, b: int) -> int:
+    """u = 120·b⁴·s_{1,3}(a, b), an integer, for any a and b ≥ 1, by the
+    Euclid descent in s_sum's docstring: the one descent loop that s_sum's
+    (1, 3) path and the closed forms share.  A remainder in its exact
+    division would be a bug, so it raises."""
     g = math.gcd(a, b)
     top = b // g
     a, b = a // g % top, top
@@ -162,7 +165,7 @@ def _s13_descent(a: int, b: int) -> Rat:
         u, rem = divmod(a * b * (5 * a * a * b * b - a ** 4 - b ** 4 - 3) - b * b * u, a * a)
         if rem:
             raise ArithmeticError(f"reciprocity left a remainder at ({a}, {b})")
-    return Fraction(u, 120 * top ** 4)
+    return u * g ** 4
 
 
 def _s_inclusive(i: int, j: int, a: int, b: int) -> Rat:

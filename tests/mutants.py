@@ -35,7 +35,10 @@ TIMEOUT_S = 120
 
 SBTREE = "src/qrationals/sbtree.py"
 QDEFORM = "src/qrationals/qdeform.py"
+CLOSEDFORMS = "src/qrationals/closedforms.py"
+DEDEKIND = "src/qrationals/dedekind.py"
 T = "tests/test_sbtree.py::"
+C = "tests/test_closedforms.py::"
 
 MUTANTS = [
     {
@@ -122,6 +125,42 @@ MUTANTS = [
         "new": "            pending.append((k, lo, k, path + \"L\"))\n"
                "            lo, d, path = k, d + 1, path + \"R\"\n",
         "tests": [T + "test_walk_yields_each_node_once_in_increasing_value"],
+    },
+    {
+        "name": "d2-thomae-part-sign-flipped",
+        "file": CLOSEDFORMS,
+        "old": "6 * b * (b - a)",
+        "new": "6 * b * (a - b)",
+        "tests": [C + "test_closed_forms_equal_their_literal_form",
+                  C + "test_d2_closed_fixtures",
+                  C + "test_closed_forms_match_exact_jets_on_long_expansions"],
+    },
+    {
+        "name": "d1-minus-one-dropped",
+        "file": CLOSEDFORMS,
+        "old": "b * b - 1, 2 * b * b)",
+        "new": "b * b, 2 * b * b)",
+        "tests": [C + "test_closed_forms_equal_their_literal_form",
+                  C + "test_d1_closed_fixtures",
+                  C + "test_closed_forms_match_exact_jets_on_long_expansions"],
+    },
+    {
+        "name": "d2-denominator-b-cubed",
+        "file": CLOSEDFORMS,
+        "old": "6 * b ** 4)",
+        "new": "6 * b ** 3)",
+        "tests": [C + "test_closed_forms_equal_their_literal_form",
+                  C + "test_d2_closed_fixtures",
+                  C + "test_closed_forms_match_exact_jets_on_long_expansions"],
+    },
+    {
+        "name": "s13-a-not-reduced-mod-b",
+        "file": DEDEKIND,
+        "old": "    a, b = a // g % top, top\n",
+        "new": "    a, b = a // g, top\n",
+        "tests": ["tests/test_dedekind.py::test_s13_cleared_is_the_literal_sum",
+                  "tests/test_dedekind.py::test_s13_descent_matches_literal_sum",
+                  C + "test_closed_forms_equal_their_literal_form"],
     },
 ]
 

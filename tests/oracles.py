@@ -1,7 +1,8 @@
 """Test-side oracles: the adjacency-checked Farey mediant, the weighted
 mediant of two canonical pairs, the ℤ[q] product, the quotient-rule
-derivative, and the literal Fraction forms of the lineage identity (Lagrange
-coefficients, residual and correction).
+derivative, the literal lattice sum and closed forms, and the literal
+Fraction forms of the lineage identity (Lagrange coefficients, residual and
+correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
@@ -16,6 +17,11 @@ The package computes the lineage identity in integers, over the common
 denominator L of the Lagrange coefficients and with cleared jets; the
 literal forms here take one Fraction per coefficient and per term.
 
+The package's closed forms are one integer numerator over one denominator
+each, with s₁,₃ from the Euclid descent; d1_literal and d2_literal here
+assemble them from their Fraction parts, (x² − x + 1 − f(x)²)/2 and
+F + f²·G − 20·s₁,₃, and literal_s_sum is the O(b) defining sum of s_{i,j}.
+
 The package's identity sweep walks Taylor data at q = 1 and checks each
 lineage shape once; identity_sweep here walks polynomials and repeats every
 check per lineage.  Its lineage_extract jumps along the branch word one run
@@ -27,7 +33,8 @@ import math
 from fractions import Fraction
 
 from qrationals import sbtree
-from qrationals.dedekind import s_sum
+from qrationals.closedforms import thomae
+from qrationals.dedekind import periodic_bernoulli, s_sum
 from qrationals.exact import IntPoly, RatFunc
 from qrationals.qdeform import _depth_and_path, to_cfrac
 
@@ -81,6 +88,37 @@ def derivative_at_one_quotient(rf: RatFunc, k: int) -> Fraction:
         n, d = (poly_mul(derivative(n), d) - poly_mul(n, derivative(d)),
                 poly_mul(d, d))
     return Fraction(n(1), d(1))
+
+
+def literal_s_sum(i, j, a, b) -> Fraction:
+    """The defining sum Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) of s_{i,j}, term
+    by term: the O(b) oracle for the Dedekind kernel."""
+    return sum((periodic_bernoulli(i, Fraction(n, b)) * periodic_bernoulli(j, Fraction(a * n, b))
+                for n in range(1, b)), Fraction(0))
+
+
+def F(x) -> Fraction:
+    """Cubic polynomial part x³/3 − x² + 5x/3 − 1 of the second-derivative
+    closed form."""
+    x = Fraction(x)
+    return x ** 3 / 3 - x * x + Fraction(5, 3) * x - 1
+
+
+def G(x) -> Fraction:
+    """Thomae-part multiplier 1 − x of the second-derivative closed form."""
+    return 1 - Fraction(x)
+
+
+def d1_literal(x) -> Fraction:
+    """(x² − x + 1 − f(x)²)/2 in Fraction steps."""
+    x = Fraction(x)
+    return (x * x - x + 1 - thomae(x) ** 2) / 2
+
+
+def d2_literal(a: int, b: int, s13: Fraction) -> Fraction:
+    """F(a/b) + f(a/b)²·G(a/b) − 20·s₁,₃ in Fraction steps, with s₁,₃ given."""
+    x = Fraction(a, b)
+    return F(x) + thomae(x) ** 2 * G(x) - 20 * s13
 
 
 def lagrange_coefficients(lin) -> tuple[Fraction, ...]:

@@ -11,13 +11,13 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import F, G, d1_literal, d2_literal, literal_s_sum
+from qrationals.dedekind import s_sum
 from qrationals.exact import derivative_at_one, jets_at_one
 from qrationals.qdeform import CFrac, deform
 from qrationals.closedforms import (
-    F,
-    G,
     H,
     NoInverseError,
     bracket,
@@ -123,6 +123,45 @@ def test_d2_closed_validates_input():
         d2_closed(1, 0)
 
 
+# b = 1, the O(b) oracle's range, and up to 10³⁰; a anywhere in [−5b, 5b]
+wide_reduced_pairs = st.one_of(st.just(1), st.integers(2, 200), st.integers(201, 10 ** 30)).flatmap(
+    lambda b: st.tuples(st.integers(-5 * b, 5 * b), st.just(b))).filter(
+    lambda ab: math.gcd(*ab) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_reduced_pairs)
+@example((-7, 5))
+@example((11, 4))
+@example((-4, 1))
+@example((-3 * 10 ** 30 - 170, 10 ** 30 + 57))
+def test_closed_forms_equal_their_literal_form(ab):
+    """The cleared numerators over one denominator equal the Fraction form
+    (x² − x + 1 − f²)/2 and F + f²·G − 20·s₁,₃, with s₁,₃ from the O(b)
+    defining sum wherever it is affordable (b ≤ 200)."""
+    a, b = ab
+    s13 = literal_s_sum(1, 3, a, b) if b <= 200 else s_sum(1, 3, a, b)
+    assert d1_closed(Fr(a, b)) == d1_literal(Fr(a, b))
+    assert d2_closed(a, b) == d2_literal(a, b, s13)
+
+
+expansions = st.tuples(st.integers(-50, 50),
+                       st.lists(st.integers(1, 200), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansions)
+def test_closed_forms_match_exact_jets_on_long_expansions(terms):
+    """Over the whole domain the API accepts: heads in [−50, 50] and 1–12
+    partial quotients up to 200, against the jets of the deformation's own
+    polynomials."""
+    head, tail = terms
+    x = CFrac((head, *tail)).value()
+    rf = deform(x).deform
+    assert d1_closed(x) == derivative_at_one(rf, 1), x
+    assert d2_closed(x.numerator, x.denominator) == derivative_at_one(rf, 2), x
+
+
 @settings(max_examples=60, deadline=None)
 @given(reduced_pairs)
 def test_closed_forms_match_exact_engine(ab):
@@ -196,6 +235,16 @@ def test_depth_formula_spot_values():
     # ... but not at 1/3, and the tree-depth convention fails immediately
     assert numerator_d1_closed(1, 3, "mediants") != numerator_derivative(1, 3)
     assert numerator_d1_closed(1, 2, "depth") != numerator_derivative(1, 2)
+
+
+def test_depth_formulas_deform_nothing():
+    """The depth comes from the continued fraction alone: 1/20000 has depth
+    19998, and deform's cache is left as it was."""
+    before = deform.cache_info()
+    assert numerator_d1_closed(1, 20000, "depth") == 19998 * 20000 // 2
+    assert numerator_d1_closed(1, 20000) == 19999 * 20000 // 2
+    assert denominator_d1_closed(1, 20000) == Fr(20000 - 19998 * 20000 ** 2, 2)
+    assert deform.cache_info() == before
 
 
 def test_depth_formula_validates_input():

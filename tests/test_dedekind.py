@@ -10,10 +10,12 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import literal_s_sum
 from qrationals.closedforms import bracket_weight_sum, bridge_mismatches
 from qrationals.dedekind import (
+    _s13_cleared,
     battery_report_csv,
     battery_sweep,
     bernoulli_number,
@@ -36,12 +38,6 @@ lattice_args = st.integers(1, 60).flatmap(
     lambda b: st.tuples(st.integers(-3 * b, 3 * b), st.just(b)))
 wide_lattice_args = st.integers(1, 500).flatmap(
     lambda b: st.tuples(st.integers(-3 * b, 3 * b), st.just(b)))
-
-
-def literal_s_sum(i, j, a, b):
-    """The defining sum of s_{i,j}, term by term: the oracle for the kernel."""
-    return sum((periodic_bernoulli(i, Fr(n, b)) * periodic_bernoulli(j, Fr(a * n, b))
-                for n in range(1, b)), Fr(0))
 
 
 # -- Bernoulli numbers and polynomials -------------------------------------
@@ -146,6 +142,18 @@ def test_s13_descent_matches_literal_sum(ab):
     the lattice loop, against its defining sum, non-coprime a included."""
     a, b = ab
     assert s_sum(1, 3, a, b) == literal_s_sum(1, 3, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_lattice_args)
+@example((6, 16))
+@example((-3, 8))
+@example((7, 1))
+def test_s13_cleared_is_the_literal_sum(ab):
+    """The integer kernel behind s_sum's (1, 3) path and d2_closed is
+    120·b⁴·s_{1,3}, non-coprime and negative a included."""
+    a, b = ab
+    assert _s13_cleared(a, b) == 120 * b ** 4 * literal_s_sum(1, 3, a, b)
 
 
 @given(st.integers(0, 4), st.integers(0, 4), coprime_pairs)
