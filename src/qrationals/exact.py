@@ -143,7 +143,7 @@ class IntPoly:
         return self._zip(operator.sub, other)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly._from_stripped(tuple(map(operator.neg, self.coeffs)))
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q^k (k ≥ 0)."""

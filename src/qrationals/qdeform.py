@@ -6,8 +6,8 @@ The deformation is defined through the alternating continued fraction
 
 evaluated bottom-up over integer-polynomial pairs, with reciprocal-variable
 factors cleared to ordinary polynomials at every step.  Each step is a 2×2
-polynomial move of determinant ±q^k, so the final pair needs only q-power /
-content / sign normalization to be canonical.
+polynomial move of determinant ±q^k, so the final pair needs only its
+common q-power stripped to be canonical (_packed_pair).
 
 The tower runs on packed integers (Kronecker substitution): a polynomial P
 with nonnegative coefficients below 2^B is held as the integer P(2^B), so
@@ -164,38 +164,62 @@ def _tower(terms: tuple[int, ...], width: int) -> tuple[int, int]:
     return N, D
 
 
+def _packed_pair(terms: tuple[int, ...], width: int) -> tuple[int, int]:
+    """The canonical pair (N, D) of the tower of terms, for any head a_0,
+    packed at q = 2^width in the one packed convention (sbtree's tree keeps
+    it too): both words have nonnegative coefficients, the numerator stored
+    negated when a_0 < 0.
+
+    A head a_0 = −k takes the backwards recurrence: with (D, N) the tower
+    of (0; a_1, ...), the pair is (D − [k]_q·N)/(q^k·N), stored as
+    ([k]_q·N − D, q^k·N).  The level-1 odd step makes N = q·[a_1]_q·N_2 +
+    D_2 ≥ q^{a_1}·N_2 = D coefficientwise (an integer's D is 0), so the
+    subtraction borrows nothing.  Each step is a 2×2 move of determinant
+    ±q^j, so the pair's one common factor, a power of q, is stripped at the
+    lowest set word; content 1 and D(1) > 0 follow.  The width must be at
+    least deform_from_cfrac's for these terms."""
+    if terms[0] >= 0:
+        N, D = _tower(terms, width)
+    else:
+        k = -terms[0]
+        D, N = _tower((0, *terms[1:]), width)
+        N, D = _times_qint(N, k, width) - D, N << k * width
+    low = ((N | D) & -(N | D)).bit_length() - 1
+    low -= low % width
+    return N >> low, D >> low
+
+
+def _unpacked(N: int, D: int, width: int, negated: bool) -> RatFunc:
+    """The RatFunc of a canonical packed pair (_packed_pair) at q = 2^width,
+    its numerator negated back when negated (a value below 0)."""
+    num = _unpack(N, width)
+    return RatFunc(-num if negated else num, _unpack(D, width))
+
+
 def deform_from_cfrac(cf: CFrac) -> RatFunc:
     """Evaluate the alternating continued-fraction tower for any valid
-    expansion of a rational (either terminal form) and canonicalize.
+    expansion of a rational (either terminal form), canonical as built.
 
     Levels are counted from a_0: even levels contribute [a_i]_q + q^{a_i}/rest,
     odd levels [a_i]_{1/q} + q^{-a_i}/rest, evaluated bottom-up on cleared
     pairs by _tower.  An integer is its head alone, and an odd tail carries
-    one common factor q, which canonicalization strips.  The head term a_0
-    may be any integer; a_0 ≥ 0 is the tower's level 0, and a_0 = −k uses
-    the backwards recurrence, contributing (D − [k]_q·N) / (q^k·N) to the
-    final pair, where D/N = 1/tail is the tower of (0; a_1, ...).
+    one common factor q, which _packed_pair strips.  The head term a_0 may
+    be any integer (see _packed_pair for a_0 < 0).
 
     The steps run on packed integers at q = 2^B (see the module docstring).
     The tail levels (i ≥ 1) only add and shift, so every coefficient is
     nonnegative and at most the tail's final continuant p = N(1).  A
     coefficient of [a]_q·N sums at most a consecutive ones of N, so it too is
-    at most p, and the head adds one of D, at most r = D(1) ≤ p: B holds
-    p.bit_length() + 1 bits, rounded up to whole bytes.  Only the signed
-    head step (a_0 < 0) subtracts, on unpacked polynomials.
+    at most p, and the head adds one of D, at most r = D(1) ≤ p (a negative
+    head subtracts it): B holds p.bit_length() + 1 bits, rounded up to whole
+    bytes.
     """
     terms = cf.terms
     p, r = 1, 0
     for a in reversed(terms[1:]):
         p, r = a * p + r, p
     width = _packed_width(p)
-    if terms[0] >= 0:
-        N, D = _tower(terms, width)
-        return RatFunc(_unpack(N, width), _unpack(D, width))
-    k = -terms[0]
-    D, N = _tower((0, *terms[1:]), width)
-    num = _unpack(D, width) - _unpack(_times_qint(N, k, width), width)
-    return RatFunc(num, _unpack(N, width).shift(k))
+    return _unpacked(*_packed_pair(terms, width), width, terms[0] < 0)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,18 @@ extraction with polynomial weight tables, the Δ_i operator, and the Lagrange
 coefficients of the order-m linear-dependence identity.
 
 One depth-first walk yields the tree's ancestor stack, and lineages are
-read off such stacks.  It takes a node builder: walk_qtree builds each
-node's canonical IntPoly pair (_mediant_frame), for tree output and
-lineages; appendixA's equivalence sweep walks packed integers
-(_packed_frame) and compares them with a table of the packed
-continued-fraction towers at the same width, built from shared tails
-(_cfrac_table); and the identity sweep and the plot data walk Taylor data
-at q = 1 (_jet_frame).  The weighted-mediant construction calls the
-continued-fraction deformation only at the window endpoints; their
-bit-exact agreement is a verified equivalence, not a dependency.
+read off such stacks.  It takes a node builder.  Every polynomial node is
+built by one packed step (_packed_frame): the pair as integers at
+q = 2^B, in qdeform's convention (_packed_pair: nonnegative words, the
+numerator stored negated below 0), checked canonical where it is built.
+walk_qtree and build_qtree walk it in any window, lineage_extract builds
+members 3..m with it, and appendixA's equivalence sweep compares its pairs
+with a table of the packed continued-fraction towers at the same width,
+built from shared tails (_cfrac_table).  The identity sweep and the plot
+data walk Taylor data at q = 1 instead (_jet_frame).  The weighted-mediant
+construction takes the continued-fraction tower only for pairs it does not
+build (the window endpoints, lineage members 1 and 2); their bit-exact
+agreement elsewhere is a verified equivalence, not a dependency.
 """
 from __future__ import annotations
 
@@ -35,10 +38,12 @@ from .qdeform import (
     QRational,
     _branch_runs,
     _depth_and_path,
+    _expansion,
+    _packed_pair,
     _packed_width,
     _step,
-    _times_qint,
     _unpack,
+    _unpacked,
     deform,
     qrational_to_json,
     to_cfrac,
@@ -100,7 +105,8 @@ def _degree_gap(left_degree: int, right_degree: int) -> int:
 def _qmediant(left: tuple[IntPoly, IntPoly], right: tuple[IntPoly, IntPoly],
               xi: int) -> tuple[IntPoly, IntPoly]:
     """(L₀, L₁), (R₀, R₁), ξ ↦ (L₀ + R₀·q^ξ, L₁ + R₁·q^ξ): the weighted-mediant
-    recurrence, shared by tree nodes and lineage weights."""
+    recurrence on IntPoly pairs, for the lineage weights 𝔉, 𝔊 (tree nodes
+    run it on packed integers, _packed_frame)."""
     return left[0] + right[0].shift(xi), left[1] + right[1].shift(xi)
 
 
@@ -128,13 +134,20 @@ class Frame:
     of their weighted mediant (None at the endpoints), and four views of
     its node, each computed on first use unless its builder assigned it:
     the value a/b as a Fraction, the node (value, canonical pair, depth,
-    path), the Taylor data at q = 1 and the cleared jets.  The packed
-    builder keeps the node's pair as packed = (N, D, deg D) instead, and
-    packs the window endpoints on first use (_packed_frame); packed is None
-    otherwise."""
+    path), the Taylor data at q = 1 and the cleared jets.
+
+    The packed builder keeps the node's pair as packed = (N, D, deg D) at
+    q = 2^width, in qdeform's convention (_packed_pair), with the depth and
+    path the walk gives it, and packs a parent it did not build on first
+    use (_pack); packed is None otherwise.  A packed frame's node is its
+    pair unpacked, any other frame's is deform(value).  Depth −1 and the
+    empty path are the window endpoints'; lineage_extract sets its first
+    two members' own."""
 
     xi: int | None = None
     packed: tuple[int, int, int] | None = None
+    width: int | None = None
+    depth, path = -1, ""
 
     def __init__(self, a: int, b: int, lo: int | None = None, hi: int | None = None):
         self.a, self.b, self.lo, self.hi = a, b, lo, hi
@@ -145,7 +158,11 @@ class Frame:
 
     @cached_property
     def node(self) -> QRational:
-        return deform(self.value)
+        if self.packed is None:
+            return deform(self.value)
+        num, den, _ = self.packed
+        return QRational(self.value, _unpacked(num, den, self.width, self.a < 0),
+                         self.depth, self.path)
 
     @cached_property
     def taylor(self) -> tuple[list[int], list[int], int]:
@@ -167,36 +184,19 @@ def _not_mediant(value: Fraction) -> ValueError:
                       f"not the weighted mediant of its parents")
 
 
-def _mediant_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> Frame:
-    """The frame of the tree node at the given depth and path whose parents
-    are stack[lo] (left) and stack[hi] (right): its pair is their pairs'
-    weighted mediant with ξ = _degree_gap, kept on the frame.  Lineage
-    weights rebuild a member from its parents by this same recurrence, so
-    the pair must be canonical exactly as built (ValueError naming the node
-    otherwise)."""
-    left, right = stack[lo].node.deform, stack[hi].node.deform
-    frame = _farey(stack, lo, hi)
-    frame.xi = _degree_gap(left.den.degree(), right.den.degree())
-    raw = _qmediant((left.num, left.den), (right.num, right.den), frame.xi)
-    pair = RatFunc(*raw)
-    if (pair.num, pair.den) != raw:
-        raise _not_mediant(frame.value)
-    frame.node = QRational(frame.value, pair, depth, path)
-    return frame
-
-
 def _jet_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> Frame:
     """The frame of the tree node whose parents are stack[lo] (left) and
     stack[hi] (right), built on Taylor data instead of polynomials: the
-    same recurrence as _mediant_frame with q^ξ = (1 + h)^ξ
+    same recurrence as _packed_frame with q^ξ = (1 + h)^ξ
     (_taylor_mediant), the denominator degree deg R + ξ (ξ exceeds
     deg L − deg R, so no leading term cancels), and the cleared jets.  The
     node itself is not built.
 
-    The one part of _mediant_frame's check that the jets depend on is
-    checked here: the built N(1), D(1) must be the node's reduced (a, b),
-    since the cleared jets scale with D(1) (ValueError naming the node
-    otherwise); a common q-power would change no jet."""
+    The jets do not see the q⁰ terms that _packed_frame checks, so the
+    check here is the one they depend on: the built N(1), D(1) must be the
+    node's reduced (a, b), since the cleared jets scale with D(1)
+    (ValueError naming the node otherwise); a common q-power would change
+    no jet."""
     (nl, dl, deg_l), (nr, dr, deg_r) = stack[lo].taylor, stack[hi].taylor
     frame = _farey(stack, lo, hi)
     frame.xi = xi = _degree_gap(deg_l, deg_r)
@@ -208,41 +208,53 @@ def _jet_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> F
     return frame
 
 
-def _pack_endpoint(frame: Frame, width: int) -> tuple[int, int, int]:
-    """packed for a window endpoint m ≥ 0: ([m]_q, 1, 0)."""
-    frame.packed = _times_qint(1, frame.a, width), 1, 0
+def _pack(frame: Frame, width: int) -> tuple[int, int, int]:
+    """packed for a frame that no build step made (a window endpoint, or
+    lineage_extract's members 1 and 2): the packed pair of its value's
+    continued-fraction tower at q = 2^width (qdeform._packed_pair), and
+    deg D read off D's top word."""
+    N, D = _packed_pair(_expansion(frame.a, frame.b), width)
+    frame.packed, frame.width = (N, D, (D.bit_length() - 1) // width), width
     return frame.packed
 
 
 def _packed_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
                   path: str) -> Frame:
-    """_mediant_frame on packed integers at q = 2^width, in a window m ≥ 0
-    (_packed_walk): the frame keeps packed = (N, D, deg D), the mediant is
-    L + R·q^ξ, one shift by ξ·width bits and one integer sum per
-    polynomial, and deg D is deg R + ξ (ξ exceeds deg L − deg R, so no
-    leading term cancels).
+    """The frame of the tree node at the given depth and path whose parents
+    are stack[lo] (left) and stack[hi] (right), on packed integers at
+    q = 2^width: packed = (N, D, deg D) with (N, D) the parents' weighted
+    mediant L + R·q^ξ, ξ = _degree_gap kept on the frame, one shift by
+    ξ·width bits and one integer sum per word, and deg D = deg R + ξ (ξ
+    exceeds deg L − deg R, so no leading term cancels).  Lineage weights
+    rebuild a member from its parents by this same recurrence, so the pair
+    must be canonical exactly as built.
 
-    The canonical check is one mask test on D's lowest word: D(0) = 1
-    rules out a common q-power and forces content 1, and with nonnegative
-    coefficients D(1) > 0 (ValueError naming the node otherwise)."""
+    The check is one test on the q⁰ words.  ξ ≥ 1 keeps the left parent's,
+    so every node keeps its window's: (0, 1) in window 0, (1, 1) in a
+    window m > 0 and, the numerator negated, (1, 0) in a window m < 0.
+    Each holds a 1, so the pair has content 1 and no common q-power, and
+    its nonnegative words give D(1) > 0: it is canonical.  A node whose q⁰
+    words are not its left parent's raises ValueError naming it."""
     left, right = stack[lo], stack[hi]
-    nl, dl, deg_l = left.packed or _pack_endpoint(left, width)
-    nr, dr, deg_r = right.packed or _pack_endpoint(right, width)
+    nl, dl, deg_l = left.packed or _pack(left, width)
+    nr, dr, deg_r = right.packed or _pack(right, width)
     frame = _farey(stack, lo, hi)
     frame.xi = _degree_gap(deg_l, deg_r)
     shift = frame.xi * width
-    den = dl + (dr << shift)
-    if den & ((1 << width) - 1) != 1:
+    num, den = nl + (nr << shift), dl + (dr << shift)
+    word = (1 << width) - 1
+    if (num ^ nl) & word or (den ^ dl) & word:
         raise _not_mediant(frame.value)
-    frame.packed = nl + (nr << shift), den, deg_r + frame.xi
+    frame.packed = num, den, deg_r + frame.xi
+    frame.width, frame.depth, frame.path = width, depth, path
     return frame
 
 
 def _walk(m: int, depth: int, build) -> Iterator[list[Frame]]:
     """The depth-first walk of walk_qtree, each node's frame made by
-    build(stack, lo, hi, depth, path): _mediant_frame (polynomials),
-    _packed_frame (packed integers, bound to a width) or _jet_frame (Taylor
-    data at q = 1).  A negative depth raises here, not on the first step.
+    build(stack, lo, hi, depth, path): _packed_frame (packed integers,
+    bound to a width) or _jet_frame (Taylor data at q = 1).  A negative
+    depth raises here, not on the first step.
 
     One loop, no recursion: it builds a node's frame, then its left
     child's, down to the walk's depth, keeping each built node's right
@@ -277,37 +289,43 @@ def _descend(m: int, depth: int, build) -> Iterator[list[Frame]]:
 
 def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
     """Depth-first walk, in increasing value, of the q-deformed tree nodes
-    strictly between m and m+1 to the given depth, by weighted mediants,
-    each node's canonical pair built and checked where it is built
-    (_mediant_frame).
+    strictly between m and m+1 to the given depth, by weighted mediants on
+    packed integers (_packed_walk), each node's pair checked canonical where
+    it is built (_packed_frame) and unpacked on first use of its node.
 
     Yields the ancestor stack at each node, one list reused from step to
-    step: frames 0 and 1 hold deform(m) and deform(m + 1), frame 2 + d the
+    step: frames 0 and 1 hold the endpoints m and m + 1, frame 2 + d the
     depth-d ancestor, and the last frame the node itself.  identity_sweep
     and fit.emit_plot_data run the same walk on Taylor data (_jet_frame).
     """
-    return _walk(m, depth, _mediant_frame)
+    return _packed_walk(m, depth)[1]
+
+
+def _window_width(m: int, b: int) -> int:
+    """The packing width of every pair between m and m + 1 whose value has
+    denominator at most b (see _packed_walk)."""
+    return _packed_width(max(-m, m + 1) * b)
 
 
 def _packed_walk(m: int, depth: int) -> tuple[int, Iterator[list[Frame]]]:
-    """(B, walk): the walk of walk_qtree in a window m ≥ 0 on packed
-    integers at q = 2^B (_packed_frame), and the one width B that serves
-    every node of it.
+    """(B, walk): the walk of walk_qtree on packed integers at q = 2^B
+    (_packed_frame), and the one width B that serves every node of it.
 
-    The tree only adds and shifts the endpoints' pairs [m]_q/1 and
-    [m + 1]_q/1, so every coefficient is nonnegative, and each is at most
-    its polynomial's value at 1: N(1) = a for the numerator, D(1) = b for
-    the denominator of a node a/b.  The largest denominator at depth d is
+    The tree only adds and shifts the endpoints' packed pairs, whose words
+    have nonnegative coefficients (the numerator negated in a window
+    m < 0), so every coefficient is nonnegative and at most its word's
+    value at 1: |N(1)| = |a| for the numerator, D(1) = b for the
+    denominator of a node a/b.  The largest denominator at depth d is
     F_{d+3} (Fibonacci, F_3 = 2 at depth 0, reached by the zigzag
-    L R L R ...), and a < (m + 1)·b since the node lies below m + 1.  So
-    every coefficient of the walk is at most (m + 1)·F_{depth+3}, and
-    B = _packed_width((m + 1)·F_{depth+3}).  The continued-fraction table
+    L R L R ...), and m < a/b < m + 1 bounds |a| by max(−m, m + 1)·b.  So
+    every coefficient of the walk is at most max(−m, m + 1)·F_{depth+3},
+    and B = _window_width(m, F_{depth+3}).  The continued-fraction table
     of window 0 keeps every coefficient at most the node's b
     (_cfrac_table), which B also holds."""
     fib, bound = 1, 2  # F_2, F_3
     for _ in range(depth):
         fib, bound = bound, fib + bound
-    width = _packed_width((m + 1) * bound)
+    width = _window_width(m, bound)
     return width, _walk(m, depth, partial(_packed_frame, width))
 
 
@@ -413,7 +431,7 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
     attaches to the greater), and ξ_n is their mediant's degree gap, read
     off member n's frame.  Each member n ≥ 3 was built as the same
     recurrence of its parents' canonical pairs and checked canonical as
-    built (_mediant_frame), so by induction on n the weights rebuild every
+    built (_packed_frame), so by induction on n the weights rebuild every
     member from members 1 and 2, and no weight is multiplied out.
     """
     frames, parents = _lineage_members(stack, m)
@@ -436,14 +454,17 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
 
     The descent from ⌊x⌋ and ⌊x⌋ + 1 to member 2 runs along x's branch
     word (qdeform._branch_runs) one run at a time, on (numerator,
-    denominator) pairs: k equal moves from the interval (l, r) reach
-    (l, k·l + r) going left and (l + k·r, r) going right, so the search
-    takes one step per partial quotient and keeps no frame per level.
-    Member 1 is the parent of member 3 that the next move keeps (for
-    m = 2, the target's deeper parent, the left endpoint at depth 0).
-    Members 1 and 2 are deformed; members 3..m are built from their two
-    parents, which are earlier members, as the walker builds them
-    (_mediant_frame), with depth and path sliced from x's."""
+    denominator, depth) triples: k equal moves from the interval (l, r),
+    whose node l + r is at depth d, reach (l, k·l + r) going left and
+    (l + k·r, r) going right, the new end at depth d + k − 1, so the
+    search takes one step per partial quotient and keeps no frame per
+    level.  Member 1 is the parent of member 3 that the next move keeps
+    (for m = 2, the target's deeper parent, the left endpoint at depth 0).
+    Members 1 and 2 take their continued-fraction towers' packed pairs
+    (_pack), and members 3..m are built from their two parents, which are
+    earlier members, by the walker's packed step (_packed_frame), all at
+    one width for x's window (_window_width), with depth and path sliced
+    from x's."""
     x = Fraction(x)
     if m < 2:
         raise ValueError("lineage order must be >= 2")
@@ -452,29 +473,36 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
     if depth < m - 2:
         raise InsufficientDepthError(requested=m, max_order=depth + 2)
     top = depth - m + 2  # member 2's depth
-    left, right = (cf.terms[0], 1), (cf.terms[0] + 1, 1)  # the node left + right is at depth d
+    # (a, b, depth): the node left + right is at depth d
+    left, right = (cf.terms[0], 1, -1), (cf.terms[0] + 1, 1, -1)
     d = 0
     for i, u in enumerate(_branch_runs(cf)):
         if d == top:
             break
         k = min(u - (i == 0), top - d)  # the depth-0 node spells the word's first L
         if i % 2 == 0:
-            right = (right[0] + k * left[0], right[1] + k * left[1])
+            right = (right[0] + k * left[0], right[1] + k * left[1], d + k - 1)
         else:
-            left = (left[0] + k * right[0], left[1] + k * right[1])
+            left = (left[0] + k * right[0], left[1] + k * right[1], d + k - 1)
         d += k
     if m == 2:
         first = right if depth and path[depth] == "L" else left
     else:
         first = left if path[top + 1] == "L" else right
-    stack = [Frame(*first), Frame(left[0] + right[0], left[1] + right[1])]
+    width = _window_width(cf.terms[0], x.denominator)
+    stack = []
+    for a, b, d in (first, (left[0] + right[0], left[1] + right[1], top)):
+        frame = Frame(a, b)
+        frame.depth, frame.path = d, path[:d + 1]
+        _pack(frame, width)
+        stack.append(frame)
     lo = hi = 0
     for d in range(top + 1, depth + 1):
         if path[d] == "L":
             hi = len(stack) - 1
         else:
             lo = len(stack) - 1
-        stack.append(_mediant_frame(stack, lo, hi, d, path[:d + 1]))
+        stack.append(_packed_frame(width, stack, lo, hi, d, path[:d + 1]))
     return _lineage_from_stack(stack, m)[0]
 
 
@@ -653,39 +681,34 @@ def equivalence_mismatches(depth: int) -> list[Fraction]:
     bit-exact equivalence.
 
     Both constructions run on packed integers at the walk's one width
-    (_packed_walk): the tree's pair, checked canonical where it is built,
-    against the node's entry in _cfrac_table, keyed by the node's ints
-    (a, b).  The table's states hold at most the node's b in each
-    coefficient, which the walk's width holds.  A node whose packed pairs
-    differ is compared again as polynomials, both pairs unpacked and
-    canonicalized, so a reported node with both pairs is a true polynomial
-    difference."""
+    (_packed_walk), and both are canonical as built: the tree's pair,
+    checked where it is built, against the node's entry in _cfrac_table,
+    keyed by the node's ints (a, b).  The table's states hold at most the
+    node's b in each coefficient, which the walk's width holds.  So the two
+    pairs compare as ints, and a table entry that kept a common q-power is
+    a mismatch."""
     width, walk = _packed_walk(0, depth)
     table = _cfrac_table(depth, width)
     bad = []
     for stack in walk:
         frame = stack[-1]
         num, den, _ = frame.packed
-        pair = table.pop((frame.a, frame.b), None)
-        if pair is None or (pair != (num, den)
-                            and RatFunc(_unpack(num, width), _unpack(den, width))
-                            != RatFunc(_unpack(pair[0], width), _unpack(pair[1], width))):
+        if table.pop((frame.a, frame.b), None) != (num, den):
             bad.append(frame.value)
     bad.extend(Fraction(a, b) for a, b in table)
     return sorted(bad)
 
 
-def _equivalence_sides(depth: int, value: Fraction) -> tuple[RatFunc | None, RatFunc | None]:
-    """The two pairs equivalence_mismatches compares at one value, unpacked
-    and canonicalized: the tree node's and the continued-fraction table's,
-    None where the walk has no such node or the table no such entry."""
+def _equivalence_sides(depth: int, value: Fraction) -> tuple[str | None, str | None]:
+    """The two packed pairs equivalence_mismatches compares at one value,
+    unpacked as they stand and written (N) / (D): the tree node's and the
+    continued-fraction table's, None where the walk has no such node or the
+    table no such entry."""
     width, walk = _packed_walk(0, depth)
     key = value.numerator, value.denominator
-    tree = next((RatFunc(_unpack(f.packed[0], width), _unpack(f.packed[1], width))
-                 for f in (stack[-1] for stack in walk) if (f.a, f.b) == key), None)
-    pair = _cfrac_table(depth, width).get(key)
-    cfrac = None if pair is None else RatFunc(_unpack(pair[0], width), _unpack(pair[1], width))
-    return tree, cfrac
+    tree = next((stack[-1].packed for stack in walk if (stack[-1].a, stack[-1].b) == key), None)
+    return tuple(None if p is None else f"({_unpack(p[0], width)}) / ({_unpack(p[1], width)})"
+                 for p in (tree, _cfrac_table(depth, width).get(key)))
 
 
 def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:

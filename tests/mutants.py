@@ -38,6 +38,7 @@ QDEFORM = "src/qrationals/qdeform.py"
 CLOSEDFORMS = "src/qrationals/closedforms.py"
 DEDEKIND = "src/qrationals/dedekind.py"
 T = "tests/test_sbtree.py::"
+Q = "tests/test_qdeform.py::"
 C = "tests/test_closedforms.py::"
 
 MUTANTS = [
@@ -83,8 +84,17 @@ MUTANTS = [
     {
         "name": "packed-mask-guard-deleted",
         "file": SBTREE,
-        "old": "    if den & ((1 << width) - 1) != 1:\n",
+        "old": "    if (num ^ nl) & word or (den ^ dl) & word:\n",
         "new": "    if False:\n",
+        "tests": [T + "test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built",
+                  T + "test_corrupted_member_is_rejected_where_the_products_reject_it",
+                  T + "test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant"],
+    },
+    {
+        "name": "packed-check-on-denominator-word-alone",
+        "file": SBTREE,
+        "old": "    if (num ^ nl) & word or (den ^ dl) & word:\n",
+        "new": "    if (den ^ dl) & word:\n",
         "tests": [T + "test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built"],
     },
     {
@@ -97,8 +107,8 @@ MUTANTS = [
     {
         "name": "packed-width-one-byte-short",
         "file": SBTREE,
-        "old": "    width = _packed_width((m + 1) * bound)\n",
-        "new": "    width = _packed_width((m + 1) * bound) - 8\n",
+        "old": "    width = _window_width(m, bound)\n",
+        "new": "    width = _window_width(m, bound) - 8\n",
         "tests": [T + "test_packed_walker_matches_deform"],
     },
     {
@@ -111,11 +121,29 @@ MUTANTS = [
         "tests": [T + "test_cfrac_table_is_the_tower_on_every_node"],
     },
     {
+        "name": "negative-numerator-not-negated-back",
+        "file": QDEFORM,
+        "old": "    return RatFunc(-num if negated else num, _unpack(D, width))\n",
+        "new": "    return RatFunc(num, _unpack(D, width))\n",
+        "tests": [Q + "test_packed_pair_is_the_canonical_pair_for_either_head_sign",
+                  Q + "test_deform_pinned_pairs",
+                  T + "test_packed_walker_matches_deform"],
+    },
+    {
+        "name": "negative-head-as-d-minus-qint",
+        "file": QDEFORM,
+        "old": "        N, D = _times_qint(N, k, width) - D, N << k * width\n",
+        "new": "        N, D = D - _times_qint(N, k, width), N << k * width\n",
+        "tests": [Q + "test_packed_pair_is_the_canonical_pair_for_either_head_sign",
+                  Q + "test_packed_tower_matches_intpoly_tower",
+                  T + "test_packed_walker_matches_deform"],
+    },
+    {
         "name": "q-integer-two-as-a-shift",
         "file": QDEFORM,
         "old": "        aN = N + (N << width)\n",
         "new": "        aN = N << width\n",
-        "tests": ["tests/test_qdeform.py::test_step_writes_out_small_q_integers_as_times_qint"],
+        "tests": [Q + "test_step_writes_out_small_q_integers_as_times_qint"],
     },
     {
         "name": "walker-right-child-first",

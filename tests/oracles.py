@@ -26,8 +26,9 @@ The package's identity sweep walks Taylor data at q = 1 and checks each
 lineage shape once; identity_sweep here walks polynomials and repeats every
 check per lineage.  Its lineage_extract jumps along the branch word one run
 at a time; lineage_extract_by_search here takes one checked Farey step and
-keeps one frame per level.  Both call the package's helpers through the
-sbtree module, so a test that patches one patches both sides.
+keeps one frame per level, then rebuilds members 3..m by the package's
+packed build step.  Both call the package's helpers through the sbtree
+module, so a test that patches one patches both sides.
 """
 import math
 from fractions import Fraction
@@ -168,8 +169,10 @@ def correction(lin, C: tuple[Fraction, ...]) -> Fraction:
 def lineage_extract_by_search(x, m: int):
     """sbtree.lineage_extract by the Fraction-level Stern–Brocot search for
     x from ⌊x⌋ and ⌊x⌋ + 1, one checked Farey step and one frame per level
-    of depth; members 3..m, the last m − 2 frames, are rebuilt by the
-    package's build step.  The caller ensures x's depth is at least m − 2."""
+    of depth, each given its depth and path; members 3..m, the last m − 2
+    frames, are rebuilt by the package's packed build step, which packs
+    members 1 and 2 from their continued fractions.  The caller ensures
+    x's depth is at least m − 2."""
     x = Fraction(x)
     path = _depth_and_path(to_cfrac(x))[1]
     stack = [sbtree.Frame(v, 1) for v in (math.floor(x), math.floor(x) + 1)]
@@ -178,9 +181,12 @@ def lineage_extract_by_search(x, m: int):
         k = len(stack)
         mid = mediant(stack[lo].value, stack[hi].value)
         stack.append(sbtree.Frame(mid.numerator, mid.denominator, lo, hi))
+        stack[k].depth, stack[k].path = k - 2, path[:k - 1]
         lo, hi = (lo, k) if x < stack[k].value else (k, hi)
-    for k in range(len(stack) - m + 2, len(stack)):  # frame k has depth k − 2
-        stack[k] = sbtree._mediant_frame(stack, stack[k].lo, stack[k].hi, k - 2, path[:k - 1])
+    width = sbtree._window_width(math.floor(x), x.denominator)
+    for k in range(len(stack) - m + 2, len(stack)):
+        fr = stack[k]
+        stack[k] = sbtree._packed_frame(width, stack, fr.lo, fr.hi, fr.depth, fr.path)
     return sbtree._lineage_from_stack(stack, m)[0]
 
 

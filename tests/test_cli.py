@@ -257,8 +257,8 @@ def test_check_fail_names_the_counterexample(capsys, monkeypatch):
 
 def test_check_equivalence_fail_names_the_node_and_both_polynomials(capsys, monkeypatch):
     """With every degree gap one too large, the tree builds wrong but
-    canonical pairs, which the packed comparison and its polynomial
-    fallback both reject; the first in increasing value is 1/5."""
+    canonical pairs, which the packed comparison rejects; the first in
+    increasing value is 1/5."""
     real = sbtree._degree_gap
     monkeypatch.setattr(sbtree, "_degree_gap", lambda left, right: real(left, right) + 1)
     _bounds(monkeypatch, appendixA=3)

@@ -13,6 +13,7 @@ from qrationals.exact import IntPoly, RatFunc
 from qrationals.qdeform import (
     DEFORM_CACHE_SIZE,
     CFrac,
+    _packed_pair,
     _packed_width,
     _step,
     _times_qint,
@@ -209,6 +210,25 @@ def test_tower_at_any_wide_enough_width_is_the_canonical_pair(a0, tail, split_la
     low -= low % width
     want = deform_from_cfrac(cf)
     assert (_unpack(N >> low, width), _unpack(D >> low, width)) == (want.num, want.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), st.lists(st.integers(1, 60), min_size=0, max_size=30),
+       st.booleans(), st.integers(0, 4))
+def test_packed_pair_is_the_canonical_pair_for_either_head_sign(a0, tail, split_last, extra):
+    """_packed_pair at the width deform_from_cfrac picks or any whole
+    number of bytes wider, unpacked as it stands (the numerator negated
+    back for a_0 < 0), is deform_from_cfrac's pair and the literal IntPoly
+    tower's canonical pair: one packed convention for either head sign."""
+    if split_last and tail and tail[-1] > 1:
+        tail = tail[:-1] + [tail[-1] - 1, 1]
+    cf = CFrac((a0, *tail))
+    width = _packed_width(cf.value().denominator) + 8 * extra
+    N, D = _packed_pair(cf.terms, width)
+    num = _unpack(N, width)
+    got = (-num if a0 < 0 else num).coeffs, _unpack(D, width).coeffs
+    for want in (deform_from_cfrac(cf), _intpoly_tower(cf)):
+        assert got == (want.num.coeffs, want.den.coeffs), cf.terms
 
 
 @pytest.mark.parametrize("width", [8, 16, 24, 64])

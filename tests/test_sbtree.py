@@ -26,6 +26,7 @@ from qrationals.sbtree import (
     InsufficientDepthError,
     VanishingLineageError,
     _degree_gap,
+    _farey,
     _jet_frame,
     _lineage_from_stack,
     _lineage_members,
@@ -148,21 +149,26 @@ def _path(stack):
     return "L" + "".join("L" if fr.hi == k else "R" for k, fr in enumerate(stack[3:], start=2))
 
 
-@pytest.mark.parametrize("start, depth, top", [(0, 8, 11), (3, 8, 53), (3, 12, 318)])
+@pytest.mark.parametrize("start, depth, top", [(0, 8, 11), (3, 8, 53), (3, 12, 318),
+                                               (-1, 8, 11), (-3, 12, 238)])
 def test_packed_walker_matches_deform(start, depth, top):
     """Unpacked at the walk's one width, every node of the packed walk is
-    the continued-fraction deformation of its value: the pair as built,
-    its denominator degree, depth and path.  The largest coefficient is
-    top; in window 3 at depth 12 it is 318, past a width one byte short."""
+    the continued-fraction deformation of its value: the pair as built
+    (the numerator stored negated below 0), its denominator degree, depth
+    and path, and the frame's node, unpacked on first use.  The largest
+    |numerator coefficient| is top; in window 3 at depth 12 it is 318,
+    past a width one byte short."""
     width, walk = sbtree._packed_walk(start, depth)
     count = biggest = 0
     for stack in walk:
         frame = stack[-1]
         num, den, deg = frame.packed
         want = deform(frame.value)
+        stored = -want.deform.num if start < 0 else want.deform.num
         assert (_unpack(num, width), _unpack(den, width), deg, len(stack) - 3, _path(stack)) == \
-            (want.deform.num, want.deform.den, want.deform.den.degree(), want.depth, want.path)
-        biggest = max(biggest, *want.deform.num.coeffs)
+            (stored, want.deform.den, want.deform.den.degree(), want.depth, want.path)
+        assert frame.node == want
+        biggest = max(biggest, *stored.coeffs)
         count += 1
     assert count == 2 ** (depth + 1) - 1
     assert biggest == top
@@ -188,8 +194,8 @@ def test_cfrac_table_is_the_tower_on_every_node(depth):
         assert pair == _stripped(_tower(_expansion(a, b), width), width), (a, b)
 
 
-@pytest.mark.parametrize("build", [sbtree._mediant_frame, partial(sbtree._packed_frame, 16),
-                                   _jet_frame], ids=["polynomial", "packed", "jet"])
+@pytest.mark.parametrize("build", [partial(sbtree._packed_frame, 16), _jet_frame],
+                         ids=["packed", "jet"])
 def test_walk_yields_each_node_once_in_increasing_value(build):
     """With each node builder, the walk yields one reused ancestor stack
     per node, every node to depth 6 once and in increasing value: frame
@@ -497,22 +503,30 @@ def test_lineage_extract_matches_the_farey_step_search(ab, m):
     assert lineage_extract(x, m) == oracles.lineage_extract_by_search(x, m)
 
 
-def _build_as(monkeypatch, value, other):
-    """Make the build step canonicalize the weighted mediant that is value's
-    pair to the pair other, as a wrong canonical form would."""
-    want = deform(value).deform
+def _build_as(monkeypatch, value):
+    """Make the build step take the degree gap ξ = 0 at the node of the
+    given value, as a wrong gap there would: its pair is then the plain
+    sum of its parents' pairs.  The build step takes the gap right after
+    it makes the node's frame (_farey), so the patched gap reads the value
+    off the last frame made."""
+    made = []
 
-    def canonical(num, den):
-        return other if (num, den) == (want.num, want.den) else RatFunc(num, den)
-    monkeypatch.setattr(sbtree, "RatFunc", canonical)
+    def farey(stack, lo, hi):
+        made.append(_farey(stack, lo, hi))
+        return made[-1]
+    monkeypatch.setattr(sbtree, "_farey", farey)
+    monkeypatch.setattr(sbtree, "_degree_gap",
+                        lambda left, right: 0 if made[-1].value == value
+                        else _degree_gap(left, right))
 
 
 def test_corrupted_member_is_rejected_where_the_products_reject_it(monkeypatch):
-    """Replace one member's pair by another node's where the walker builds
-    it: the literal product check rejects at member max(k, 3), the first
-    one rebuilt from the replaced member k (nothing is rebuilt at order 2),
-    and the build step rejects member k itself, naming it.  Members at the
-    window endpoints are deformed, not built, so they are not replaced."""
+    """Replace one member's pair by another node's: the literal product
+    check rejects at member max(k, 3), the first one rebuilt from the
+    replaced member k (nothing is rebuilt at order 2).  Build member k with
+    the degree gap 0 where the walker builds it: the build step rejects
+    member k itself, naming it.  Members at the window endpoints are not
+    built, so they are not replaced."""
     stacks = [list(stack) for stack in walk_qtree(0, 5)]
     rejected = 0
     for i, stack in enumerate(stacks):
@@ -526,7 +540,7 @@ def test_corrupted_member_is_rejected_where_the_products_reject_it(monkeypatch):
                 members = [*lin.members[:k - 1], new, *lin.members[k:]]
                 assert _first_member_not_rebuilt(members, lin.zeta) == \
                     (max(k, 3) if m > 2 else None)
-                _build_as(monkeypatch, old.value, other)
+                _build_as(monkeypatch, old.value)
                 with pytest.raises(ValueError, match=f"at node {old.value}: "):
                     list(walk_qtree(0, old.node.depth))
                 rejected += 1
@@ -657,27 +671,50 @@ def _jets_as(monkeypatch, value, other):
 
 def test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant(monkeypatch):
     """Each node is checked where it is built to be its parents' weighted
-    mediant: with 3/8's mediant canonicalized to 2/5's pair, lineage_extract
-    and the polynomial walk raise naming 3/8, and with 3/8's Taylor data
-    built as 2/5's, so does the identity sweep.  The equivalence sweep's
-    packed build step canonicalizes nothing; its check is the next test."""
+    mediant: with 3/8 built with the degree gap 0, lineage_extract and the
+    packed walk raise naming 3/8, and with 3/8's Taylor data built as
+    2/5's, so does the identity sweep."""
     with monkeypatch.context() as patch:
         _jets_as(patch, Fr(3, 8), Fr(2, 5))
         with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
             identity_sweep(4)
-    _build_as(monkeypatch, Fr(3, 8), deform(Fr(2, 5)).deform)
+    _build_as(monkeypatch, Fr(3, 8))
     for run in (lambda: list(walk_qtree(0, 4)), lambda: lineage_extract(Fr(3, 8), 3)):
         with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
             run()
 
 
 def test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built(monkeypatch):
-    """With the degree gap floored at 0, 1/3 is built as the plain sum of
-    0/1 and 1/(1 + q): its denominator 2 + q has constant term 2, which the
-    packed build step's mask test rejects, naming 1/3."""
+    """With the degree gap floored at 0, a node whose parents' denominator
+    degrees leave no gap is built as their plain sum, and its q⁰ words are
+    not its window's.  In window 0, 1/3 is 0/1 plus 1/(1 + q): denominator
+    2 + q.  In window −1, −2/3 is −1/q plus −1/(q + q²): numerator −2, and
+    the denominators' q⁰ terms are both 0, so only the numerator's word
+    shows it; in window −2 every denominator's q⁰ term is 0.  The packed
+    build step rejects each, naming the node, in the equivalence sweep,
+    the walk and lineage_extract."""
     monkeypatch.setattr(sbtree, "_degree_gap", lambda left, right: max(0, left - right + 1))
-    with pytest.raises(ValueError, match="at node 1/3: not the weighted mediant"):
-        equivalence_mismatches(4)
+    for run, node in ((lambda: equivalence_mismatches(4), "1/3"),
+                      (lambda: list(walk_qtree(0, 4)), "1/3"),
+                      (lambda: list(walk_qtree(-1, 4)), "-2/3"),
+                      (lambda: lineage_extract(Fr(3, 8), 3), "3/8"),
+                      (lambda: lineage_extract(Fr(-7, 5), 3), "-7/5")):
+        with pytest.raises(ValueError, match=f"at node {node}: not the weighted mediant"):
+            run()
+
+
+def test_equivalence_sweep_rejects_a_table_entry_that_keeps_a_common_q_power(monkeypatch):
+    """Both sides are canonical as built, so the sweep compares them as
+    ints: a continued-fraction entry times q, equal as a rational function,
+    is a mismatch."""
+    real = sbtree._cfrac_table
+
+    def times_q(depth, width):
+        table = real(depth, width)
+        table[2, 5] = tuple(x << width for x in table[2, 5])
+        return table
+    monkeypatch.setattr(sbtree, "_cfrac_table", times_q)
+    assert equivalence_mismatches(4) == [Fr(2, 5)]
 
 
 def test_identity_sweep_matches_the_per_lineage_sweep():
