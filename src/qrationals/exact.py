@@ -81,9 +81,9 @@ class IntPoly:
     """Dense polynomial over arbitrary-precision integers; coeffs[i] is the
     coefficient of q^i.  The zero polynomial has an empty coefficient tuple;
     otherwise the leading coefficient is nonzero.  A coefficient that is not
-    an integer raises TypeError.  It adds, subtracts, negates, shifts and
-    evaluates; the package multiplies polynomials only in the packed tower
-    of qdeform."""
+    an integer raises TypeError.  It negates, divides by q^k and evaluates;
+    the package adds, shifts and multiplies polynomials only on packed
+    integers (qdeform's tower, sbtree's tree and lineage weights)."""
 
     coeffs: tuple[int, ...]
 
@@ -130,28 +130,8 @@ class IntPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _zip(self, op, other: "IntPoly") -> "IntPoly":
-        """op on the coefficients, the shorter list padded with zeros; sums
-        and differences of ints are ints, so only the strip runs again."""
-        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return IntPoly._from_stripped(_strip(itertools.starmap(op, pairs)))
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        return self._zip(operator.add, other)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self._zip(operator.sub, other)
-
     def __neg__(self) -> "IntPoly":
         return IntPoly._from_stripped(tuple(map(operator.neg, self.coeffs)))
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by q^k (k ≥ 0)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.is_zero:
-            return self
-        return IntPoly._from_stripped((0,) * k + self.coeffs)
 
     def unshift(self, k: int) -> "IntPoly":
         """Exact division by q^k; requires the low k coefficients to vanish."""

@@ -8,13 +8,15 @@ built by one packed step (_packed_frame): the pair as integers at
 q = 2^B, in qdeform's convention (_packed_pair: nonnegative words, the
 numerator stored negated below 0), checked canonical where it is built.
 walk_qtree and build_qtree walk it in any window, lineage_extract builds
-members 3..m with it, and appendixA's equivalence sweep compares its pairs
-with a table of the packed continued-fraction towers at the same width,
-built from shared tails (_cfrac_table).  The identity sweep and the plot
-data walk Taylor data at q = 1 instead (_jet_frame).  The weighted-mediant
-construction takes the continued-fraction tower only for pairs it does not
-build (the window endpoints, lineage members 1 and 2); their bit-exact
-agreement elsewhere is a verified equivalence, not a dependency.
+members 3..m with it, the lineage weights 𝔉, 𝔊 run its recurrence on
+packed integers too (_weights), and appendixA's equivalence sweep
+compares its pairs with a table of the packed continued-fraction towers at
+the same width, built from shared tails (_cfrac_table).  The identity
+sweep and the plot data walk Taylor data at q = 1 instead (_jet_frame).
+The weighted-mediant construction takes the continued-fraction tower only
+for pairs it does not build (the window endpoints, lineage members 1 and
+2); their bit-exact agreement elsewhere is a verified equivalence, not a
+dependency.
 """
 from __future__ import annotations
 
@@ -102,19 +104,12 @@ def _degree_gap(left_degree: int, right_degree: int) -> int:
     return max(1, left_degree - right_degree + 1)
 
 
-def _qmediant(left: tuple[IntPoly, IntPoly], right: tuple[IntPoly, IntPoly],
-              xi: int) -> tuple[IntPoly, IntPoly]:
-    """(L₀, L₁), (R₀, R₁), ξ ↦ (L₀ + R₀·q^ξ, L₁ + R₁·q^ξ): the weighted-mediant
-    recurrence on IntPoly pairs, for the lineage weights 𝔉, 𝔊 (tree nodes
-    run it on packed integers, _packed_frame)."""
-    return left[0] + right[0].shift(xi), left[1] + right[1].shift(xi)
-
-
 def _taylor_mediant(left: tuple[list[int], list[int]], right: tuple[list[int], list[int]],
                     xi: int) -> tuple[list[int], ...]:
-    """_qmediant on the h^0..h^2 coefficients of the polynomials at
-    q = 1 + h, where q^ξ = (1 + h)^ξ multiplies by the binomial row
-    C(ξ, 0), C(ξ, 1), C(ξ, 2)."""
+    """The weighted mediant (L₀ + R₀·q^ξ, L₁ + R₁·q^ξ) of two pairs on the
+    h^0..h^2 coefficients of the polynomials at q = 1 + h, where
+    q^ξ = (1 + h)^ξ multiplies by the binomial row C(ξ, 0), C(ξ, 1),
+    C(ξ, 2)."""
     c2 = xi * (xi - 1) // 2
     return tuple([u[0] + v[0], u[1] + v[1] + xi * v[0], u[2] + v[2] + xi * v[1] + c2 * v[0]]
                  for u, v in zip(left, right))
@@ -371,7 +366,8 @@ class Lineage:
 
     zeta[k] / xi[k] hold ζ_n / ξ_n for n = k + 3 (empty for order 2).
     The reconstruction a_n = 𝔉_n·a_1 + 𝔊_n·a_2 holds exactly on the canonical
-    polynomial pairs, numerators and denominators alike.
+    polynomial pairs, numerators and denominators alike.  f, g hold the
+    weights' values at q = 1 (see _lineage_from_stack).
     """
 
     members: tuple[QRational, ...]
@@ -413,38 +409,47 @@ def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], list[tupl
     return frames, [(member_of[fr.lo], member_of[fr.hi]) for fr in frames[2:]]
 
 
-def _weights_at_one(parents: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(f, g): the weights 𝔉_n(1), 𝔊_n(1) of members 1..m, by the integer
-    recurrence f_n = f_small + f_big (at q = 1, q^ξ is 1)."""
-    f, g = [1, 0], [0, 1]
-    for small, big in parents:
-        f.append(f[small - 1] + f[big - 1])
-        g.append(g[small - 1] + g[big - 1])
-    return tuple(f), tuple(g)
+def _weights(parents: list[tuple[int, int]], shifts: list[int]) -> tuple[list[int], list[int]]:
+    """(𝔉, 𝔊): the weights of members 1..m as ints, by the weight
+    recurrence 𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big (the same for 𝔊) over member
+    n's left and right parents (small, big; the q-power attaches to the
+    greater), with q^{ξ_n} a left shift by shifts[n − 3] bits.  With every
+    shift 0 (q = 1) these are the weights at one, f and g; with shifts
+    ξ_n·W, the weights packed at q = 2^W."""
+    F, G = [1, 0], [0, 1]
+    for (small, big), shift in zip(parents, shifts):
+        for w in (F, G):
+            w.append(w[small - 1] + (w[big - 1] << shift))
+    return F, G
 
 
 def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame]]:
     """The order-m lineage of a descent stack's last frame, and its members'
     frames (as in _lineage_members).  ζ_n is the member index of member n's
-    shallow parent.  Weight recurrence: 𝔉_n = 𝔉_small + q^{ξ_n}·𝔉_big where
-    small and big are member n's left and right parents (the q-power
-    attaches to the greater), and ξ_n is their mediant's degree gap, read
-    off member n's frame.  Each member n ≥ 3 was built as the same
-    recurrence of its parents' canonical pairs and checked canonical as
-    built (_packed_frame), so by induction on n the weights rebuild every
-    member from members 1 and 2, and no weight is multiplied out.
+    shallow parent.  The weights 𝔉_n, 𝔊_n run the weight recurrence
+    (_weights) once at q = 1, giving f and g, and once packed at q = 2^W,
+    unpacked once, with ξ_n read off member n's frame.  Each member n ≥ 3
+    was built as the same recurrence of its parents' canonical pairs and
+    checked canonical as built (_packed_frame), so by induction on n the
+    weights rebuild every member from members 1 and 2, and no weight is
+    multiplied out.
+
+    W = _packed_width(max(f_m, g_m)) holds every coefficient: each is
+    nonnegative and at most its weight's value at 1, f_n or g_n, and
+    neither decreases from member 3 on (f_n = f_{n−1} + f_{ζ_n}), which
+    starts from f_1 = f_3 = 1 and g_2 = g_3 = 1.
     """
     frames, parents = _lineage_members(stack, m)
-    weights = [(IntPoly.const(1), IntPoly()), (IntPoly(), IntPoly.const(1))]
-    zeta = []
-    for n, (small, big) in enumerate(parents, start=3):
-        zeta.append(big if small == n - 1 else small)
-        weights.append(_qmediant(weights[small - 1], weights[big - 1], frames[n - 1].xi))
-    F, G = zip(*weights)
-    f, g = _weights_at_one(parents)
-    lin = Lineage(members=tuple(fr.node for fr in frames), zeta=tuple(zeta),
-                  xi=tuple(fr.xi for fr in frames[2:]), Fpoly=F, Gpoly=G, f=f, g=g,
-                  vanishing=frames[0].b == 1)
+    zeta = tuple(big if small == n - 1 else small
+                 for n, (small, big) in enumerate(parents, start=3))
+    f, g = _weights(parents, [0] * (m - 2))
+    width = _packed_width(max(f[-1], g[-1]))
+    F, G = _weights(parents, [fr.xi * width for fr in frames[2:]])
+    lin = Lineage(members=tuple(fr.node for fr in frames), zeta=zeta,
+                  xi=tuple(fr.xi for fr in frames[2:]),
+                  Fpoly=tuple(_unpack(p, width) for p in F),
+                  Gpoly=tuple(_unpack(p, width) for p in G),
+                  f=tuple(f), g=tuple(g), vanishing=frames[0].b == 1)
     return lin, frames
 
 
@@ -716,7 +721,7 @@ def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
     pattern) alone: (L, c), the order-4 cleared correction (None at
     order 5), and the first failing moment identity as the tail of a
     failure record (None if all hold)."""
-    f, g = _weights_at_one(parents)
+    f, g = _weights(parents, [0] * (m - 2))
     L, c = _lagrange(f, g)
     moment = None
     for j in range(m - 1):

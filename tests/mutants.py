@@ -112,6 +112,31 @@ MUTANTS = [
         "tests": [T + "test_packed_walker_matches_deform"],
     },
     {
+        "name": "lineage-weight-shift-in-degrees",
+        "file": SBTREE,
+        "old": "    F, G = _weights(parents, [fr.xi * width for fr in frames[2:]])\n",
+        "new": "    F, G = _weights(parents, [fr.xi for fr in frames[2:]])\n",
+        "tests": [T + "test_lineage_weight_polynomials",
+                  T + "test_walker_lineage_weights_rebuild_members_by_products",
+                  T + "test_lineage_extract_weights_rebuild_members_by_products"],
+    },
+    {
+        "name": "lineage-weight-q-power-on-smaller-parent",
+        "file": SBTREE,
+        "old": "            w.append(w[small - 1] + (w[big - 1] << shift))\n",
+        "new": "            w.append((w[small - 1] << shift) + w[big - 1])\n",
+        "tests": [T + "test_lineage_weight_polynomials",
+                  T + "test_walker_lineage_weights_rebuild_members_by_products",
+                  T + "test_lineage_extract_weights_rebuild_members_by_products"],
+    },
+    {
+        "name": "lineage-weight-width-fixed-at-8-bits",
+        "file": SBTREE,
+        "old": "    width = _packed_width(max(f[-1], g[-1]))\n",
+        "new": "    width = 8\n",
+        "tests": [T + "test_lineage_extract_weights_rebuild_members_by_products"],
+    },
+    {
         "name": "tail-parities-swapped",
         "file": SBTREE,
         "old": "            even = _step(a, no, do, width, False)\n"

@@ -1,17 +1,19 @@
 """Test-side oracles: the adjacency-checked Farey mediant, the weighted
-mediant of two canonical pairs, the ℤ[q] product, the quotient-rule
-derivative, the literal lattice sum and closed forms, and the literal
-Fraction forms of the lineage identity (Lagrange coefficients, residual and
-correction).
+mediant of two canonical pairs, ℤ[q] sums, shifts and products, the
+quotient-rule derivative, the literal lattice sum and closed forms, and the
+literal Fraction forms of the lineage identity (Lagrange coefficients,
+residual and correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
-adds, subtracts, shifts and evaluates, but does not multiply: its only
-products run on packed integers inside the continued-fraction tower.  The
-oracles that multiply polynomials out term by term (the literal tower, the
-product form of the lineage weights, the quotient rule and the Taylor
-shift) use this schoolbook convolution, which shares no code with the tower
-it checks.
+negates, divides by q^k and evaluates, but does not add, shift or multiply:
+its sums, shifts and products run on packed integers (the
+continued-fraction tower, the tree's nodes and the lineage weights).  The
+oracles that build polynomials term by term (the literal tower, the weight
+recurrence and the product form of the lineage weights, the weighted
+mediant, the quotient rule and the Taylor shift) use poly_add, poly_shift
+and this schoolbook convolution, which share no code with the packed
+integers they check.
 
 The package computes the lineage identity in integers, over the common
 denominator L of the Lagrange coefficients and with cleared jets; the
@@ -32,6 +34,7 @@ module, so a test that patches one patches both sides.
 """
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from qrationals import sbtree
 from qrationals.closedforms import thomae
@@ -58,9 +61,19 @@ def weighted_mediant(left: RatFunc, right: RatFunc) -> RatFunc:
     """q-deformed mediant of two deformed neighbours (left value < right),
     the right pair weighted by q^n with n the degree gap (sbtree._degree_gap),
     canonicalized."""
-    num, den = sbtree._qmediant((left.num, left.den), (right.num, right.den),
-                                sbtree._degree_gap(left.den.degree(), right.den.degree()))
-    return RatFunc(num, den)
+    xi = sbtree._degree_gap(left.den.degree(), right.den.degree())
+    return RatFunc(poly_add(left.num, poly_shift(right.num, xi)),
+                   poly_add(left.den, poly_shift(right.den, xi)))
+
+
+def poly_add(a: IntPoly, b: IntPoly, sign: int = 1) -> IntPoly:
+    """a + sign·b, coefficient by coefficient."""
+    return IntPoly(x + sign * y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0))
+
+
+def poly_shift(p: IntPoly, k: int) -> IntPoly:
+    """q^k·p (k ≥ 0)."""
+    return IntPoly((0,) * k + p.coeffs)
 
 
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -86,7 +99,7 @@ def derivative_at_one_quotient(rf: RatFunc, k: int) -> Fraction:
     method it checks."""
     n, d = rf.num, rf.den
     for _ in range(k):
-        n, d = (poly_mul(derivative(n), d) - poly_mul(n, derivative(d)),
+        n, d = (poly_add(poly_mul(derivative(n), d), poly_mul(n, derivative(d)), -1),
                 poly_mul(d, d))
     return Fraction(n(1), d(1))
 
@@ -205,7 +218,7 @@ def identity_sweep(depth: int) -> dict:
             if frames[0].value.denominator == 1:  # vanishing
                 continue
             checked[m] += 1
-            f, g = sbtree._weights_at_one(parents)
+            f, g = sbtree._weights(parents, [0] * (m - 2))
             L, c = sbtree._lagrange(f, g)
             values = [fr.value for fr in frames]
             resid = sbtree._lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])

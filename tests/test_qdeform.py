@@ -26,7 +26,7 @@ from qrationals.qdeform import (
     to_cfrac,
 )
 from qrationals.dedekind import S_SUM_CACHE_SIZE, s_sum
-from oracles import poly_mul
+from oracles import poly_add, poly_mul, poly_shift
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=21)
 nonintegers = rationals.filter(lambda x: x.denominator > 1)
@@ -101,7 +101,7 @@ def test_q_integer_recurrence():
     """[n+1]_q = q·[n]_q + 1, across zero in both directions."""
     for n in range(-6, 6):
         rf = deform(Fr(n)).deform
-        assert deform(Fr(n + 1)).deform == RatFunc(rf.num.shift(1) + rf.den, rf.den)
+        assert deform(Fr(n + 1)).deform == RatFunc(poly_add(poly_shift(rf.num, 1), rf.den), rf.den)
 
 
 @given(st.integers(-8, 8))
@@ -146,17 +146,18 @@ def _intpoly_tower(cf):
             if i % 2 == 0:
                 N, D = _qint_poly(ai), IntPoly.const(1)
             else:
-                N, D = _qint_poly(ai), IntPoly.const(1).shift(ai - 1)
+                N, D = _qint_poly(ai), poly_shift(IntPoly.const(1), ai - 1)
         else:
             if i % 2 == 0:
-                N, D = poly_mul(_qint_poly(ai), N) + D.shift(ai), N
+                N, D = poly_add(poly_mul(_qint_poly(ai), N), poly_shift(D, ai)), N
             else:
-                N, D = poly_mul(_qint_poly(ai), N).shift(1) + D, N.shift(ai)
+                N, D = (poly_add(poly_shift(poly_mul(_qint_poly(ai), N), 1), D),
+                        poly_shift(N, ai))
     if a0 >= 0:
-        num, den = poly_mul(_qint_poly(a0), N) + D.shift(a0), N
+        num, den = poly_add(poly_mul(_qint_poly(a0), N), poly_shift(D, a0)), N
     else:
         k = -a0
-        num, den = D - poly_mul(_qint_poly(k), N), N.shift(k)
+        num, den = poly_add(D, poly_mul(_qint_poly(k), N), -1), poly_shift(N, k)
     return RatFunc(num, den)
 
 
@@ -276,7 +277,7 @@ def test_unit_interval_coefficients_are_nonnegative(x):
 def test_translation_recurrence(x):
     """[x+1]_q = q·[x]_q + 1 at the polynomial level."""
     rf = deform(x).deform
-    shifted = RatFunc(rf.num.shift(1) + rf.den, rf.den)
+    shifted = RatFunc(poly_add(poly_shift(rf.num, 1), rf.den), rf.den)
     assert shifted == deform(x + 1).deform
 
 
@@ -284,7 +285,7 @@ def test_translation_recurrence(x):
 def test_negation_reciprocal_recurrence(x):
     """[-1/x]_q = -1/(q·[x]_q) at the polynomial level."""
     rf = deform(x).deform
-    assert RatFunc(-rf.den, rf.num.shift(1)) == deform(Fr(-1) / x).deform
+    assert RatFunc(-rf.den, poly_shift(rf.num, 1)) == deform(Fr(-1) / x).deform
 
 
 def test_depth_and_path_fixtures():
