@@ -121,7 +121,7 @@ def _cmd_derive(args) -> int:
     x = args.x
     rf = deform(x).deform
     if args.order == 0:
-        exact, closed = rf.value_at_one(), x
+        exact, closed = derivative_at_one(rf, 0), x
     elif args.order == 1:
         exact, closed = derivative_at_one(rf, 1), d1_closed(x)
     else:

@@ -1,7 +1,7 @@
 """Closed-form expressions for the first and second derivatives of the
-deformation at q = 1, modular inverses, Thomae's function, and the
-depth-based numerator/denominator derivative formulas with their calibration
-report.
+deformation at q = 1, modular inverses, the bracket lattice-sum bridges, and
+the depth-based numerator/denominator derivative formulas with their
+calibration report.
 
 Both closed forms are computed on the reduced a/b in integers, with one
 division.  The first-derivative form (x² − x + 1 − f(x)²)/2, with f Thomae's
@@ -34,7 +34,6 @@ from .dedekind import _s13_cleared, s_sum
 
 __all__ = [
     "mod_inverse",
-    "thomae",
     "bracket",
     "d1_closed",
     "d2_closed",
@@ -61,11 +60,6 @@ def mod_inverse(a: int, b: int) -> int:
         return pow(a % b, -1, b)
     except ValueError as exc:
         raise NoInverseError(f"{a} has no inverse modulo {b}") from exc
-
-
-def thomae(x: Rat) -> Rat:
-    """1/b on reduced a/b (so 1 on integers); sign is ignored by reduction."""
-    return Fraction(1, Fraction(x).denominator)
 
 
 def bracket(n: int, a: int, b: int) -> Rat:

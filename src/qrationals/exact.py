@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, dense integer polynomials in q,
-rational functions, derivatives at q = 1, and exact linear solving.
+rational functions, derivatives at q = 1, and the fraction-free row
+reduction behind the fit's solver (fit._solve_system).
 
 Everything here is immutable and pure; values are safe to share, hash, and
 cache.  No floating point anywhere.
@@ -20,11 +21,8 @@ __all__ = [
     "RatFunc",
     "derivative_at_one",
     "jets_at_one",
-    "solve_linear_exact",
-    "matrix_rank_exact",
     "ZeroDenominatorError",
     "PoleAtOneError",
-    "SingularMatrixError",
 ]
 
 # Arbitrary-precision rational in canonical reduced form.  The stdlib type
@@ -39,19 +37,6 @@ class ZeroDenominatorError(ValueError):
 
 class PoleAtOneError(ZeroDivisionError):
     """Raised when an operation needs to evaluate at q = 1 but den(1) = 0."""
-
-
-class SingularMatrixError(ValueError):
-    """Raised by the exact solver on a rank-deficient system.
-
-    Attributes:
-        rank: the matrix's rank.
-    """
-
-    def __init__(self, rank: int, size: int):
-        self.rank = rank
-        self.size = size
-        super().__init__(f"singular matrix: rank {rank} < {size}")
 
 
 def rat_to_str(r: Rat) -> str:
@@ -213,12 +198,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def value_at_one(self) -> Rat:
-        d = self.den(1)
-        if d == 0:
-            raise PoleAtOneError("denominator vanishes at q = 1")
-        return Fraction(self.num(1), d)
-
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
 
@@ -315,19 +294,3 @@ def _echelon(rows: Iterable[Sequence[Rat]], width: int) -> list[tuple[int, list[
         kept.append((col, r))
     return kept
 
-
-def solve_linear_exact(A: Sequence[Sequence[Rat]], y: Sequence[Rat]) -> list[Rat]:
-    """Solve A·x = y exactly over the rationals: the fraction-free reduction
-    of [A | y], then one division per unknown."""
-    n = len(A)
-    if any(len(row) != n for row in A) or len(y) != n:
-        raise ValueError("matrix must be square and match the vector length")
-    kept = _echelon([[*row, v] for row, v in zip(A, y)], n)
-    if len(kept) < n:
-        raise SingularMatrixError(rank=len(kept), size=n)
-    return [Fraction(r[n], r[p]) for p, r in sorted(kept)]
-
-
-def matrix_rank_exact(rows: Sequence[Sequence[Rat]]) -> int:
-    """Rank of a rational matrix by exact elimination (any shape)."""
-    return len(_echelon(rows, len(rows[0]) if rows else 0))

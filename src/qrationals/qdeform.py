@@ -60,12 +60,6 @@ class CFrac:
         if any(t < 1 for t in self.terms[1:]):
             raise ValueError("partial quotients after the first must be >= 1")
 
-    def value(self) -> Rat:
-        v = Fraction(self.terms[-1])
-        for t in reversed(self.terms[:-1]):
-            v = t + 1 / v
-        return v
-
 
 def to_cfrac(x: Rat) -> CFrac:
     """Expand x by the Euclidean algorithm (floor-based, so negatives work).

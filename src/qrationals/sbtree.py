@@ -126,10 +126,11 @@ class Frame:
     """A descent-stack entry: a tree value a/b as its reduced ints a and
     b > 0, the stack indices of its left (smaller) parent lo and right
     (greater) parent hi (None at the window endpoints), the degree gap xi
-    of their weighted mediant (None at the endpoints), and four views of
+    of their weighted mediant (None at the endpoints), and three views of
     its node, each computed on first use unless its builder assigned it:
     the value a/b as a Fraction, the node (value, canonical pair, depth,
-    path), the Taylor data at q = 1 and the cleared jets.
+    path) and the Taylor data at q = 1.  _jet_frame also sets the cleared
+    jets (cleared_jets); no other frame has them.
 
     The packed builder keeps the node's pair as packed = (N, D, deg D) at
     q = 2^width, in qdeform's convention (_packed_pair), with the depth and
@@ -165,13 +166,6 @@ class Frame:
         den(1 + h) for the node's canonical pair num/den, and deg den."""
         rf = self.node.deform
         return _taylor_at_one(rf.num, 2), _taylor_at_one(rf.den, 2), rf.den.degree()
-
-    @cached_property
-    def cleared_jets(self) -> list[int]:
-        """J_0, J_1, J_2 with J_j = b^{j+1}·f⁽ʲ⁾(1), for the node's
-        deformation f with denominator b (see exact._series_quotient)."""
-        n, d, _ = self.taylor
-        return _series_quotient(n, d)[1]
 
 
 def _not_mediant(value: Fraction) -> ValueError:

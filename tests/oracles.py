@@ -1,8 +1,9 @@
 """Test-side oracles: the adjacency-checked Farey mediant, the weighted
 mediant of two canonical pairs, ℤ[q] sums, shifts and products, the
-quotient-rule derivative, the literal lattice sum and closed forms, and the
-literal Fraction forms of the lineage identity (Lagrange coefficients,
-residual and correction).
+quotient-rule derivative, the value of a continued fraction, Thomae's
+function, the literal lattice sum and closed forms, and the literal Fraction
+forms of the lineage identity (Lagrange coefficients, residual and
+correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
@@ -37,9 +38,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from qrationals import sbtree
-from qrationals.closedforms import thomae
 from qrationals.dedekind import periodic_bernoulli, s_sum
-from qrationals.exact import IntPoly, RatFunc
+from qrationals.exact import IntPoly, RatFunc, _cleared_jets
 from qrationals.qdeform import _depth_and_path, to_cfrac
 
 
@@ -102,6 +102,19 @@ def derivative_at_one_quotient(rf: RatFunc, k: int) -> Fraction:
         n, d = (poly_add(poly_mul(derivative(n), d), poly_mul(n, derivative(d)), -1),
                 poly_mul(d, d))
     return Fraction(n(1), d(1))
+
+
+def cfrac_value(terms) -> Fraction:
+    """a_0 + 1/(a_1 + 1/(... + 1/a_m)), bottom-up in Fractions."""
+    v = Fraction(terms[-1])
+    for t in reversed(terms[:-1]):
+        v = t + 1 / v
+    return v
+
+
+def thomae(x) -> Fraction:
+    """Thomae's function f(a/b) = 1/b on the reduced a/b (1 on integers)."""
+    return Fraction(1, Fraction(x).denominator)
 
 
 def literal_s_sum(i, j, a, b) -> Fraction:
@@ -221,7 +234,8 @@ def identity_sweep(depth: int) -> dict:
             f, g = sbtree._weights(parents, [0] * (m - 2))
             L, c = sbtree._lagrange(f, g)
             values = [fr.value for fr in frames]
-            resid = sbtree._lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
+            resid = sbtree._lam(L, c, [_cleared_jets(fr.node.deform, 2)[1][m - 3]
+                                       for fr in frames])
             corr = Fraction(*sbtree._cleared_correction(
                 [(v.numerator, v.denominator) for v in values], L, c))
             if resid != corr:

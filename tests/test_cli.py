@@ -5,6 +5,7 @@ Everything goes through main(argv) so the tests see exactly what a shell
 user sees (modulo argparse writing usage errors to stderr).
 """
 import dataclasses
+import doctest
 import json
 import math
 import re
@@ -568,6 +569,15 @@ def test_readme_cli_examples(capsys, command, expected):
     got = "\n".join(_normalize(out).splitlines()[:keep])
     pattern = ".*?".join(re.escape(part) for part in _normalize(expected).split("..."))
     assert re.fullmatch(pattern, got, re.DOTALL), (got, expected)
+
+
+def test_readme_reproduction_api():
+    """The Reproduction API block runs as a doctest: each `>>>` example
+    prints what the README shows."""
+    block = _readme_section("### Reproduction API").split("```pycon\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    assert len(test.examples) == 8
+    assert doctest.DocTestRunner().run(test).failed == 0
 
 
 def test_readme_check_targets_table():

@@ -13,10 +13,10 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import F, G, d1_literal, d2_literal, literal_s_sum
+from oracles import F, G, cfrac_value, d1_literal, d2_literal, literal_s_sum
 from qrationals.dedekind import s_sum
 from qrationals.exact import derivative_at_one, jets_at_one
-from qrationals.qdeform import CFrac, deform
+from qrationals.qdeform import deform
 from qrationals.closedforms import (
     H,
     NoInverseError,
@@ -29,7 +29,6 @@ from qrationals.closedforms import (
     numerator_d1_closed,
     numerator_derivative,
     denominator_derivative,
-    thomae,
 )
 from qrationals.sweeps import SWEEPS, _sweep
 
@@ -63,13 +62,6 @@ def test_mod_inverse_is_an_inverse(ab):
     inv = mod_inverse(a, b)
     assert 0 <= inv < b
     assert (a * inv) % b == 1 % b
-
-
-def test_thomae_fixtures():
-    assert thomae(Fr(1, 2)) == Fr(1, 2)
-    assert thomae(Fr(2, 5)) == Fr(1, 5)
-    assert thomae(Fr(3)) == 1
-    assert thomae(Fr(-1, 2)) == Fr(1, 2)
 
 
 def test_bracket_fixtures():
@@ -156,7 +148,7 @@ def test_closed_forms_match_exact_jets_on_long_expansions(terms):
     partial quotients up to 200, against the jets of the deformation's own
     polynomials."""
     head, tail = terms
-    x = CFrac((head, *tail)).value()
+    x = cfrac_value((head, *tail))
     rf = deform(x).deform
     assert d1_closed(x) == derivative_at_one(rf, 1), x
     assert d2_closed(x.numerator, x.denominator) == derivative_at_one(rf, 2), x
@@ -202,9 +194,9 @@ def test_second_derivative_at_wide_denominators():
     xs = [fibonacci_ratio(300)]
     for digits in (50, 64, 80, 100):
         terms = [rng.randint(-2, 2)]
-        while len(str(CFrac(tuple(terms)).value().denominator)) < digits:
+        while len(str(cfrac_value(terms).denominator)) < digits:
             terms.append(rng.choice((1, 1, 2, 3)))
-        xs.append(CFrac(tuple(terms)).value())
+        xs.append(cfrac_value(terms))
     for x in xs:
         assert 50 <= len(str(x.denominator)) <= 100
         assert d2_closed(x.numerator, x.denominator) == jets_at_one(deform(x).deform, 2)[2], x

@@ -1,11 +1,11 @@
 """Independent cross-checks against sympy.
 
 Every core quantity — the canonical polynomial pairs, the derivatives at
-q = 1, Bernoulli numbers and polynomials, the double lattice sums, the exact
-linear solver and rank, and the coprimality of every built pair — is
-recomputed here through a separate computer-algebra path and compared
-exactly.  Nothing in this module
-reuses the package's arithmetic beyond the objects under test.
+q = 1, Bernoulli numbers and polynomials, the double lattice sums, the fit's
+linear solver and the rank of its row reduction, and the coprimality of
+every built pair — is recomputed here through a separate computer-algebra
+path and compared exactly.  Nothing in this module reuses the package's
+arithmetic beyond the objects under test.
 """
 import math
 import random
@@ -16,12 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import poly_mul
 from qrationals.dedekind import bernoulli_number, bernoulli_poly, s_sum
-from qrationals.exact import (
-    IntPoly,
-    derivative_at_one,
-    matrix_rank_exact,
-    solve_linear_exact,
-)
+from qrationals.exact import IntPoly, _echelon, derivative_at_one
+from qrationals.fit import _solve_system
 from qrationals.qdeform import deform
 from qrationals.sbtree import walk_qtree
 
@@ -133,8 +129,8 @@ def test_linear_solver_matches_cas():
     A = [[Fr(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
          for _ in range(n)]
     rhs = [Fr(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(n)]
-    assert matrix_rank_exact(A) == n
-    got = solve_linear_exact(A, rhs)
+    assert len(_echelon(A, n)) == n
+    got = _solve_system([(tuple(row), v) for row, v in zip(A, rhs)], n)
     M = sp.Matrix([[sp.Rational(entry) for entry in row] for row in A])
     want = M.solve(sp.Matrix([sp.Rational(v) for v in rhs]))
     assert [sp.Rational(v) for v in got] == list(want)
@@ -155,7 +151,7 @@ def test_matrix_rank_matches_cas(rows, cols, k, data):
     A = [[sum((L[i][t] * R[t][j] for t in range(k)), Fr(0)) for j in range(cols)]
          for i in range(rows)]
     want = sp.Matrix(rows, cols, [sp.Rational(v) for row in A for v in row]).rank()
-    assert matrix_rank_exact(A) == want
+    assert len(_echelon(A, cols)) == want
 
 
 def _poly(p: IntPoly) -> sp.Poly:

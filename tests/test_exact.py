@@ -1,9 +1,11 @@
 """Substrate tests: integer polynomials, rational functions, derivatives at
-q = 1, and the exact linear solver.
+q = 1, and the fraction-free row reduction under the fit's solver.
 
 Everything is compared with == on Fractions/IntPolys; there is no tolerance
 anywhere in this file.
 """
+import itertools
+import math
 from fractions import Fraction as Fr
 
 import pytest
@@ -15,17 +17,16 @@ from qrationals.exact import (
     IntPoly,
     PoleAtOneError,
     RatFunc,
-    SingularMatrixError,
     ZeroDenominatorError,
     _cleared_jets,
+    _echelon,
     _taylor_at_one,
     derivative_at_one,
     jets_at_one,
-    matrix_rank_exact,
     poly_to_json_list,
     rat_to_str,
-    solve_linear_exact,
 )
+from qrationals.fit import RankDeficientError, _solve_system
 from oracles import derivative_at_one_quotient, poly_add, poly_mul, poly_shift
 
 
@@ -165,10 +166,9 @@ def test_ratfunc_clears_monomial_factors(n, d, scale, k, flip):
 
 def test_pole_detection():
     rf = RatFunc(IntPoly([1]), IntPoly([-1, 1]))  # 1/(q-1)
-    with pytest.raises(PoleAtOneError):
-        rf.value_at_one()
-    with pytest.raises(PoleAtOneError):
-        derivative_at_one(rf, 1)
+    for k in (0, 1):
+        with pytest.raises(PoleAtOneError):
+            derivative_at_one(rf, k)
 
 
 # -- derivatives at q = 1 --------------------------------------------------
@@ -238,7 +238,17 @@ def test_derivative_matches_finite_difference_coarsely():
     assert abs(approx - derivative_at_one(rf, 1)) < Fr(1, 1000)
 
 
-# -- exact linear algebra --------------------------------------------------
+# -- the fraction-free row reduction and the fit's solver over it ---------
+
+def _det(A):
+    """Leibniz's determinant, one signed product per permutation."""
+    total = Fr(0)
+    for perm in itertools.permutations(range(len(A))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm))
+                           for j in range(i + 1, len(perm)))
+        total += sign * math.prod(A[i][perm[i]] for i in range(len(A)))
+    return total
+
 
 @settings(max_examples=50)
 @given(st.integers(1, 4).flatmap(
@@ -250,42 +260,37 @@ def test_derivative_matches_finite_difference_coarsely():
         st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
                  min_size=n, max_size=n))))
 def test_solver_inverts_matrix_action(Ax):
+    """_solve_system recovers x from A·x exactly, and raises
+    RankDeficientError exactly when det A = 0."""
     A, x = Ax
     y = [sum(row[j] * x[j] for j in range(len(x))) for row in A]
     try:
-        got = solve_linear_exact(A, y)
-    except SingularMatrixError as exc:
-        assert matrix_rank_exact(A) == exc.rank < len(A)
+        got = _solve_system([(tuple(row), v) for row, v in zip(A, y)], len(A))
+    except RankDeficientError:
+        assert _det(A) == 0
     else:
-        assert got == list(x)
+        assert got == tuple(x)
 
 
 def test_solver_handles_zero_leading_pivots():
-    # forces both a row swap and a column swap
-    A = [[0, 0, 1], [0, 2, 0], [3, 0, 0]]
-    assert solve_linear_exact(A, [1, 2, 3]) == [1, 1, 1]
+    # rows 1 and 2 start with zeros, and row 2's pivot column must be
+    # cleared from row 1 after row 1 was kept
+    rows = [((0, 1, 1), 2), ((0, 0, 2), 2), ((3, 0, 0), 3)]
+    assert _solve_system(rows, 3) == (1, 1, 1)
 
 
 def test_solver_reports_rank_on_singular_input():
-    with pytest.raises(SingularMatrixError) as exc:
-        solve_linear_exact([[1, 2], [2, 4]], [1, 2])
-    assert exc.value.rank == 1 and exc.value.size == 2
+    with pytest.raises(RankDeficientError, match="rank 1 < 2"):
+        _solve_system([((1, 2), 1), ((2, 4), 2)], 2)
     # an inconsistent right-hand side raises rather than widening the rank
-    with pytest.raises(SingularMatrixError) as exc:
-        solve_linear_exact([[1, 2], [2, 4]], [1, 3])
-    assert exc.value.rank == 1
-
-
-def test_solver_validates_shapes():
-    with pytest.raises(ValueError):
-        solve_linear_exact([[1, 2]], [1])
-    with pytest.raises(ValueError):
-        solve_linear_exact([[1]], [1, 2])
+    with pytest.raises(RankDeficientError, match="rank 1 < 2"):
+        _solve_system([((1, 2), 1), ((2, 4), 3)], 2)
 
 
 def test_matrix_rank():
-    assert matrix_rank_exact([]) == 0
-    assert matrix_rank_exact([[0, 0]]) == 0
-    assert matrix_rank_exact([[1, 2], [2, 4]]) == 1
-    assert matrix_rank_exact([[1, 0], [0, 1], [1, 1]]) == 2
-    assert matrix_rank_exact([[Fr(1, 2), 1], [0, Fr(1, 3)]]) == 2
+    """The rank is the number of rows _echelon keeps."""
+    assert len(_echelon([], 0)) == 0
+    assert len(_echelon([[0, 0]], 2)) == 0
+    assert len(_echelon([[1, 2], [2, 4]], 2)) == 1
+    assert len(_echelon([[1, 0], [0, 1], [1, 1]], 2)) == 2
+    assert len(_echelon([[Fr(1, 2), 1], [0, Fr(1, 3)]], 2)) == 2

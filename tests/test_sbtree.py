@@ -18,7 +18,6 @@ from qrationals.exact import (
     RatFunc,
     _cleared_jets,
     derivative_at_one,
-    jets_at_one,
 )
 from qrationals.qdeform import QRational, _expansion, _tower, _unpack, deform
 from qrationals.sbtree import (
@@ -128,9 +127,6 @@ def test_walker_matches_deform_and_build_qtree(start, depth):
         want = deform(node.value)
         assert (node.value, node.deform, node.depth, node.path) == \
             (want.value, want.deform, want.depth, want.path)
-        b = want.deform.den(1)
-        assert stack[-1].cleared_jets == \
-            [b ** (j + 1) * v for j, v in enumerate(jets_at_one(want.deform, 2))]
         assert len(stack) == node.depth + 3
         assert [fr.node for fr in stack[:2]] == [deform(start), deform(start + 1)]
         for k, frame in enumerate(stack[2:], start=2):
@@ -246,14 +242,15 @@ def test_jet_walker_matches_polynomial_walker(start):
     """The walk on Taylor data builds, node by node, what the polynomial
     walk builds: value, parents, ξ, the Taylor data at q = 1 of the
     canonical pair (so the denominator degree and N(1), D(1)) and the
-    cleared jets, which the polynomial frame derives from its pair."""
+    cleared jets, which _cleared_jets derives from the polynomial frame's
+    pair."""
     walked = 0
     for poly, jets in zip(walk_qtree(start, 8), _walk(start, 8, _jet_frame)):
         assert len(poly) == len(jets)
         p, j = poly[-1], jets[-1]
         assert (j.value, j.lo, j.hi, j.xi) == (p.value, p.lo, p.hi, p.xi)
         assert j.taylor == p.taylor
-        assert j.cleared_jets == p.cleared_jets == _cleared_jets(p.node.deform, 2)[1]
+        assert j.cleared_jets == _cleared_jets(p.node.deform, 2)[1]
         walked += 1
     assert walked == 2 ** 9 - 1
 
@@ -477,7 +474,7 @@ def test_lineage_extract_weights_rebuild_members_by_products(x, m):
 
 @settings(max_examples=30, deadline=None)
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=200))
-@example(Fr(1346269, 832040))  # F₃₁/F₃₀, depth 28
+@example(Fr(1346269, 832040))  # F₃₁/F₃₀, depth 27
 def test_lineage_extract_members_equal_their_deformations(x):
     """lineage_extract builds members 3..m as weighted mediants of earlier
     members; at every order the depth allows, each member must be the
