@@ -125,7 +125,8 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     is recorded and folded bottom-up, so every intermediate u is the value
     at its own pair, O(digits of b) in size.  That descent is one integer
     kernel, _s13_cleared(a, b) = 120·b⁴·s(a, b); this path is the Fraction
-    u/(120·b⁴) over it, and closedforms.d2_closed reads u directly."""
+    u/(120·b⁴) over it, and closedforms.d2_closed and the order-5 lineage
+    correction (sbtree.Frame.term) read u directly."""
     if b < 1:
         raise ValueError("modulus must be >= 1")
     _check_index(i)
@@ -151,8 +152,8 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
 def _s13_cleared(a: int, b: int) -> int:
     """u = 120·b⁴·s_{1,3}(a, b), an integer, for any a and b ≥ 1, by the
     Euclid descent in s_sum's docstring: the one descent loop that s_sum's
-    (1, 3) path and the closed forms share.  A remainder in its exact
-    division would be a bug, so it raises."""
+    (1, 3) path, the closed forms and the lineage correction share.  A
+    remainder in its exact division would be a bug, so it raises."""
     g = math.gcd(a, b)
     top = b // g
     a, b = a // g % top, top

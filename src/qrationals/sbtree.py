@@ -50,7 +50,7 @@ from .qdeform import (
     qrational_to_json,
     to_cfrac,
 )
-from .dedekind import s_sum
+from .dedekind import _s13_cleared
 
 __all__ = [
     "Lineage",
@@ -130,7 +130,8 @@ class Frame:
     its node, each computed on first use unless its builder assigned it:
     the value a/b as a Fraction, the node (value, canonical pair, depth,
     path) and the Taylor data at q = 1.  _jet_frame also sets the cleared
-    jets (cleared_jets); no other frame has them.
+    jets (cleared_jets); no other frame has them.  term, the node's integer
+    term of the order-5 correction, is computed once on first use.
 
     The packed builder keeps the node's pair as packed = (N, D, deg D) at
     q = 2^width, in qdeform's convention (_packed_pair), with the depth and
@@ -166,6 +167,13 @@ class Frame:
         den(1 + h) for the node's canonical pair num/den, and deg den."""
         rf = self.node.deform
         return _taylor_at_one(rf.num, 2), _taylor_at_one(rf.den, 2), rf.den.degree()
+
+    @cached_property
+    def term(self) -> int:
+        """T = 6b(b − a) − 120·b⁴·s₁,₃(a, b) (dedekind._s13_cleared): 6b
+        times the node's term (b − a) − 20·b³·s₁,₃ of the order-5
+        correction (_cleared_correction)."""
+        return 6 * self.b * (self.b - self.a) - _s13_cleared(self.a, self.b)
 
 
 def _not_mediant(value: Fraction) -> ValueError:
@@ -378,29 +386,30 @@ class Lineage:
         return len(self.members)
 
 
-def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], list[tuple[int, int]]]:
+def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], tuple[tuple[int, int], ...]]:
     """The frames of the order-m lineage of a descent stack's last frame,
     and for each member n = 3..m the member indices (small, big) of its left
     and right parents; the caller ensures the target's depth is at least
     m − 2.
 
     Members 2..m are the last m−1 frames (each the deeper parent of the
-    next); member 1 is the shallow parent of member 3, or for m = 2 the
-    target's deeper parent (the left endpoint at depth 0).  Member n's
-    parents are members n − 1 and ζ_n, which is n − 2 or ζ_{n−1}.  The
-    same rules read a stack of the m members alone, member 1 first
+    next), so member n ≥ 2 sits at stack index first + n − 2; member 1 is
+    the shallow parent of member 3, or for m = 2 the target's deeper parent
+    (the left endpoint at depth 0).  Member n's parents are members n − 1
+    and ζ_n, which is n − 2 or ζ_{n−1}, so a parent below first is member
+    1.  The same rules read a stack of the m members alone, member 1 first
     (lineage_extract's).
     """
-    t = len(stack) - 1
+    first = len(stack) - m + 1  # stack index of member 2
     if m == 2:
-        idx = [t - 1 if t > 2 else 0, t]
+        one = first - 1 if first > 2 else 0
     else:
-        first = t - m + 2  # stack index of member 2
         third = stack[first + 1]
-        idx = [third.hi if third.lo == first else third.lo, *range(first, t + 1)]
-    frames = [stack[j] for j in idx]
-    member_of = {j: n for n, j in enumerate(idx, start=1)}
-    return frames, [(member_of[fr.lo], member_of[fr.hi]) for fr in frames[2:]]
+        one = third.hi if third.lo == first else third.lo
+    frames = [stack[one], *stack[first:]]
+    shift = first - 2  # member n ≥ 2 is stack index n + shift
+    return frames, tuple([(fr.lo - shift if fr.lo > shift else 1,
+                           fr.hi - shift if fr.hi > shift else 1) for fr in frames[2:]])
 
 
 def _weights(parents: list[tuple[int, int]], shifts: list[int]) -> tuple[list[int], list[int]]:
@@ -603,33 +612,25 @@ def identity_correction(lin: Lineage) -> Rat:
     1/b_m².  Order 5: [Λ(b−a) − 20·Λ(b³·s)]/b_m³, where Λ(h) = h(member m) −
     Σ C_i·h(member i) on the reduced members and s is the (1,3) generalized
     Dedekind sum.  Both forms hold exactly on every non-vanishing lineage.
+    Computed in integers as identity_sweep does (_cleared_correction).
     """
     _identity_order(lin)
     L, c = _lineage_lagrange(lin)
     values = _values(lin)
-    num, den = _cleared_correction([(x.numerator, x.denominator) for x in values], L, c)
+    num, den = _cleared_correction([Frame(x.numerator, x.denominator) for x in values], L, c)
     return Fraction(num, den * _scale(L, values))
 
 
-def _order4_correction(L: int, c: list[int]) -> tuple[int, int]:
-    """L·b_m² times the order-4 correction, as (numerator, denominator):
-    (Σc − L)/2, which depends on the lineage's weights alone."""
-    return sum(c) - L, 2
-
-
-def _cleared_correction(values: list[tuple[int, int]], L: int, c: list[int]) -> tuple[int, int]:
-    """L·b_m^{m−2} times the correction, for member values a_i/b_i given as
-    reduced pairs (a_i, b_i), as (numerator, denominator):
-    _order4_correction at order 4, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) at
-    order 5."""
-    if len(values) == 4:
-        return _order4_correction(L, c)
-    l_ba = _lam(L, c, [b - a for a, b in values])
-    s = [s_sum(1, 3, a, b) for a, b in values]
-    D = math.lcm(*(si.denominator for si in s))  # D·L·Λ(b³·s₁,₃) is an integer
-    l_s = _lam(L, c, [b ** 3 * si.numerator * (D // si.denominator)
-                      for (_, b), si in zip(values, s)])
-    return D * l_ba - 20 * l_s, D
+def _cleared_correction(frames: list[Frame], L: int, c: list[int]) -> tuple[int, int]:
+    """L·b_m^{m−2} times the correction, for the members' frames, as
+    (numerator, denominator): (Σc − L)/2 at order 4, which depends on the
+    lineage's weights alone.  At order 5, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) is
+    L·Λ(T/(6b)) on the members' integer terms T (Frame.term), so over
+    B = lcm(b_i) it is one integer sum, L·Λ(T·(B/b)), over 6B."""
+    if len(frames) == 4:
+        return sum(c) - L, 2
+    B = math.lcm(*(fr.b for fr in frames))
+    return _lam(L, c, [fr.term * (B // fr.b) for fr in frames]), 6 * B
 
 
 # --------------------------------------------------------------------------
@@ -712,9 +713,8 @@ def _equivalence_sides(depth: int, value: Fraction) -> tuple[str | None, str | N
 
 def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
     """What an order-m lineage's identities need of its shape (its parent
-    pattern) alone: (L, c), the order-4 cleared correction (None at
-    order 5), and the first failing moment identity as the tail of a
-    failure record (None if all hold)."""
+    pattern) alone: (L, c) and the first failing moment identity as the
+    tail of a failure record (None if all hold)."""
     f, g = _weights(parents, [0] * (m - 2))
     L, c = _lagrange(f, g)
     moment = None
@@ -724,7 +724,7 @@ def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
         if lhs != L * rhs:
             moment = (f"moment {j}", Fraction(lhs, L), rhs)
             break
-    return L, c, _order4_correction(L, c) if m == 4 else None, moment
+    return L, c, moment
 
 
 def identity_sweep(depth: int) -> dict:
@@ -738,10 +738,11 @@ def identity_sweep(depth: int) -> dict:
     naming it otherwise); appendixA's walk checks the full canonical pairs.
     Per lineage shape (order and parent pattern, at most 2^{m−2} of each
     order), computed once: the weights at q = 1, the Lagrange numerators
-    c_i over their common denominator L, the order-4 correction and the
-    moment identities.  Per lineage, in integers: the residual from the
-    members' cleared jets, each computed once per node, against the
-    correction, which at order 5 depends on the members' values.
+    c_i over their common denominator L, and the moment identities.  Per
+    lineage, in integers: the residual from the members' cleared jets
+    against the correction (_cleared_correction), which at order 5 is one
+    sum over the members' terms; jets and terms are each computed once per
+    node.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
     tuple (m, value, identity, lhs, rhs) per failing lineage (empty = pass),
@@ -760,13 +761,12 @@ def identity_sweep(depth: int) -> dict:
             if frames[0].b == 1:  # vanishing
                 continue
             checked[m] += 1
-            key = (m, tuple(parents))
+            key = (m, parents)
             if key not in shapes:
                 shapes[key] = _shape_checks(m, parents)
-            L, c, corr, moment = shapes[key]
+            L, c, moment = shapes[key]
             resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
-            num, den = corr if m == 4 else _cleared_correction(
-                [(fr.a, fr.b) for fr in frames], L, c)
+            num, den = _cleared_correction(frames, L, c)
             if resid * den != num:
                 scale = _scale(L, [fr.value for fr in frames])
                 failures.append((m, node.value, "residual", Fraction(resid, scale),

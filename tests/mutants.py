@@ -6,9 +6,11 @@ tests it names must fail.
 For each mutant (all, or those named), the runner copies src, tests and
 pyproject.toml to a temporary directory, replaces the entry's snippet, which
 must occur exactly once in its file, and runs the named tests there with
-pytest in a subprocess, one mutant at a time, under a timeout.  It first runs
-every named test on the unmutated copy, which must pass.  It prints one JSON
-line per mutant, whose status is
+pytest in a subprocess, one mutant at a time, under a timeout, with
+hypothesis's seed fixed and its explain phase off (the `mutants` profile in
+tests/conftest.py: explaining a failure can outlast the timeout).  It first
+runs every named test on the unmutated copy, which must pass.  It prints one
+JSON line per mutant, whose status is
 
     killed    every named test failed;
     timeout   the tests ran past TIMEOUT_S (the mutant may loop forever);
@@ -62,9 +64,27 @@ MUTANTS = [
     {
         "name": "shape-cache-keyed-on-order-alone",
         "file": SBTREE,
-        "old": "            key = (m, tuple(parents))\n",
+        "old": "            key = (m, parents)\n",
         "new": "            key = m\n",
         "tests": [T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "correction-term-s13-sign-flipped",
+        "file": SBTREE,
+        "old": "        return 6 * self.b * (self.b - self.a) - _s13_cleared(self.a, self.b)\n",
+        "new": "        return 6 * self.b * (self.b - self.a) + _s13_cleared(self.a, self.b)\n",
+        "tests": [T + "test_identity_correction_equals_the_literal_form",
+                  T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "correction-lcm-replaced-by-last-denominator",
+        "file": SBTREE,
+        "old": "    B = math.lcm(*(fr.b for fr in frames))\n",
+        "new": "    B = frames[-1].b\n",
+        "tests": [T + "test_identity_correction_equals_the_literal_form",
+                  T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
@@ -218,13 +238,12 @@ MUTANTS = [
     },
     {
         # no rank changes: a new row is still reduced against every kept row.
-        # test_solver_inverts_matrix_action fails too, but under a fixed
-        # hypothesis seed its explain phase runs past TIMEOUT_S.
         "name": "echelon-back-elimination-skipped",
         "file": EXACT,
         "old": "            if k[col]:\n",
         "new": "            if False:\n",
         "tests": ["tests/test_exact.py::test_solver_handles_zero_leading_pivots",
+                  "tests/test_exact.py::test_solver_inverts_matrix_action",
                   "tests/test_crosscheck_cas.py::test_linear_solver_matches_cas",
                   "tests/test_fit.py::test_fit_d1_recovers_coefficients"],
     },
@@ -242,7 +261,7 @@ def _run_tests(root: Path, tests: list[str]) -> tuple[str, dict, list[str]]:
     """Run the tests under root; (outcome, per-test verdicts, pytest tail).
     A named test fails if any of its parametrized cases fails or errors."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", *tests]
+           "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests]
     try:
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:

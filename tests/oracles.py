@@ -25,13 +25,16 @@ each, with s₁,₃ from the Euclid descent; d1_literal and d2_literal here
 assemble them from their Fraction parts, (x² − x + 1 − f(x)²)/2 and
 F + f²·G − 20·s₁,₃, and literal_s_sum is the O(b) defining sum of s_{i,j}.
 
-The package's identity sweep walks Taylor data at q = 1 and checks each
-lineage shape once; identity_sweep here walks polynomials and repeats every
-check per lineage.  Its lineage_extract jumps along the branch word one run
-at a time; lineage_extract_by_search here takes one checked Farey step and
-keeps one frame per level, then rebuilds members 3..m by the package's
-packed build step.  Both call the package's helpers through the sbtree
-module, so a test that patches one patches both sides.
+The package's identity sweep walks Taylor data at q = 1, checks each
+lineage shape once and sums one integer term per member for the order-5
+correction; identity_sweep here walks polynomials, repeats every check per
+lineage and takes the correction in its literal Fraction form (correction,
+with s₁,₃ from s_sum as imported here).  The package's lineage_extract
+jumps along the branch word one run at a time; lineage_extract_by_search
+here takes one checked Farey step and keeps one frame per level, then
+rebuilds members 3..m by the package's packed build step.  Both call the
+package's other helpers through the sbtree module, so a test that patches
+one patches both sides.
 """
 import math
 from fractions import Fraction
@@ -174,9 +177,11 @@ def scaled_sum(lin, C: tuple[Fraction, ...], values: list[Fraction]) -> Fraction
                             * values[i] for i in range(m - 1))
 
 
-def correction(lin, C: tuple[Fraction, ...]) -> Fraction:
+def correction(lin, C: tuple[Fraction, ...], lattice=None) -> Fraction:
     """(ΣC − 1)/(2·b_m²) at order 4, [Λ(b−a) − 20·Λ(b³·s₁,₃)]/b_m³ at order
-    5, with Λ(h) = h(member m) − Σ C_i·h(member i)."""
+    5, with Λ(h) = h(member m) − Σ C_i·h(member i) and s₁,₃ = lattice(1, 3,
+    a, b), s_sum unless given."""
+    lattice = lattice or s_sum
     m = lin.order
     nums = [mem.value.numerator for mem in lin.members]
     dens = [mem.value.denominator for mem in lin.members]
@@ -188,7 +193,7 @@ def correction(lin, C: tuple[Fraction, ...]) -> Fraction:
         return h(m - 1) - sum(C[i] * h(i) for i in range(m - 1))
 
     l_ba = lam(lambda i: Fraction(dens[i] - nums[i]))
-    l_s = lam(lambda i: dens[i] ** 3 * s_sum(1, 3, nums[i], dens[i]))
+    l_s = lam(lambda i: dens[i] ** 3 * lattice(1, 3, nums[i], dens[i]))
     return (l_ba - 20 * l_s) / bm ** 3
 
 
@@ -218,8 +223,9 @@ def lineage_extract_by_search(x, m: int):
 
 def identity_sweep(depth: int) -> dict:
     """sbtree.identity_sweep lineage by lineage on the polynomial walker:
-    each lineage's weights, Lagrange numerators, correction and moment
-    identities computed anew, and its residual compared as a Fraction."""
+    each lineage's weights, Lagrange numerators and moment identities
+    computed anew, and its residual compared as a Fraction with the literal
+    correction."""
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
     for stack in sbtree.walk_qtree(0, depth):
@@ -233,14 +239,13 @@ def identity_sweep(depth: int) -> dict:
             checked[m] += 1
             f, g = sbtree._weights(parents, [0] * (m - 2))
             L, c = sbtree._lagrange(f, g)
-            values = [fr.value for fr in frames]
-            resid = sbtree._lam(L, c, [_cleared_jets(fr.node.deform, 2)[1][m - 3]
-                                       for fr in frames])
-            corr = Fraction(*sbtree._cleared_correction(
-                [(v.numerator, v.denominator) for v in values], L, c))
+            scale = sbtree._scale(L, [fr.value for fr in frames])
+            resid = Fraction(sbtree._lam(L, c, [_cleared_jets(fr.node.deform, 2)[1][m - 3]
+                                                for fr in frames]), scale)
+            corr = correction(sbtree._lineage_from_stack(stack, m)[0],
+                              tuple(Fraction(ci, L) for ci in c))
             if resid != corr:
-                scale = sbtree._scale(L, values)
-                failures.append((m, node.value, "residual", Fraction(resid, scale), corr / scale))
+                failures.append((m, node.value, "residual", resid, corr))
                 continue
             for j in range(m - 1):
                 lhs = sum(ci * f[i] ** j * g[i] ** (m - 2 - j) for i, ci in enumerate(c))

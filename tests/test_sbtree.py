@@ -637,16 +637,43 @@ def test_identity_functions_match_literal_forms_off_the_walker(start):
     assert read == 436
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 3).flatmap(lambda head: st.integers(2, 500).flatmap(
+    lambda b: st.integers(head * b + 1, head * b + b - 1).map(lambda a: (Fr(a, b), 5)))))
+@example((Fr(3, 8), 4))
+@example((Fr(5, 13), 5))
+@example((Fr(-23, 9), 5))
+def test_identity_correction_equals_the_literal_form(lineage):
+    """The integer correction, one term per member over the lcm of the
+    members' denominators, equals the literal Fraction form on the O(b)
+    lattice sum of s₁,₃, in windows −3…3."""
+    x, m = lineage
+    assume(deform(x).depth >= m - 2)
+    lin = lineage_extract(x, m)
+    assume(not lin.vanishing)
+    got = identity_correction(lin)
+    assert got == oracles.correction(lin, oracles.lagrange_coefficients(lin),
+                                     oracles.literal_s_sum)
+    pinned = {Fr(3, 8): Fr(1, 64), Fr(5, 13): Fr(-40, 2197)}
+    if x in pinned:
+        assert got == pinned[x]
+
+
+def _s13_wrong_at_2_5(monkeypatch):
+    """Make s₁,₃(2, 5) one too large where the sweep reads it, the cleared
+    kernel 120·b⁴·s₁,₃ behind each node's term, and where the literal
+    correction reads it, s_sum."""
+    s13, s = sbtree._s13_cleared, oracles.s_sum
+    monkeypatch.setattr(sbtree, "_s13_cleared",
+                        lambda a, b: s13(a, b) + 120 * b ** 4 * ((a, b) == (2, 5)))
+    monkeypatch.setattr(oracles, "s_sum", lambda i, j, a, b: s(i, j, a, b) + ((a, b) == (2, 5)))
+
+
 def test_identity_sweep_reports_unscaled_failures(monkeypatch):
     """With s₁,₃ wrong at 2/5, every failure is an order-5 residual whose
     lineage has 2/5 as a member, reported as the literal residual and the
     literal correction of the wrong s₁,₃."""
-    real = sbtree.s_sum
-
-    def wrong(i, j, a, b):
-        return real(i, j, a, b) + ((a, b) == (2, 5))
-    monkeypatch.setattr(sbtree, "s_sum", wrong)
-    monkeypatch.setattr(oracles, "s_sum", wrong)
+    _s13_wrong_at_2_5(monkeypatch)
     res = identity_sweep(5)
     assert res["checked"] == {4: 44, 5: 32} and res["failures"]
     for m, value, identity, lhs, rhs in res["failures"]:
@@ -732,8 +759,7 @@ def test_identity_sweep_matches_the_per_lineage_sweep_under_faults(monkeypatch):
     shape perturbed (with its mirror image, which has the same weights at
     q = 1), where every lineage of those shapes fails."""
     with monkeypatch.context() as patch:
-        real = sbtree.s_sum
-        patch.setattr(sbtree, "s_sum", lambda i, j, a, b: real(i, j, a, b) + ((a, b) == (2, 5)))
+        _s13_wrong_at_2_5(patch)
         res = identity_sweep(6)
         assert res["failures"] and res == oracles.identity_sweep(6)
 
