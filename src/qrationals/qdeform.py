@@ -11,11 +11,13 @@ common q-power stripped to be canonical (_packed_pair).
 
 The tower runs on packed integers (Kronecker substitution): a polynomial P
 with nonnegative coefficients below 2^B is held as the integer P(2^B), so
-q^k·P is a left shift by k·B bits, a sum of polynomials is an integer sum,
-and the product by [a]_q is O(log a) shifts and adds by binary doubling.
-The coefficients are bounded by the continued fraction's continuant, which
-fixes B before the tower starts (see deform_from_cfrac); unpacking is one
-to_bytes and a split into B-bit words.
+q^k·P is a left shift by k·B bits and a sum of polynomials is an integer
+sum.  A level of the tower by a partial quotient a ≤ 3 costs one shift and
+one add per unit of a (_step), and beyond, the product by [a − 1]_q is
+O(log a) shifts and adds by binary doubling.  The coefficients are bounded
+by the continued fraction's continuant, which fixes B before the tower
+starts (see deform_from_cfrac); unpacking is one to_bytes and a split into
+B-bit words, read at C speed (_unpack).
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .exact import (
     IntPoly,
@@ -111,13 +114,18 @@ def _packed_width(bound: int) -> int:
 
 def _unpack(x: int, width: int) -> IntPoly:
     """The polynomial whose packed form at q = 2^width is x ≥ 0.  The words
-    are ints, and the top one holds x's top bit, so nothing is stripped."""
+    are ints, and the top one holds x's top bit, so nothing is stripped.
+    One little-endian to_bytes splits x into words: on a little-endian host
+    a memoryview cast reads words of 1, 2, 4 or 8 bytes, and one map of
+    int.from_bytes reads any others (the byte order passed by repeat:
+    Python 3.10's from_bytes has no default)."""
     w = width // 8
     size = -(-x.bit_length() // width) * w
     buf = x.to_bytes(size, "little")
     fmt = _WORD_FORMATS.get(w) if sys.byteorder == "little" else None
     if fmt is None:
-        coeffs = [int.from_bytes(buf[i:i + w], "little") for i in range(0, size, w)]
+        words = [buf[i:i + w] for i in range(0, size, w)]
+        coeffs = map(int.from_bytes, words, repeat("little"))
     else:
         coeffs = memoryview(buf).cast(fmt).tolist()
     return IntPoly._from_stripped(tuple(coeffs))
@@ -129,17 +137,29 @@ def _step(a: int, N: int, D: int, width: int, odd: bool) -> tuple[int, int]:
         even step:  (N, D) -> ([a]_q·N + q^a·D,  N)
         odd step:   (N, D) -> (q·[a]_q·N + D,    q^a·N)
 
-    [a]_q·N is written out for a ≤ 2, which covers most partial quotients
-    of small rationals, and is _times_qint beyond."""
-    if a > 2:
-        aN = _times_qint(N, a, width)
-    elif a == 2:
-        aN = N + (N << width)
-    else:
-        aN = N if a else 0
+    by [a]_q = [a − 1]_q + q^{a−1}, so that each shift serves twice.  The
+    odd step shifts t = q·N on by a − 1 words to top = q^a·N, its new
+    denominator, and its numerator is [a − 1]_q·t + top + D; the even
+    step's numerator is [a − 1]_q·N + q^{a−1}·(N + q·D).  A level with
+    a ≤ 3 costs 2a full-length shifts and adds: [a − 1]_q is written out
+    for a ≤ 2 and is _times_qint beyond.  a = 0 gives (D, N).  No shift is
+    by 0 bits: CPython copies the whole int for x << 0."""
+    if a == 0:
+        return D, N
     if odd:
-        return (aN << width) + D, N << a * width
-    return aN + (D << a * width), N
+        t = N << width
+        top = t << (a - 1) * width if a > 1 else t
+        new = top + D
+    else:
+        t = top = N
+        new = N + (D << width)
+        if a > 1:
+            new <<= (a - 1) * width
+    if a == 2:
+        new += t
+    elif a > 2:
+        new += _times_qint(t, a - 1, width)
+    return new, top
 
 
 def _tower(terms: tuple[int, ...], width: int) -> tuple[int, int]:
@@ -169,18 +189,25 @@ def _packed_pair(terms: tuple[int, ...], width: int) -> tuple[int, int]:
     ([k]_q·N − D, q^k·N).  The level-1 odd step makes N = q·[a_1]_q·N_2 +
     D_2 ≥ q^{a_1}·N_2 = D coefficientwise (an integer's D is 0), so the
     subtraction borrows nothing.  Each step is a 2×2 move of determinant
-    ±q^j, so the pair's one common factor, a power of q, is stripped at the
-    lowest set word; content 1 and D(1) > 0 follow.  The width must be at
-    least deform_from_cfrac's for these terms."""
+    ±q^j, so the pair's one common factor is a power of q: q after an odd
+    tail and 1 after an even one, more only where the subtraction cancels,
+    as in (−k; 1).  It is stripped one word at a time while both q⁰ words
+    are 0, a test on the low words alone, and a zero pair, which no tower
+    makes, stops at once; content 1 and D(1) > 0 follow.  The width must be
+    at least deform_from_cfrac's for these terms, and a width of 0, which
+    has no q⁰ word to test, raises ValueError."""
+    if width <= 0:
+        raise ValueError("the packing width must be positive")
     if terms[0] >= 0:
         N, D = _tower(terms, width)
     else:
         k = -terms[0]
         D, N = _tower((0, *terms[1:]), width)
         N, D = _times_qint(N, k, width) - D, N << k * width
-    low = ((N | D) & -(N | D)).bit_length() - 1
-    low -= low % width
-    return N >> low, D >> low
+    word = (1 << width) - 1
+    while not (N & word or D & word) and (N or D):
+        N, D = N >> width, D >> width
+    return N, D
 
 
 def _unpacked(N: int, D: int, width: int, negated: bool) -> RatFunc:

@@ -647,16 +647,17 @@ def _cfrac_table(depth: int, width: int) -> dict[tuple[int, int], tuple[int, int
     (a_1, ..., a_m) followed by the a_0 = 0 step, which swaps the pair.
     Nodes whose tails share (a_k, ..., a_m) share the bottom of their
     towers, so one depth-first pass over the tails prepends one term at a
-    time from the empty tail (1, 0), keeping both parity states of each:
-    even(a, S) is the even step (qdeform._step) by a on odd(S), and odd(a,
-    S) the odd step on even(S).  A node's pair is its tail's odd state
-    swapped, two steps per node, less the common factor q that an odd
-    tail carries (qdeform.deform_from_cfrac), one word off each entry of a
-    tail of odd length; its value a/b is 1 over the tail's, from the tail's
-    continuants.  At q = 1 both steps map (N, D) to (a·N + D, N), so each
-    state's N(1) is its tail's continuant, at most the node's b, and every
-    coefficient, being nonnegative, is at most b too: a width that holds
-    the walk's denominators holds every state."""
+    time from the empty tail (1, 0), keeping both parity states of each
+    tail it extends: even(a, S) is the even step (qdeform._step) by a on
+    odd(S), and odd(a, S) the odd step on even(S).  A node's pair is its
+    tail's odd state swapped, less the common factor q that an odd tail
+    carries (qdeform.deform_from_cfrac), one word off each entry of a tail
+    of odd length, so a leaf tail's even state, never read, is not built;
+    its value a/b is 1 over the tail's, from the tail's continuants.  At
+    q = 1 both steps map (N, D) to (a·N + D, N), so each state's N(1) is
+    its tail's continuant, at most the node's b, and every coefficient,
+    being nonnegative, is at most b too: a width that holds the walk's
+    denominators holds every state."""
     top = depth + 2
     table = {}
     # (Σ, p, r, even state, odd state, the shift that strips a child) of the empty tail
@@ -664,10 +665,10 @@ def _cfrac_table(depth: int, width: int) -> dict[tuple[int, int], tuple[int, int
     while tails:
         s, p, r, ne, de, no, do, strip = tails.pop()
         for a in range(1 if s else 2, top - s + 1):
-            even = _step(a, no, do, width, False)
             odd = _step(a, ne, de, width, True)
             table[p, a * p + r] = odd[1] >> strip, odd[0] >> strip
             if s + a < top:
+                even = _step(a, no, do, width, False)
                 tails.append((s + a, a * p + r, p, *even, *odd, width - strip))
     return table
 

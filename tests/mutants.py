@@ -160,10 +160,14 @@ MUTANTS = [
     {
         "name": "tail-parities-swapped",
         "file": SBTREE,
-        "old": "            even = _step(a, no, do, width, False)\n"
-               "            odd = _step(a, ne, de, width, True)\n",
-        "new": "            even = _step(a, no, do, width, True)\n"
-               "            odd = _step(a, ne, de, width, False)\n",
+        "old": "            odd = _step(a, ne, de, width, True)\n"
+               "            table[p, a * p + r] = odd[1] >> strip, odd[0] >> strip\n"
+               "            if s + a < top:\n"
+               "                even = _step(a, no, do, width, False)\n",
+        "new": "            odd = _step(a, ne, de, width, False)\n"
+               "            table[p, a * p + r] = odd[1] >> strip, odd[0] >> strip\n"
+               "            if s + a < top:\n"
+               "                even = _step(a, no, do, width, True)\n",
         "tests": [T + "test_cfrac_table_is_the_tower_on_every_node"],
     },
     {
@@ -187,9 +191,51 @@ MUTANTS = [
     {
         "name": "q-integer-two-as-a-shift",
         "file": QDEFORM,
-        "old": "        aN = N + (N << width)\n",
-        "new": "        aN = N << width\n",
-        "tests": [Q + "test_step_writes_out_small_q_integers_as_times_qint"],
+        "old": "    if a == 2:\n        new += t\n",
+        "new": "    if a == 2:\n        new += 0\n",
+        "tests": [Q + "test_step_writes_out_small_q_integers_as_times_qint",
+                  Q + "test_deform_pinned_pairs"],
+    },
+    {
+        "name": "odd-step-without-q",
+        "file": QDEFORM,
+        "old": "        t = N << width\n",
+        "new": "        t = N\n",
+        "tests": [Q + "test_step_writes_out_small_q_integers_as_times_qint",
+                  Q + "test_deform_pinned_pairs",
+                  Q + "test_packed_tower_matches_intpoly_tower"],
+    },
+    {
+        "name": "odd-step-top-one-word-short",
+        "file": QDEFORM,
+        "old": "top = t << (a - 1) * width if a > 1 else t",
+        "new": "top = t << (a - 2) * width if a > 1 else t",
+        "tests": [Q + "test_step_writes_out_small_q_integers_as_times_qint",
+                  Q + "test_packed_tower_matches_intpoly_tower"],
+    },
+    {
+        "name": "wide-unpack-words-in-reverse-order",
+        "file": QDEFORM,
+        "old": "        words = [buf[i:i + w] for i in range(0, size, w)]\n",
+        "new": "        words = [buf[i:i + w] for i in range(size - w, -1, -w)]\n",
+        "tests": [Q + "test_unpack_splits_wide_words_literally",
+                  Q + "test_packed_tower_pinned_wide_cases"],
+    },
+    {
+        "name": "wide-unpack-words-read-big-endian",
+        "file": QDEFORM,
+        "old": "repeat(\"little\")",
+        "new": "repeat(\"big\")",
+        "tests": [Q + "test_unpack_splits_wide_words_literally",
+                  Q + "test_packed_tower_pinned_wide_cases"],
+    },
+    {
+        "name": "strip-tests-numerator-word-alone",
+        "file": QDEFORM,
+        "old": "    while not (N & word or D & word) and (N or D):\n",
+        "new": "    while not N & word and (N or D):\n",
+        "tests": [Q + "test_packed_pair_is_the_canonical_pair_for_either_head_sign",
+                  Q + "test_deform_pinned_pairs"],
     },
     {
         "name": "walker-right-child-first",

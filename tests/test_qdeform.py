@@ -7,8 +7,9 @@ satisfy (either terminal form, value recovery, modular recurrences).
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qrationals import qdeform
 from qrationals.exact import IntPoly, RatFunc, derivative_at_one
 from qrationals.qdeform import (
     DEFORM_CACHE_SIZE,
@@ -216,11 +217,15 @@ def test_tower_at_any_wide_enough_width_is_the_canonical_pair(a0, tail, split_la
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-50, 50), st.lists(st.integers(1, 60), min_size=0, max_size=30),
        st.booleans(), st.integers(0, 4))
+@example(-1, [1], False, 0)
+@example(-3, [1], False, 2)
 def test_packed_pair_is_the_canonical_pair_for_either_head_sign(a0, tail, split_last, extra):
     """_packed_pair at the width deform_from_cfrac picks or any whole
     number of bytes wider, unpacked as it stands (the numerator negated
     back for a_0 < 0), is deform_from_cfrac's pair and the literal IntPoly
-    tower's canonical pair: one packed convention for either head sign."""
+    tower's canonical pair: one packed convention for either head sign.
+    (−1; 1) = 0 and (−3; 1) = −2 each carry the common factor q², the
+    head's subtraction having cancelled the q term."""
     if split_last and tail and tail[-1] > 1:
         tail = tail[:-1] + [tail[-1] - 1, 1]
     cf = CFrac((a0, *tail))
@@ -230,6 +235,16 @@ def test_packed_pair_is_the_canonical_pair_for_either_head_sign(a0, tail, split_
     got = (-num if a0 < 0 else num).coeffs, _unpack(D, width).coeffs
     for want in (deform_from_cfrac(cf), _intpoly_tower(cf)):
         assert got == (want.num.coeffs, want.den.coeffs), cf.terms
+
+
+def test_packed_pair_strip_stops_on_a_zero_pair(monkeypatch):
+    """No tower makes the zero pair, but the q-power strip, which shifts
+    while both q⁰ words are 0, returns it rather than loop; a width of 0,
+    whose words are empty, raises."""
+    monkeypatch.setattr(qdeform, "_tower", lambda terms, width: (0, 0))
+    assert _packed_pair((0, 2), 16) == (0, 0)
+    with pytest.raises(ValueError, match="width"):
+        _packed_pair((0, 2), 0)
 
 
 @pytest.mark.parametrize("width", [8, 16, 24, 64])
@@ -245,6 +260,32 @@ def test_step_writes_out_small_q_integers_as_times_qint(width):
             aN = _times_qint(N, a, width)
             assert _step(a, N, D, width, False) == (aN + (D << a * width), N), (a, coeffs)
             assert _step(a, N, D, width, True) == ((aN << width) + D, N << a * width), (a, coeffs)
+
+
+@st.composite
+def _wide_words(draw):
+    """(width, words): a width of 9–200 bytes and the words, low first,
+    of a packed int whose top word is nonzero; zero words are drawn often,
+    at the bottom and in the middle, and full words (2^width − 1) too."""
+    width = 8 * draw(st.integers(9, 200))
+    full = (1 << width) - 1
+    word = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    return width, draw(st.lists(word, max_size=8)) + [draw(st.integers(1, full))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_words())
+@example((72, [0, 0, 1]))
+@example((8 * 200, [(1 << 1600) - 1, 0, 0, 5]))
+def test_unpack_splits_wide_words_literally(case):
+    """_unpack on words wider than 8 bytes is the literal split of the
+    packed int into its width-bit words, (x >> i·width) & (2^width − 1)."""
+    width, words = case
+    x = sum(c << (i * width) for i, c in enumerate(words))
+    mask = (1 << width) - 1
+    split = [(x >> (i * width)) & mask for i in range(-(-x.bit_length() // width))]
+    assert split == words
+    assert _unpack(x, width).coeffs == tuple(split)
 
 
 def test_deform_integer_is_q_integer():
