@@ -43,8 +43,8 @@ __all__ = ["main", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH", "MAX_CHECK_SCALE",
 MAX_DEFORM_DEGREE = 2000
 # bounds tree, plot and lineage; `qrat check` sets its depths by --scale
 MAX_TREE_DEPTH = 12
-# `qrat check --scale 2` runs every sweep in about 20 s on a 2-core host, 12 s
-# of it in bridges; the sweeps grow roughly cubically with the scale.
+# `qrat check --scale 2` runs every sweep in 10-14 s on a 2-core host, about
+# three quarters of it in bridges; the sweeps grow roughly cubically with the scale.
 MAX_CHECK_SCALE = 2
 # dedekind s|h|battery reach the O(b) lattice sum, which serves every index
 # pair but (1, 3): about 0.2 s at b = 10^5 on the same host, and 3.3 s for a

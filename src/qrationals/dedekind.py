@@ -45,7 +45,7 @@ __all__ = [
 BERNOULLI_BOUND = 12
 # total index weight i + j of the identity battery
 BATTERY_WEIGHT = 4
-# `s_sum`'s cache bound, above the 56 212 entries one `qrat check --scale 2`
+# `s_sum`'s cache bound, above the 52 824 entries one `qrat check --scale 2`
 # process leaves.  `bernoulli_number` needs none: the package asks it for at
 # most BERNOULLI_BOUND + 1 indices.
 S_SUM_CACHE_SIZE = 65536

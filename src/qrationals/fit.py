@@ -17,7 +17,7 @@ from typing import Sequence
 from .exact import Rat, _echelon, derivative_at_one
 from .qdeform import deform
 from .dedekind import s_sum
-from .sbtree import _jet_frame, _walk
+from .sbtree import _jet_walk
 
 __all__ = [
     "RankDeficientError",
@@ -123,14 +123,13 @@ def emit_plot_data(depth: int, order: int, start: int = 0) -> list[tuple]:
     """Rows (x, value, b, depth) for every tree node between start and
     start+1 down to the given depth, sorted by x; value is the exact
     derivative of the given order (0 returns the node value itself), read
-    off the tree walk on Taylor data at q = 1 (sbtree._jet_frame), which
-    builds no polynomials and checks each node's N(1), D(1) against its
-    reduced a, b.
+    off the tree walk modulo (2^W − 1)³ (sbtree._jet_walk), which builds no
+    polynomial and checks each node's N(1), D(1) against its reduced a, b.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     rows = []
-    for stack in _walk(start, depth, _jet_frame):  # in increasing value
+    for stack in _jet_walk(start, depth):  # in increasing value
         frame = stack[-1]
         b = frame.b
         rows.append((frame.value, Fraction(frame.cleared_jets[order], b ** (order + 1)),

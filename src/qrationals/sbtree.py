@@ -3,17 +3,15 @@ extraction with polynomial weight tables, the Δ_i operator, and the Lagrange
 coefficients of the order-m linear-dependence identity.
 
 One depth-first walk yields the tree's ancestor stack, and lineages are
-read off such stacks.  It takes a node builder.  Every polynomial node is
-built by one packed step (_packed_frame): the pair as integers at
-q = 2^B, in qdeform's convention (_packed_pair: nonnegative words, the
-numerator stored negated below 0), checked canonical where it is built.
-walk_qtree and build_qtree walk it in any window, lineage_extract builds
-members 3..m with it, the lineage weights 𝔉, 𝔊 run its recurrence on
-packed integers too (_weights), and appendixA's equivalence sweep
-compares its pairs with a table of the packed continued-fraction towers at
-the same width, built from shared tails (_cfrac_table).  The identity
-sweep and the plot data walk Taylor data at q = 1 instead (_jet_frame).
-The weighted-mediant construction takes the continued-fraction tower only
+read off such stacks.  Every node is built by one step (_mediant), its
+parents' weighted mediant on integers at q = 2^B in qdeform's convention
+(_packed_pair).  The packed walk keeps the pairs, canonical as built
+(_packed_frame), for walk_qtree, build_qtree, lineage_extract's members
+3..m and appendixA, which compares them with the packed continued-fraction
+towers at the same width (_cfrac_table); the lineage weights 𝔉, 𝔊 run the
+step's recurrence too (_weights).  The identity sweep and the plot data
+walk it modulo (2^B − 1)³, whose base-(2^B − 1) digits are the Taylor data
+at q = 1 (_jet_frame).  The tree takes the continued-fraction tower only
 for pairs it does not build (the window endpoints, lineage members 1 and
 2); their bit-exact agreement elsewhere is a verified equivalence, not a
 dependency.
@@ -46,7 +44,6 @@ from .qdeform import (
     _step,
     _unpack,
     _unpacked,
-    deform,
     qrational_to_json,
     to_cfrac,
 )
@@ -104,45 +101,25 @@ def _degree_gap(left_degree: int, right_degree: int) -> int:
     return max(1, left_degree - right_degree + 1)
 
 
-def _taylor_mediant(left: tuple[list[int], list[int]], right: tuple[list[int], list[int]],
-                    xi: int) -> tuple[list[int], ...]:
-    """The weighted mediant (L₀ + R₀·q^ξ, L₁ + R₁·q^ξ) of two pairs on the
-    h^0..h^2 coefficients of the polynomials at q = 1 + h, where
-    q^ξ = (1 + h)^ξ multiplies by the binomial row C(ξ, 0), C(ξ, 1),
-    C(ξ, 2)."""
-    c2 = xi * (xi - 1) // 2
-    return tuple([u[0] + v[0], u[1] + v[1] + xi * v[0], u[2] + v[2] + xi * v[1] + c2 * v[0]]
-                 for u, v in zip(left, right))
-
-
-def _farey(stack: list[Frame], lo: int, hi: int) -> Frame:
-    """The frame of the Farey sum (α+γ)/(β+δ) of two tree neighbours
-    stack[lo] and stack[hi], on their ints."""
-    left, right = stack[lo], stack[hi]
-    return Frame(left.a + right.a, left.b + right.b, lo, hi)
-
-
 class Frame:
     """A descent-stack entry: a tree value a/b as its reduced ints a and
     b > 0, the stack indices of its left (smaller) parent lo and right
-    (greater) parent hi (None at the window endpoints), the degree gap xi
-    of their weighted mediant (None at the endpoints), and three views of
-    its node, each computed on first use unless its builder assigned it:
-    the value a/b as a Fraction, the node (value, canonical pair, depth,
-    path) and the Taylor data at q = 1.  _jet_frame also sets the cleared
-    jets (cleared_jets); no other frame has them.  term, the node's integer
-    term of the order-5 correction, is computed once on first use.
+    (greater) parent hi and the degree gap xi of their weighted mediant
+    (None at the window endpoints), and, computed on first use, the value
+    a/b as a Fraction, the node (value, canonical pair, depth, path) and
+    term, the node's integer term of the order-5 correction.
 
     The packed builder keeps the node's pair as packed = (N, D, deg D) at
-    q = 2^width, in qdeform's convention (_packed_pair), with the depth and
-    path the walk gives it, and packs a parent it did not build on first
-    use (_pack); packed is None otherwise.  A packed frame's node is its
-    pair unpacked, any other frame's is deform(value).  Depth −1 and the
-    empty path are the window endpoints'; lineage_extract sets its first
-    two members' own."""
+    q = 2^width (qdeform._packed_pair), with the walk's depth and path, and
+    packs a parent it did not build on first use (_pack); the node is that
+    pair unpacked, and a frame with no packed pair has none.  The jet
+    builder keeps residues = (N, D, deg D) modulo (2^width − 1)³, which are
+    not a pair, and the cleared jets.  Depth −1 and the empty path are the
+    window endpoints'; lineage_extract sets its first two members' own."""
 
     xi: int | None = None
     packed: tuple[int, int, int] | None = None
+    residues: tuple[int, int, int] | None = None
     width: int | None = None
     depth, path = -1, ""
 
@@ -155,18 +132,9 @@ class Frame:
 
     @cached_property
     def node(self) -> QRational:
-        if self.packed is None:
-            return deform(self.value)
         num, den, _ = self.packed
         return QRational(self.value, _unpacked(num, den, self.width, self.a < 0),
                          self.depth, self.path)
-
-    @cached_property
-    def taylor(self) -> tuple[list[int], list[int], int]:
-        """(n, d, deg): the h^0..h^2 coefficients of num(1 + h) and
-        den(1 + h) for the node's canonical pair num/den, and deg den."""
-        rf = self.node.deform
-        return _taylor_at_one(rf.num, 2), _taylor_at_one(rf.den, 2), rf.den.degree()
 
     @cached_property
     def term(self) -> int:
@@ -181,26 +149,50 @@ def _not_mediant(value: Fraction) -> ValueError:
                       f"not the weighted mediant of its parents")
 
 
-def _jet_frame(stack: list[Frame], lo: int, hi: int, depth: int, path: str) -> Frame:
-    """The frame of the tree node whose parents are stack[lo] (left) and
-    stack[hi] (right), built on Taylor data instead of polynomials: the
-    same recurrence as _packed_frame with q^ξ = (1 + h)^ξ
-    (_taylor_mediant), the denominator degree deg R + ξ (ξ exceeds
-    deg L − deg R, so no leading term cancels), and the cleared jets.  The
-    node itself is not built.
-
-    The jets do not see the q⁰ terms that _packed_frame checks, so the
-    check here is the one they depend on: the built N(1), D(1) must be the
-    node's reduced (a, b), since the cleared jets scale with D(1)
-    (ValueError naming the node otherwise); a common q-power would change
-    no jet."""
-    (nl, dl, deg_l), (nr, dr, deg_r) = stack[lo].taylor, stack[hi].taylor
-    frame = _farey(stack, lo, hi)
+def _mediant(stack: list[Frame], lo: int, hi: int, left: tuple[int, int, int],
+             right: tuple[int, int, int], width: int) -> tuple[Frame, int, int, int]:
+    """The one step of every tree walk: (frame, N, D, deg D) for the node
+    whose parents stack[lo] (left) and stack[hi] (right) have the pairs
+    left and right, (N, D, deg D) at q = 2^width.  The frame is their Farey
+    sum, on the ints, and keeps ξ = _degree_gap; (N, D) = L + R·q^ξ, one
+    shift and one add per word, and deg D = deg R + ξ (ξ > deg L − deg R,
+    so no leading term cancels).  Pairs modulo M give the node's modulo M."""
+    (nl, dl, deg_l), (nr, dr, deg_r) = left, right
+    frame = Frame(stack[lo].a + stack[hi].a, stack[lo].b + stack[hi].b, lo, hi)
     frame.xi = xi = _degree_gap(deg_l, deg_r)
-    n, d = _taylor_mediant((nl, dl), (nr, dr), xi)
+    shift = xi * width
+    return frame, nl + (nr << shift), dl + (dr << shift), deg_r + xi
+
+
+def _taylor_digits(x: int, h: int) -> list[int]:
+    """[s_0, s_1, s_2] of P(1 + h) = Σ s_j·h^j for x = P(1 + h) mod h³, P
+    with nonnegative coefficients and s_0, s_1, s_2 < h: x's base-h digits."""
+    x, s0 = divmod(x, h)
+    return [s0, x % h, x // h]
+
+
+def _jet_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
+               path: str) -> Frame:
+    """The frame of the tree node whose parents are stack[lo] (left) and
+    stack[hi] (right) by the one step (_mediant) at q = 2^width, its pair
+    kept as residues modulo h³, h = 2^width − 1, so 3·width bits deep at
+    any depth (a window endpoint enters by its packed pair).  As q = 1 + h,
+    their base-h digits are the Taylor data at q = 1 of the stored words
+    (_taylor_digits; _jet_walk's width keeps each below h), the numerator's
+    negated back below 0, which give the cleared jets J_0..J_2.  Digit 0
+    must be the node's (a, b), since the jets scale with D(1) (ValueError
+    naming the node otherwise); a common q-power would change no jet."""
+    h = (1 << width) - 1
+    cube = h ** 3
+    frame, num, den, deg = _mediant(
+        stack, lo, hi, stack[lo].residues or stack[lo].packed or _pack(stack[lo], width),
+        stack[hi].residues or stack[hi].packed or _pack(stack[hi], width), width)
+    num, den = num % cube, den % cube
+    frame.residues = num, den, deg
+    n, d = _taylor_digits(num, h), _taylor_digits(den, h)
+    n = [-s for s in n] if frame.a < 0 else n
     if n[0] != frame.a or d[0] != frame.b:
         raise _not_mediant(frame.value)
-    frame.taylor = n, d, deg_r + xi
     frame.cleared_jets = _series_quotient(n, d)[1]
     return frame
 
@@ -219,12 +211,10 @@ def _packed_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
                   path: str) -> Frame:
     """The frame of the tree node at the given depth and path whose parents
     are stack[lo] (left) and stack[hi] (right), on packed integers at
-    q = 2^width: packed = (N, D, deg D) with (N, D) the parents' weighted
-    mediant L + R·q^ξ, ξ = _degree_gap kept on the frame, one shift by
-    ξ·width bits and one integer sum per word, and deg D = deg R + ξ (ξ
-    exceeds deg L − deg R, so no leading term cancels).  Lineage weights
-    rebuild a member from its parents by this same recurrence, so the pair
-    must be canonical exactly as built.
+    q = 2^width: packed = (N, D, deg D), the parents' weighted mediant by
+    the one step (_mediant).  Lineage weights rebuild a member from its
+    parents by this same recurrence, so the pair must be canonical exactly
+    as built.
 
     The check is one test on the q⁰ words.  ξ ≥ 1 keeps the left parent's,
     so every node keeps its window's: (0, 1) in window 0, (1, 1) in a
@@ -232,25 +222,21 @@ def _packed_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
     Each holds a 1, so the pair has content 1 and no common q-power, and
     its nonnegative words give D(1) > 0: it is canonical.  A node whose q⁰
     words are not its left parent's raises ValueError naming it."""
-    left, right = stack[lo], stack[hi]
-    nl, dl, deg_l = left.packed or _pack(left, width)
-    nr, dr, deg_r = right.packed or _pack(right, width)
-    frame = _farey(stack, lo, hi)
-    frame.xi = _degree_gap(deg_l, deg_r)
-    shift = frame.xi * width
-    num, den = nl + (nr << shift), dl + (dr << shift)
+    nl, dl, _ = left = stack[lo].packed or _pack(stack[lo], width)
+    frame, num, den, deg = _mediant(stack, lo, hi, left,
+                                    stack[hi].packed or _pack(stack[hi], width), width)
     word = (1 << width) - 1
     if (num ^ nl) & word or (den ^ dl) & word:
         raise _not_mediant(frame.value)
-    frame.packed = num, den, deg_r + frame.xi
+    frame.packed = num, den, deg
     frame.width, frame.depth, frame.path = width, depth, path
     return frame
 
 
 def _walk(m: int, depth: int, build) -> Iterator[list[Frame]]:
     """The depth-first walk of walk_qtree, each node's frame made by
-    build(stack, lo, hi, depth, path): _packed_frame (packed integers,
-    bound to a width) or _jet_frame (Taylor data at q = 1).  A negative
+    build(stack, lo, hi, depth, path): _packed_frame (packed integers)
+    or _jet_frame (their residues), each bound to a width.  A negative
     depth raises here, not on the first step.
 
     One loop, no recursion: it builds a node's frame, then its left
@@ -293,7 +279,7 @@ def walk_qtree(m: int, depth: int) -> Iterator[list[Frame]]:
     Yields the ancestor stack at each node, one list reused from step to
     step: frames 0 and 1 hold the endpoints m and m + 1, frame 2 + d the
     depth-d ancestor, and the last frame the node itself.  identity_sweep
-    and fit.emit_plot_data run the same walk on Taylor data (_jet_frame).
+    and fit.emit_plot_data run the same walk modulo (2^W − 1)³ (_jet_walk).
     """
     return _packed_walk(m, depth)[1]
 
@@ -304,6 +290,15 @@ def _window_width(m: int, b: int) -> int:
     return _packed_width(max(-m, m + 1) * b)
 
 
+def _largest_denominator(depth: int) -> int:
+    """F_{depth+3} (Fibonacci, F_3 = 2 at depth 0): the largest denominator
+    of a tree node at the given depth, reached by the zigzag L R L R ..."""
+    fib, bound = 1, 2  # F_2, F_3
+    for _ in range(depth):
+        fib, bound = bound, fib + bound
+    return bound
+
+
 def _packed_walk(m: int, depth: int) -> tuple[int, Iterator[list[Frame]]]:
     """(B, walk): the walk of walk_qtree on packed integers at q = 2^B
     (_packed_frame), and the one width B that serves every node of it.
@@ -311,19 +306,25 @@ def _packed_walk(m: int, depth: int) -> tuple[int, Iterator[list[Frame]]]:
     The tree only adds and shifts the endpoints' packed pairs, whose words
     have nonnegative coefficients (the numerator negated in a window
     m < 0), so every coefficient is nonnegative and at most its word's
-    value at 1: |N(1)| = |a| for the numerator, D(1) = b for the
-    denominator of a node a/b.  The largest denominator at depth d is
-    F_{d+3} (Fibonacci, F_3 = 2 at depth 0, reached by the zigzag
-    L R L R ...), and m < a/b < m + 1 bounds |a| by max(−m, m + 1)·b.  So
-    every coefficient of the walk is at most max(−m, m + 1)·F_{depth+3},
-    and B = _window_width(m, F_{depth+3}).  The continued-fraction table
-    of window 0 keeps every coefficient at most the node's b
-    (_cfrac_table), which B also holds."""
-    fib, bound = 1, 2  # F_2, F_3
-    for _ in range(depth):
-        fib, bound = bound, fib + bound
-    width = _window_width(m, bound)
+    value at 1: |a| for the numerator, b for the denominator of a node
+    a/b, and m < a/b < m + 1 bounds |a| by max(−m, m + 1)·b.  So B =
+    _window_width(m, F_{depth+3}) (_largest_denominator) holds every
+    coefficient.  The continued-fraction table of window 0 keeps every
+    coefficient at most the node's b (_cfrac_table), which B also holds."""
+    width = _window_width(m, _largest_denominator(depth))
     return width, _walk(m, depth, partial(_packed_frame, width))
+
+
+def _jet_walk(m: int, depth: int) -> Iterator[list[Frame]]:
+    """The walk of walk_qtree modulo (2^W − 1)³ (_jet_frame), at a width W
+    whose 2^W − 1 exceeds every stored word's s_j, j ≤ 2, the h^j
+    coefficient at q = 1 + h.  A word P has nonnegative coefficients, so
+    s_j ≤ C(deg P, j)·P(1), with P(1) ≤ max(−m, m + 1)·F_{depth+3} as in
+    _packed_walk and deg P ≤ |m| + depth + 2, the |a_0| + a_1 + ... of a
+    node's expansion."""
+    deg = abs(m) + depth + 2
+    bound = max(deg, math.comb(deg, 2)) * _largest_denominator(depth)
+    return _walk(m, depth, partial(_jet_frame, _window_width(m, bound)))
 
 
 def build_qtree(m: int, depth: int) -> list[QRational]:
@@ -734,8 +735,8 @@ def identity_sweep(depth: int) -> dict:
     equals its closed-form correction, and the coefficient moment identities
     Σ C_i·f_i^j·g_i^{m−2−j} = f_m^j·g_m^{m−2−j} hold for j = 0..m−2.
 
-    The walk runs on Taylor data at q = 1 (_jet_frame), which checks at
-    each node that the built N(1), D(1) are its reduced a, b (ValueError
+    The walk is the packed walk modulo (2^W − 1)³ (_jet_walk), which checks
+    at each node that the built N(1), D(1) are its reduced a, b (ValueError
     naming it otherwise); appendixA's walk checks the full canonical pairs.
     Per lineage shape (order and parent pattern, at most 2^{m−2} of each
     order), computed once: the weights at q = 1, the Lagrange numerators
@@ -753,7 +754,7 @@ def identity_sweep(depth: int) -> dict:
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
     shapes: dict = {}
-    for stack in _walk(0, depth, _jet_frame):
+    for stack in _jet_walk(0, depth):
         node = stack[-1]
         for m in (4, 5):
             if len(stack) - 3 < m - 2:  # the node's depth

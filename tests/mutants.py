@@ -46,20 +46,51 @@ C = "tests/test_closedforms.py::"
 
 MUTANTS = [
     {
-        "name": "jet-xi-one-too-large",
+        "name": "mediant-xi-one-too-large",
         "file": SBTREE,
         "old": "    frame.xi = xi = _degree_gap(deg_l, deg_r)\n",
         "new": "    frame.xi = xi = _degree_gap(deg_l, deg_r) + 1\n",
+        "tests": [T + "test_packed_walker_matches_deform",
+                  T + "test_identity_sweep_small_depth"],
+    },
+    {
+        "name": "mediant-denominator-degree-one-too-small",
+        "file": SBTREE,
+        "old": "dl + (dr << shift), deg_r + xi\n",
+        "new": "dl + (dr << shift), deg_r + xi - 1\n",
+        "tests": [T + "test_packed_walker_matches_deform",
+                  T + "test_identity_sweep_small_depth"],
+    },
+    {
+        "name": "gap-floored-at-0",
+        "file": SBTREE,
+        "old": "    return max(1, left_degree - right_degree + 1)\n",
+        "new": "    return max(0, left_degree - right_degree + 1)\n",
+        "tests": [T + "test_packed_walker_matches_deform",
+                  T + "test_jet_walker_matches_polynomial_walker",
+                  T + "test_identity_sweep_small_depth"],
+    },
+    {
+        "name": "jet-digits-in-base-2-to-the-width",
+        "file": SBTREE,
+        "old": "    h = (1 << width) - 1\n",
+        "new": "    h = 1 << width\n",
         "tests": [T + "test_jet_walker_matches_polynomial_walker",
                   T + "test_identity_sweep_small_depth"],
     },
     {
-        "name": "jet-denominator-degree-one-too-small",
+        "name": "jet-walk-at-the-polynomial-width",
         "file": SBTREE,
-        "old": "    frame.taylor = n, d, deg_r + xi\n",
-        "new": "    frame.taylor = n, d, deg_r + xi - 1\n",
-        "tests": [T + "test_jet_walker_matches_polynomial_walker",
-                  T + "test_identity_sweep_small_depth"],
+        "old": "partial(_jet_frame, _window_width(m, bound))",
+        "new": "partial(_jet_frame, _window_width(m, _largest_denominator(depth)))",
+        "tests": [T + "test_jet_walker_matches_polynomial_walker"],
+    },
+    {
+        "name": "jet-numerator-digits-not-negated-back",
+        "file": SBTREE,
+        "old": "    n = [-s for s in n] if frame.a < 0 else n\n",
+        "new": "    n = n\n",
+        "tests": [T + "test_jet_walker_matches_polynomial_walker"],
     },
     {
         "name": "shape-cache-keyed-on-order-alone",
@@ -88,7 +119,7 @@ MUTANTS = [
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
-        "name": "jet-value-guard-deleted",
+        "name": "jet-digit-0-guard-deleted",
         "file": SBTREE,
         "old": "    if n[0] != frame.a or d[0] != frame.b:\n",
         "new": "    if False:\n",
@@ -119,17 +150,10 @@ MUTANTS = [
         "tests": [T + "test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built"],
     },
     {
-        "name": "packed-xi-one-too-large",
-        "file": SBTREE,
-        "old": "    frame.xi = _degree_gap(deg_l, deg_r)\n",
-        "new": "    frame.xi = _degree_gap(deg_l, deg_r) + 1\n",
-        "tests": [T + "test_packed_walker_matches_deform"],
-    },
-    {
         "name": "packed-width-one-byte-short",
         "file": SBTREE,
-        "old": "    width = _window_width(m, bound)\n",
-        "new": "    width = _window_width(m, bound) - 8\n",
+        "old": "    width = _window_width(m, _largest_denominator(depth))\n",
+        "new": "    width = _window_width(m, _largest_denominator(depth)) - 8\n",
         "tests": [T + "test_packed_walker_matches_deform"],
     },
     {

@@ -25,16 +25,16 @@ each, with s₁,₃ from the Euclid descent; d1_literal and d2_literal here
 assemble them from their Fraction parts, (x² − x + 1 − f(x)²)/2 and
 F + f²·G − 20·s₁,₃, and literal_s_sum is the O(b) defining sum of s_{i,j}.
 
-The package's identity sweep walks Taylor data at q = 1, checks each
-lineage shape once and sums one integer term per member for the order-5
-correction; identity_sweep here walks polynomials, repeats every check per
-lineage and takes the correction in its literal Fraction form (correction,
-with s₁,₃ from s_sum as imported here).  The package's lineage_extract
-jumps along the branch word one run at a time; lineage_extract_by_search
-here takes one checked Farey step and keeps one frame per level, then
-rebuilds members 3..m by the package's packed build step.  Both call the
-package's other helpers through the sbtree module, so a test that patches
-one patches both sides.
+The package's identity sweep walks the tree's pairs modulo (2^W − 1)³,
+checks each lineage shape once and sums one integer term per member for
+the order-5 correction; identity_sweep here walks polynomials, repeats
+every check per lineage and takes the correction in its literal Fraction
+form (correction, with s₁,₃ from s_sum as imported here).  The package's
+lineage_extract jumps along the branch word one run at a time;
+lineage_extract_by_search here takes one checked Farey step and keeps one
+frame per level, then rebuilds members 3..m by the package's packed build
+step.  Both call the package's other helpers through the sbtree module,
+so a test that patches one patches both sides.
 """
 import math
 from fractions import Fraction
@@ -200,10 +200,10 @@ def correction(lin, C: tuple[Fraction, ...], lattice=None) -> Fraction:
 def lineage_extract_by_search(x, m: int):
     """sbtree.lineage_extract by the Fraction-level Stern–Brocot search for
     x from ⌊x⌋ and ⌊x⌋ + 1, one checked Farey step and one frame per level
-    of depth, each given its depth and path; members 3..m, the last m − 2
-    frames, are rebuilt by the package's packed build step, which packs
-    members 1 and 2 from their continued fractions.  The caller ensures
-    x's depth is at least m − 2."""
+    of depth, each given its depth and path; members 1 and 2 are packed
+    from their continued fractions (sbtree._pack), and members 3..m, the
+    last m − 2 frames, rebuilt by the package's packed build step.  The
+    caller ensures x's depth is at least m − 2."""
     x = Fraction(x)
     path = _depth_and_path(to_cfrac(x))[1]
     stack = [sbtree.Frame(v, 1) for v in (math.floor(x), math.floor(x) + 1)]
@@ -215,6 +215,8 @@ def lineage_extract_by_search(x, m: int):
         stack[k].depth, stack[k].path = k - 2, path[:k - 1]
         lo, hi = (lo, k) if x < stack[k].value else (k, hi)
     width = sbtree._window_width(math.floor(x), x.denominator)
+    for fr in sbtree._lineage_members(stack, m)[0][:2]:
+        sbtree._pack(fr, width)
     for k in range(len(stack) - m + 2, len(stack)):
         fr = stack[k]
         stack[k] = sbtree._packed_frame(width, stack, fr.lo, fr.hi, fr.depth, fr.path)

@@ -18,6 +18,7 @@ from qrationals.exact import (
     PoleAtOneError,
     RatFunc,
     _cleared_jets,
+    _taylor_at_one,
     derivative_at_one,
 )
 from qrationals.qdeform import QRational, _expansion, _tower, _unpack, deform
@@ -26,8 +27,8 @@ from qrationals.sbtree import (
     InsufficientDepthError,
     VanishingLineageError,
     _degree_gap,
-    _farey,
     _jet_frame,
+    _jet_walk,
     _lineage_from_stack,
     _lineage_members,
     _walk,
@@ -193,7 +194,7 @@ def test_cfrac_table_is_the_tower_on_every_node(depth):
         assert pair == _stripped(_tower(_expansion(a, b), width), width), (a, b)
 
 
-@pytest.mark.parametrize("build", [partial(sbtree._packed_frame, 16), _jet_frame],
+@pytest.mark.parametrize("build", [partial(sbtree._packed_frame, 16), partial(_jet_frame, 16)],
                          ids=["packed", "jet"])
 def test_walk_yields_each_node_once_in_increasing_value(build):
     """With each node builder, the walk yields one reused ancestor stack
@@ -238,22 +239,49 @@ def test_tree_equals_cfrac_construction_on_shifted_windows(start):
         assert node.deform == deform(node.value).deform, node.value
 
 
-@pytest.mark.parametrize("start", [-2, 0, 3])
-def test_jet_walker_matches_polynomial_walker(start):
-    """The walk on Taylor data builds, node by node, what the polynomial
-    walk builds: value, parents, ξ, the Taylor data at q = 1 of the
-    canonical pair (so the denominator degree and N(1), D(1)) and the
-    cleared jets, which _cleared_jets derives from the polynomial frame's
-    pair."""
-    walked = 0
-    for poly, jets in zip(walk_qtree(start, 8), _walk(start, 8, _jet_frame)):
+@pytest.mark.parametrize("start, depth, top", [(-2, 8, 1820), (0, 8, 909), (3, 8, 5364),
+                                               (-7, 12, 190856), (7, 12, 223456)],
+                         ids=["-2", "0", "3", "-7-depth12", "7-depth12"])
+def test_jet_walker_matches_polynomial_walker(start, depth, top):
+    """The walk modulo (2^W − 1)³ builds, node by node, what the polynomial
+    walk builds: value, parents, ξ, the denominator degree and the cleared
+    jets, which _cleared_jets derives from the polynomial frame's pair.
+    The largest h² coefficient at q = 1 + h of a stored word is top, past
+    the polynomial walk's width (8 bits in window 0 at depth 8, 16 bits
+    elsewhere here).  A jet frame has no node."""
+    walked = biggest = 0
+    for poly, jets in zip(walk_qtree(start, depth), _jet_walk(start, depth)):
         assert len(poly) == len(jets)
         p, j = poly[-1], jets[-1]
-        assert (j.value, j.lo, j.hi, j.xi) == (p.value, p.lo, p.hi, p.xi)
-        assert j.taylor == p.taylor
-        assert j.cleared_jets == _cleared_jets(p.node.deform, 2)[1]
+        assert (j.value, j.lo, j.hi, j.xi, j.residues[2]) == \
+            (p.value, p.lo, p.hi, p.xi, p.packed[2])
+        rf = p.node.deform
+        assert j.cleared_jets == _cleared_jets(rf, 2)[1]
+        biggest = max(biggest, abs(_taylor_at_one(rf.num, 2)[2]), _taylor_at_one(rf.den, 2)[2])
         walked += 1
-    assert walked == 2 ** 9 - 1
+    assert walked == 2 ** (depth + 1) - 1
+    assert biggest == top
+    with pytest.raises(TypeError):  # residues are not a pair: no node
+        jets[-1].node
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([8, 16, 32, 64]).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (2 ** w - 2) // 20), max_size=6))))
+@example((8, [254]))
+@example((8, [0, 254]))
+@example((8, [0, 0, 0, 0, 39, 2]))
+def test_taylor_digits_are_the_taylor_data_at_one(case):
+    """For a polynomial P with nonnegative coefficients whose h^0..h^2
+    coefficients s_j at q = 1 + h (_taylor_at_one) are at most
+    h − 1 = 2^W − 2, the base-h digits of P(2^W) mod h³ are s_0, s_1, s_2;
+    the examples reach h − 1 in s_0, s_1 and s_2."""
+    width, coeffs = case
+    h = (1 << width) - 1
+    s = _taylor_at_one(IntPoly(coeffs), 2)
+    assert max(s) <= h - 1
+    packed = sum(c << i * width for i, c in enumerate(coeffs))
+    assert sbtree._taylor_digits(packed % h ** 3, h) == s
 
 
 # -- Δ_i -------------------------------------------------------------------
@@ -509,18 +537,17 @@ def test_lineage_extract_matches_the_farey_step_search(ab, m):
 def _build_as(monkeypatch, value):
     """Make the build step take the degree gap ξ = 0 at the node of the
     given value, as a wrong gap there would: its pair is then the plain
-    sum of its parents' pairs.  The build step takes the gap right after
-    it makes the node's frame (_farey), so the patched gap reads the value
-    off the last frame made."""
-    made = []
+    sum of its parents' pairs.  The one step (_mediant) takes the gap once
+    per node, so the patched gap asks whether that step's parents sum to
+    the value."""
+    real, here = sbtree._mediant, []
 
-    def farey(stack, lo, hi):
-        made.append(_farey(stack, lo, hi))
-        return made[-1]
-    monkeypatch.setattr(sbtree, "_farey", farey)
+    def mediant(stack, lo, hi, *pairs):
+        here[:] = [Fr(stack[lo].a + stack[hi].a, stack[lo].b + stack[hi].b) == value]
+        return real(stack, lo, hi, *pairs)
+    monkeypatch.setattr(sbtree, "_mediant", mediant)
     monkeypatch.setattr(sbtree, "_degree_gap",
-                        lambda left, right: 0 if made[-1].value == value
-                        else _degree_gap(left, right))
+                        lambda left, right: 0 if here[0] else _degree_gap(left, right))
 
 
 def test_corrupted_member_is_rejected_where_the_products_reject_it(monkeypatch):
@@ -697,26 +724,27 @@ def test_identity_sweep_reports_unscaled_failures(monkeypatch):
         assert lhs != rhs
 
 
-def _jets_as(monkeypatch, value, other):
-    """Make the jet build step compute the Taylor data of value's weighted
-    mediant as other's, as a wrong mediant would."""
-    real, want, wrong = sbtree._taylor_mediant, \
-        sbtree.Frame(value.numerator, value.denominator).taylor[:2], \
-        sbtree.Frame(other.numerator, other.denominator).taylor[:2]
+def _pair_as(monkeypatch, value, other):
+    """Make the one step (_mediant) build value's node with other's packed
+    pair, as a wrong mediant would."""
+    real = sbtree._mediant
 
-    def mediant(left, right, xi):
-        got = real(left, right, xi)
-        return wrong if got == want else got
-    monkeypatch.setattr(sbtree, "_taylor_mediant", mediant)
+    def mediant(stack, lo, hi, left, right, width):
+        frame, *pair = real(stack, lo, hi, left, right, width)
+        if frame.value == value:
+            pair = sbtree._pack(sbtree.Frame(other.numerator, other.denominator), width)
+        return frame, *pair
+    monkeypatch.setattr(sbtree, "_mediant", mediant)
 
 
 def test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant(monkeypatch):
     """Each node is checked where it is built to be its parents' weighted
     mediant: with 3/8 built with the degree gap 0, lineage_extract and the
-    packed walk raise naming 3/8, and with 3/8's Taylor data built as
-    2/5's, so does the identity sweep."""
+    packed walk raise naming 3/8, and with 3/8 built as 2/5's pair, whose
+    q⁰ words are its window's but whose N(1), D(1) are not 3/8's, so does
+    the identity sweep."""
     with monkeypatch.context() as patch:
-        _jets_as(patch, Fr(3, 8), Fr(2, 5))
+        _pair_as(patch, Fr(3, 8), Fr(2, 5))
         with pytest.raises(ValueError, match="at node 3/8: not the weighted mediant"):
             identity_sweep(4)
     _build_as(monkeypatch, Fr(3, 8))
