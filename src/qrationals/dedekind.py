@@ -126,7 +126,7 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     at its own pair, O(digits of b) in size.  That descent is one integer
     kernel, _s13_cleared(a, b) = 120·b⁴·s(a, b); this path is the Fraction
     u/(120·b⁴) over it, and closedforms.d2_closed and the order-5 lineage
-    correction (sbtree.Frame.term) read u directly."""
+    correction (sbtree._term) read u directly."""
     if b < 1:
         raise ValueError("modulus must be >= 1")
     _check_index(i)

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import mul
 from typing import Iterator
 
 from .exact import (
@@ -106,16 +107,17 @@ class Frame:
     b > 0, the stack indices of its left (smaller) parent lo and right
     (greater) parent hi and the degree gap xi of their weighted mediant
     (None at the window endpoints), and, computed on first use, the value
-    a/b as a Fraction, the node (value, canonical pair, depth, path) and
-    term, the node's integer term of the order-5 correction.
+    a/b as a Fraction and the node (value, canonical pair, depth, path).
 
     The packed builder keeps the node's pair as packed = (N, D, deg D) at
     q = 2^width (qdeform._packed_pair), with the walk's depth and path, and
     packs a parent it did not build on first use (_pack); the node is that
     pair unpacked, and a frame with no packed pair has none.  The jet
     builder keeps residues = (N, D, deg D) modulo (2^width − 1)³, which are
-    not a pair, and the cleared jets.  Depth −1 and the empty path are the
-    window endpoints'; lineage_extract sets its first two members' own."""
+    not a pair, and the cleared jets; the identity sweep's builder adds the
+    node's identity values e4 and e5 (_identity_frame).  Depth −1 and the
+    empty path are the window endpoints'; lineage_extract sets its first two
+    members' own."""
 
     xi: int | None = None
     packed: tuple[int, int, int] | None = None
@@ -135,13 +137,6 @@ class Frame:
         num, den, _ = self.packed
         return QRational(self.value, _unpacked(num, den, self.width, self.a < 0),
                          self.depth, self.path)
-
-    @cached_property
-    def term(self) -> int:
-        """T = 6b(b − a) − 120·b⁴·s₁,₃(a, b) (dedekind._s13_cleared): 6b
-        times the node's term (b − a) − 20·b³·s₁,₃ of the order-5
-        correction (_cleared_correction)."""
-        return 6 * self.b * (self.b - self.a) - _s13_cleared(self.a, self.b)
 
 
 def _not_mediant(value: Fraction) -> ValueError:
@@ -194,6 +189,28 @@ def _jet_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
     if n[0] != frame.a or d[0] != frame.b:
         raise _not_mediant(frame.value)
     frame.cleared_jets = _series_quotient(n, d)[1]
+    return frame
+
+
+def _term(a: int, b: int) -> int:
+    """T = 6b(b − a) − 120·b⁴·s₁,₃(a, b) (dedekind._s13_cleared): 6b times
+    the term (b − a) − 20·b³·s₁,₃ of a/b in the order-5 correction
+    (_cleared_correction)."""
+    return 6 * b * (b - a) - _s13_cleared(a, b)
+
+
+def _identity_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
+                    path: str) -> Frame:
+    """The jet frame (_jet_frame) with the node's identity values e4 = E₄ =
+    2·J₁ + 1 and e5 = E₅ = 6b·J₂ − T, from its cleared jets J and its
+    correction term T (_term), two separate computations met only here.  As
+    Λ is linear and Λ(1) = L − Σc, a lineage's residual equals its
+    correction exactly when Λ(E₄) = 0 at order 4 and Λ(E₅·B/b) = 0 at
+    order 5, B = lcm(b_i) (identity_sweep)."""
+    frame = _jet_frame(width, stack, lo, hi, depth, path)
+    _, j1, j2 = frame.cleared_jets
+    frame.e4 = 2 * j1 + 1
+    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b)
     return frame
 
 
@@ -315,16 +332,23 @@ def _packed_walk(m: int, depth: int) -> tuple[int, Iterator[list[Frame]]]:
     return width, _walk(m, depth, partial(_packed_frame, width))
 
 
-def _jet_walk(m: int, depth: int) -> Iterator[list[Frame]]:
-    """The walk of walk_qtree modulo (2^W − 1)³ (_jet_frame), at a width W
-    whose 2^W − 1 exceeds every stored word's s_j, j ≤ 2, the h^j
+def _jet_width(m: int, depth: int) -> int:
+    """The width W of the walk modulo (2^W − 1)³ in window m to the given
+    depth: 2^W − 1 exceeds every stored word's s_j, j ≤ 2, the h^j
     coefficient at q = 1 + h.  A word P has nonnegative coefficients, so
     s_j ≤ C(deg P, j)·P(1), with P(1) ≤ max(−m, m + 1)·F_{depth+3} as in
     _packed_walk and deg P ≤ |m| + depth + 2, the |a_0| + a_1 + ... of a
-    node's expansion."""
+    node's expansion.  The words are never unpacked, so W is the bound's
+    bit length with one spare bit, not a whole number of bytes."""
     deg = abs(m) + depth + 2
-    bound = max(deg, math.comb(deg, 2)) * _largest_denominator(depth)
-    return _walk(m, depth, partial(_jet_frame, _window_width(m, bound)))
+    bound = max(deg, math.comb(deg, 2)) * max(-m, m + 1) * _largest_denominator(depth)
+    return bound.bit_length() + 1
+
+
+def _jet_walk(m: int, depth: int) -> Iterator[list[Frame]]:
+    """The walk of walk_qtree modulo (2^W − 1)³ (_jet_frame), W =
+    _jet_width(m, depth)."""
+    return _walk(m, depth, partial(_jet_frame, _jet_width(m, depth)))
 
 
 def build_qtree(m: int, depth: int) -> list[QRational]:
@@ -569,7 +593,7 @@ def _identity_order(lin: Lineage) -> int:
 
 def _lam(L: int, c: list[int], h: list) -> Rat:
     """L·Λ(h) = L·h_m − Σ_{i<m} c_i·h_i for values h_1..h_m of the members."""
-    return L * h[-1] - sum(ci * hi for ci, hi in zip(c, h))
+    return L * h[-1] - sum(map(mul, c, h))
 
 
 def _scale(L: int, values: list[Fraction]) -> int:
@@ -613,7 +637,8 @@ def identity_correction(lin: Lineage) -> Rat:
     1/b_m².  Order 5: [Λ(b−a) − 20·Λ(b³·s)]/b_m³, where Λ(h) = h(member m) −
     Σ C_i·h(member i) on the reduced members and s is the (1,3) generalized
     Dedekind sum.  Both forms hold exactly on every non-vanishing lineage.
-    Computed in integers as identity_sweep does (_cleared_correction).
+    Computed in integers (_cleared_correction), which identity_sweep, as it
+    checks Λ(E) = 0, builds only for a failing record.
     """
     _identity_order(lin)
     L, c = _lineage_lagrange(lin)
@@ -626,12 +651,13 @@ def _cleared_correction(frames: list[Frame], L: int, c: list[int]) -> tuple[int,
     """L·b_m^{m−2} times the correction, for the members' frames, as
     (numerator, denominator): (Σc − L)/2 at order 4, which depends on the
     lineage's weights alone.  At order 5, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) is
-    L·Λ(T/(6b)) on the members' integer terms T (Frame.term), so over
-    B = lcm(b_i) it is one integer sum, L·Λ(T·(B/b)), over 6B."""
+    L·Λ(T/(6b)) on the members' integer terms T (_term), so over
+    B = lcm(b_i) it is one integer sum, L·Λ(T·(B/b)), over 6B.
+    identity_sweep checks Λ(E) = 0 and builds this for a failing record."""
     if len(frames) == 4:
         return sum(c) - L, 2
     B = math.lcm(*(fr.b for fr in frames))
-    return _lam(L, c, [fr.term * (B // fr.b) for fr in frames]), 6 * B
+    return _lam(L, c, [_term(fr.a, fr.b) * (B // fr.b) for fr in frames]), 6 * B
 
 
 # --------------------------------------------------------------------------
@@ -735,16 +761,19 @@ def identity_sweep(depth: int) -> dict:
     equals its closed-form correction, and the coefficient moment identities
     Σ C_i·f_i^j·g_i^{m−2−j} = f_m^j·g_m^{m−2−j} hold for j = 0..m−2.
 
-    The walk is the packed walk modulo (2^W − 1)³ (_jet_walk), which checks
+    The walk is _jet_walk's, the packed walk modulo (2^W − 1)³, which checks
     at each node that the built N(1), D(1) are its reduced a, b (ValueError
     naming it otherwise); appendixA's walk checks the full canonical pairs.
     Per lineage shape (order and parent pattern, at most 2^{m−2} of each
     order), computed once: the weights at q = 1, the Lagrange numerators
     c_i over their common denominator L, and the moment identities.  Per
-    lineage, in integers: the residual from the members' cleared jets
-    against the correction (_cleared_correction), which at order 5 is one
-    sum over the members' terms; jets and terms are each computed once per
-    node.
+    node, where the walk builds it (_identity_frame): the integers E₄ =
+    2·J₁ + 1 and E₅ = 6b·J₂ − T from its cleared jets J and, computed
+    apart, its correction term T.  Per lineage, one integer sum: the
+    residual equals the correction exactly when L·Λ(E₄) = 0 at order 4 and
+    L·Λ(E₅·B/b) = 0 at order 5, B = lcm(b_i).  Only a failing lineage
+    builds its two sides, the residual from the members' cleared jets and
+    the correction (_cleared_correction), for its record.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
     tuple (m, value, identity, lhs, rhs) per failing lineage (empty = pass),
@@ -754,7 +783,7 @@ def identity_sweep(depth: int) -> dict:
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
     shapes: dict = {}
-    for stack in _jet_walk(0, depth):
+    for stack in _walk(0, depth, partial(_identity_frame, _jet_width(0, depth))):
         node = stack[-1]
         for m in (4, 5):
             if len(stack) - 3 < m - 2:  # the node's depth
@@ -767,9 +796,14 @@ def identity_sweep(depth: int) -> dict:
             if key not in shapes:
                 shapes[key] = _shape_checks(m, parents)
             L, c, moment = shapes[key]
-            resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
-            num, den = _cleared_correction(frames, L, c)
-            if resid * den != num:
+            if m == 4:
+                values = [fr.e4 for fr in frames]
+            else:
+                B = math.lcm(*(fr.b for fr in frames))
+                values = [fr.e5 * (B // fr.b) for fr in frames]
+            if _lam(L, c, values):
+                resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
+                num, den = _cleared_correction(frames, L, c)
                 scale = _scale(L, [fr.value for fr in frames])
                 failures.append((m, node.value, "residual", Fraction(resid, scale),
                                  Fraction(num, den * scale)))

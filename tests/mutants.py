@@ -81,9 +81,10 @@ MUTANTS = [
     {
         "name": "jet-walk-at-the-polynomial-width",
         "file": SBTREE,
-        "old": "partial(_jet_frame, _window_width(m, bound))",
-        "new": "partial(_jet_frame, _window_width(m, _largest_denominator(depth)))",
-        "tests": [T + "test_jet_walker_matches_polynomial_walker"],
+        "old": "    return bound.bit_length() + 1\n",
+        "new": "    return _window_width(m, _largest_denominator(depth))\n",
+        "tests": [T + "test_jet_walker_matches_polynomial_walker",
+                  "tests/test_fit.py::test_plot_data_csv_pinned_digests"],
     },
     {
         "name": "jet-numerator-digits-not-negated-back",
@@ -103,19 +104,56 @@ MUTANTS = [
     {
         "name": "correction-term-s13-sign-flipped",
         "file": SBTREE,
-        "old": "        return 6 * self.b * (self.b - self.a) - _s13_cleared(self.a, self.b)\n",
-        "new": "        return 6 * self.b * (self.b - self.a) + _s13_cleared(self.a, self.b)\n",
+        "old": "    return 6 * b * (b - a) - _s13_cleared(a, b)\n",
+        "new": "    return 6 * b * (b - a) + _s13_cleared(a, b)\n",
         "tests": [T + "test_identity_correction_equals_the_literal_form",
+                  T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
+        # the sweep builds the correction only for a failing record
         "name": "correction-lcm-replaced-by-last-denominator",
         "file": SBTREE,
-        "old": "    B = math.lcm(*(fr.b for fr in frames))\n",
-        "new": "    B = frames[-1].b\n",
+        "old": "        return sum(c) - L, 2\n    B = math.lcm(*(fr.b for fr in frames))\n",
+        "new": "        return sum(c) - L, 2\n    B = frames[-1].b\n",
         "tests": [T + "test_identity_correction_equals_the_literal_form",
+                  T + "test_identity_sweep_reports_unscaled_failures",
+                  T + "test_identity_sweep_fails_where_a_nodes_jets_are_wrong"],
+    },
+    {
+        "name": "identity-e4-without-its-plus-one",
+        "file": SBTREE,
+        "old": "    frame.e4 = 2 * j1 + 1\n",
+        "new": "    frame.e4 = 2 * j1\n",
+        "tests": [T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "identity-e5-with-6-in-place-of-6b",
+        "file": SBTREE,
+        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b)\n",
+        "new": "    frame.e5 = 6 * j2 - _term(frame.a, frame.b)\n",
+        "tests": [T + "test_identity_values_are_the_literal_sides",
+                  T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "identity-e5-read-from-j1",
+        "file": SBTREE,
+        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b)\n",
+        "new": "    frame.e5 = 6 * frame.b * j1 - _term(frame.a, frame.b)\n",
+        "tests": [T + "test_identity_values_are_the_literal_sides",
+                  T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "identity-order-5-values-not-scaled-by-lcm-over-b",
+        "file": SBTREE,
+        "old": "values = [fr.e5 * (B // fr.b) for fr in frames]",
+        "new": "values = [fr.e5 for fr in frames]",
+        "tests": [T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {

@@ -1,6 +1,7 @@
 """Exact coefficient recovery for the derivative ansatzes, the lattice-sum
 feature column, and the plot-data export."""
 import csv
+import hashlib
 import io
 import math
 from fractions import Fraction as Fr
@@ -176,3 +177,13 @@ def test_plot_data_csv_depth1():
         "0.500000000000,0.250000000000,2,0",
         "0.666666666667,0.333333333333,3,1",
     ]
+
+
+@pytest.mark.parametrize("start, digest", [
+    (-1999, "c994cafe94affec2912a621a62a4aae534c7bfef7eaea22343ac0d45b1688c78"),
+    (7, "e10c8f0e6e57d4dc6115c8195dc3eb6beaeaa3ade3b0c5e25f3454e24f061b37"),
+])
+def test_plot_data_csv_pinned_digests(start, digest):
+    """The depth-12 order-2 CSV of the widest windows CI plots, pinned by
+    SHA-256: a change to the walk or its width must not change the plot."""
+    assert hashlib.sha256(plot_data_csv(12, 2, start).encode()).hexdigest() == digest

@@ -27,8 +27,10 @@ from qrationals.sbtree import (
     InsufficientDepthError,
     VanishingLineageError,
     _degree_gap,
+    _identity_frame,
     _jet_frame,
     _jet_walk,
+    _jet_width,
     _lineage_from_stack,
     _lineage_members,
     _walk,
@@ -239,16 +241,19 @@ def test_tree_equals_cfrac_construction_on_shifted_windows(start):
         assert node.deform == deform(node.value).deform, node.value
 
 
-@pytest.mark.parametrize("start, depth, top", [(-2, 8, 1820), (0, 8, 909), (3, 8, 5364),
-                                               (-7, 12, 190856), (7, 12, 223456)],
+@pytest.mark.parametrize("start, depth, top, width",
+                         [(-2, 8, 1820, 15), (0, 8, 909, 13), (3, 8, 5364, 16),
+                          (-7, 12, 190856, 21), (7, 12, 223456, 21)],
                          ids=["-2", "0", "3", "-7-depth12", "7-depth12"])
-def test_jet_walker_matches_polynomial_walker(start, depth, top):
+def test_jet_walker_matches_polynomial_walker(start, depth, top, width):
     """The walk modulo (2^W − 1)³ builds, node by node, what the polynomial
     walk builds: value, parents, ξ, the denominator degree and the cleared
     jets, which _cleared_jets derives from the polynomial frame's pair.
     The largest h² coefficient at q = 1 + h of a stored word is top, past
     the polynomial walk's width (8 bits in window 0 at depth 8, 16 bits
-    elsewhere here).  A jet frame has no node."""
+    elsewhere here).  W is the jet bound's bit length plus a spare bit,
+    not rounded to bytes.  A jet frame has no node."""
+    assert _jet_width(start, depth) == width
     walked = biggest = 0
     for poly, jets in zip(walk_qtree(start, depth), _jet_walk(start, depth)):
         assert len(poly) == len(jets)
@@ -570,9 +575,10 @@ def test_corrupted_member_is_rejected_where_the_products_reject_it(monkeypatch):
                 members = [*lin.members[:k - 1], new, *lin.members[k:]]
                 assert _first_member_not_rebuilt(members, lin.zeta) == \
                     (max(k, 3) if m > 2 else None)
-                _build_as(monkeypatch, old.value)
-                with pytest.raises(ValueError, match=f"at node {old.value}: "):
-                    list(walk_qtree(0, old.node.depth))
+                with monkeypatch.context() as patch:  # one patch at a time, not nested
+                    _build_as(patch, old.value)
+                    with pytest.raises(ValueError, match=f"at node {old.value}: "):
+                        list(walk_qtree(0, old.node.depth))
                 rejected += 1
     assert rejected == 777
 
@@ -722,6 +728,52 @@ def test_identity_sweep_reports_unscaled_failures(monkeypatch):
         jets = [derivative_at_one_quotient(mem.deform, 2) for mem in lin.members]
         assert (lhs, rhs) == (oracles.scaled_sum(lin, C, jets), oracles.correction(lin, C))
         assert lhs != rhs
+
+
+@pytest.mark.parametrize("start", [-2, 0, 3])
+def test_identity_values_are_the_literal_sides(start):
+    """Each node's identity values to depth 6 are its two sides, each by
+    another route: E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T, with J₁, J₂ the
+    cleared jets of the node's polynomial pair (_cleared_jets of deform)
+    and T = 6b(b − a) − 120·b⁴·s₁,₃ from the O(b) defining sum of s₁,₃."""
+    built = 0
+    for stack in _walk(start, 6, partial(_identity_frame, _jet_width(start, 6))):
+        node = stack[-1]
+        a, b = node.a, node.b
+        _, j1, j2 = _cleared_jets(deform(node.value).deform, 2)[1]
+        term = 6 * b * (b - a) - 120 * b ** 4 * oracles.literal_s_sum(1, 3, a, b)
+        assert (node.e4, node.e5) == (2 * j1 + 1, 6 * b * j2 - term), node.value
+        built += 1
+    assert built == 2 ** 7 - 1
+
+
+def test_identity_sweep_fails_where_a_nodes_jets_are_wrong(monkeypatch):
+    """With 3/8's cleared jets J₁ and J₂ each one too large on the sweep's
+    side only (sbtree's _series_quotient), exactly the non-vanishing order-4
+    and order-5 lineages with 3/8 as a member fail, each reported as the
+    residual of the wrong jets against the unchanged correction."""
+    series_quotient = sbtree._series_quotient
+
+    def wrong_at_3_8(n, d):
+        b, J = series_quotient(n, d)
+        return b, (J[:1] + [J[1] + 1, J[2] + 1] if (n[0], d[0]) == (3, 8) else J)
+    monkeypatch.setattr(sbtree, "_series_quotient", wrong_at_3_8)
+    expected = []
+    for stack in walk_qtree(0, 6):
+        for m in (4, 5):
+            if stack[-1].node.depth < m - 2:
+                continue
+            lin, _ = _lineage_from_stack(stack, m)
+            if lin.vanishing or Fr(3, 8) not in _values(lin):
+                continue
+            C = oracles.lagrange_coefficients(lin)
+            jets = [derivative_at_one_quotient(mem.deform, m - 3)
+                    + (mem.value == Fr(3, 8)) * Fr(1, 8 ** (m - 2)) for mem in lin.members]
+            expected.append((m, stack[-1].value, "residual", oracles.scaled_sum(lin, C, jets),
+                             oracles.correction(lin, C)))
+    res = identity_sweep(6)
+    assert {m for m, *_ in expected} == {4, 5}
+    assert res == {"checked": {4: 104, 5: 88}, "failures": expected}
 
 
 def _pair_as(monkeypatch, value, other):
