@@ -43,13 +43,15 @@ __all__ = ["main", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH", "MAX_CHECK_SCALE",
 MAX_DEFORM_DEGREE = 2000
 # bounds tree, plot and lineage; `qrat check` sets its depths by --scale
 MAX_TREE_DEPTH = 12
-# `qrat check --scale 2` runs every sweep in 10-14 s on a 2-core host, about
-# three quarters of it in bridges; the sweeps grow roughly cubically with the scale.
+# `qrat check --scale 2` runs every sweep in 3.4-5.4 s on a 2-core host, about
+# half of it in battery and 0.4-0.6 s in bridges; the sweeps grow roughly
+# cubically with the scale.
 MAX_CHECK_SCALE = 2
 # dedekind s|h|battery reach the O(b) lattice sum, which serves every index
-# pair but (1, 3): about 0.2 s at b = 10^5 on the same host, and 3.3 s for a
-# battery at q = 10^5, which sums over q and 2q many times.  derive --order 2
-# needs only s_{1,3}, an O(log b) descent, so MAX_DEFORM_DEGREE bounds it.
+# pair but (1, 3): about 0.25 s at b = 10^5 on the same host, start-up
+# included, and 4-5 s for a battery at q = 10^5, which sums over q and 2q many
+# times.  derive --order 2 needs only s_{1,3}, an O(log b) descent, so
+# MAX_DEFORM_DEGREE bounds it.
 MAX_LATTICE_MODULUS = 10 ** 5
 
 _FRACTION_RE = re.compile(r"[+-]?\d+(/\d+)?")

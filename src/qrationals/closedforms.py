@@ -14,13 +14,14 @@ with G(x) = 1 − x, and the term −20·s_{1,3} = −u/(6b⁴) with u =
     (2b·(a³ − 3a²b + 5ab² − 3b³) + 6b·(b − a) − u) / (6b⁴).
 
 The s_{1,3} term is the paper's ⟨n/a⟩_b-weighted lattice sum
-+20·Σ_{n<b} ⟨n/a⟩_b·H(n/b), equal to −20·s_{1,3} by the bridges here.  u
-comes from dedekind._s13_cleared, the integer kernel behind s_sum's (1, 3)
-path: O(log b) steps of Apostol's reciprocity law, u(a, b) = (a·b·(5a²b² −
-a⁴ − b⁴ − 3) − b²·u(b mod a, a))/a², folded bottom-up over the Euclid chain
-of (a, b); the bridges check it against the literal bracket sums and against
-the O(b) loop through s_{3,1}(a^{−1}, b).  The literal Fraction forms of F
-and G are test oracles.
++20·Σ_{n<b} ⟨n/a⟩_b·H(n/b), H(x) = x²(1 − x), equal to −20·s_{1,3} by the
+bridges here.  u comes from dedekind._s13_cleared, the integer kernel behind
+s_sum's (1, 3) path: O(log b) steps of Apostol's reciprocity law, u(a, b) =
+(a·b·(5a²b² − a⁴ − b⁴ − 3) − b²·u(b mod a, a))/a², folded bottom-up over the
+Euclid chain of (a, b); the bridges check it against the bracket sums, one
+integer pass and one division each, and against the O(b) loop through
+s_{3,1}(a^{−1}, b).  The literal Fraction forms of F, G and the bracket sums
+are test oracles.
 """
 from __future__ import annotations
 
@@ -63,14 +64,8 @@ def mod_inverse(a: int, b: int) -> int:
 
 
 def bracket(n: int, a: int, b: int) -> Rat:
-    """⟨n/a⟩_b = (a^{−1}·n mod b)/b − 1/2."""
-    return Fraction(mod_inverse(a, b) * n % b, b) - Fraction(1, 2)
-
-
-def H(x: Rat) -> Rat:
-    """Lattice-sum weight x²(1 − x) of the second-derivative closed form."""
-    x = Fraction(x)
-    return x * x * (1 - x)
+    """⟨n/a⟩_b = (a^{−1}·n mod b)/b − 1/2 = (2r − b)/(2b), r = a^{−1}·n mod b."""
+    return Fraction(2 * (mod_inverse(a, b) * n % b) - b, 2 * b)
 
 
 def d1_closed(x: Rat) -> Rat:
@@ -96,8 +91,13 @@ def d2_closed(a: int, b: int) -> Rat:
 
 
 def bracket_weight_sum(a: int, b: int) -> Rat:
-    """Σ_{n=1}^{b−1} ⟨n/a⟩_b·H(n/b), literally; equals −s_{1,3}(a, b)."""
-    return sum(bracket(n, a, b) * H(Fraction(n, b)) for n in range(1, b))
+    """Σ_{n=1}^{b−1} ⟨n/a⟩_b·H(n/b) with H(x) = x²(1 − x); equals
+    −s_{1,3}(a, b).  With r = a^{−1}·n mod b, ⟨n/a⟩_b = (2r − b)/(2b) and
+    H(n/b) = n²(b − n)/b³, so it is Σ (2r − b)·n²·(b − n) over 2b⁴: one
+    integer pass and one division."""
+    inv = mod_inverse(a, b)
+    return Fraction(sum((2 * (inv * n % b) - b) * n * n * (b - n) for n in range(1, b)),
+                    2 * b ** 4)
 
 
 def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
@@ -106,19 +106,23 @@ def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
       substitution: Σ ⟨n/a⟩_b·H(n/b) = −s_{1,3}(a, b)
       symmetry:     s_{3,1}(a^{−1}, b) = s_{1,3}(a, b)
       zero_sum:     Σ ⟨n/a⟩_b·(n/b)(1 − n/b) = 0
-    Each failure is recorded as (a, b, lhs, rhs); empty lists = all hold.
+    The bracket sides read ⟨n/a⟩_b and the weights in integers, never a
+    Bernoulli polynomial or the s_{1,3} descent; the zero-sum side is
+    Σ (2r − b)·n·(b − n) over 2b³, r = a^{−1}·n mod b.  Each failure is
+    recorded as (a, b, lhs, rhs); empty lists = all hold.
     """
     out = {"substitution": [], "symmetry": [], "zero_sum": []}
     for b in range(1, max_b + 1):
         for a in range(1, b + 1):
             if math.gcd(a, b) != 1:
                 continue
+            inv = mod_inverse(a, b)
             s13 = s_sum(1, 3, a, b)
+            zero = sum((2 * (inv * n % b) - b) * n * (b - n) for n in range(1, b))
             sides = {
                 "substitution": (bracket_weight_sum(a, b), -s13),
-                "symmetry": (s_sum(3, 1, mod_inverse(a, b), b), s13),
-                "zero_sum": (sum(bracket(n, a, b) * Fraction(n, b) * (1 - Fraction(n, b))
-                                 for n in range(1, b)), 0),
+                "symmetry": (s_sum(3, 1, inv, b), s13),
+                "zero_sum": (Fraction(zero, 2 * b ** 3), 0),
             }
             for name, (lhs, rhs) in sides.items():
                 if lhs != rhs:

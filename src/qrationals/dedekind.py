@@ -76,9 +76,8 @@ def bernoulli_poly(i: int, x: Rat) -> Rat:
 
 @lru_cache(maxsize=None)
 def periodic_bernoulli(i: int, x: Rat) -> Rat:
-    """B_i of the fractional part of x.  No package code calls it: it is the
-    factor of the tests' literal lattice sum, and perfbench's cache reset
-    still names it."""
+    """B_i of the fractional part of x.  No package code calls it: the tests
+    pin it, and perfbench's cache reset still names it."""
     x = Fraction(x)
     return bernoulli_poly(i, x - math.floor(x))
 
@@ -92,11 +91,13 @@ def _check_index(i: int) -> None:
 
 
 def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
-    """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b)."""
+    """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b):
+    the integer row C(i, k)·D·B_k, D the lcm of its denominators, scaled by
+    b^k, over d = D·b^i."""
     _check_index(i)
-    terms = [math.comb(i, k) * bernoulli_number(k) / b ** (i - k) for k in range(i + 1)]
-    d = math.lcm(*(t.denominator for t in terms))
-    return [t.numerator * (d // t.denominator) for t in terms], d
+    row = [math.comb(i, k) * bernoulli_number(k) for k in range(i + 1)]
+    d = math.lcm(*(t.denominator for t in row))
+    return [t.numerator * (d // t.denominator) * b ** k for k, t in enumerate(row)], d * b ** i
 
 
 @lru_cache(maxsize=S_SUM_CACHE_SIZE)
@@ -197,16 +198,16 @@ def reciprocity_residual(i: int, j: int, p: int, q: int) -> Rat:
         raise ValueError("indices must be >= 1")
     lhs = Fraction(0)
     for u in range(0, j + 1):
-        lhs += (-Fraction(q ** (i - 1)) * math.comb(i - 1 + u, i - 1)
-                * h_val(i - 1 + u, j - u, p, q) * Fraction(-p) ** u)
+        lhs += (-q ** (i - 1) * math.comb(i - 1 + u, i - 1)
+                * h_val(i - 1 + u, j - u, p, q) * (-p) ** u)
     for v in range(0, i + 1):
-        lhs += (Fraction(p ** (j - 1)) * math.comb(j - 1 + v, j - 1)
-                * h_val(j - 1 + v, i - v, q, p) * Fraction(-q) ** v)
+        lhs += (p ** (j - 1) * math.comb(j - 1 + v, j - 1)
+                * h_val(j - 1 + v, i - v, q, p) * (-q) ** v)
     B = bernoulli_number
-    rhs = (B(i - 1) * B(j) / Fraction(math.factorial(i - 1) * math.factorial(j))
-           * q * Fraction(-1) ** (j - 1)
-           + B(i) * B(j - 1) / Fraction(math.factorial(i) * math.factorial(j - 1))
-           * p * Fraction(-1) ** (j - 1))
+    rhs = (B(i - 1) * B(j) / (math.factorial(i - 1) * math.factorial(j))
+           * q * (-1) ** (j - 1)
+           + B(i) * B(j - 1) / (math.factorial(i) * math.factorial(j - 1))
+           * p * (-1) ** (j - 1))
     return lhs - rhs
 
 
@@ -239,7 +240,7 @@ def check_identities(p: int, q: int) -> list[dict]:
     for i in range(0, BATTERY_WEIGHT + 1):
         for j in range(0, BATTERY_WEIGHT + 1 - i):
             add("parity", (i, j, p, q),
-                h_val(i, j, -p, q) - Fraction(-1) ** j * h_val(i, j, p, q))
+                h_val(i, j, -p, q) - (-1) ** j * h_val(i, j, p, q))
             add("shift", (i, j, p, q),
                 h_val(i, j, p + q, q) - h_val(i, j, p, q))
 

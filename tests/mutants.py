@@ -43,6 +43,7 @@ EXACT = "src/qrationals/exact.py"
 T = "tests/test_sbtree.py::"
 Q = "tests/test_qdeform.py::"
 C = "tests/test_closedforms.py::"
+D = "tests/test_dedekind.py::"
 
 MUTANTS = [
     {
@@ -343,6 +344,58 @@ MUTANTS = [
         "tests": ["tests/test_dedekind.py::test_s13_cleared_is_the_literal_sum",
                   "tests/test_dedekind.py::test_s13_descent_matches_literal_sum",
                   C + "test_closed_forms_equal_their_literal_form"],
+    },
+    {
+        "name": "bracket-sum-2r-plus-b",
+        "file": CLOSEDFORMS,
+        "old": "- b) * n * n * (b - n)",
+        "new": "+ b) * n * n * (b - n)",
+        "tests": [D + "test_bracket_weight_sum_is_the_literal_sum",
+                  D + "test_bracket_weight_sum_fixture",
+                  D + "test_bridge_mismatches_all_empty"],
+    },
+    {
+        "name": "bracket-sum-with-a-for-its-inverse",
+        "file": CLOSEDFORMS,
+        "old": "    inv = mod_inverse(a, b)\n    return Fraction(",
+        "new": "    inv = a\n    return Fraction(",
+        "tests": [D + "test_bracket_weight_sum_is_the_literal_sum",
+                  D + "test_bracket_weight_sum_fixture",
+                  D + "test_bridge_mismatches_all_empty"],
+    },
+    {
+        "name": "bracket-sum-weight-n-not-n-squared",
+        "file": CLOSEDFORMS,
+        "old": "* n * n * (b - n)",
+        "new": "* n * (b - n)",
+        "tests": [D + "test_bracket_weight_sum_is_the_literal_sum",
+                  D + "test_bracket_weight_sum_is_the_literal_sum_at_wider_moduli",
+                  D + "test_bridge_mismatches_all_empty"],
+    },
+    {
+        "name": "bracket-sum-over-2b-cubed",
+        "file": CLOSEDFORMS,
+        "old": "2 * b ** 4)",
+        "new": "2 * b ** 3)",
+        "tests": [D + "test_bracket_weight_sum_is_the_literal_sum",
+                  D + "test_bracket_weight_sum_fixture",
+                  D + "test_bridge_mismatches_all_empty"],
+    },
+    {
+        "name": "zero-sum-pass-replaced-by-0",
+        "file": CLOSEDFORMS,
+        "old": "            zero = sum((2 * (inv * n % b) - b) * n * (b - n) for n in range(1, b))\n",
+        "new": "            zero = 0\n",
+        "tests": [D + "test_zero_sum_bridge_reports_a_multiplier_that_is_not_a_unit"],
+    },
+    {
+        "name": "bernoulli-row-scaled-by-b-to-the-i-minus-k",
+        "file": DEDEKIND,
+        "old": "* b ** k for k, t in enumerate(row)]",
+        "new": "* b ** (i - k) for k, t in enumerate(row)]",
+        "tests": [D + "test_bernoulli_poly_is_the_literal_polynomial",
+                  D + "test_bernoulli_poly_fixtures",
+                  D + "test_s_sum_matches_literal_sum"],
     },
     {
         # no rank changes: a new row is still reduced against every kept row.

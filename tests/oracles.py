@@ -1,9 +1,9 @@
 """Test-side oracles: the adjacency-checked Farey mediant, the weighted
 mediant of two canonical pairs, ℤ[q] sums, shifts and products, the
 quotient-rule derivative, the value of a continued fraction, Thomae's
-function, the literal lattice sum and closed forms, and the literal Fraction
-forms of the lineage identity (Lagrange coefficients, residual and
-correction).
+function, the literal lattice and bracket sums and closed forms, and the
+literal Fraction forms of the lineage identity (Lagrange coefficients,
+residual and correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
@@ -23,7 +23,12 @@ literal forms here take one Fraction per coefficient and per term.
 The package's closed forms are one integer numerator over one denominator
 each, with s₁,₃ from the Euclid descent; d1_literal and d2_literal here
 assemble them from their Fraction parts, (x² − x + 1 − f(x)²)/2 and
-F + f²·G − 20·s₁,₃, and literal_s_sum is the O(b) defining sum of s_{i,j}.
+F + f²·G − 20·s₁,₃.  literal_s_sum is the O(b) defining sum of s_{i,j},
+with its own periodic Bernoulli factor (literal_periodic_bernoulli, from
+bernoulli_number alone), so it shares no cleared Bernoulli row with the
+s_sum loop it checks.  The package's bracket sums are one integer pass each;
+literal_bracket_weight_sum and literal_zero_sum here take one Fraction per
+term, with ⟨n/a⟩_b from a given multiplier in place of a^{−1}.
 
 The package's identity sweep walks the tree's pairs modulo (2^W − 1)³,
 checks each lineage shape once and sums one integer term per member for
@@ -38,10 +43,11 @@ so a test that patches one patches both sides.
 """
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
 from qrationals import sbtree
-from qrationals.dedekind import periodic_bernoulli, s_sum
+from qrationals.dedekind import bernoulli_number, s_sum
 from qrationals.exact import IntPoly, RatFunc, _cleared_jets
 from qrationals.qdeform import _depth_and_path, to_cfrac
 
@@ -120,10 +126,48 @@ def thomae(x) -> Fraction:
     return Fraction(1, Fraction(x).denominator)
 
 
+@lru_cache(maxsize=None)
+def literal_periodic_bernoulli(i, x) -> Fraction:
+    """B̄_i(x) = Σ_k C(i, k)·B_k·{x}^{i−k} with {x} the fractional part of
+    x, one Fraction per term (memoized, as the literal sums revisit the same
+    points)."""
+    x = Fraction(x)
+    x -= math.floor(x)
+    return sum((math.comb(i, k) * bernoulli_number(k) * x ** (i - k) for k in range(i + 1)),
+               Fraction(0))
+
+
 def literal_s_sum(i, j, a, b) -> Fraction:
     """The defining sum Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) of s_{i,j}, term
     by term: the O(b) oracle for the Dedekind kernel."""
-    return sum((periodic_bernoulli(i, Fraction(n, b)) * periodic_bernoulli(j, Fraction(a * n, b))
+    return sum((literal_periodic_bernoulli(i, Fraction(n, b))
+                * literal_periodic_bernoulli(j, Fraction(a * n, b))
+                for n in range(1, b)), Fraction(0))
+
+
+def H(x) -> Fraction:
+    """Lattice-sum weight x²(1 − x) of the second-derivative closed form."""
+    x = Fraction(x)
+    return x * x * (1 - x)
+
+
+def literal_bracket(n, inv, b) -> Fraction:
+    """⟨n/a⟩_b = (a^{−1}·n mod b)/b − 1/2, with inv in place of a^{−1}."""
+    return Fraction(inv * n % b, b) - Fraction(1, 2)
+
+
+def literal_bracket_weight_sum(inv, b) -> Fraction:
+    """Σ_{n=1}^{b−1} ⟨n/a⟩_b·H(n/b), term by term, with inv in place of
+    a^{−1}."""
+    return sum((literal_bracket(n, inv, b) * H(Fraction(n, b)) for n in range(1, b)),
+               Fraction(0))
+
+
+def literal_zero_sum(inv, b) -> Fraction:
+    """Σ_{n=1}^{b−1} ⟨n/a⟩_b·(n/b)(1 − n/b), term by term, with inv in place
+    of a^{−1}: 0 whenever inv is a unit mod b, since n → b − n flips the
+    sign of every term."""
+    return sum((literal_bracket(n, inv, b) * Fraction(n, b) * (1 - Fraction(n, b))
                 for n in range(1, b)), Fraction(0))
 
 

@@ -13,12 +13,11 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import F, G, cfrac_value, d1_literal, d2_literal, literal_s_sum
+from oracles import F, G, H, cfrac_value, d1_literal, d2_literal, literal_s_sum
 from qrationals.dedekind import s_sum
 from qrationals.exact import derivative_at_one, jets_at_one
 from qrationals.qdeform import deform
 from qrationals.closedforms import (
-    H,
     NoInverseError,
     bracket,
     d1_closed,

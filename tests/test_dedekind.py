@@ -12,7 +12,13 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import literal_s_sum
+from oracles import (
+    literal_bracket_weight_sum,
+    literal_periodic_bernoulli,
+    literal_s_sum,
+    literal_zero_sum,
+)
+from qrationals import closedforms
 from qrationals.closedforms import bracket_weight_sum, bridge_mismatches
 from qrationals.dedekind import (
     _s13_cleared,
@@ -97,6 +103,17 @@ def test_periodic_bernoulli_fixtures():
        st.integers(-3, 3))
 def test_periodic_bernoulli_is_periodic(i, x, k):
     assert periodic_bernoulli(i, Fr(x) + k) == periodic_bernoulli(i, Fr(x))
+
+
+def test_bernoulli_poly_is_the_literal_polynomial():
+    """B_i(r/b) from the cleared row, C(i, k)·D·B_k scaled by b^k over D·b^i,
+    equals Σ_k C(i, k)·B_k·x^{i−k} term by term at every index up to the
+    bound and every r/b in [0, 1) with b ≤ 30."""
+    for i in range(13):
+        for b in range(1, 31):
+            for r in range(b):
+                x = Fr(r, b)
+                assert bernoulli_poly(i, x) == literal_periodic_bernoulli(i, x), (i, x)
 
 
 # -- the double lattice sum ------------------------------------------------
@@ -277,3 +294,42 @@ def test_bridge_mismatches_all_empty():
 def test_substitution_bridge_property(ab):
     a, b = ab
     assert bracket_weight_sum(a, b) == -s_sum(1, 3, a, b)
+
+
+def test_bracket_weight_sum_is_the_literal_sum():
+    """The one integer pass, Σ(2r − b)·n²·(b − n) over 2b⁴, equals the
+    literal Σ⟨n/a⟩_b·H(n/b) on every reduced a/b with 1 ≤ b ≤ 60 and
+    −b ≤ a ≤ 2b."""
+    count = 0
+    for b in range(1, 61):
+        for a in range(-b, 2 * b + 1):
+            if math.gcd(a, b) == 1:
+                count += 1
+                want = literal_bracket_weight_sum(pow(a, -1, b), b)
+                assert bracket_weight_sum(a, b) == want, (a, b)
+    assert count == 3307
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400).flatmap(
+    lambda b: st.tuples(st.integers(-b, 2 * b), st.just(b))).filter(lambda ab: math.gcd(*ab) == 1))
+@example((-399, 400))
+@example((797, 399))
+def test_bracket_weight_sum_is_the_literal_sum_at_wider_moduli(ab):
+    a, b = ab
+    assert bracket_weight_sum(a, b) == literal_bracket_weight_sum(pow(a, -1, b), b)
+
+
+def test_zero_sum_bridge_reports_a_multiplier_that_is_not_a_unit(monkeypatch):
+    """The zero-sum vanishes for every unit multiplier (n → b − n flips the
+    sign of each term), so it can fail only where the multiplier is not a
+    unit mod b.  With a^{−1} off by one, every reduced a/b with
+    1 ≤ a ≤ b ≤ 60 at which the literal sum at that multiplier is nonzero
+    is reported, with that sum as its lhs, and no other."""
+    inverse = closedforms.mod_inverse
+    monkeypatch.setattr(closedforms, "mod_inverse", lambda a, b: inverse(a, b) + 1)
+    want = [(a, b, lhs, 0) for b in range(1, 61) for a in range(1, b + 1)
+            if math.gcd(a, b) == 1
+            for lhs in [literal_zero_sum(inverse(a, b) + 1, b)] if lhs]
+    assert len([r for r in want if r[1] <= 12]) == 24
+    assert bridge_mismatches(60)["zero_sum"] == want
