@@ -43,9 +43,9 @@ __all__ = ["main", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH", "MAX_CHECK_SCALE",
 MAX_DEFORM_DEGREE = 2000
 # bounds tree, plot and lineage; `qrat check` sets its depths by --scale
 MAX_TREE_DEPTH = 12
-# `qrat check --scale 2` runs every sweep in 3.4-5.4 s on a 2-core host, about
-# half of it in battery and 0.4-0.6 s in bridges; the sweeps grow roughly
-# cubically with the scale.
+# `qrat check --scale 2` runs every sweep in 1.8-1.9 s on a 2-core host (six
+# runs), half of it in battery, 0.34-0.37 s in reciprocity and 0.25-0.33 s in
+# bridges; the sweeps grow roughly cubically with the scale.
 MAX_CHECK_SCALE = 2
 # dedekind s|h|battery reach the O(b) lattice sum, which serves every index
 # pair but (1, 3): about 0.25 s at b = 10^5 on the same host, start-up

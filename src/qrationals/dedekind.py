@@ -42,6 +42,13 @@ __all__ = [
     "battery_sweep",
 ]
 
+# Largest Bernoulli index accepted.  `qrat dedekind s|h i j a b` hands i and j
+# straight to s_sum, and bernoulli_number's recurrence grows about cubically
+# with the index (0.4 ms at 12, 21 ms at 100, 7.6 s at 1000, from an empty
+# cache, on a 2-core host), before the lattice loop has i + 1 big-integer
+# Horner steps per term.  No package sweep reads an index above 4 (the
+# battery's weight, and h_{4,0} in the (4, 1) reciprocity sweep); 12 lets the
+# CLI and the tests reach B_12 = −691/2730.
 BERNOULLI_BOUND = 12
 # total index weight i + j of the identity battery
 BATTERY_WEIGHT = 4
@@ -59,7 +66,7 @@ def bernoulli_number(i: int) -> Rat:
     if i == 0:
         return Fraction(1)
     # Σ_{k=0}^{m} C(m+1, k) B_k = 0 for m ≥ 1, solved for B_m
-    total = sum(Fraction(math.comb(i + 1, k)) * bernoulli_number(k) for k in range(i))
+    total = sum(math.comb(i + 1, k) * bernoulli_number(k) for k in range(i))
     return -total / (i + 1)
 
 
@@ -92,12 +99,13 @@ def _check_index(i: int) -> None:
 
 def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
     """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b):
-    the integer row C(i, k)·D·B_k, D the lcm of its denominators, scaled by
-    b^k, over d = D·b^i."""
+    the integer row C(i, k)·D·B_k, D the lcm of the denominators of B_0…B_i,
+    scaled by b^k, over d = D·b^i."""
     _check_index(i)
-    row = [math.comb(i, k) * bernoulli_number(k) for k in range(i + 1)]
+    row = [bernoulli_number(k) for k in range(i + 1)]
     d = math.lcm(*(t.denominator for t in row))
-    return [t.numerator * (d // t.denominator) * b ** k for k, t in enumerate(row)], d * b ** i
+    return ([math.comb(i, k) * t.numerator * (d // t.denominator) * b ** k
+             for k, t in enumerate(row)], d * b ** i)
 
 
 @lru_cache(maxsize=S_SUM_CACHE_SIZE)
@@ -179,9 +187,9 @@ def h_val(i: int, j: int, a: int, b: int) -> Rat:
     """(−1)^{i+j}/(i!j!) · (s_{i,j}(a,b) + (1 − d_{i,j})·B_i·B_j),
     d_{i,j} = 1 iff i = 1 or j = 1."""
     s = s_sum(i, j, a, b)  # first, so that a bad index fails there
-    d = 1 if (i == 1 or j == 1) else 0
-    return (Fraction((-1) ** (i + j), math.factorial(i) * math.factorial(j))
-            * (s + (1 - d) * bernoulli_number(i) * bernoulli_number(j)))
+    if i != 1 and j != 1:
+        s += bernoulli_number(i) * bernoulli_number(j)
+    return (-1) ** (i + j) * s / (math.factorial(i) * math.factorial(j))
 
 
 def reciprocity_residual(i: int, j: int, p: int, q: int) -> Rat:
@@ -196,19 +204,18 @@ def reciprocity_residual(i: int, j: int, p: int, q: int) -> Rat:
         raise ValueError(f"{p} and {q} must be coprime")
     if i < 1 or j < 1:
         raise ValueError("indices must be >= 1")
-    lhs = Fraction(0)
-    for u in range(0, j + 1):
-        lhs += (-q ** (i - 1) * math.comb(i - 1 + u, i - 1)
-                * h_val(i - 1 + u, j - u, p, q) * (-p) ** u)
-    for v in range(0, i + 1):
-        lhs += (p ** (j - 1) * math.comb(j - 1 + v, j - 1)
-                * h_val(j - 1 + v, i - v, q, p) * (-q) ** v)
-    B = bernoulli_number
-    rhs = (B(i - 1) * B(j) / (math.factorial(i - 1) * math.factorial(j))
-           * q * (-1) ** (j - 1)
-           + B(i) * B(j - 1) / (math.factorial(i) * math.factorial(j - 1))
-           * p * (-1) ** (j - 1))
-    return lhs - rhs
+
+    def half(i, j, p, q):
+        """q^{i−1}·Σ_{u=0}^{j} C(i−1+u, i−1)·h_{i−1+u, j−u}(p, q)·(−p)^u"""
+        return q ** (i - 1) * sum(math.comb(i - 1 + u, i - 1) * h_val(i - 1 + u, j - u, p, q)
+                                  * (-p) ** u for u in range(j + 1))
+
+    def R(i, j):
+        """B_{i−1}·B_j/((i−1)!·j!)"""
+        return (bernoulli_number(i - 1) * bernoulli_number(j)
+                / (math.factorial(i - 1) * math.factorial(j)))
+
+    return half(j, i, q, p) - half(i, j, p, q) - (-1) ** (j - 1) * (R(i, j) * q + R(j, i) * p)
 
 
 # --------------------------------------------------------------------------
@@ -222,6 +229,8 @@ def check_identities(p: int, q: int) -> list[dict]:
     at it.  Returns one record per identity instance with its residual and a
     pass flag.
     """
+    if q < 1:
+        raise ValueError("modulus must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"{p} and {q} must be coprime")
     rows = []
@@ -239,10 +248,9 @@ def check_identities(p: int, q: int) -> list[dict]:
     # parity law h(−p, q) = (−1)^j h(p, q), uniform in (i, j)
     for i in range(0, BATTERY_WEIGHT + 1):
         for j in range(0, BATTERY_WEIGHT + 1 - i):
-            add("parity", (i, j, p, q),
-                h_val(i, j, -p, q) - (-1) ** j * h_val(i, j, p, q))
-            add("shift", (i, j, p, q),
-                h_val(i, j, p + q, q) - h_val(i, j, p, q))
+            h = h_val(i, j, p, q)
+            add("parity", (i, j, p, q), h_val(i, j, -p, q) - (-1) ** j * h)
+            add("shift", (i, j, p, q), h_val(i, j, p + q, q) - h)
 
     # three-term duplication law on inclusive sums
     for i in range(0, BATTERY_WEIGHT + 1):

@@ -391,11 +391,57 @@ MUTANTS = [
     {
         "name": "bernoulli-row-scaled-by-b-to-the-i-minus-k",
         "file": DEDEKIND,
-        "old": "* b ** k for k, t in enumerate(row)]",
-        "new": "* b ** (i - k) for k, t in enumerate(row)]",
+        "old": "(d // t.denominator) * b ** k\n",
+        "new": "(d // t.denominator) * b ** (i - k)\n",
         "tests": [D + "test_bernoulli_poly_is_the_literal_polynomial",
                   D + "test_bernoulli_poly_fixtures",
                   D + "test_s_sum_matches_literal_sum"],
+    },
+    {
+        "name": "bernoulli-row-without-binomial",
+        "file": DEDEKIND,
+        "old": "[math.comb(i, k) * t.numerator * (d // t.denominator)",
+        "new": "[t.numerator * (d // t.denominator)",
+        "tests": [D + "test_bernoulli_poly_is_the_literal_polynomial",
+                  D + "test_bernoulli_poly_fixtures",
+                  D + "test_s_sum_matches_literal_sum"],
+    },
+    {
+        "name": "h-completion-also-at-index-one",
+        "file": DEDEKIND,
+        "old": "    if i != 1 and j != 1:\n",
+        "new": "    if True:\n",
+        "tests": [D + "test_h_fixtures",
+                  D + "test_reciprocity_residual_is_the_literal_formula",
+                  D + "test_battery_rows_are_the_literal_identities"],
+    },
+    {
+        "name": "h-sign-from-i-alone",
+        "file": DEDEKIND,
+        "old": "return (-1) ** (i + j) * s /",
+        "new": "return (-1) ** i * s /",
+        # not the battery: (−1)^i and (−1)^{i+j} differ by (−1)^j, which is
+        # common to both sides of each of its h rows
+        "tests": [D + "test_h_fixtures",
+                  D + "test_reciprocity_residual_is_the_literal_formula"],
+    },
+    {
+        "name": "reciprocity-halves-sign-swapped",
+        "file": DEDEKIND,
+        "old": "return half(j, i, q, p) - half(i, j, p, q) -",
+        "new": "return half(i, j, p, q) - half(j, i, q, p) -",
+        "tests": [D + "test_reciprocity_fixtures",
+                  D + "test_reciprocity_sweep_is_empty",
+                  D + "test_reciprocity_residual_is_the_literal_formula"],
+    },
+    {
+        "name": "battery-shift-row-against-minus-p",
+        "file": DEDEKIND,
+        "old": "add(\"shift\", (i, j, p, q), h_val(i, j, p + q, q) - h)",
+        "new": "add(\"shift\", (i, j, p, q), h_val(i, j, -p, q) - h)",
+        "tests": [D + "test_check_identities_shape_and_success",
+                  D + "test_battery_sweep_is_empty",
+                  D + "test_battery_rows_are_the_literal_identities"],
     },
     {
         # no rank changes: a new row is still reduced against every kept row.

@@ -1,9 +1,10 @@
 """Test-side oracles: the adjacency-checked Farey mediant, the weighted
 mediant of two canonical pairs, ℤ[q] sums, shifts and products, the
 quotient-rule derivative, the value of a continued fraction, Thomae's
-function, the literal lattice and bracket sums and closed forms, and the
-literal Fraction forms of the lineage identity (Lagrange coefficients,
-residual and correction).
+function, the literal lattice and bracket sums and closed forms, the
+literal h, reciprocity residual and identity-battery rows, and the literal
+Fraction forms of the lineage identity (Lagrange coefficients, residual and
+correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
@@ -26,9 +27,16 @@ assemble them from their Fraction parts, (x² − x + 1 − f(x)²)/2 and
 F + f²·G − 20·s₁,₃.  literal_s_sum is the O(b) defining sum of s_{i,j},
 with its own periodic Bernoulli factor (literal_periodic_bernoulli, from
 bernoulli_number alone), so it shares no cleared Bernoulli row with the
-s_sum loop it checks.  The package's bracket sums are one integer pass each;
-literal_bracket_weight_sum and literal_zero_sum here take one Fraction per
-term, with ⟨n/a⟩_b from a given multiplier in place of a^{−1}.
+s_sum loop it checks.  The package's h_val adds the completion B_i·B_j
+under a branch and divides once, and its reciprocity residual writes the
+formula's two halves as one function of (i, j, p, q); literal_h,
+literal_reciprocity_residual and literal_battery here take h as the
+documented normalization over a given s (literal_s_sum unless given), both
+halves written out, and every battery row from its identity as stated, so a
+test can feed both sides the same faulty s.  The package's bracket sums are
+one integer pass each; literal_bracket_weight_sum and literal_zero_sum here
+take one Fraction per term, with ⟨n/a⟩_b from a given multiplier in place
+of a^{−1}.
 
 The package's identity sweep walks the tree's pairs modulo (2^W − 1)³,
 checks each lineage shape once and sums one integer term per member for
@@ -47,7 +55,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from qrationals import sbtree
-from qrationals.dedekind import bernoulli_number, s_sum
+from qrationals.dedekind import BATTERY_WEIGHT, bernoulli_number, s_sum
 from qrationals.exact import IntPoly, RatFunc, _cleared_jets
 from qrationals.qdeform import _depth_and_path, to_cfrac
 
@@ -143,6 +151,75 @@ def literal_s_sum(i, j, a, b) -> Fraction:
     return sum((literal_periodic_bernoulli(i, Fraction(n, b))
                 * literal_periodic_bernoulli(j, Fraction(a * n, b))
                 for n in range(1, b)), Fraction(0))
+
+
+def literal_h(i, j, a, b, s=literal_s_sum) -> Fraction:
+    """h_{i,j}(a, b) = (−1)^{i+j}/(i!·j!)·(s_{i,j}(a, b) + (1 − d_{i,j})·B_i·B_j),
+    d_{i,j} = 1 iff i = 1 or j = 1, with s_{i,j} = s(i, j, a, b)."""
+    d = 1 if i == 1 or j == 1 else 0
+    return (Fraction((-1) ** (i + j), math.factorial(i) * math.factorial(j))
+            * (s(i, j, a, b) + (1 - d) * bernoulli_number(i) * bernoulli_number(j)))
+
+
+def literal_reciprocity_residual(i, j, p, q, s=literal_s_sum) -> Fraction:
+    """Left minus right side of the two-index reciprocity formula (Apostol,
+    Duke Math. J. 17, 1950), term by term, over literal_h with the given s:
+
+        −q^{i−1} Σ_{u=0}^{j} C(i−1+u, i−1)·h_{i−1+u, j−u}(p, q)·(−p)^u
+        + p^{j−1} Σ_{v=0}^{i} C(j−1+v, j−1)·h_{j−1+v, i−v}(q, p)·(−q)^v
+        = (−1)^{j−1}·[B_{i−1}B_j/((i−1)!·j!)·q + B_i·B_{j−1}/(i!·(j−1)!)·p]
+    """
+    B, fact = bernoulli_number, math.factorial
+    lhs = Fraction(0)
+    for u in range(j + 1):
+        lhs -= (q ** (i - 1) * math.comb(i - 1 + u, i - 1)
+                * literal_h(i - 1 + u, j - u, p, q, s) * (-p) ** u)
+    for v in range(i + 1):
+        lhs += (p ** (j - 1) * math.comb(j - 1 + v, j - 1)
+                * literal_h(j - 1 + v, i - v, q, p, s) * (-q) ** v)
+    rhs = (-1) ** (j - 1) * (B(i - 1) * B(j) / (fact(i - 1) * fact(j)) * q
+                             + B(i) * B(j - 1) / (fact(i) * fact(j - 1)) * p)
+    return lhs - rhs
+
+
+def literal_battery(p, q, s=literal_s_sum) -> list[dict]:
+    """check_identities(p, q)'s records, in its order, over literal_h with
+    the given s, W = BATTERY_WEIGHT and S = s + B_i·B_j the inclusive sum:
+
+        even_boundary  h_{i,0}(p, q) − (B_i/i!)·q^{1−i}, then h_{0,i}, even i ≤ W
+        parity         h_{i,j}(−p, q) − (−1)^j·h_{i,j}(p, q),  i + j ≤ W
+        shift          h_{i,j}(p + q, q) − h_{i,j}(p, q),      i + j ≤ W
+        duplication    S(p, 2q) + S(p + q, 2q) + 2^{1−j}·S(2p, q)
+                       − (2 + 2^{2−i−j})·S(p, q),             i + j = W
+    """
+    W, B = BATTERY_WEIGHT, bernoulli_number
+    rows = []
+
+    def add(name, params, residual):
+        rows.append({"identity": name, "params": params,
+                     "residual": residual, "ok": residual == 0})
+
+    def h(i, j, a):
+        return literal_h(i, j, a, q, s)
+
+    for i in range(2, W + 1, 2):
+        want = B(i) / math.factorial(i) * Fraction(q) ** (1 - i)
+        add("even_boundary", (i, 0, p, q), h(i, 0, p) - want)
+        add("even_boundary", (0, i, p, q), h(0, i, p) - want)
+    for i in range(W + 1):
+        for j in range(W + 1 - i):
+            add("parity", (i, j, p, q), h(i, j, -p) - (-1) ** j * h(i, j, p))
+            add("shift", (i, j, p, q), h(i, j, p + q) - h(i, j, p))
+    for i in range(W + 1):
+        j = W - i
+
+        def S(a, b):
+            return s(i, j, a, b) + B(i) * B(j)
+
+        add("duplication", (i, j, p, q),
+            S(p, 2 * q) + S(p + q, 2 * q) + Fraction(2) ** (1 - j) * S(2 * p, q)
+            - (2 + Fraction(2) ** (2 - i - j)) * S(p, q))
+    return rows
 
 
 def H(x) -> Fraction:

@@ -469,6 +469,8 @@ def test_dedekind_usage_errors(capsys):
             rc, _, err = run(capsys, "dedekind", kind, "-1", "3", "1", b)
             assert rc == 2 and "index must be nonnegative" in err
     assert run(capsys, "dedekind", "battery", "2", "4")[0] == 2
+    rc, out, err = run(capsys, "dedekind", "battery", "1", "0")
+    assert rc == 2 and not out and "modulus must be >= 1" in err
 
 
 def test_dedekind_battery_csv(capsys):

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    literal_battery,
     literal_bracket_weight_sum,
     literal_periodic_bernoulli,
+    literal_reciprocity_residual,
     literal_s_sum,
     literal_zero_sum,
 )
-from qrationals import closedforms
+from qrationals import closedforms, dedekind
 from qrationals.closedforms import bracket_weight_sum, bridge_mismatches
 from qrationals.dedekind import (
     _s13_cleared,
@@ -188,6 +190,7 @@ def test_s_sum_parity_law(i, j, ab):
 # -- h normalization -------------------------------------------------------
 
 def test_h_fixtures():
+    assert h_val(1, 1, 1, 3) == Fr(1, 18)  # the Dedekind sum s(1, 3)
     assert h_val(1, 3, 1, 3) == Fr(-1, 486)
     assert h_val(4, 0, 1, 2) == Fr(-1, 5760)
     assert h_val(2, 2, 1, 1) == Fr(1, 144)
@@ -221,6 +224,47 @@ def test_reciprocity_validates_input():
 
 def test_reciprocity_sweep_is_empty():
     assert reciprocity_sweep(10) == []
+
+
+def _off_at_2_2(s):
+    """s with s_{2,2}(a, b) off by 1/b²: a seeded fault in the lattice sum."""
+    return lambda i, j, a, b: s(i, j, a, b) + (Fr(1, b * b) if (i, j) == (2, 2) else 0)
+
+
+def _lattice(monkeypatch, fault):
+    """The s that the oracles read: the literal sum, with the fault seeded
+    into it and into dedekind.s_sum when asked."""
+    if not fault:
+        return literal_s_sum
+    monkeypatch.setattr(dedekind, "s_sum", _off_at_2_2(dedekind.s_sum))
+    return _off_at_2_2(literal_s_sum)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_reciprocity_residual_is_the_literal_formula(monkeypatch, fault):
+    """Every residual with 1 ≤ i, j ≤ 4 and coprime p, q ≤ 8 equals the
+    formula written term by term over the literal h.  On this grid the
+    formula fails, at every pair, exactly where i + j is even and an index
+    is at most 2.  With s_sum and the oracle's s both off by 1/b² at
+    (2, 2), the odd (i, j) whose sums read h_{2,2} fail too, with the
+    oracle's residuals, and the sweep reports exactly the pairs where the
+    oracle's (4, 1) residual is nonzero."""
+    s = _lattice(monkeypatch, fault)
+    pairs = [(p, q) for p in range(1, 9) for q in range(1, 9) if math.gcd(p, q) == 1]
+    nonzero = set()
+    for i in range(1, 5):
+        for j in range(1, 5):
+            for p, q in pairs:
+                r = reciprocity_residual(i, j, p, q)
+                assert r == literal_reciprocity_residual(i, j, p, q, s), (i, j, p, q)
+                if r:
+                    nonzero.add((i, j, p, q))
+    failing = {(1, 1), (1, 3), (2, 2), (2, 4), (3, 1), (4, 2)}
+    if fault:
+        failing |= {(1, 4), (2, 3), (3, 2), (4, 1)}
+    assert nonzero == {(i, j, p, q) for i, j in failing for p, q in pairs}
+    assert reciprocity_sweep(8) == [pq for pq in pairs
+                                    if literal_reciprocity_residual(4, 1, *pq, s)]
 
 
 # -- identity battery ------------------------------------------------------
@@ -263,8 +307,35 @@ def test_check_identities_requires_coprime():
         check_identities(2, 4)
 
 
+def test_check_identities_rejects_a_modulus_below_one():
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            check_identities(1, q)
+
+
 def test_battery_sweep_is_empty():
     assert battery_sweep(8) == []
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_battery_rows_are_the_literal_identities(monkeypatch, fault):
+    """Every record of check_identities at coprime p, q with −6 ≤ p ≤ 6 and
+    q ≤ 6 equals the identity written out over the literal h.  With s_sum
+    and the oracle's s both off by 1/b² at (2, 2), the rows that read s_{2,2}
+    fail with the oracle's residuals, and battery_sweep reports exactly the
+    oracle's failing rows."""
+    s = _lattice(monkeypatch, fault)
+    failing = 0
+    for p in range(-6, 7):
+        for q in range(1, 7):
+            if math.gcd(p, q) == 1:
+                rows = check_identities(p, q)
+                assert rows == literal_battery(p, q, s), (p, q)
+                failing += sum(not r["ok"] for r in rows)
+    assert failing == (0 if not fault else 47)
+    assert battery_sweep(6) == [r for p in range(1, 7) for q in range(1, 7)
+                                if math.gcd(p, q) == 1
+                                for r in literal_battery(p, q, s) if not r["ok"]]
 
 
 def test_battery_report_csv():
