@@ -158,23 +158,31 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     return Fraction(total, di * dj)
 
 
-def _s13_cleared(a: int, b: int) -> int:
+def _s13_cleared(a: int, b: int, memo: dict | None = None) -> int:
     """u = 120·b⁴·s_{1,3}(a, b), an integer, for any a and b ≥ 1, by the
     Euclid descent in s_sum's docstring: the one descent loop that s_sum's
     (1, 3) path, the closed forms and the lineage correction share.  A
-    remainder in its exact division would be a bug, so it raises."""
+    remainder in its exact division would be a bug, so it raises.
+
+    memo, if given, maps reduced pairs (a, b), b > 1, to their u: the chain
+    stops at the first pair in it, and the fold stores every pair it
+    computes, so calls whose chains share tails (the identity sweep's tree
+    nodes, each one's tail (b mod a)/a a shallower node) fold each pair
+    once.  The caller owns it and its lifetime."""
     g = math.gcd(a, b)
     top = b // g
     a, b = a // g % top, top
     chain = []
-    while b > 1:
+    while b > 1 and (memo is None or (a, b) not in memo):
         chain.append((a, b))
         a, b = b % a, a
-    u = 0
+    u = memo[a, b] if b > 1 else 0
     for a, b in reversed(chain):
         u, rem = divmod(a * b * (5 * a * a * b * b - a ** 4 - b ** 4 - 3) - b * b * u, a * a)
         if rem:
             raise ArithmeticError(f"reciprocity left a remainder at ({a}, {b})")
+        if memo is not None:
+            memo[a, b] = u
     return u * g ** 4
 
 
@@ -199,6 +207,14 @@ def reciprocity_residual(i: int, j: int, p: int, q: int) -> Rat:
         −q^{i−1} Σ_{u=0}^{j} C(i−1+u, i−1)·h_{i−1+u, j−u}(p, q)·(−p)^u
         + p^{j−1} Σ_{v=0}^{i} C(j−1+v, j−1)·h_{j−1+v, i−v}(q, p)·(−q)^v
         = (−1)^{j−1}·[ B_{i−1}B_j/((i−1)!·j!)·q + B_i·B_{j−1}/(i!·(j−1)!)·p ]
+
+    As written it does not hold for every (i, j).  On the grid i, j ≤ 5,
+    coprime p, q ≤ 8, the residual vanishes at every pair for every odd
+    i + j, and for an even i + j only when both indices are at least 3:
+    (1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 1), (4, 2) and (5, 1) are
+    nonzero at every pair.  reciprocity_sweep reads (4, 1);
+    test_reciprocity_residual_is_the_literal_formula pins the failing set
+    for i, j ≤ 4 against the formula written term by term.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"{p} and {q} must be coprime")

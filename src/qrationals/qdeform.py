@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
 
 from .exact import (
     IntPoly,
@@ -116,15 +117,15 @@ def _unpack(x: int, width: int) -> IntPoly:
     """The polynomial whose packed form at q = 2^width is x ≥ 0.  The words
     are ints, and the top one holds x's top bit, so nothing is stripped.
     One little-endian to_bytes splits x into words: on a little-endian host
-    a memoryview cast reads words of 1, 2, 4 or 8 bytes, and one map of
-    int.from_bytes reads any others (the byte order passed by repeat:
+    a memoryview cast reads words of 1, 2, 4 or 8 bytes; any others, or any
+    word on a big-endian host, struct.iter_unpack cuts into w-byte strings
+    and one map of int.from_bytes reads (the byte order passed by repeat:
     Python 3.10's from_bytes has no default)."""
     w = width // 8
-    size = -(-x.bit_length() // width) * w
-    buf = x.to_bytes(size, "little")
+    buf = x.to_bytes(-(-x.bit_length() // width) * w, "little")
     fmt = _WORD_FORMATS.get(w) if sys.byteorder == "little" else None
     if fmt is None:
-        words = [buf[i:i + w] for i in range(0, size, w)]
+        words = map(itemgetter(0), struct.iter_unpack(f"{w}s", buf))
         coeffs = map(int.from_bytes, words, repeat("little"))
     else:
         coeffs = memoryview(buf).cast(fmt).tolist()

@@ -11,10 +11,12 @@ parents' weighted mediant on integers at q = 2^B in qdeform's convention
 towers at the same width (_cfrac_table); the lineage weights 𝔉, 𝔊 run the
 step's recurrence too (_weights).  The identity sweep and the plot data
 walk it modulo (2^B − 1)³, whose base-(2^B − 1) digits are the Taylor data
-at q = 1 (_jet_frame).  The tree takes the continued-fraction tower only
-for pairs it does not build (the window endpoints, lineage members 1 and
-2); their bit-exact agreement elsewhere is a verified equivalence, not a
-dependency.
+at q = 1 (_jet_frame); the identity sweep also folds every node's s₁,₃
+descent through one memo per walk and keys lineage shapes by the last
+letters of the target's path (identity_sweep).  The tree takes the
+continued-fraction tower only for pairs it does not build (the window
+endpoints, lineage members 1 and 2); their bit-exact agreement elsewhere
+is a verified equivalence, not a dependency.
 """
 from __future__ import annotations
 
@@ -115,9 +117,9 @@ class Frame:
     pair unpacked, and a frame with no packed pair has none.  The jet
     builder keeps residues = (N, D, deg D) modulo (2^width − 1)³, which are
     not a pair, and the cleared jets; the identity sweep's builder adds the
-    node's identity values e4 and e5 (_identity_frame).  Depth −1 and the
-    empty path are the window endpoints'; lineage_extract sets its first two
-    members' own."""
+    node's path and its identity values e4 and e5 (_identity_frame).
+    Depth −1 and the empty path are the window endpoints'; lineage_extract
+    sets its first two members' own."""
 
     xi: int | None = None
     packed: tuple[int, int, int] | None = None
@@ -166,19 +168,26 @@ def _taylor_digits(x: int, h: int) -> list[int]:
     return [s0, x % h, x // h]
 
 
-def _jet_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
-               path: str) -> Frame:
-    """The frame of the tree node whose parents are stack[lo] (left) and
-    stack[hi] (right) by the one step (_mediant) at q = 2^width, its pair
-    kept as residues modulo h³, h = 2^width − 1, so 3·width bits deep at
-    any depth (a window endpoint enters by its packed pair).  As q = 1 + h,
-    their base-h digits are the Taylor data at q = 1 of the stored words
-    (_taylor_digits; _jet_walk's width keeps each below h), the numerator's
-    negated back below 0, which give the cleared jets J_0..J_2.  Digit 0
-    must be the node's (a, b), since the jets scale with D(1) (ValueError
-    naming the node otherwise); a common q-power would change no jet."""
+def _jet_modulus(width: int) -> tuple[int, int, int]:
+    """(W, h, h³) with W = width and h = 2^W − 1: the constants of a walk
+    modulo h³, bound once per walk (_jet_walk, identity_sweep)."""
     h = (1 << width) - 1
-    cube = h ** 3
+    return width, h, h ** 3
+
+
+def _jet_frame(modulus: tuple[int, int, int], stack: list[Frame], lo: int, hi: int,
+               depth: int, path: str) -> Frame:
+    """The frame of the tree node whose parents are stack[lo] (left) and
+    stack[hi] (right) by the one step (_mediant) at q = 2^W, its pair kept
+    as residues modulo h³, (W, h, h³) = modulus (_jet_modulus), so 3·W bits
+    deep at any depth (a window endpoint enters by its packed pair).  As
+    q = 1 + h, their base-h digits are the Taylor data at q = 1 of the
+    stored words (_taylor_digits; _jet_walk's width keeps each below h),
+    the numerator's negated back below 0, which give the cleared jets
+    J_0..J_2.  Digit 0 must be the node's (a, b), since the jets scale with
+    D(1) (ValueError naming the node otherwise); a common q-power would
+    change no jet."""
+    width, h, cube = modulus
     frame, num, den, deg = _mediant(
         stack, lo, hi, stack[lo].residues or stack[lo].packed or _pack(stack[lo], width),
         stack[hi].residues or stack[hi].packed or _pack(stack[hi], width), width)
@@ -192,25 +201,27 @@ def _jet_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
     return frame
 
 
-def _term(a: int, b: int) -> int:
-    """T = 6b(b − a) − 120·b⁴·s₁,₃(a, b) (dedekind._s13_cleared): 6b times
-    the term (b − a) − 20·b³·s₁,₃ of a/b in the order-5 correction
-    (_cleared_correction)."""
-    return 6 * b * (b - a) - _s13_cleared(a, b)
+def _term(a: int, b: int, memo: dict | None = None) -> int:
+    """T = 6b(b − a) − 120·b⁴·s₁,₃(a, b) (dedekind._s13_cleared, folding
+    through memo if given): 6b times the term (b − a) − 20·b³·s₁,₃ of a/b
+    in the order-5 correction (_cleared_correction)."""
+    return 6 * b * (b - a) - _s13_cleared(a, b, memo)
 
 
-def _identity_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
-                    path: str) -> Frame:
-    """The jet frame (_jet_frame) with the node's identity values e4 = E₄ =
-    2·J₁ + 1 and e5 = E₅ = 6b·J₂ − T, from its cleared jets J and its
-    correction term T (_term), two separate computations met only here.  As
-    Λ is linear and Λ(1) = L − Σc, a lineage's residual equals its
-    correction exactly when Λ(E₄) = 0 at order 4 and Λ(E₅·B/b) = 0 at
-    order 5, B = lcm(b_i) (identity_sweep)."""
-    frame = _jet_frame(width, stack, lo, hi, depth, path)
+def _identity_frame(modulus: tuple[int, int, int], memo: dict, stack: list[Frame], lo: int,
+                    hi: int, depth: int, path: str) -> Frame:
+    """The jet frame (_jet_frame) with the node's path and its identity
+    values e4 = E₄ = 2·J₁ + 1 and e5 = E₅ = 6b·J₂ − T, from its cleared
+    jets J and its correction term T (_term, its descent folded through
+    the walk's memo), two separate computations met only here.  As Λ is
+    linear and Λ(1) = L − Σc, a lineage's residual equals its correction
+    exactly when Λ(E₄) = 0 at order 4 and Λ(E₅·B/b) = 0 at order 5,
+    B = lcm(b_i) (identity_sweep)."""
+    frame = _jet_frame(modulus, stack, lo, hi, depth, path)
+    frame.path = path
     _, j1, j2 = frame.cleared_jets
     frame.e4 = 2 * j1 + 1
-    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b)
+    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b, memo)
     return frame
 
 
@@ -252,9 +263,10 @@ def _packed_frame(width: int, stack: list[Frame], lo: int, hi: int, depth: int,
 
 def _walk(m: int, depth: int, build) -> Iterator[list[Frame]]:
     """The depth-first walk of walk_qtree, each node's frame made by
-    build(stack, lo, hi, depth, path): _packed_frame (packed integers)
-    or _jet_frame (their residues), each bound to a width.  A negative
-    depth raises here, not on the first step.
+    build(stack, lo, hi, depth, path): _packed_frame (packed integers),
+    bound to a width, or _jet_frame (their residues), bound to its walk's
+    constants (_jet_modulus).  A negative depth raises here, not on the
+    first step.
 
     One loop, no recursion: it builds a node's frame, then its left
     child's, down to the walk's depth, keeping each built node's right
@@ -348,7 +360,7 @@ def _jet_width(m: int, depth: int) -> int:
 def _jet_walk(m: int, depth: int) -> Iterator[list[Frame]]:
     """The walk of walk_qtree modulo (2^W − 1)³ (_jet_frame), W =
     _jet_width(m, depth)."""
-    return _walk(m, depth, partial(_jet_frame, _jet_width(m, depth)))
+    return _walk(m, depth, partial(_jet_frame, _jet_modulus(_jet_width(m, depth))))
 
 
 def build_qtree(m: int, depth: int) -> list[QRational]:
@@ -764,16 +776,27 @@ def identity_sweep(depth: int) -> dict:
     The walk is _jet_walk's, the packed walk modulo (2^W − 1)³, which checks
     at each node that the built N(1), D(1) are its reduced a, b (ValueError
     naming it otherwise); appendixA's walk checks the full canonical pairs.
-    Per lineage shape (order and parent pattern, at most 2^{m−2} of each
-    order), computed once: the weights at q = 1, the Lagrange numerators
-    c_i over their common denominator L, and the moment identities.  Per
-    node, where the walk builds it (_identity_frame): the integers E₄ =
-    2·J₁ + 1 and E₅ = 6b·J₂ − T from its cleared jets J and, computed
-    apart, its correction term T.  Per lineage, one integer sum: the
-    residual equals the correction exactly when L·Λ(E₄) = 0 at order 4 and
-    L·Λ(E₅·B/b) = 0 at order 5, B = lcm(b_i).  Only a failing lineage
-    builds its two sides, the residual from the members' cleared jets and
-    the correction (_cleared_correction), for its record.
+    Per lineage shape, computed once: the weights at q = 1, the Lagrange
+    numerators c_i over their common denominator L, and the moment
+    identities.  An order-m lineage's parent pattern is fixed by the last
+    m − 2 letters of its target's path, the letters into members 3..m:
+    ζ₃ = 1, ζ_n = n − 2 where the letters into members n − 1 and n differ
+    and ζ_{n−1} otherwise, and the letter into member n says whether
+    member n − 1 is its greater or smaller parent.  So the key is (m,
+    path[2 − m:]), 2^{m−2} keys per order, and _lineage_members, which
+    defines the pattern, runs on each key's first lineage only.
+
+    Per node, where the walk builds it (_identity_frame): its path and the
+    integers E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T from its cleared jets J and,
+    computed apart, its correction term T.  T's s₁,₃ descent folds through
+    one memo per call: a node's Euclid tail (b mod a)/a is a shallower
+    tree node, so the nodes' chains share their tails and the call folds
+    one reciprocity step per node.  Per lineage: member 1 read off member
+    3's parents, members 2..m the stack's last frames, and one integer
+    sum.  The residual equals the correction exactly when L·Λ(E₄) = 0 at
+    order 4 and L·Λ(E₅·B/b) = 0 at order 5, B = lcm(b_i).  Only a failing
+    lineage builds its two sides, the residual from the members' cleared
+    jets and the correction (_cleared_correction), for its record.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
     tuple (m, value, identity, lhs, rhs) per failing lineage (empty = pass),
@@ -783,19 +806,24 @@ def identity_sweep(depth: int) -> dict:
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
     shapes: dict = {}
-    for stack in _walk(0, depth, partial(_identity_frame, _jet_width(0, depth))):
+    build = partial(_identity_frame, _jet_modulus(_jet_width(0, depth)), {})
+    for stack in _walk(0, depth, build):
         node = stack[-1]
         for m in (4, 5):
-            if len(stack) - 3 < m - 2:  # the node's depth
+            first = len(stack) - m + 1  # stack index of member 2
+            if first < 2:  # the node's depth is below m − 2
                 continue
-            frames, parents = _lineage_members(stack, m)
-            if frames[0].b == 1:  # vanishing
+            third = stack[first + 1]
+            one = stack[third.hi if third.lo == first else third.lo]
+            if one.b == 1:  # vanishing
                 continue
             checked[m] += 1
-            key = (m, parents)
-            if key not in shapes:
-                shapes[key] = _shape_checks(m, parents)
-            L, c, moment = shapes[key]
+            key = m, node.path[2 - m:]
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _shape_checks(m, _lineage_members(stack, m)[1])
+            L, c, moment = shape
+            frames = [one, *stack[first:]]
             if m == 4:
                 values = [fr.e4 for fr in frames]
             else:

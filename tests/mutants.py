@@ -97,16 +97,24 @@ MUTANTS = [
     {
         "name": "shape-cache-keyed-on-order-alone",
         "file": SBTREE,
-        "old": "            key = (m, parents)\n",
+        "old": "            key = m, node.path[2 - m:]\n",
         "new": "            key = m\n",
+        "tests": [T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "shape-key-one-letter-short",
+        "file": SBTREE,
+        "old": "node.path[2 - m:]",
+        "new": "node.path[3 - m:]",
         "tests": [T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
         "name": "correction-term-s13-sign-flipped",
         "file": SBTREE,
-        "old": "    return 6 * b * (b - a) - _s13_cleared(a, b)\n",
-        "new": "    return 6 * b * (b - a) + _s13_cleared(a, b)\n",
+        "old": "    return 6 * b * (b - a) - _s13_cleared(a, b, memo)\n",
+        "new": "    return 6 * b * (b - a) + _s13_cleared(a, b, memo)\n",
         "tests": [T + "test_identity_correction_equals_the_literal_form",
                   T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
@@ -134,8 +142,8 @@ MUTANTS = [
     {
         "name": "identity-e5-with-6-in-place-of-6b",
         "file": SBTREE,
-        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b)\n",
-        "new": "    frame.e5 = 6 * j2 - _term(frame.a, frame.b)\n",
+        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b, memo)\n",
+        "new": "    frame.e5 = 6 * j2 - _term(frame.a, frame.b, memo)\n",
         "tests": [T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
@@ -143,8 +151,8 @@ MUTANTS = [
     {
         "name": "identity-e5-read-from-j1",
         "file": SBTREE,
-        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b)\n",
-        "new": "    frame.e5 = 6 * frame.b * j1 - _term(frame.a, frame.b)\n",
+        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b, memo)\n",
+        "new": "    frame.e5 = 6 * frame.b * j1 - _term(frame.a, frame.b, memo)\n",
         "tests": [T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
@@ -279,8 +287,9 @@ MUTANTS = [
     {
         "name": "wide-unpack-words-in-reverse-order",
         "file": QDEFORM,
-        "old": "        words = [buf[i:i + w] for i in range(0, size, w)]\n",
-        "new": "        words = [buf[i:i + w] for i in range(size - w, -1, -w)]\n",
+        "old": "        words = map(itemgetter(0), struct.iter_unpack(f\"{w}s\", buf))\n",
+        "new": "        words = reversed([*map(itemgetter(0),"
+               " struct.iter_unpack(f\"{w}s\", buf))])\n",
         "tests": [Q + "test_unpack_splits_wide_words_literally",
                   Q + "test_packed_tower_pinned_wide_cases"],
     },
@@ -343,6 +352,24 @@ MUTANTS = [
         "new": "    a, b = a // g, top\n",
         "tests": ["tests/test_dedekind.py::test_s13_cleared_is_the_literal_sum",
                   "tests/test_dedekind.py::test_s13_descent_matches_literal_sum",
+                  C + "test_closed_forms_equal_their_literal_form"],
+    },
+    {
+        "name": "s13-memo-entry-stored-under-b-a",
+        "file": DEDEKIND,
+        "old": "            memo[a, b] = u\n",
+        "new": "            memo[b, a] = u\n",
+        "tests": [D + "test_s13_cleared_with_a_memo_is_the_descent",
+                  T + "test_identity_frames_fold_one_reciprocity_step_per_node"],
+    },
+    {
+        "name": "s13-descent-b-squared-u-sign-flipped",
+        "file": DEDEKIND,
+        "old": "- b * b * u, a * a)",
+        "new": "+ b * b * u, a * a)",
+        "tests": [D + "test_s13_cleared_is_the_literal_sum",
+                  D + "test_s13_descent_matches_literal_sum",
+                  T + "test_identity_values_are_the_literal_sides",
                   C + "test_closed_forms_equal_their_literal_form"],
     },
     {

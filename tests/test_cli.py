@@ -313,7 +313,7 @@ def test_check_fits_reproduces_the_closed_forms_out_of_sample(capsys, monkeypatc
 
 
 def test_check_sweep_that_raises_fails_and_the_rest_run(capsys, monkeypatch):
-    def broken(width, stack, lo, hi, depth, path):
+    def broken(modulus, stack, lo, hi, depth, path):
         raise ValueError("weight reconstruction failed")
     monkeypatch.setattr(sbtree, "_jet_frame", broken)
     _bounds(monkeypatch, thm1=3, delta=3, calibration=3)

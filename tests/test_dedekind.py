@@ -7,6 +7,7 @@ failure lists.
 import csv
 import io
 import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -173,6 +174,36 @@ def test_s13_cleared_is_the_literal_sum(ab):
     120·b⁴·s_{1,3}, non-coprime and negative a included."""
     a, b = ab
     assert _s13_cleared(a, b) == 120 * b ** 4 * literal_s_sum(1, 3, a, b)
+
+
+def _euclid_chain(a: int, b: int) -> list[tuple[int, int]]:
+    """The reduced pairs (a mod b, b), then each one's tail (b mod a, a),
+    down to b = 1 exclusive, for coprime a, b: the pairs the descent folds."""
+    a, chain = a % b, []
+    while b > 1:
+        chain.append((a, b))
+        a, b = b % a, a
+    return chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 6).flatmap(lambda b: st.tuples(
+           st.integers(-3 * b, 3 * b).filter(lambda a: math.gcd(a, b) == 1), st.just(b))),
+           min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+@example([(5, 12), (2, 5), (7, 12)], random.Random(0))
+def test_s13_cleared_with_a_memo_is_the_descent(pairs, rnd):
+    """One memo shared across calls at coprime (a, b), b ≤ 10⁶, and their
+    Euclid tails, in random order: each call returns the descent without a
+    memo, and the memo ends holding exactly the pairs of their chains, each
+    with its own u."""
+    calls = [*pairs, *(pair for a, b in pairs for pair in _euclid_chain(a, b))]
+    rnd.shuffle(calls)
+    memo = {}
+    for a, b in calls:
+        assert _s13_cleared(a, b, memo) == _s13_cleared(a, b), (a, b)
+    assert set(memo) == {pair for a, b in pairs for pair in _euclid_chain(a, b)}
+    assert all(u == _s13_cleared(a, b) for (a, b), u in memo.items())
 
 
 @given(st.integers(0, 4), st.integers(0, 4), coprime_pairs)

@@ -29,6 +29,7 @@ from qrationals.sbtree import (
     _degree_gap,
     _identity_frame,
     _jet_frame,
+    _jet_modulus,
     _jet_walk,
     _jet_width,
     _lineage_from_stack,
@@ -196,7 +197,8 @@ def test_cfrac_table_is_the_tower_on_every_node(depth):
         assert pair == _stripped(_tower(_expansion(a, b), width), width), (a, b)
 
 
-@pytest.mark.parametrize("build", [partial(sbtree._packed_frame, 16), partial(_jet_frame, 16)],
+@pytest.mark.parametrize("build", [partial(sbtree._packed_frame, 16),
+                                   partial(_jet_frame, _jet_modulus(16))],
                          ids=["packed", "jet"])
 def test_walk_yields_each_node_once_in_increasing_value(build):
     """With each node builder, the walk yields one reused ancestor stack
@@ -705,12 +707,14 @@ def test_identity_correction_equals_the_literal_form(lineage):
 
 
 def _s13_wrong_at_2_5(monkeypatch):
-    """Make s₁,₃(2, 5) one too large where the sweep reads it, the cleared
-    kernel 120·b⁴·s₁,₃ behind each node's term, and where the literal
-    correction reads it, s_sum."""
+    """Make s₁,₃(2, 5) one too large where the sweep reads 2/5's own term,
+    the cleared kernel 120·b⁴·s₁,₃ that the call returns, and where the
+    literal correction reads it, s_sum.  The memo the call folds through
+    keeps the true value, which the nodes whose Euclid chains pass
+    through 2/5 (5/7, 5/12, 7/12, ...) read, as they did without it."""
     s13, s = sbtree._s13_cleared, oracles.s_sum
-    monkeypatch.setattr(sbtree, "_s13_cleared",
-                        lambda a, b: s13(a, b) + 120 * b ** 4 * ((a, b) == (2, 5)))
+    monkeypatch.setattr(sbtree, "_s13_cleared", lambda a, b, memo=None:
+                        s13(a, b, memo) + 120 * b ** 4 * ((a, b) == (2, 5)))
     monkeypatch.setattr(oracles, "s_sum", lambda i, j, a, b: s(i, j, a, b) + ((a, b) == (2, 5)))
 
 
@@ -737,7 +741,7 @@ def test_identity_values_are_the_literal_sides(start):
     cleared jets of the node's polynomial pair (_cleared_jets of deform)
     and T = 6b(b − a) − 120·b⁴·s₁,₃ from the O(b) defining sum of s₁,₃."""
     built = 0
-    for stack in _walk(start, 6, partial(_identity_frame, _jet_width(start, 6))):
+    for stack in _walk(start, 6, partial(_identity_frame, _jet_modulus(_jet_width(start, 6)), {})):
         node = stack[-1]
         a, b = node.a, node.b
         _, j1, j2 = _cleared_jets(deform(node.value).deform, 2)[1]
@@ -745,6 +749,55 @@ def test_identity_values_are_the_literal_sides(start):
         assert (node.e4, node.e5) == (2 * j1 + 1, 6 * b * j2 - term), node.value
         built += 1
     assert built == 2 ** 7 - 1
+
+
+def test_identity_frames_fold_one_reciprocity_step_per_node():
+    """The sweep's node builder folds each node's s₁,₃ descent through one
+    memo per walk: in window 0 to depth 12, every node's term T equals the
+    descent without a memo, and the memo ends holding exactly the 8191
+    nodes, each with its own u.  A node's Euclid tail (b mod a)/a is a
+    shallower node, so each pair is folded once."""
+    memo, nodes = {}, set()
+    build = partial(_identity_frame, _jet_modulus(_jet_width(0, 12)), memo)
+    for stack in _walk(0, 12, build):
+        node = stack[-1]
+        a, b = node.a, node.b
+        assert 6 * b * node.cleared_jets[2] - node.e5 == sbtree._term(a, b), node.value
+        nodes.add((a, b))
+    assert len(nodes) == 2 ** 13 - 1 and set(memo) == nodes
+    assert all(u == sbtree._s13_cleared(a, b) for (a, b), u in memo.items())
+
+
+def _parents_from_letters(letters):
+    """The parent pattern, (small, big) for each member n = 3..m, that the
+    letters into members 3..m give: ζ₃ = 1, ζ_n = n − 2 where the letters
+    into members n − 1 and n differ and ζ_{n−1} otherwise, and member
+    n − 1 the greater parent of a member entered by L."""
+    parents, zeta = [], 1
+    for n, letter in enumerate(letters, start=3):
+        if n > 3 and letter != letters[n - 4]:
+            zeta = n - 2
+        parents.append((zeta, n - 1) if letter == "L" else (n - 1, zeta))
+    return tuple(parents)
+
+
+@pytest.mark.parametrize("start", [-3, -1, 0, 2, 5])
+def test_shape_key_gives_the_parent_pattern(start):
+    """The identity sweep keys a lineage's shape by its order m and the
+    last m − 2 letters of its target's path: on every order-4 and order-5
+    lineage to depth 9, those letters give _lineage_members's parent
+    pattern by the ζ rule (_parents_from_letters), so one key never has
+    two patterns, and all 4 + 8 keys occur."""
+    keys = set()
+    for stack in walk_qtree(start, 9):
+        path = stack[-1].path
+        for m in (4, 5):
+            if len(stack) - m + 1 < 2:  # depth below m − 2
+                continue
+            letters = path[2 - m:]
+            assert _lineage_members(stack, m)[1] == _parents_from_letters(letters), (path, m)
+            keys.add((m, letters))
+    assert len(keys) == 12
 
 
 def test_identity_sweep_fails_where_a_nodes_jets_are_wrong(monkeypatch):
