@@ -8,7 +8,8 @@ reciprocity law 4·(a·b³·s(a, b) + b·a³·s(b, a)) = (5a²b² − a⁴ − b
 as the integer recurrence u(a, b) = (a·b·(5a²b² − a⁴ − b⁴ − 3) −
 b²·u(b mod a, a))/a² on u = 120·b⁴·s, folded bottom-up over the Euclid
 chain of (a, b), in the one integer kernel _s13_cleared.  Every other
-(i, j) is one O(b) lattice loop over cleared Bernoulli polynomials.
+(i, j) is one O(b) lattice loop over cleared Bernoulli polynomials
+(_s_loop).
 
 Conventions (pinned by the test suite):
   - B_1 = −1/2 (so B̄_1(a n/b) matches the bracket's −1/2 offset).
@@ -113,9 +114,7 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     """Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) (exclusive; 0 when b = 1).
 
     Both indices must lie in 0…BERNOULLI_BOUND and b ≥ 1, even when the sum
-    is empty.  Every (i, j) but (1, 3) is one O(b) pass: the factors are
-    B_i(n/b) and B_j(r/b) with r = a·n mod b, so cleared integer polynomials
-    and one division at the end give it.
+    is empty.  Every (i, j) but (1, 3) is one O(b) pass (_s_loop).
 
     s = s_{1,3}, the lattice term of the second derivative, takes O(log b)
     integer steps instead.  It depends on a only mod b, and the distribution
@@ -144,6 +143,14 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
         return Fraction(0)
     if (i, j) == (1, 3):
         return Fraction(_s13_cleared(a, b), 120 * b ** 4)
+    return _s_loop(i, j, a, b)
+
+
+def _s_loop(i: int, j: int, a: int, b: int) -> Rat:
+    """s_sum's O(b) lattice loop, Σ_{n=1}^{b−1} B_i(n/b)·B_j(r/b) with
+    r = a·n mod b, for b ≥ 1: the factors' cleared integer polynomials
+    (_cleared_bernoulli), one Horner pass each per n, and one division at
+    the end."""
     ci, di = _cleared_bernoulli(i, b)
     cj, dj = _cleared_bernoulli(j, b)
     total = 0

@@ -117,7 +117,8 @@ class Frame:
     pair unpacked, and a frame with no packed pair has none.  The jet
     builder keeps residues = (N, D, deg D) modulo (2^width − 1)³, which are
     not a pair, and the cleared jets; the identity sweep's builder adds the
-    node's path and its identity values e4 and e5 (_identity_frame).
+    node's path and its identity values e = (E₄, E₅/b), indexed by the
+    order less 4 (_identity_frame; b divides E₅ at every node).
     Depth −1 and the empty path are the window endpoints'; lineage_extract
     sets its first two members' own."""
 
@@ -211,17 +212,26 @@ def _term(a: int, b: int, memo: dict | None = None) -> int:
 def _identity_frame(modulus: tuple[int, int, int], memo: dict, stack: list[Frame], lo: int,
                     hi: int, depth: int, path: str) -> Frame:
     """The jet frame (_jet_frame) with the node's path and its identity
-    values e4 = E₄ = 2·J₁ + 1 and e5 = E₅ = 6b·J₂ − T, from its cleared
-    jets J and its correction term T (_term, its descent folded through
-    the walk's memo), two separate computations met only here.  As Λ is
-    linear and Λ(1) = L − Σc, a lineage's residual equals its correction
-    exactly when Λ(E₄) = 0 at order 4 and Λ(E₅·B/b) = 0 at order 5,
-    B = lcm(b_i) (identity_sweep)."""
+    values e = (E₄, E₅/b), E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T, from its
+    cleared jets J and its correction term T (_term, its descent folded
+    through the walk's memo), two separate computations met only here.
+
+    b divides E₅ at every node a/b: T ≡ −u (mod b) for u = 120·b⁴·s₁,₃,
+    and 4b⁴·s₁,₃ = Σ (2n − b)(2r³ − 3r²b + rb²) over n < b, r = a·n mod b,
+    is 4a³·Σ n⁴ modulo b, so u ≡ 120·a³·Σ n⁴ = 4a³(b − 1)b(2b − 1)(3b² −
+    3b − 1) ≡ 0.  A remainder would be a bug, so it raises ArithmeticError
+    naming the node and both sides.  As Λ is linear and Λ(1) = L − Σc, a
+    lineage's residual equals its correction exactly when Λ(E₄) = 0 at
+    order 4 and Λ(E₅·B/b) = B·Λ(E₅/b) = 0 at order 5, B = lcm(b_i), so
+    both orders check Λ(e[m − 4]) = 0 (identity_sweep)."""
     frame = _jet_frame(modulus, stack, lo, hi, depth, path)
     frame.path = path
     _, j1, j2 = frame.cleared_jets
-    frame.e4 = 2 * j1 + 1
-    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b, memo)
+    jets, term = 6 * frame.b * j2, _term(frame.a, frame.b, memo)
+    e5, rem = divmod(jets - term, frame.b)
+    if rem:
+        raise ArithmeticError(f"E₅ mod b ≠ 0 at node {frame.value}: 6b·J₂ = {jets}, T = {term}")
+    frame.e = 2 * j1 + 1, e5
     return frame
 
 
@@ -273,7 +283,10 @@ def _walk(m: int, depth: int, build) -> Iterator[list[Frame]]:
     child on a pending list; at the bottom it yields the node, then pops
     the last pending entry, cuts the stack back to that node, yields it
     and descends from its right child.  So each node is built before its
-    descendants and yielded once, after its left subtree."""
+    descendants and yielded once, after its left subtree.  When it builds
+    a depth-d node, the stack holds exactly the node's 2 + d ancestors
+    (the endpoints and one frame per depth), so the new frame is
+    appended."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     return _descend(m, depth, build)
@@ -285,7 +298,7 @@ def _descend(m: int, depth: int, build) -> Iterator[list[Frame]]:
     lo, hi, d, path = 0, 1, 0, "L"
     while True:
         k = d + 2
-        stack[k:] = [build(stack, lo, hi, d, path)]
+        stack.append(build(stack, lo, hi, d, path))
         if d < depth:
             pending.append((k, k, hi, path + "R"))
             hi, d, path = k, d + 1, path + "L"
@@ -787,14 +800,17 @@ def identity_sweep(depth: int) -> dict:
     defines the pattern, runs on each key's first lineage only.
 
     Per node, where the walk builds it (_identity_frame): its path and the
-    integers E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T from its cleared jets J and,
-    computed apart, its correction term T.  T's s₁,₃ descent folds through
-    one memo per call: a node's Euclid tail (b mod a)/a is a shallower
-    tree node, so the nodes' chains share their tails and the call folds
-    one reciprocity step per node.  Per lineage: member 1 read off member
-    3's parents, members 2..m the stack's last frames, and one integer
-    sum.  The residual equals the correction exactly when L·Λ(E₄) = 0 at
-    order 4 and L·Λ(E₅·B/b) = 0 at order 5, B = lcm(b_i).  Only a failing
+    integers e = (E₄, E₅/b), E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T from its
+    cleared jets J and, computed apart, its correction term T.  b divides
+    E₅ (T ≡ −120·b⁴·s₁,₃ ≡ 0 mod b), and a node where it does not raises
+    ArithmeticError naming it.  T's s₁,₃ descent folds through one memo
+    per call: a node's Euclid tail (b mod a)/a is a shallower tree node,
+    so the nodes' chains share their tails and the call folds one
+    reciprocity step per node.  Per lineage: member 1 read off member 3's
+    parents, members 2..m the stack's last frames, and one integer sum,
+    L·Λ(e[m − 4]).  The residual equals the correction exactly when
+    Λ(E₄) = 0 at order 4 and Λ(E₅·B/b) = B·Λ(E₅/b) = 0 at order 5,
+    B = lcm(b_i), as Λ is linear, so no lcm is taken.  Only a failing
     lineage builds its two sides, the residual from the members' cleared
     jets and the correction (_cleared_correction), for its record.
 
@@ -824,12 +840,7 @@ def identity_sweep(depth: int) -> dict:
                 shape = shapes[key] = _shape_checks(m, _lineage_members(stack, m)[1])
             L, c, moment = shape
             frames = [one, *stack[first:]]
-            if m == 4:
-                values = [fr.e4 for fr in frames]
-            else:
-                B = math.lcm(*(fr.b for fr in frames))
-                values = [fr.e5 * (B // fr.b) for fr in frames]
-            if _lam(L, c, values):
+            if _lam(L, c, [fr.e[m - 4] for fr in frames]):
                 resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
                 num, den = _cleared_correction(frames, L, c)
                 scale = _scale(L, [fr.value for fr in frames])

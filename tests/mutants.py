@@ -133,8 +133,8 @@ MUTANTS = [
     {
         "name": "identity-e4-without-its-plus-one",
         "file": SBTREE,
-        "old": "    frame.e4 = 2 * j1 + 1\n",
-        "new": "    frame.e4 = 2 * j1\n",
+        "old": "    frame.e = 2 * j1 + 1, e5\n",
+        "new": "    frame.e = 2 * j1, e5\n",
         "tests": [T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
@@ -142,8 +142,8 @@ MUTANTS = [
     {
         "name": "identity-e5-with-6-in-place-of-6b",
         "file": SBTREE,
-        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b, memo)\n",
-        "new": "    frame.e5 = 6 * j2 - _term(frame.a, frame.b, memo)\n",
+        "old": "    jets, term = 6 * frame.b * j2, _term(frame.a, frame.b, memo)\n",
+        "new": "    jets, term = 6 * j2, _term(frame.a, frame.b, memo)\n",
         "tests": [T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
@@ -151,18 +151,46 @@ MUTANTS = [
     {
         "name": "identity-e5-read-from-j1",
         "file": SBTREE,
-        "old": "    frame.e5 = 6 * frame.b * j2 - _term(frame.a, frame.b, memo)\n",
-        "new": "    frame.e5 = 6 * frame.b * j1 - _term(frame.a, frame.b, memo)\n",
+        "old": "    jets, term = 6 * frame.b * j2, _term(frame.a, frame.b, memo)\n",
+        "new": "    jets, term = 6 * frame.b * j1, _term(frame.a, frame.b, memo)\n",
         "tests": [T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
-        "name": "identity-order-5-values-not-scaled-by-lcm-over-b",
+        "name": "identity-e5-stored-undivided",
         "file": SBTREE,
-        "old": "values = [fr.e5 * (B // fr.b) for fr in frames]",
-        "new": "values = [fr.e5 for fr in frames]",
+        "old": "    frame.e = 2 * j1 + 1, e5\n",
+        "new": "    frame.e = 2 * j1 + 1, jets - term\n",
+        "tests": [T + "test_identity_values_are_the_literal_sides",
+                  T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        "name": "identity-e5-division-remainder-ignored",
+        "file": SBTREE,
+        "old": "    if rem:\n        raise ArithmeticError(",
+        "new": "    if False:\n        raise ArithmeticError(",
+        "tests": [T + "test_identity_sweep_raises_where_b_does_not_divide_e5"],
+    },
+    {
+        # both branches pick member 2, so member 1 becomes a copy of it
+        "name": "identity-member-1-read-as-the-wrong-parent",
+        "file": SBTREE,
+        "old": "one = stack[third.hi if third.lo == first else third.lo]",
+        "new": "one = stack[third.lo if third.lo == first else third.hi]",
         "tests": [T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        # not the walker/lineage_extract comparison: both sides read member 1
+        # through _lineage_members
+        "name": "lineage-member-1-read-as-the-wrong-parent",
+        "file": SBTREE,
+        "old": "one = third.hi if third.lo == first else third.lo",
+        "new": "one = third.lo if third.lo == first else third.hi",
+        "tests": [T + "test_lineage_json_shape",
+                  T + "test_lineage_order4_fixtures",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
@@ -317,6 +345,16 @@ MUTANTS = [
         "new": "            pending.append((k, lo, k, path + \"L\"))\n"
                "            lo, d, path = k, d + 1, path + \"R\"\n",
         "tests": [T + "test_walk_yields_each_node_once_in_increasing_value"],
+    },
+    {
+        # the empty tower as N/D = 1/1 in place of 1/0
+        "name": "tower-started-at-1-1",
+        "file": QDEFORM,
+        "old": "    N, D = 1, 0\n    for i in range(len(terms) - 1, -1, -1):\n",
+        "new": "    N, D = 1, 1\n    for i in range(len(terms) - 1, -1, -1):\n",
+        "tests": [Q + "test_packed_tower_matches_intpoly_tower",
+                  Q + "test_deform_pinned_pairs",
+                  T + "test_packed_walker_matches_deform"],
     },
     {
         "name": "d2-thomae-part-sign-flipped",

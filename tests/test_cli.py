@@ -323,6 +323,21 @@ def test_check_sweep_that_raises_fails_and_the_rest_run(capsys, monkeypatch):
     assert lines[1] == "FAIL delta: raised ValueError: weight reconstruction failed"
 
 
+def test_check_delta_fails_where_b_does_not_divide_e5(capsys, monkeypatch):
+    """A node whose E₅ = 6b·J₂ − T is not divisible by b (here 3/8, its T
+    one too large) makes the identity sweep raise where it builds the
+    node, and `qrat check delta` prints a FAIL line naming the node and
+    both sides."""
+    term = sbtree._term
+    monkeypatch.setattr(sbtree, "_term", lambda a, b, memo=None:
+                        term(a, b, memo) + ((a, b) == (3, 8)))
+    _bounds(monkeypatch, delta=4)
+    rc, lines, summary = check(capsys, "delta")
+    assert rc == 1 and summary == "0/1 sweeps clean"
+    assert lines == ["FAIL delta: raised ArithmeticError: E₅ mod b ≠ 0 at node 3/8: "
+                     "6b·J₂ = -7680, T = 4561"]
+
+
 def test_check_usage_errors(capsys):
     for scale in ("0", str(MAX_CHECK_SCALE + 1)):
         rc, out, err = run(capsys, "check", "thm1", "--scale", scale)

@@ -25,6 +25,7 @@ from qrationals import closedforms, dedekind
 from qrationals.closedforms import bracket_weight_sum, bridge_mismatches
 from qrationals.dedekind import (
     _s13_cleared,
+    _s_loop,
     battery_report_csv,
     battery_sweep,
     bernoulli_number,
@@ -144,6 +145,17 @@ def test_s_sum_matches_literal_sum(i, j, ab):
     assert s_sum(i, j, a, b) == literal_s_sum(i, j, a, b)
 
 
+def test_s_loop_is_the_literal_sum():
+    """s_sum's O(b) loop, on its own, is the defining sum for every index
+    pair to 4, (1, 3) included, at every a in [−b, 2b] for b ≤ 12: coprime
+    or not, and b = 1, where the sum is empty."""
+    for b in range(1, 13):
+        for a in range(-b, 2 * b + 1):
+            for i in range(5):
+                for j in range(5):
+                    assert _s_loop(i, j, a, b) == literal_s_sum(i, j, a, b), (i, j, a, b)
+
+
 def test_s_sum_literal_pins():
     """Index 12 (the bound) against the literal sum, and the index-13 error,
     also at b = 1, where the sum is empty."""
@@ -174,6 +186,20 @@ def test_s13_cleared_is_the_literal_sum(ab):
     120·b⁴·s_{1,3}, non-coprime and negative a included."""
     a, b = ab
     assert _s13_cleared(a, b) == 120 * b ** 4 * literal_s_sum(1, 3, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 4).flatmap(lambda b: st.tuples(
+    st.integers(-3 * b, 4 * b - 1).filter(lambda a: math.gcd(a, b) == 1), st.just(b))))
+@example((1, 1))
+@example((-23, 9))
+@example((2, 5))
+def test_s13_cleared_is_divisible_by_b(ab):
+    """b divides u = 120·b⁴·s₁,₃(a, b) at coprime (a, b), b ≤ 10⁴ and
+    −3b ≤ a < 4b: u ≡ 120·a³·Σ_{n<b} n⁴ = 4a³(b − 1)b(2b − 1)(3b² − 3b − 1)
+    (mod b).  The identity sweep stores E₅/b on it (sbtree._identity_frame)."""
+    a, b = ab
+    assert _s13_cleared(a, b) % b == 0
 
 
 def _euclid_chain(a: int, b: int) -> list[tuple[int, int]]:

@@ -220,6 +220,25 @@ def test_walk_yields_each_node_once_in_increasing_value(build):
     assert all(x < y for x, y in zip(seen, seen[1:]))
 
 
+@pytest.mark.parametrize("start", [-3, 0, 5])
+def test_walk_appends_each_built_frame_to_its_ancestors(start):
+    """When the walk builds a depth-d node, its stack holds exactly the two
+    window endpoints and the node's d ancestors, so the built frame is
+    appended: a builder wrapping _packed_frame sees 2 + d frames at each
+    of the 2^9 − 1 builds to depth 8, and the walk yields the nodes of
+    walk_qtree, pair for pair, in the same order."""
+    width, walk = sbtree._packed_walk(start, 8)
+    built = []
+
+    def build(stack, lo, hi, depth, path):
+        assert len(stack) == depth + 2, path
+        built.append(path)
+        return sbtree._packed_frame(width, stack, lo, hi, depth, path)
+    got = [(stack[-1].value, stack[-1].packed, len(stack)) for stack in _walk(start, 8, build)]
+    assert got == [(stack[-1].value, stack[-1].packed, len(stack)) for stack in walk]
+    assert len(built) == len(set(built)) == 2 ** 9 - 1
+
+
 @pytest.mark.parametrize("start", [0, -2, 3])
 def test_lineages_off_the_walker_match_lineage_extract(start):
     """The walker's stack and the Fraction-level descent give the same
@@ -737,18 +756,34 @@ def test_identity_sweep_reports_unscaled_failures(monkeypatch):
 @pytest.mark.parametrize("start", [-2, 0, 3])
 def test_identity_values_are_the_literal_sides(start):
     """Each node's identity values to depth 6 are its two sides, each by
-    another route: E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T, with J₁, J₂ the
-    cleared jets of the node's polynomial pair (_cleared_jets of deform)
-    and T = 6b(b − a) − 120·b⁴·s₁,₃ from the O(b) defining sum of s₁,₃."""
+    another route: e = (E₄, E₅/b), E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T, with
+    J₁, J₂ the cleared jets of the node's polynomial pair (_cleared_jets
+    of deform) and T = 6b(b − a) − 120·b⁴·s₁,₃ from the O(b) defining sum
+    of s₁,₃."""
     built = 0
     for stack in _walk(start, 6, partial(_identity_frame, _jet_modulus(_jet_width(start, 6)), {})):
         node = stack[-1]
         a, b = node.a, node.b
         _, j1, j2 = _cleared_jets(deform(node.value).deform, 2)[1]
         term = 6 * b * (b - a) - 120 * b ** 4 * oracles.literal_s_sum(1, 3, a, b)
-        assert (node.e4, node.e5) == (2 * j1 + 1, 6 * b * j2 - term), node.value
+        e4, e5 = node.e
+        assert (e4, b * e5) == (2 * j1 + 1, 6 * b * j2 - term), node.value
         built += 1
     assert built == 2 ** 7 - 1
+
+
+@pytest.mark.parametrize("start", [-3, -1, 0, 2, 7])
+def test_b_divides_e5_on_every_node(start):
+    """b divides E₅ = 6b·J₂ − T at every node a/b of the jet walk to depth
+    9, so the identity sweep stores E₅/b: T = 6b(b − a) − u, and
+    u = 120·b⁴·s₁,₃ ≡ 120·a³·Σ_{n<b} n⁴ ≡ 0 (mod b)."""
+    nodes = 0
+    for stack in _jet_walk(start, 9):
+        node = stack[-1]
+        a, b = node.a, node.b
+        assert (6 * b * node.cleared_jets[2] - sbtree._term(a, b)) % b == 0, node.value
+        nodes += 1
+    assert nodes == 2 ** 10 - 1
 
 
 def test_identity_frames_fold_one_reciprocity_step_per_node():
@@ -762,7 +797,7 @@ def test_identity_frames_fold_one_reciprocity_step_per_node():
     for stack in _walk(0, 12, build):
         node = stack[-1]
         a, b = node.a, node.b
-        assert 6 * b * node.cleared_jets[2] - node.e5 == sbtree._term(a, b), node.value
+        assert 6 * b * node.cleared_jets[2] - b * node.e[1] == sbtree._term(a, b), node.value
         nodes.add((a, b))
     assert len(nodes) == 2 ** 13 - 1 and set(memo) == nodes
     assert all(u == sbtree._s13_cleared(a, b) for (a, b), u in memo.items())
@@ -827,6 +862,20 @@ def test_identity_sweep_fails_where_a_nodes_jets_are_wrong(monkeypatch):
     res = identity_sweep(6)
     assert {m for m, *_ in expected} == {4, 5}
     assert res == {"checked": {4: 104, 5: 88}, "failures": expected}
+
+
+def test_identity_sweep_raises_where_b_does_not_divide_e5(monkeypatch):
+    """The sweep divides E₅ by b where it builds the node and raises on a
+    remainder, naming the node and both sides, 6b·J₂ and T: with 3/8's T
+    one too large, identity_sweep(4) raises at 3/8."""
+    term = sbtree._term
+    monkeypatch.setattr(sbtree, "_term", lambda a, b, memo=None:
+                        term(a, b, memo) + ((a, b) == (3, 8)))
+    j2 = _cleared_jets(deform(Fr(3, 8)).deform, 2)[1][2]
+    with pytest.raises(ArithmeticError) as err:
+        identity_sweep(4)
+    assert str(err.value) == ("E₅ mod b ≠ 0 at node 3/8: "
+                              f"6b·J₂ = {48 * j2}, T = {sbtree._term(3, 8)}")
 
 
 def _pair_as(monkeypatch, value, other):
