@@ -11,12 +11,14 @@ parents' weighted mediant on integers at q = 2^B in qdeform's convention
 towers at the same width (_cfrac_table); the lineage weights 𝔉, 𝔊 run the
 step's recurrence too (_weights).  The identity sweep and the plot data
 walk it modulo (2^B − 1)³, whose base-(2^B − 1) digits are the Taylor data
-at q = 1 (_jet_frame); the identity sweep also folds every node's s₁,₃
-descent through one memo per walk and keys lineage shapes by the last
-letters of the target's path (identity_sweep).  The tree takes the
-continued-fraction tower only for pairs it does not build (the window
-endpoints, lineage members 1 and 2); their bit-exact agreement elsewhere
-is a verified equivalence, not a dependency.
+at q = 1, and take each node's cleared jets from them by two integer
+expressions, the order-2 series quotient written out (_jet_frame); the
+identity sweep also folds every node's s₁,₃ descent through one memo per
+walk and keys lineage shapes by the last letters of the target's path
+(identity_sweep).  The tree takes the continued-fraction tower only for
+pairs it does not build (the window endpoints, lineage members 1 and 2);
+their bit-exact agreement elsewhere is a verified equivalence, not a
+dependency.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from .exact import (
     Rat,
     RatFunc,
     _cleared_jets,
-    _series_quotient,
     _taylor_at_one,
     poly_to_json_list,
 )
@@ -184,21 +185,30 @@ def _jet_frame(modulus: tuple[int, int, int], stack: list[Frame], lo: int, hi: i
     deep at any depth (a window endpoint enters by its packed pair).  As
     q = 1 + h, their base-h digits are the Taylor data at q = 1 of the
     stored words (_taylor_digits; _jet_walk's width keeps each below h),
-    the numerator's negated back below 0, which give the cleared jets
-    J_0..J_2.  Digit 0 must be the node's (a, b), since the jets scale with
-    D(1) (ValueError naming the node otherwise); a common q-power would
-    change no jet."""
+    the numerator's negated back below 0.  Digit 0 must be the node's
+    (a, b), since the jets scale with D(1) (ValueError naming the node
+    otherwise); a common q-power would change no jet.
+
+    The cleared jets J_0..J_2 are exact._series_quotient's Horner
+    recurrence at order 2, written out: with digits (n₀, n₁, n₂) and
+    (d₀, d₁, d₂), J_0 = a, J_1 = T₁ = n₁·b − d₁·a and J_2 = 2·((n₂·b −
+    d₂·a)·b − d₁·T₁).  The recurrence reads n₀ and d₀; putting a and b in
+    their place is exact, since the guard has just checked n₀ = a and
+    d₀ = b."""
     width, h, cube = modulus
     frame, num, den, deg = _mediant(
         stack, lo, hi, stack[lo].residues or stack[lo].packed or _pack(stack[lo], width),
         stack[hi].residues or stack[hi].packed or _pack(stack[hi], width), width)
     num, den = num % cube, den % cube
     frame.residues = num, den, deg
-    n, d = _taylor_digits(num, h), _taylor_digits(den, h)
-    n = [-s for s in n] if frame.a < 0 else n
-    if n[0] != frame.a or d[0] != frame.b:
+    (n0, n1, n2), (b, d1, d2) = _taylor_digits(num, h), _taylor_digits(den, h)
+    a = frame.a
+    if a < 0:
+        n0, n1, n2 = -n0, -n1, -n2
+    if n0 != a or b != frame.b:
         raise _not_mediant(frame.value)
-    frame.cleared_jets = _series_quotient(n, d)[1]
+    t1 = n1 * b - d1 * a
+    frame.cleared_jets = [a, t1, 2 * ((n2 * b - d2 * a) * b - d1 * t1)]
     return frame
 
 

@@ -3,11 +3,11 @@ tests it names must fail.
 
     python tests/mutants.py [NAME ...]
 
-For each mutant (all, or those named), the runner copies src, tests and
-pyproject.toml to a temporary directory, replaces the entry's snippet, which
-must occur exactly once in its file, and runs the named tests there with
-pytest in a subprocess, one mutant at a time, under a timeout, with
-hypothesis's seed fixed and its explain phase off (the `mutants` profile in
+For each mutant (all, or those named), the runner copies src, tests,
+pyproject.toml and README.md (tests/test_cli.py reads it) to a temporary
+directory, replaces the entry's snippet, which must occur exactly once in
+its file, and runs the named tests there with pytest in a subprocess, one
+mutant at a time, under a timeout, with hypothesis's seed fixed and its explain phase off (the `mutants` profile in
 tests/conftest.py: explaining a failure can outlast the timeout).  It first
 runs every named test on the unmutated copy, which must pass.  It prints one
 JSON line per mutant, whose status is
@@ -90,9 +90,36 @@ MUTANTS = [
     {
         "name": "jet-numerator-digits-not-negated-back",
         "file": SBTREE,
-        "old": "    n = [-s for s in n] if frame.a < 0 else n\n",
-        "new": "    n = n\n",
+        "old": "    if a < 0:\n        n0, n1, n2 = -n0, -n1, -n2\n",
+        "new": "",
         "tests": [T + "test_jet_walker_matches_polynomial_walker"],
+    },
+    {
+        # digit 0 still meets the guard; a negative window's jets are wrong
+        "name": "jet-numerator-digits-1-2-not-negated",
+        "file": SBTREE,
+        "old": "        n0, n1, n2 = -n0, -n1, -n2\n",
+        "new": "        n0 = -n0\n",
+        "tests": [T + "test_jet_frames_are_the_series_quotient_of_their_digits",
+                  T + "test_jet_walker_matches_polynomial_walker"],
+    },
+    {
+        "name": "jet-t2-without-its-d1-t1-term",
+        "file": SBTREE,
+        "old": "2 * ((n2 * b - d2 * a) * b - d1 * t1)]",
+        "new": "2 * ((n2 * b - d2 * a) * b)]",
+        "tests": [T + "test_jet_frames_are_the_series_quotient_of_their_digits",
+                  T + "test_jet_walker_matches_polynomial_walker",
+                  T + "test_identity_sweep_small_depth"],
+    },
+    {
+        "name": "jet-j2-without-its-factor-2",
+        "file": SBTREE,
+        "old": "2 * ((n2 * b - d2 * a) * b - d1 * t1)]",
+        "new": "((n2 * b - d2 * a) * b - d1 * t1)]",
+        "tests": [T + "test_jet_frames_are_the_series_quotient_of_their_digits",
+                  T + "test_jet_walker_matches_polynomial_walker",
+                  T + "test_identity_sweep_small_depth"],
     },
     {
         "name": "shape-cache-keyed-on-order-alone",
@@ -171,7 +198,8 @@ MUTANTS = [
         "file": SBTREE,
         "old": "    if rem:\n        raise ArithmeticError(",
         "new": "    if False:\n        raise ArithmeticError(",
-        "tests": [T + "test_identity_sweep_raises_where_b_does_not_divide_e5"],
+        "tests": [T + "test_identity_sweep_raises_where_b_does_not_divide_e5",
+                  "tests/test_cli.py::test_check_delta_fails_where_b_does_not_divide_e5"],
     },
     {
         # both branches pick member 2, so member 1 becomes a copy of it
@@ -189,14 +217,37 @@ MUTANTS = [
         "file": SBTREE,
         "old": "one = third.hi if third.lo == first else third.lo",
         "new": "one = third.lo if third.lo == first else third.hi",
-        "tests": [T + "test_lineage_json_shape",
+        "tests": [T + "test_member_1_is_member_3s_other_stern_brocot_parent",
+                  T + "test_lineage_json_shape",
                   T + "test_lineage_order4_fixtures",
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
+        # not the identity sweep: the weights at q = 1 are symmetric in the
+        # two parents; nor the walker/lineage_extract comparison (both swap)
+        "name": "mediant-parents-lo-hi-swapped",
+        "file": SBTREE,
+        "old": "stack[lo].b + stack[hi].b, lo, hi)",
+        "new": "stack[lo].b + stack[hi].b, hi, lo)",
+        "tests": [T + "test_walk_yields_each_node_once_in_increasing_value",
+                  T + "test_walker_matches_deform_and_build_qtree",
+                  T + "test_walker_lineage_weights_rebuild_members_by_products",
+                  T + "test_shape_key_gives_the_parent_pattern"],
+    },
+    {
+        # the (1 + q)-weighted mediant L + q·R at every node
+        "name": "mediant-xi-fixed-at-1",
+        "file": SBTREE,
+        "old": "    frame.xi = xi = _degree_gap(deg_l, deg_r)\n",
+        "new": "    frame.xi = xi = 1\n",
+        "tests": [T + "test_packed_walker_matches_deform",
+                  T + "test_jet_walker_matches_polynomial_walker",
+                  T + "test_identity_sweep_small_depth"],
+    },
+    {
         "name": "jet-digit-0-guard-deleted",
         "file": SBTREE,
-        "old": "    if n[0] != frame.a or d[0] != frame.b:\n",
+        "old": "    if n0 != a or b != frame.b:\n",
         "new": "    if False:\n",
         "tests": [T + "test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant"],
     },
@@ -352,6 +403,16 @@ MUTANTS = [
         "file": QDEFORM,
         "old": "    N, D = 1, 0\n    for i in range(len(terms) - 1, -1, -1):\n",
         "new": "    N, D = 1, 1\n    for i in range(len(terms) - 1, -1, -1):\n",
+        "tests": [Q + "test_packed_tower_matches_intpoly_tower",
+                  Q + "test_deform_pinned_pairs",
+                  T + "test_packed_walker_matches_deform"],
+    },
+    {
+        # the steps applied from a_0 down instead of from the last term up
+        "name": "tower-folded-top-down",
+        "file": QDEFORM,
+        "old": "    for i in range(len(terms) - 1, -1, -1):\n        N, D = _step(",
+        "new": "    for i in range(len(terms)):\n        N, D = _step(",
         "tests": [Q + "test_packed_tower_matches_intpoly_tower",
                   Q + "test_deform_pinned_pairs",
                   T + "test_packed_walker_matches_deform"],
@@ -526,7 +587,8 @@ def _copy(dest: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(REPO / name, dest / name,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-    shutil.copy(REPO / "pyproject.toml", dest)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(REPO / name, dest)
 
 
 def _run_tests(root: Path, tests: list[str]) -> tuple[str, dict, list[str]]:

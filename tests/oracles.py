@@ -1,10 +1,10 @@
 """Test-side oracles: the adjacency-checked Farey mediant, the weighted
 mediant of two canonical pairs, ℤ[q] sums, shifts and products, the
-quotient-rule derivative, the value of a continued fraction, Thomae's
-function, the literal lattice and bracket sums and closed forms, the
-literal h, reciprocity residual and identity-battery rows, and the literal
-Fraction forms of the lineage identity (Lagrange coefficients, residual and
-correction).
+quotient-rule derivative, the value of a continued fraction, a node's
+Stern–Brocot parents by its convergents, Thomae's function, the literal
+lattice and bracket sums and closed forms, the literal h, reciprocity
+residual and identity-battery rows, and the literal Fraction forms of the
+lineage identity (Lagrange coefficients, residual and correction).
 
 The package's descents take Farey sums of pairs adjacent by construction,
 so they skip the check; mediant() here makes it.  The package's IntPoly
@@ -127,6 +127,22 @@ def cfrac_value(terms) -> Fraction:
     for t in reversed(terms[:-1]):
         v = t + 1 / v
     return v
+
+
+def stern_brocot_parents(x) -> tuple[Fraction, Fraction]:
+    """(shallow, deep): the two Stern–Brocot parents of a non-integer x,
+    from its value alone by the convergents p_k/q_k of its continued
+    fraction [a_0; a_1, ..., a_n] (Euclid's algorithm, a_n ≥ 2).  The
+    shallow parent is p_{n−1}/q_{n−1} = [a_0; ..., a_{n−1}], a_n levels
+    up; the deep one, the node's ancestor one level up, is
+    (p_n − p_{n−1})/(q_n − q_{n−1}) = [a_0; ..., a_n − 1]."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    p, q, p_prev, q_prev = 1, 0, 0, 1  # p_{−1}/q_{−1} and p_{−2}/q_{−2}
+    while b:
+        t, a, b = a // b, b, a % b
+        p, q, p_prev, q_prev = t * p + p_prev, t * q + q_prev, p, q
+    return Fraction(p_prev, q_prev), Fraction(p - p_prev, q - q_prev)
 
 
 def thomae(x) -> Fraction:

@@ -18,6 +18,7 @@ from qrationals.exact import (
     PoleAtOneError,
     RatFunc,
     _cleared_jets,
+    _series_quotient,
     _taylor_at_one,
     derivative_at_one,
 )
@@ -254,6 +255,30 @@ def test_lineages_off_the_walker_match_lineage_extract(start):
     assert read == 511 + 510 + 508 + 504
 
 
+@pytest.mark.parametrize("start", [-3, 0, 2])
+def test_member_1_is_member_3s_other_stern_brocot_parent(start):
+    """Members 1 and 2 of an order-m lineage, from the target's value
+    alone (oracles.stern_brocot_parents, by continued-fraction
+    convergents): member 3 is the target's deep parent taken m − 3 times,
+    member 2 its deep parent and member 1 its shallow one.  They are the
+    walker's (_lineage_members on its stack) and lineage_extract's, for
+    orders 3 to 6 at every node to depth 8."""
+    read = 0
+    for stack in walk_qtree(start, 8):
+        x = stack[-1].value
+        for m in range(3, min(6, len(stack) - 1) + 1):  # depth len(stack) − 3 ≥ m − 2
+            third = x
+            for _ in range(m - 3):
+                third = oracles.stern_brocot_parents(third)[1]
+            want = oracles.stern_brocot_parents(third)
+            frames = _lineage_members(stack, m)[0]
+            assert (frames[0].value, frames[1].value) == want, (x, m)
+            members = lineage_extract(x, m).members
+            assert (members[0].value, members[1].value) == want, (x, m)
+            read += 1
+    assert read == 510 + 508 + 504 + 496
+
+
 @pytest.mark.parametrize("start", [-1, 0, 1, 3])
 def test_tree_equals_cfrac_construction_on_shifted_windows(start):
     nodes = [stack[-1].node for stack in walk_qtree(start, 6)]
@@ -289,6 +314,25 @@ def test_jet_walker_matches_polynomial_walker(start, depth, top, width):
     assert biggest == top
     with pytest.raises(TypeError):  # residues are not a pair: no node
         jets[-1].node
+
+
+@pytest.mark.parametrize("start", [-1999, -3, 0, 7])
+def test_jet_frames_are_the_series_quotient_of_their_digits(start):
+    """_jet_frame writes out the order-2 case of exact._series_quotient: at
+    every node to depth 10, its cleared jets are the general quotient of
+    its residues' base-h digits (_taylor_digits), the numerator's negated
+    in a window below 0, and the quotient's b is the node's."""
+    h = _jet_modulus(_jet_width(start, 10))[1]
+    walked = 0
+    for stack in _jet_walk(start, 10):
+        frame = stack[-1]
+        num, den, _ = frame.residues
+        n = sbtree._taylor_digits(num, h)
+        n = [-s for s in n] if start < 0 else n
+        assert _series_quotient(n, sbtree._taylor_digits(den, h)) == \
+            (frame.b, frame.cleared_jets), frame.value
+        walked += 1
+    assert walked == 2 ** 11 - 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -837,15 +881,18 @@ def test_shape_key_gives_the_parent_pattern(start):
 
 def test_identity_sweep_fails_where_a_nodes_jets_are_wrong(monkeypatch):
     """With 3/8's cleared jets J₁ and J₂ each one too large on the sweep's
-    side only (sbtree's _series_quotient), exactly the non-vanishing order-4
-    and order-5 lineages with 3/8 as a member fail, each reported as the
-    residual of the wrong jets against the unchanged correction."""
-    series_quotient = sbtree._series_quotient
+    side only (its jet frame, sbtree._jet_frame), exactly the non-vanishing
+    order-4 and order-5 lineages with 3/8 as a member fail, each reported
+    as the residual of the wrong jets against the unchanged correction."""
+    jet_frame = sbtree._jet_frame
 
-    def wrong_at_3_8(n, d):
-        b, J = series_quotient(n, d)
-        return b, (J[:1] + [J[1] + 1, J[2] + 1] if (n[0], d[0]) == (3, 8) else J)
-    monkeypatch.setattr(sbtree, "_series_quotient", wrong_at_3_8)
+    def wrong_at_3_8(*args):
+        frame = jet_frame(*args)
+        if (frame.a, frame.b) == (3, 8):
+            j0, j1, j2 = frame.cleared_jets
+            frame.cleared_jets = [j0, j1 + 1, j2 + 1]
+        return frame
+    monkeypatch.setattr(sbtree, "_jet_frame", wrong_at_3_8)
     expected = []
     for stack in walk_qtree(0, 6):
         for m in (4, 5):
