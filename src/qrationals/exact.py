@@ -67,8 +67,7 @@ class IntPoly:
     coefficient of q^i.  The zero polynomial has an empty coefficient tuple;
     otherwise the leading coefficient is nonzero.  A coefficient that is not
     an integer raises TypeError.  It negates, divides by q^k and evaluates;
-    the package adds, shifts and multiplies polynomials only on packed
-    integers (qdeform's tower, sbtree's tree and lineage weights)."""
+    polynomials are built on packed integers (qrationals.packed)."""
 
     coeffs: tuple[int, ...]
 

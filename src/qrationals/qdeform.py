@@ -9,33 +9,23 @@ factors cleared to ordinary polynomials at every step.  Each step is a 2×2
 polynomial move of determinant ±q^k, so the final pair needs only its
 common q-power stripped to be canonical (_packed_pair).
 
-The tower runs on packed integers (Kronecker substitution): a polynomial P
-with nonnegative coefficients below 2^B is held as the integer P(2^B), so
-q^k·P is a left shift by k·B bits and a sum of polynomials is an integer
-sum.  A level of the tower by a partial quotient a ≤ 3 costs one shift and
-one add per unit of a (_step), and beyond, the product by [a − 1]_q is
-O(log a) shifts and adds by binary doubling.  The coefficients are bounded
-by the continued fraction's continuant, which fixes B before the tower
-starts (see deform_from_cfrac); unpacking is one to_bytes and a split into
-B-bit words, read at C speed (_unpack).
+The tower runs on packed integers (qrationals.packed), one step per level
+(_step), at a width that the continuant fixes before it starts
+(deform_from_cfrac).
 """
 from __future__ import annotations
 
-import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import itemgetter
 
 from .exact import (
-    IntPoly,
     Rat,
     RatFunc,
     poly_to_json_list,
     rat_to_str,
 )
+from .packed import _packed_width, _times_qint, _unpacked
 
 __all__ = [
     "CFrac",
@@ -85,53 +75,6 @@ def _expansion(p: int, q: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
-def _times_qint(x: int, n: int, width: int) -> int:
-    """x·[n]_q for a packed x (q = 2^width), n ≥ 0, by binary doubling:
-    [2m] = [m]·(1 + q^m) and [m + 1] = 1 + q·[m], one shift and one add each."""
-    if n == 0:
-        return 0
-    s, m = x, 1
-    for bit in bin(n)[3:]:
-        s += s << (m * width)
-        m *= 2
-        if bit == "1":
-            s = x + (s << width)
-            m += 1
-    return s
-
-
-# memoryview formats that unpack 1-, 2-, 4- and 8-byte words at C speed
-_WORD_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
-
-
-def _packed_width(bound: int) -> int:
-    """Bit width B for coefficients in [0, 2·bound]: whole bytes with a spare
-    bit, rounded up to a machine word size when that is at most 8 bytes."""
-    nbytes = (bound.bit_length() + 8) // 8
-    if nbytes <= 8:
-        nbytes = 1 << (nbytes - 1).bit_length()
-    return 8 * nbytes
-
-
-def _unpack(x: int, width: int) -> IntPoly:
-    """The polynomial whose packed form at q = 2^width is x ≥ 0.  The words
-    are ints, and the top one holds x's top bit, so nothing is stripped.
-    One little-endian to_bytes splits x into words: on a little-endian host
-    a memoryview cast reads words of 1, 2, 4 or 8 bytes; any others, or any
-    word on a big-endian host, struct.iter_unpack cuts into w-byte strings
-    and one map of int.from_bytes reads (the byte order passed by repeat:
-    Python 3.10's from_bytes has no default)."""
-    w = width // 8
-    buf = x.to_bytes(-(-x.bit_length() // width) * w, "little")
-    fmt = _WORD_FORMATS.get(w) if sys.byteorder == "little" else None
-    if fmt is None:
-        words = map(itemgetter(0), struct.iter_unpack(f"{w}s", buf))
-        coeffs = map(int.from_bytes, words, repeat("little"))
-    else:
-        coeffs = memoryview(buf).cast(fmt).tolist()
-    return IntPoly._from_stripped(tuple(coeffs))
-
-
 def _step(a: int, N: int, D: int, width: int, odd: bool) -> tuple[int, int]:
     """One level of the tower on a packed pair (N, D) at q = 2^width:
 
@@ -167,12 +110,8 @@ def _tower(terms: tuple[int, ...], width: int) -> tuple[int, int]:
     """The cleared pair (N, D) of the tower of terms, a_0 ≥ 0, packed at
     q = 2^width and not canonicalized: _step on each term bottom-up from the
     empty tower (N, D) = (1, 0), where 1/tower = 0, the step's parity that
-    of the term's index.
-
-    Each step is a 2×2 move of determinant ±q^k, so the only common factor
-    of N and D is a power of q, and every coefficient is nonnegative.  The
-    width must hold the largest coefficient (see deform_from_cfrac); a
-    coefficient past it carries into the next word."""
+    of the term's index.  The width must hold every coefficient
+    (deform_from_cfrac)."""
     N, D = 1, 0
     for i in range(len(terms) - 1, -1, -1):
         N, D = _step(terms[i], N, D, width, i % 2)
@@ -181,22 +120,20 @@ def _tower(terms: tuple[int, ...], width: int) -> tuple[int, int]:
 
 def _packed_pair(terms: tuple[int, ...], width: int) -> tuple[int, int]:
     """The canonical pair (N, D) of the tower of terms, for any head a_0,
-    packed at q = 2^width in the one packed convention (sbtree's tree keeps
-    it too): both words have nonnegative coefficients, the numerator stored
-    negated when a_0 < 0.
+    packed at q = 2^width in qrationals.packed's convention.
 
     A head a_0 = −k takes the backwards recurrence: with (D, N) the tower
     of (0; a_1, ...), the pair is (D − [k]_q·N)/(q^k·N), stored as
     ([k]_q·N − D, q^k·N).  The level-1 odd step makes N = q·[a_1]_q·N_2 +
     D_2 ≥ q^{a_1}·N_2 = D coefficientwise (an integer's D is 0), so the
-    subtraction borrows nothing.  Each step is a 2×2 move of determinant
-    ±q^j, so the pair's one common factor is a power of q: q after an odd
-    tail and 1 after an even one, more only where the subtraction cancels,
-    as in (−k; 1).  It is stripped one word at a time while both q⁰ words
-    are 0, a test on the low words alone, and a zero pair, which no tower
-    makes, stops at once; content 1 and D(1) > 0 follow.  The width must be
-    at least deform_from_cfrac's for these terms, and a width of 0, which
-    has no q⁰ word to test, raises ValueError."""
+    subtraction borrows nothing.  The pair's one common factor is a power
+    of q (the module docstring): q after an odd tail and 1 after an even
+    one, more only where the subtraction cancels, as in (−k; 1).  It is
+    stripped one word at a time while both q⁰ words are 0, a test on the
+    low words alone, and a zero pair, which no tower makes, stops at once;
+    content 1 and D(1) > 0 follow.  The width must be at least
+    deform_from_cfrac's for these terms, and a width of 0, which has no q⁰
+    word to test, raises ValueError."""
     if width <= 0:
         raise ValueError("the packing width must be positive")
     if terms[0] >= 0:
@@ -211,30 +148,19 @@ def _packed_pair(terms: tuple[int, ...], width: int) -> tuple[int, int]:
     return N, D
 
 
-def _unpacked(N: int, D: int, width: int, negated: bool) -> RatFunc:
-    """The RatFunc of a canonical packed pair (_packed_pair) at q = 2^width,
-    its numerator negated back when negated (a value below 0)."""
-    num = _unpack(N, width)
-    return RatFunc(-num if negated else num, _unpack(D, width))
-
-
 def deform_from_cfrac(cf: CFrac) -> RatFunc:
     """Evaluate the alternating continued-fraction tower for any valid
     expansion of a rational (either terminal form), canonical as built.
 
     Levels are counted from a_0: even levels contribute [a_i]_q + q^{a_i}/rest,
     odd levels [a_i]_{1/q} + q^{-a_i}/rest, evaluated bottom-up on cleared
-    pairs by _tower.  An integer is its head alone, and an odd tail carries
-    one common factor q, which _packed_pair strips.  The head term a_0 may
-    be any integer (see _packed_pair for a_0 < 0).
+    pairs by _tower and made canonical by _packed_pair, for any head a_0.
 
-    The steps run on packed integers at q = 2^B (see the module docstring).
-    The tail levels (i ≥ 1) only add and shift, so every coefficient is
-    nonnegative and at most the tail's final continuant p = N(1).  A
-    coefficient of [a]_q·N sums at most a consecutive ones of N, so it too is
-    at most p, and the head adds one of D, at most r = D(1) ≤ p (a negative
-    head subtracts it): B holds p.bit_length() + 1 bits, rounded up to whole
-    bytes.
+    The width is _packed_width(p), for coefficients up to 2p, p = N(1) the
+    tail's final continuant (qrationals.packed): a tail coefficient is at
+    most p, one of [a]_q·N sums at most a consecutive ones of N, so it too
+    is at most p, and the head adds one of D, at most r = D(1) ≤ p (a
+    negative head subtracts it).
     """
     terms = cf.terms
     p, r = 1, 0

@@ -4,21 +4,19 @@ coefficients of the order-m linear-dependence identity.
 
 One depth-first walk yields the tree's ancestor stack, and lineages are
 read off such stacks.  Every node is built by one step (_mediant), its
-parents' weighted mediant on integers at q = 2^B in qdeform's convention
-(_packed_pair).  The packed walk keeps the pairs, canonical as built
-(_packed_frame), for walk_qtree, build_qtree, lineage_extract's members
-3..m and appendixA, which compares them with the packed continued-fraction
-towers at the same width (_cfrac_table); the lineage weights 𝔉, 𝔊 run the
-step's recurrence too (_weights).  The identity sweep and the plot data
-walk it modulo (2^B − 1)³, whose base-(2^B − 1) digits are the Taylor data
-at q = 1, and take each node's cleared jets from them by two integer
-expressions, the order-2 series quotient written out (_jet_frame); the
-identity sweep also folds every node's s₁,₃ descent through one memo per
-walk and keys lineage shapes by the last letters of the target's path
-(identity_sweep).  The tree takes the continued-fraction tower only for
-pairs it does not build (the window endpoints, lineage members 1 and 2);
-their bit-exact agreement elsewhere is a verified equivalence, not a
-dependency.
+parents' weighted mediant on packed integers (qrationals.packed).  The
+packed walk keeps the pairs, canonical as built (_packed_frame), for
+walk_qtree, build_qtree, lineage_extract's members 3..m and appendixA,
+which compares them with the packed continued-fraction towers at the same
+width (_cfrac_table); the lineage weights 𝔉, 𝔊 run the step's recurrence
+too (_weights).  The identity sweep and the plot data walk it modulo
+(2^W − 1)³ and take each node's cleared jets from its Taylor digits
+(_jet_frame); the identity sweep also folds every node's s₁,₃ descent
+through one memo per walk and keys lineage shapes by the last letters of
+the target's path (identity_sweep).  The tree takes the continued-fraction
+tower only for pairs it does not build (the window endpoints, lineage
+members 1 and 2); their bit-exact agreement elsewhere is a verified
+equivalence, not a dependency.
 """
 from __future__ import annotations
 
@@ -38,16 +36,14 @@ from .exact import (
     _taylor_at_one,
     poly_to_json_list,
 )
+from .packed import _jet_modulus, _packed_width, _taylor_digits, _unpack, _unpacked
 from .qdeform import (
     QRational,
     _branch_runs,
     _depth_and_path,
     _expansion,
     _packed_pair,
-    _packed_width,
     _step,
-    _unpack,
-    _unpacked,
     qrational_to_json,
     to_cfrac,
 )
@@ -113,7 +109,7 @@ class Frame:
     a/b as a Fraction and the node (value, canonical pair, depth, path).
 
     The packed builder keeps the node's pair as packed = (N, D, deg D) at
-    q = 2^width (qdeform._packed_pair), with the walk's depth and path, and
+    q = 2^width (qrationals.packed), with the walk's depth and path, and
     packs a parent it did not build on first use (_pack); the node is that
     pair unpacked, and a frame with no packed pair has none.  The jet
     builder keeps residues = (N, D, deg D) modulo (2^width − 1)³, which are
@@ -163,31 +159,16 @@ def _mediant(stack: list[Frame], lo: int, hi: int, left: tuple[int, int, int],
     return frame, nl + (nr << shift), dl + (dr << shift), deg_r + xi
 
 
-def _taylor_digits(x: int, h: int) -> list[int]:
-    """[s_0, s_1, s_2] of P(1 + h) = Σ s_j·h^j for x = P(1 + h) mod h³, P
-    with nonnegative coefficients and s_0, s_1, s_2 < h: x's base-h digits."""
-    x, s0 = divmod(x, h)
-    return [s0, x % h, x // h]
-
-
-def _jet_modulus(width: int) -> tuple[int, int, int]:
-    """(W, h, h³) with W = width and h = 2^W − 1: the constants of a walk
-    modulo h³, bound once per walk (_jet_walk, identity_sweep)."""
-    h = (1 << width) - 1
-    return width, h, h ** 3
-
-
 def _jet_frame(modulus: tuple[int, int, int], stack: list[Frame], lo: int, hi: int,
                depth: int, path: str) -> Frame:
     """The frame of the tree node whose parents are stack[lo] (left) and
     stack[hi] (right) by the one step (_mediant) at q = 2^W, its pair kept
-    as residues modulo h³, (W, h, h³) = modulus (_jet_modulus), so 3·W bits
-    deep at any depth (a window endpoint enters by its packed pair).  As
-    q = 1 + h, their base-h digits are the Taylor data at q = 1 of the
-    stored words (_taylor_digits; _jet_walk's width keeps each below h),
-    the numerator's negated back below 0.  Digit 0 must be the node's
-    (a, b), since the jets scale with D(1) (ValueError naming the node
-    otherwise); a common q-power would change no jet.
+    as residues modulo h³, (W, h, h³) = modulus (a window endpoint enters
+    by its packed pair).  Their base-h digits are the stored words' Taylor
+    data at q = 1 (qrationals.packed; _jet_width keeps each below h), the
+    numerator's negated back below 0.  Digit 0 must be the node's (a, b),
+    since the jets scale with D(1) (ValueError naming the node otherwise);
+    a common q-power would change no jet.
 
     The cleared jets J_0..J_2 are exact._series_quotient's Horner
     recurrence at order 2, written out: with digits (n₀, n₁, n₂) and
@@ -355,26 +336,21 @@ def _packed_walk(m: int, depth: int) -> tuple[int, Iterator[list[Frame]]]:
     """(B, walk): the walk of walk_qtree on packed integers at q = 2^B
     (_packed_frame), and the one width B that serves every node of it.
 
-    The tree only adds and shifts the endpoints' packed pairs, whose words
-    have nonnegative coefficients (the numerator negated in a window
-    m < 0), so every coefficient is nonnegative and at most its word's
-    value at 1: |a| for the numerator, b for the denominator of a node
-    a/b, and m < a/b < m + 1 bounds |a| by max(−m, m + 1)·b.  So B =
-    _window_width(m, F_{depth+3}) (_largest_denominator) holds every
-    coefficient.  The continued-fraction table of window 0 keeps every
-    coefficient at most the node's b (_cfrac_table), which B also holds."""
+    Every coefficient is at most its word's value at 1
+    (qrationals.packed), |a| or b at a node a/b, and m < a/b < m + 1
+    bounds |a| by max(−m, m + 1)·b.  So B = _window_width(m, F_{depth+3})
+    (_largest_denominator) holds every coefficient."""
     width = _window_width(m, _largest_denominator(depth))
     return width, _walk(m, depth, partial(_packed_frame, width))
 
 
 def _jet_width(m: int, depth: int) -> int:
     """The width W of the walk modulo (2^W − 1)³ in window m to the given
-    depth: 2^W − 1 exceeds every stored word's s_j, j ≤ 2, the h^j
-    coefficient at q = 1 + h.  A word P has nonnegative coefficients, so
-    s_j ≤ C(deg P, j)·P(1), with P(1) ≤ max(−m, m + 1)·F_{depth+3} as in
-    _packed_walk and deg P ≤ |m| + depth + 2, the |a_0| + a_1 + ... of a
-    node's expansion.  The words are never unpacked, so W is the bound's
-    bit length with one spare bit, not a whole number of bytes."""
+    depth: 2^W − 1 exceeds every stored word P's Taylor digits s_j ≤
+    C(deg P, j)·P(1), j ≤ 2 (qrationals.packed), with P(1) ≤
+    max(−m, m + 1)·F_{depth+3} as in _packed_walk and deg P ≤
+    |m| + depth + 2, the |a_0| + a_1 + ... of a node's expansion.  W is the
+    bound's bit length with one spare bit."""
     deg = abs(m) + depth + 2
     bound = max(deg, math.comb(deg, 2)) * max(-m, m + 1) * _largest_denominator(depth)
     return bound.bit_length() + 1
@@ -497,10 +473,9 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
     weights rebuild every member from members 1 and 2, and no weight is
     multiplied out.
 
-    W = _packed_width(max(f_m, g_m)) holds every coefficient: each is
-    nonnegative and at most its weight's value at 1, f_n or g_n, and
-    neither decreases from member 3 on (f_n = f_{n−1} + f_{ζ_n}), which
-    starts from f_1 = f_3 = 1 and g_2 = g_3 = 1.
+    W = _packed_width(max(f_m, g_m)) holds every coefficient, at most
+    f_n or g_n (qrationals.packed), which never decrease from member 3 on
+    (f_n = f_{n−1} + f_{ζ_n}, from f_1 = f_3 = 1 and g_2 = g_3 = 1).
     """
     frames, parents = _lineage_members(stack, m)
     zeta = tuple(big if small == n - 1 else small
@@ -717,9 +692,8 @@ def _cfrac_table(depth: int, width: int) -> dict[tuple[int, int], tuple[int, int
     of odd length, so a leaf tail's even state, never read, is not built;
     its value a/b is 1 over the tail's, from the tail's continuants.  At
     q = 1 both steps map (N, D) to (a·N + D, N), so each state's N(1) is
-    its tail's continuant, at most the node's b, and every coefficient,
-    being nonnegative, is at most b too: a width that holds the walk's
-    denominators holds every state."""
+    its tail's continuant, at most the node's b, and so is every
+    coefficient (qrationals.packed): the walk's width holds every state."""
     top = depth + 2
     table = {}
     # (Σ, p, r, even state, odd state, the shift that strips a child) of the empty tail
@@ -746,10 +720,9 @@ def equivalence_mismatches(depth: int) -> list[Fraction]:
     Both constructions run on packed integers at the walk's one width
     (_packed_walk), and both are canonical as built: the tree's pair,
     checked where it is built, against the node's entry in _cfrac_table,
-    keyed by the node's ints (a, b).  The table's states hold at most the
-    node's b in each coefficient, which the walk's width holds.  So the two
-    pairs compare as ints, and a table entry that kept a common q-power is
-    a mismatch."""
+    keyed by the node's ints (a, b), at a width that holds both
+    (_cfrac_table).  So the two pairs compare as ints, and a table entry
+    that kept a common q-power is a mismatch."""
     width, walk = _packed_walk(0, depth)
     table = _cfrac_table(depth, width)
     bad = []

@@ -37,6 +37,7 @@ TIMEOUT_S = 120
 
 SBTREE = "src/qrationals/sbtree.py"
 QDEFORM = "src/qrationals/qdeform.py"
+PACKED = "src/qrationals/packed.py"
 CLOSEDFORMS = "src/qrationals/closedforms.py"
 DEDEKIND = "src/qrationals/dedekind.py"
 EXACT = "src/qrationals/exact.py"
@@ -73,7 +74,7 @@ MUTANTS = [
     },
     {
         "name": "jet-digits-in-base-2-to-the-width",
-        "file": SBTREE,
+        "file": PACKED,
         "old": "    h = (1 << width) - 1\n",
         "new": "    h = 1 << width\n",
         "tests": [T + "test_jet_walker_matches_polynomial_walker",
@@ -322,7 +323,7 @@ MUTANTS = [
     },
     {
         "name": "negative-numerator-not-negated-back",
-        "file": QDEFORM,
+        "file": PACKED,
         "old": "    return RatFunc(-num if negated else num, _unpack(D, width))\n",
         "new": "    return RatFunc(num, _unpack(D, width))\n",
         "tests": [Q + "test_packed_pair_is_the_canonical_pair_for_either_head_sign",
@@ -365,7 +366,7 @@ MUTANTS = [
     },
     {
         "name": "wide-unpack-words-in-reverse-order",
-        "file": QDEFORM,
+        "file": PACKED,
         "old": "        words = map(itemgetter(0), struct.iter_unpack(f\"{w}s\", buf))\n",
         "new": "        words = reversed([*map(itemgetter(0),"
                " struct.iter_unpack(f\"{w}s\", buf))])\n",
@@ -374,7 +375,7 @@ MUTANTS = [
     },
     {
         "name": "wide-unpack-words-read-big-endian",
-        "file": QDEFORM,
+        "file": PACKED,
         "old": "repeat(\"little\")",
         "new": "repeat(\"big\")",
         "tests": [Q + "test_unpack_splits_wide_words_literally",

@@ -8,6 +8,7 @@ import dataclasses
 import doctest
 import json
 import math
+import pkgutil
 import re
 from fractions import Fraction
 from functools import partial
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import qrationals
 from qrationals import cli, closedforms, sbtree
 from qrationals.cli import (
     MAX_CHECK_SCALE,
@@ -607,3 +609,33 @@ def test_readme_check_targets_table():
     for (name, bound), sweep in zip(listed, SWEEPS):
         want = "none" if sweep.bound is None else str(sweep.bound)
         assert bound.split()[-1] == want, (name, bound)
+
+
+def _readme_names() -> list[str]:
+    """The backticked package names of README, a call's arguments dropped:
+    `qrationals.x...`, `x.name` with x a module or a public name of the
+    package, and a bare `_private` name."""
+    prefixes = {m.name for m in pkgutil.iter_modules(qrationals.__path__)} | set(qrationals.__all__)
+    names = []
+    for span in re.findall(r"`([^`\n]+)`", README):
+        name = span.split("(", 1)[0]
+        if (re.fullmatch(r"qrationals(\.\w+)+|_\w+", name)
+                or re.fullmatch(r"\w+\.\w+", name) and name.split(".")[0] in prefixes):
+            names.append(name)
+    return names
+
+
+def test_readme_names_resolve():
+    """Every package name README backticks is an attribute of the package:
+    `qrationals.x.y` and `x.y` by import and attribute lookup, a bare
+    `_private` name in some module of the package.  A renamed or deleted
+    function fails here."""
+    modules = [pkgutil.resolve_name(f"qrationals.{m.name}")
+               for m in pkgutil.iter_modules(qrationals.__path__)]
+    names = _readme_names()
+    assert len(names) >= 30
+    for name in names:
+        if name.startswith("_"):
+            assert any(hasattr(mod, name) for mod in modules), name
+        else:
+            pkgutil.resolve_name(name if name.startswith("qrationals.") else f"qrationals.{name}")

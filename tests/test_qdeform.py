@@ -4,6 +4,8 @@ Pinned coefficient tables come from hand-evaluated tower steps; the
 hypothesis properties check the structural identities the construction must
 satisfy (either terminal form, value recovery, modular recurrences).
 """
+import struct
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -11,15 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from qrationals import qdeform
 from qrationals.exact import IntPoly, RatFunc, derivative_at_one
+from qrationals.packed import _packed_width, _times_qint, _unpack
 from qrationals.qdeform import (
     DEFORM_CACHE_SIZE,
     CFrac,
     _packed_pair,
-    _packed_width,
     _step,
-    _times_qint,
     _tower,
-    _unpack,
     deform,
     deform_from_cfrac,
     qrational_from_json,
@@ -286,6 +286,30 @@ def test_unpack_splits_wide_words_literally(case):
     split = [(x >> (i * width)) & mask for i in range(-(-x.bit_length() // width))]
     assert split == words
     assert _unpack(x, width).coeffs == tuple(split)
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9, 16])
+def test_unpack_on_a_big_endian_host_splits_words_literally(monkeypatch, nbytes):
+    """With sys.byteorder "big", _unpack skips the memoryview cast for every
+    word size, 1, 2, 4 and 8 bytes included, and reads each word by
+    struct.iter_unpack and int.from_bytes: the literal split of the packed
+    int, (x >> i·width) & (2^width − 1)."""
+    width = 8 * nbytes
+    full = (1 << width) - 1
+    cuts, real = [], struct.iter_unpack
+
+    def iter_unpack(fmt, buf):
+        cuts.append(fmt)
+        return real(fmt, buf)
+
+    monkeypatch.setattr(sys, "byteorder", "big")
+    monkeypatch.setattr(struct, "iter_unpack", iter_unpack)
+    for words in ([1], [full], [0, 0, 1], [full, 0, 5, 0, full], [0x5A, 1, full - 1]):
+        x = sum(c << (i * width) for i, c in enumerate(words))
+        split = [(x >> (i * width)) & full for i in range(-(-x.bit_length() // width))]
+        assert split == words
+        assert _unpack(x, width).coeffs == tuple(split), words
+    assert cuts == [f"{nbytes}s"] * 5
 
 
 def test_deform_integer_is_q_integer():

@@ -22,7 +22,8 @@ from qrationals.exact import (
     _taylor_at_one,
     derivative_at_one,
 )
-from qrationals.qdeform import QRational, _expansion, _tower, _unpack, deform
+from qrationals.packed import _jet_modulus, _taylor_digits, _unpack
+from qrationals.qdeform import QRational, _expansion, _tower, deform
 from qrationals.sbtree import (
     DegenerateWeightsError,
     InsufficientDepthError,
@@ -30,7 +31,6 @@ from qrationals.sbtree import (
     _degree_gap,
     _identity_frame,
     _jet_frame,
-    _jet_modulus,
     _jet_walk,
     _jet_width,
     _lineage_from_stack,
@@ -327,9 +327,9 @@ def test_jet_frames_are_the_series_quotient_of_their_digits(start):
     for stack in _jet_walk(start, 10):
         frame = stack[-1]
         num, den, _ = frame.residues
-        n = sbtree._taylor_digits(num, h)
+        n = _taylor_digits(num, h)
         n = [-s for s in n] if start < 0 else n
-        assert _series_quotient(n, sbtree._taylor_digits(den, h)) == \
+        assert _series_quotient(n, _taylor_digits(den, h)) == \
             (frame.b, frame.cleared_jets), frame.value
         walked += 1
     assert walked == 2 ** 11 - 1
@@ -351,7 +351,7 @@ def test_taylor_digits_are_the_taylor_data_at_one(case):
     s = _taylor_at_one(IntPoly(coeffs), 2)
     assert max(s) <= h - 1
     packed = sum(c << i * width for i, c in enumerate(coeffs))
-    assert sbtree._taylor_digits(packed % h ** 3, h) == s
+    assert _taylor_digits(packed % h ** 3, h) == s
 
 
 # -- Δ_i -------------------------------------------------------------------
