@@ -43,12 +43,11 @@ __all__ = ["main", "MAX_DEFORM_DEGREE", "MAX_TREE_DEPTH", "MAX_CHECK_SCALE",
 MAX_DEFORM_DEGREE = 2000
 # bounds tree, plot and lineage; `qrat check` sets its depths by --scale
 MAX_TREE_DEPTH = 12
-# `qrat check --scale 2` runs every sweep in 1.8-1.9 s on a 2-core host (six
-# runs), half of it in battery, 0.34-0.37 s in reciprocity and 0.25-0.33 s in
-# bridges; the sweeps grow roughly cubically with the scale.
+# the sweeps grow roughly cubically with the scale; the README's "Check
+# targets" section gives their dated times at scales 1 and 2.
 MAX_CHECK_SCALE = 2
 # dedekind s|h|battery reach the O(b) lattice sum, which serves every index
-# pair but (1, 3): about 0.25 s at b = 10^5 on the same host, start-up
+# pair but (1, 3): about 0.25 s at b = 10^5 on a 2-core host, start-up
 # included, and 4-5 s for a battery at q = 10^5, which sums over q and 2q many
 # times.  derive --order 2 needs only s_{1,3}, an O(log b) descent, so
 # MAX_DEFORM_DEGREE bounds it.
@@ -195,8 +194,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_dedekind(args) -> int:
     if args.kind == "battery":
-        if math.gcd(args.p, args.q) != 1:
-            raise ValueError(f"{args.p} and {args.q} must be coprime")
         _check_modulus(args.q)
         sys.stdout.write(battery_report_csv(args.p, args.q))
         return 0

@@ -11,7 +11,10 @@ form F(x) + f(x)²·G(x) − 20·s_{1,3}(a, b) has a cubic part F(x) = x³/3 −
 with G(x) = 1 − x, and the term −20·s_{1,3} = −u/(6b⁴) with u =
 120·b⁴·s_{1,3}(a, b); over the common denominator 6b⁴ it is
 
-    (2b·(a³ − 3a²b + 5ab² − 3b³) + 6b·(b − a) − u) / (6b⁴).
+    (2b·(a³ − 3a²b + 5ab² − 3b³) + T) / (6b⁴),   T = 6b·(b − a) − u.
+
+T (_term), the non-cubic part, is also the order-5 lineage correction's
+term (sbtree._cleared_correction), so both read this one definition.
 
 The s_{1,3} term is the paper's ⟨n/a⟩_b-weighted lattice sum
 +20·Σ_{n<b} ⟨n/a⟩_b·H(n/b), H(x) = x²(1 − x), equal to −20·s_{1,3} by the
@@ -76,18 +79,26 @@ def d1_closed(x: Rat) -> Rat:
     return Fraction(a * a - a * b + b * b - 1, 2 * b * b)
 
 
+def _term(a: int, b: int, memo: dict | None = None) -> int:
+    """T = 6b(b − a) − u, u = 120·b⁴·s_{1,3}(a, b) (dedekind._s13_cleared,
+    folding through memo if given): 6b⁴ times the non-cubic part
+    f²·G − 20·s_{1,3} of d2_closed, which is also 6b times the term
+    (b − a) − 20·b³·s_{1,3} of a/b in the order-5 lineage correction
+    (sbtree._cleared_correction)."""
+    return 6 * b * (b - a) - _s13_cleared(a, b, memo)
+
+
 def d2_closed(a: int, b: int) -> Rat:
     """F(a/b) + f(a/b)²·G(a/b) − 20·s_{1,3}(a, b) — the second derivative of
     the deformation at q = 1, in closed form; the substitution bridge turns
     the paper's lattice term +20·Σ_{n<b} ⟨n/a⟩_b·H(n/b) into the s_{1,3} term.
-    Over 6b⁴ the three parts are 2b·(a³ − 3a²b + 5ab² − 3b³), 6b·(b − a) and
-    −u with u = 120·b⁴·s_{1,3}(a, b) (dedekind._s13_cleared)."""
+    Over 6b⁴ it is 2b·(a³ − 3a²b + 5ab² − 3b³) plus the term T (_term)."""
     if b < 1:
         raise ValueError("denominator must be >= 1")
     if math.gcd(a, b) != 1:
         raise ValueError(f"{a}/{b} is not reduced")
     cubic = a ** 3 - 3 * a * a * b + 5 * a * b * b - 3 * b ** 3
-    return Fraction(2 * b * cubic + 6 * b * (b - a) - _s13_cleared(a, b), 6 * b ** 4)
+    return Fraction(2 * b * cubic + _term(a, b), 6 * b ** 4)
 
 
 def bracket_weight_sum(a: int, b: int) -> Rat:

@@ -100,13 +100,22 @@ def _check_index(i: int) -> None:
 
 def _cleared_bernoulli(i: int, b: int) -> tuple[list[int], int]:
     """Integers c (highest power first) and d with Σ_k c_k·r^{i−k} = d·B_i(r/b):
-    the integer row C(i, k)·D·B_k, D the lcm of the denominators of B_0…B_i,
-    scaled by b^k, over d = D·b^i."""
+    the integer row of B_i (_bernoulli_row) with entry k scaled by b^k, over
+    d = D·b^i."""
+    row, d = _bernoulli_row(i)
+    return [c * b ** k for k, c in enumerate(row)], d * b ** i
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_row(i: int) -> tuple[tuple[int, ...], int]:
+    """(C(i, k)·D·B_k for k = 0…i, D), D the lcm of the denominators of
+    B_0…B_i: the part of _cleared_bernoulli that depends on i alone, built
+    once per index (at most BERNOULLI_BOUND + 1 entries)."""
     _check_index(i)
     row = [bernoulli_number(k) for k in range(i + 1)]
     d = math.lcm(*(t.denominator for t in row))
-    return ([math.comb(i, k) * t.numerator * (d // t.denominator) * b ** k
-             for k, t in enumerate(row)], d * b ** i)
+    return tuple(math.comb(i, k) * t.numerator * (d // t.denominator)
+                 for k, t in enumerate(row)), d
 
 
 @lru_cache(maxsize=S_SUM_CACHE_SIZE)
@@ -133,8 +142,8 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     is recorded and folded bottom-up, so every intermediate u is the value
     at its own pair, O(digits of b) in size.  That descent is one integer
     kernel, _s13_cleared(a, b) = 120·b⁴·s(a, b); this path is the Fraction
-    u/(120·b⁴) over it, and closedforms.d2_closed and the order-5 lineage
-    correction (sbtree._term) read u directly."""
+    u/(120·b⁴) over it, and closedforms._term, the non-cubic part of
+    d2_closed and of the order-5 lineage correction, reads u directly."""
     if b < 1:
         raise ValueError("modulus must be >= 1")
     _check_index(i)

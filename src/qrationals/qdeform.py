@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    Rat,
-    RatFunc,
-    poly_to_json_list,
-    rat_to_str,
-)
+from .exact import Rat, RatFunc, poly_to_json_list
 from .packed import _packed_width, _times_qint, _unpacked
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "deform",
     "deform_from_cfrac",
     "qrational_to_json",
-    "qrational_from_json",
 ]
 
 
@@ -222,24 +216,3 @@ def qrational_to_json(qr: QRational) -> dict:
         "den": poly_to_json_list(qr.deform.den),
     }
 
-
-def qrational_from_json(obj: dict) -> QRational:
-    """The QRational of a record written by qrational_to_json: deform(a/b),
-    after checking every field of the record against that deformation's own
-    record (ValueError naming the first field that is malformed or differs)."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"a q-rational record is a JSON object, not {type(obj).__name__}")
-    ab = []
-    for key in ("a", "b"):
-        try:
-            ab.append(int(obj[key]))
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"field {key!r} of the record is missing or not an integer") from None
-    if ab[1] == 0:
-        raise ValueError("field 'b' of the record is zero")
-    qr = deform(Fraction(*ab))
-    for key, want in qrational_to_json(qr).items():
-        if obj.get(key) != want:
-            raise ValueError(f"field {key!r} of the record does not match the "
-                             f"deformation of {rat_to_str(qr.value)}")
-    return qr

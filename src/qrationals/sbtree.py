@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .exact import (
@@ -47,7 +47,7 @@ from .qdeform import (
     qrational_to_json,
     to_cfrac,
 )
-from .dedekind import _s13_cleared
+from .closedforms import _term
 
 __all__ = [
     "Lineage",
@@ -193,19 +193,14 @@ def _jet_frame(modulus: tuple[int, int, int], stack: list[Frame], lo: int, hi: i
     return frame
 
 
-def _term(a: int, b: int, memo: dict | None = None) -> int:
-    """T = 6b(b − a) − 120·b⁴·s₁,₃(a, b) (dedekind._s13_cleared, folding
-    through memo if given): 6b times the term (b − a) − 20·b³·s₁,₃ of a/b
-    in the order-5 correction (_cleared_correction)."""
-    return 6 * b * (b - a) - _s13_cleared(a, b, memo)
-
-
 def _identity_frame(modulus: tuple[int, int, int], memo: dict, stack: list[Frame], lo: int,
                     hi: int, depth: int, path: str) -> Frame:
     """The jet frame (_jet_frame) with the node's path and its identity
     values e = (E₄, E₅/b), E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T, from its
-    cleared jets J and its correction term T (_term, its descent folded
-    through the walk's memo), two separate computations met only here.
+    cleared jets J and its correction term T (closedforms._term, its
+    descent folded through the walk's memo), two separate computations met
+    only here.  By the closed forms (J₁ = b²·d1_closed, J₂ = b³·d2_closed)
+    e = (a² − ab + b², 2·(a³ − 3a²b + 5ab² − 3b³)).
 
     b divides E₅ at every node a/b: T ≡ −u (mod b) for u = 120·b⁴·s₁,₃,
     and 4b⁴·s₁,₃ = Σ (2n − b)(2r³ − 3r²b + rb²) over n < b, r = a·n mod b,
@@ -661,7 +656,7 @@ def _cleared_correction(frames: list[Frame], L: int, c: list[int]) -> tuple[int,
     """L·b_m^{m−2} times the correction, for the members' frames, as
     (numerator, denominator): (Σc − L)/2 at order 4, which depends on the
     lineage's weights alone.  At order 5, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) is
-    L·Λ(T/(6b)) on the members' integer terms T (_term), so over
+    L·Λ(T/(6b)) on the members' integer terms T (closedforms._term), so over
     B = lcm(b_i) it is one integer sum, L·Λ(T·(B/b)), over 6B.
     identity_sweep checks Λ(E) = 0 and builds this for a failing record."""
     if len(frames) == 4:
@@ -723,28 +718,29 @@ def equivalence_mismatches(depth: int) -> list[Fraction]:
     keyed by the node's ints (a, b), at a width that holds both
     (_cfrac_table).  So the two pairs compare as ints, and a table entry
     that kept a common q-power is a mismatch."""
+    return [value for value, _, _ in _equivalence_records(depth)]
+
+
+def _equivalence_records(depth: int) -> list[tuple[Fraction, tuple | None, tuple | None]]:
+    """equivalence_mismatches' pass, one record (value, tree, cfrac) per
+    mismatch in increasing value: the two packed pairs it compared there,
+    the tree node's and the continued-fraction table's, each unpacked as it
+    stands to (N, D), or None where the walk has no such node or the table
+    no such entry."""
     width, walk = _packed_walk(0, depth)
     table = _cfrac_table(depth, width)
+
+    def unpack(pair):
+        return None if pair is None else (_unpack(pair[0], width), _unpack(pair[1], width))
     bad = []
     for stack in walk:
         frame = stack[-1]
         num, den, _ = frame.packed
-        if table.pop((frame.a, frame.b), None) != (num, den):
-            bad.append(frame.value)
-    bad.extend(Fraction(a, b) for a, b in table)
-    return sorted(bad)
-
-
-def _equivalence_sides(depth: int, value: Fraction) -> tuple[str | None, str | None]:
-    """The two packed pairs equivalence_mismatches compares at one value,
-    unpacked as they stand and written (N) / (D): the tree node's and the
-    continued-fraction table's, None where the walk has no such node or the
-    table no such entry."""
-    width, walk = _packed_walk(0, depth)
-    key = value.numerator, value.denominator
-    tree = next((stack[-1].packed for stack in walk if (stack[-1].a, stack[-1].b) == key), None)
-    return tuple(None if p is None else f"({_unpack(p[0], width)}) / ({_unpack(p[1], width)})"
-                 for p in (tree, _cfrac_table(depth, width).get(key)))
+        cfrac = table.pop((frame.a, frame.b), None)
+        if cfrac != (num, den):
+            bad.append((frame.value, unpack((num, den)), unpack(cfrac)))
+    bad.extend((Fraction(a, b), None, unpack(pair)) for (a, b), pair in table.items())
+    return sorted(bad, key=itemgetter(0))
 
 
 def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
@@ -782,20 +778,16 @@ def identity_sweep(depth: int) -> dict:
     path[2 − m:]), 2^{m−2} keys per order, and _lineage_members, which
     defines the pattern, runs on each key's first lineage only.
 
-    Per node, where the walk builds it (_identity_frame): its path and the
-    integers e = (E₄, E₅/b), E₄ = 2·J₁ + 1 and E₅ = 6b·J₂ − T from its
-    cleared jets J and, computed apart, its correction term T.  b divides
-    E₅ (T ≡ −120·b⁴·s₁,₃ ≡ 0 mod b), and a node where it does not raises
-    ArithmeticError naming it.  T's s₁,₃ descent folds through one memo
+    Per node, where the walk builds it: its path and its identity values
+    e = (E₄, E₅/b), with why b divides E₅ and why Λ(e[m − 4]) = 0 is the
+    identity (_identity_frame).  T's s₁,₃ descent folds through one memo
     per call: a node's Euclid tail (b mod a)/a is a shallower tree node,
     so the nodes' chains share their tails and the call folds one
     reciprocity step per node.  Per lineage: member 1 read off member 3's
     parents, members 2..m the stack's last frames, and one integer sum,
-    L·Λ(e[m − 4]).  The residual equals the correction exactly when
-    Λ(E₄) = 0 at order 4 and Λ(E₅·B/b) = B·Λ(E₅/b) = 0 at order 5,
-    B = lcm(b_i), as Λ is linear, so no lcm is taken.  Only a failing
-    lineage builds its two sides, the residual from the members' cleared
-    jets and the correction (_cleared_correction), for its record.
+    L·Λ(e[m − 4]), so no lcm is taken.  Only a failing lineage builds its
+    two sides, the residual from the members' cleared jets and the
+    correction (_cleared_correction), for its record.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
     tuple (m, value, identity, lhs, rhs) per failing lineage (empty = pass),

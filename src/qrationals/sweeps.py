@@ -27,7 +27,7 @@ from .fit import (
     fit_d2,
 )
 from .qdeform import deform
-from .sbtree import _equivalence_sides, equivalence_mismatches, identity_sweep
+from .sbtree import _equivalence_records, identity_sweep
 
 __all__ = ["Verdict", "Sweep", "SWEEPS"]
 
@@ -94,13 +94,14 @@ def _integrality(max_b: int) -> Verdict:
 
 
 def _equivalence(depth: int) -> Verdict:
-    bad = equivalence_mismatches(depth)
+    bad = _equivalence_records(depth)
     if bad:
-        tree, cfrac = _equivalence_sides(depth, bad[0])
-        return _fail("appendixA", rat_to_str(bad[0]),
-                     "no weighted-mediant node" if tree is None else f"weighted-mediant {tree}",
-                     "no continued-fraction node" if cfrac is None
-                     else f"continued-fraction {cfrac}")
+        value, tree, cfrac = bad[0]
+
+        def side(name, pair):
+            return f"no {name} node" if pair is None else f"{name} ({pair[0]}) / ({pair[1]})"
+        return _fail("appendixA", rat_to_str(value), side("weighted-mediant", tree),
+                     side("continued-fraction", cfrac))
     return _pass("appendixA", f"weighted-mediant and continued-fraction constructions "
                               f"agree on all {2 ** (depth + 1) - 1} nodes to depth {depth}")
 

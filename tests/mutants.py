@@ -6,11 +6,12 @@ tests it names must fail.
 For each mutant (all, or those named), the runner copies src, tests,
 pyproject.toml and README.md (tests/test_cli.py reads it) to a temporary
 directory, replaces the entry's snippet, which must occur exactly once in
-its file, and runs the named tests there with pytest in a subprocess, one
-mutant at a time, under a timeout, with hypothesis's seed fixed and its explain phase off (the `mutants` profile in
-tests/conftest.py: explaining a failure can outlast the timeout).  It first
-runs every named test on the unmutated copy, which must pass.  It prints one
-JSON line per mutant, whose status is
+its file, and runs the named tests there with pytest in a subprocess, under
+a timeout, with hypothesis's seed fixed and its explain phase off (the
+`mutants` profile in tests/conftest.py: explaining a failure can outlast the
+timeout).  It first runs every named test on the unmutated copy, which must
+pass.  Then it runs up to os.cpu_count() mutants at a time and prints one
+JSON line per mutant, in the list's order, whose status is
 
     killed    every named test failed;
     timeout   the tests ran past TIMEOUT_S (the mutant may loop forever);
@@ -25,11 +26,13 @@ missing test: add the test, never drop the mutant.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -140,9 +143,20 @@ MUTANTS = [
     },
     {
         "name": "correction-term-s13-sign-flipped",
-        "file": SBTREE,
+        "file": CLOSEDFORMS,
         "old": "    return 6 * b * (b - a) - _s13_cleared(a, b, memo)\n",
         "new": "    return 6 * b * (b - a) + _s13_cleared(a, b, memo)\n",
+        "tests": [T + "test_identity_correction_equals_the_literal_form",
+                  T + "test_identity_values_are_the_literal_sides",
+                  T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+    },
+    {
+        # the edit of d2-thomae-part-sign-flipped: the lineage side sees it too
+        "name": "correction-term-thomae-part-sign-flipped",
+        "file": CLOSEDFORMS,
+        "old": "    return 6 * b * (b - a) - _s13_cleared(a, b, memo)\n",
+        "new": "    return 6 * b * (a - b) - _s13_cleared(a, b, memo)\n",
         "tests": [T + "test_identity_correction_equals_the_literal_form",
                   T + "test_identity_values_are_the_literal_sides",
                   T + "test_identity_sweep_small_depth",
@@ -320,6 +334,14 @@ MUTANTS = [
                "            if s + a < top:\n"
                "                even = _step(a, no, do, width, True)\n",
         "tests": [T + "test_cfrac_table_is_the_tower_on_every_node"],
+    },
+    {
+        "name": "equivalence-record-sides-swapped",
+        "file": SBTREE,
+        "old": "            bad.append((frame.value, unpack((num, den)), unpack(cfrac)))\n",
+        "new": "            bad.append((frame.value, unpack(cfrac), unpack((num, den))))\n",
+        "tests": ["tests/test_cli.py::test_check_equivalence_fail_names_the_node_and_both_polynomials",
+                  "tests/test_cli.py::test_check_equivalence_fail_names_a_node_that_one_side_lacks"],
     },
     {
         "name": "negative-numerator-not-negated-back",
@@ -518,8 +540,8 @@ MUTANTS = [
     {
         "name": "bernoulli-row-scaled-by-b-to-the-i-minus-k",
         "file": DEDEKIND,
-        "old": "(d // t.denominator) * b ** k\n",
-        "new": "(d // t.denominator) * b ** (i - k)\n",
+        "old": "[c * b ** k for k, c in enumerate(row)]",
+        "new": "[c * b ** (i - k) for k, c in enumerate(row)]",
         "tests": [D + "test_bernoulli_poly_is_the_literal_polynomial",
                   D + "test_bernoulli_poly_fixtures",
                   D + "test_s_sum_matches_literal_sum"],
@@ -527,8 +549,8 @@ MUTANTS = [
     {
         "name": "bernoulli-row-without-binomial",
         "file": DEDEKIND,
-        "old": "[math.comb(i, k) * t.numerator * (d // t.denominator)",
-        "new": "[t.numerator * (d // t.denominator)",
+        "old": "tuple(math.comb(i, k) * t.numerator * (d // t.denominator)",
+        "new": "tuple(t.numerator * (d // t.denominator)",
         "tests": [D + "test_bernoulli_poly_is_the_literal_polynomial",
                   D + "test_bernoulli_poly_fixtures",
                   D + "test_s_sum_matches_literal_sum"],
@@ -652,10 +674,10 @@ def main(argv: list[str]) -> int:
                           "tests": broken or tests, "pytest": tail}))
         return 1
     ok = True
-    for mutant in chosen:
-        record = _run_mutant(mutant)
-        print(json.dumps(record), flush=True)
-        ok &= record["status"] in ("killed", "timeout")
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for record in pool.map(_run_mutant, chosen):
+            print(json.dumps(record), flush=True)
+            ok &= record["status"] in ("killed", "timeout")
     return 0 if ok else 1
 
 

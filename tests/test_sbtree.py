@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from qrationals import sbtree
+from qrationals import closedforms, sbtree
 from qrationals.exact import (
     IntPoly,
     PoleAtOneError,
@@ -775,8 +775,8 @@ def _s13_wrong_at_2_5(monkeypatch):
     literal correction reads it, s_sum.  The memo the call folds through
     keeps the true value, which the nodes whose Euclid chains pass
     through 2/5 (5/7, 5/12, 7/12, ...) read, as they did without it."""
-    s13, s = sbtree._s13_cleared, oracles.s_sum
-    monkeypatch.setattr(sbtree, "_s13_cleared", lambda a, b, memo=None:
+    s13, s = closedforms._s13_cleared, oracles.s_sum
+    monkeypatch.setattr(closedforms, "_s13_cleared", lambda a, b, memo=None:
                         s13(a, b, memo) + 120 * b ** 4 * ((a, b) == (2, 5)))
     monkeypatch.setattr(oracles, "s_sum", lambda i, j, a, b: s(i, j, a, b) + ((a, b) == (2, 5)))
 
@@ -830,6 +830,24 @@ def test_b_divides_e5_on_every_node(start):
     assert nodes == 2 ** 10 - 1
 
 
+@pytest.mark.parametrize("start", [-3, -1, 0, 2, 7])
+def test_identity_values_are_the_closed_forms_polynomial_parts(start):
+    """At every node a/b of the identity walk to depth 9, e = (E₄, E₅/b)
+    is the polynomial part of the closed forms: with J₁ = b²·d1_closed
+    and J₂ = b³·d2_closed = (2b·(a³ − 3a²b + 5ab² − 3b³) + T)/(6b),
+    E₄ = 2·J₁ + 1 = a² − ab + b² and E₅/b = (6b·J₂ − T)/b =
+    2·(a³ − 3a²b + 5ab² − 3b³): thm1 and thm2 read through J₁, J₂ and T."""
+    nodes = 0
+    build = partial(_identity_frame, _jet_modulus(_jet_width(start, 9)), {})
+    for stack in _walk(start, 9, build):
+        node = stack[-1]
+        a, b = node.a, node.b
+        assert node.e == (a * a - a * b + b * b,
+                          2 * (a ** 3 - 3 * a * a * b + 5 * a * b * b - 3 * b ** 3)), node.value
+        nodes += 1
+    assert nodes == 2 ** 10 - 1
+
+
 def test_identity_frames_fold_one_reciprocity_step_per_node():
     """The sweep's node builder folds each node's s₁,₃ descent through one
     memo per walk: in window 0 to depth 12, every node's term T equals the
@@ -844,7 +862,7 @@ def test_identity_frames_fold_one_reciprocity_step_per_node():
         assert 6 * b * node.cleared_jets[2] - b * node.e[1] == sbtree._term(a, b), node.value
         nodes.add((a, b))
     assert len(nodes) == 2 ** 13 - 1 and set(memo) == nodes
-    assert all(u == sbtree._s13_cleared(a, b) for (a, b), u in memo.items())
+    assert all(u == closedforms._s13_cleared(a, b) for (a, b), u in memo.items())
 
 
 def _parents_from_letters(letters):
