@@ -120,14 +120,9 @@ def _cmd_deform(args) -> int:
 
 def _cmd_derive(args) -> int:
     x = args.x
-    rf = deform(x).deform
-    if args.order == 0:
-        exact, closed = derivative_at_one(rf, 0), x
-    elif args.order == 1:
-        exact, closed = derivative_at_one(rf, 1), d1_closed(x)
-    else:
-        exact, closed = (derivative_at_one(rf, 2),
-                         d2_closed(x.numerator, x.denominator))
+    exact = derivative_at_one(deform(x).deform, args.order)
+    closed = (x if args.order == 0 else d1_closed(x) if args.order == 1
+              else d2_closed(x.numerator, x.denominator))
     ok = exact == closed
     print(f"exact {rat_to_str(exact)}, closed {rat_to_str(closed)}, "
           + ("match" if ok else "MISMATCH"))

@@ -146,6 +146,10 @@ def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
 # --------------------------------------------------------------------------
 
 def _depth_value(a: int, b: int, convention: DepthConvention) -> int:
+    """The depth D of the reduced a/b under the convention (ValueError if
+    a/b is not reduced), for both depth-based formulas."""
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"{a}/{b} is not reduced")
     depth = _depth_and_path(to_cfrac(Fraction(a, b)))[0]
     return depth if convention == "depth" else depth + 1
 
@@ -160,8 +164,6 @@ def numerator_d1_closed(a: int, b: int, convention: DepthConvention = "mediants"
     sets.  The quotient-rule combination of numerator and denominator
     derivatives is the convention-independent invariant.
     """
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"{a}/{b} is not reduced")
     D = _depth_value(a, b, convention)
     return Fraction(D * b + mod_inverse(a, b) - a, 2)
 
@@ -171,8 +173,6 @@ def denominator_d1_closed(a: int, b: int, convention: DepthConvention = "mediant
     convention; same calibration caveat as numerator_d1_closed."""
     if a == 0:
         raise ValueError("undefined at a = 0")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"{a}/{b} is not reduced")
     D = _depth_value(a, b, convention)
     return Fraction(1 - a * a + b * mod_inverse(a, b) + b * b * (1 - D), 2 * a)
 

@@ -53,17 +53,17 @@ __all__ = [
 BERNOULLI_BOUND = 12
 # total index weight i + j of the identity battery
 BATTERY_WEIGHT = 4
-# `s_sum`'s cache bound, above the 52 824 entries one `qrat check --scale 2`
-# process leaves.  `bernoulli_number` needs none: the package asks it for at
-# most BERNOULLI_BOUND + 1 indices.
+# `s_sum`'s cache bound, above the 52 829 entries one `qrat check --scale 2`
+# process leaves.  `bernoulli_number` needs none: it takes at most
+# BERNOULLI_BOUND + 1 indices.
 S_SUM_CACHE_SIZE = 65536
 
 
 @lru_cache(maxsize=None)
 def bernoulli_number(i: int) -> Rat:
-    """B_i with the B_1 = −1/2 convention, by the defining recurrence."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
+    """B_i with the B_1 = −1/2 convention, by the defining recurrence, for
+    0 ≤ i ≤ BERNOULLI_BOUND (_check_index)."""
+    _check_index(i)
     if i == 0:
         return Fraction(1)
     # Σ_{k=0}^{m} C(m+1, k) B_k = 0 for m ≥ 1, solved for B_m
@@ -82,10 +82,11 @@ def bernoulli_poly(i: int, x: Rat) -> Rat:
     return Fraction(u, d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def periodic_bernoulli(i: int, x: Rat) -> Rat:
     """B_i of the fractional part of x.  No package code calls it: the tests
-    pin it, and perfbench's cache reset still names it."""
+    pin it, and perfbench's cache reset still names it, so it keeps
+    lru_cache's default bound of 128 entries."""
     x = Fraction(x)
     return bernoulli_poly(i, x - math.floor(x))
 
@@ -123,13 +124,15 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     """Σ_{n=1}^{b−1} B̄_i(n/b)·B̄_j(a·n/b) (exclusive; 0 when b = 1).
 
     Both indices must lie in 0…BERNOULLI_BOUND and b ≥ 1, even when the sum
-    is empty.  Every (i, j) but (1, 3) is one O(b) pass (_s_loop).
+    is empty.  The sum depends on a only mod b, so an a outside [0, b) reads
+    the cached sum at a mod b, and each (i, j, a mod b, b) is computed once.
+    Every (i, j) but (1, 3) is one O(b) pass (_s_loop).
 
     s = s_{1,3}, the lattice term of the second derivative, takes O(log b)
-    integer steps instead.  It depends on a only mod b, and the distribution
-    relation of B̄_1 gives s(a, b) = s(a/g, b/g) with g = gcd(a, b).  For
-    coprime a, b ≥ 1, Apostol's reciprocity law for odd p = 3 (Duke Math. J.
-    17, 1950, Thm 1) reads
+    integer steps instead.  The distribution relation of B̄_1 gives
+    s(a, b) = s(a/g, b/g) with g = gcd(a, b).  For coprime a, b ≥ 1,
+    Apostol's reciprocity law for odd p = 3 (Duke Math. J. 17, 1950, Thm 1)
+    reads
 
         4·(a·b³·s(a, b) + b·a³·s(b, a)) = (5a²b² − a⁴ − b⁴ − 3)/30.
 
@@ -150,6 +153,8 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     _check_index(j)
     if b == 1:
         return Fraction(0)
+    if not 0 <= a < b:
+        return s_sum(i, j, a % b, b)
     if (i, j) == (1, 3):
         return Fraction(_s13_cleared(a, b), 120 * b ** 4)
     return _s_loop(i, j, a, b)
@@ -203,16 +208,15 @@ def _s13_cleared(a: int, b: int, memo: dict | None = None) -> int:
 
 
 def _s_inclusive(i: int, j: int, a: int, b: int) -> Rat:
-    """Exclusive sum plus the n = b completion term B_i·B_j."""
+    """Exclusive sum plus the n = b completion term B_i·B_j (the sum
+    first, so that a bad index or modulus fails there)."""
     return s_sum(i, j, a, b) + bernoulli_number(i) * bernoulli_number(j)
 
 
 def h_val(i: int, j: int, a: int, b: int) -> Rat:
     """(−1)^{i+j}/(i!j!) · (s_{i,j}(a,b) + (1 − d_{i,j})·B_i·B_j),
     d_{i,j} = 1 iff i = 1 or j = 1."""
-    s = s_sum(i, j, a, b)  # first, so that a bad index fails there
-    if i != 1 and j != 1:
-        s += bernoulli_number(i) * bernoulli_number(j)
+    s = s_sum(i, j, a, b) if i == 1 or j == 1 else _s_inclusive(i, j, a, b)
     return (-1) ** (i + j) * s / (math.factorial(i) * math.factorial(j))
 
 
@@ -260,6 +264,11 @@ def check_identities(p: int, q: int) -> list[dict]:
     law: parity and shift up to total index weight BATTERY_WEIGHT, the rest
     at it.  Returns one record per identity instance with its residual and a
     pass flag.
+
+    The shift row reads h(p + q, q) and h(p, q) from one cached sum, since
+    s_sum reduces a mod b first, so it checks that reduction, not a second
+    loop.  The parity row (residues r and q − r) and the duplication row
+    (moduli q and 2q) compare separate loops.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")

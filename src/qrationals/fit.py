@@ -48,7 +48,8 @@ def _d1_features(x: Fraction) -> tuple[Rat, ...]:
     return (x * x, x, Fraction(1), Fraction(1, x.denominator ** 2))
 
 
-def _d2_features(a: int, b: int) -> tuple[Rat, ...]:
+def _d2_features(x: Fraction) -> tuple[Rat, ...]:
+    a, b = x.numerator, x.denominator
     return (
         Fraction(1, b ** 3), Fraction(a, b ** 3), Fraction(a * a, b ** 3),
         Fraction(a ** 3, b ** 3),
@@ -75,14 +76,16 @@ def _solve_system(rows: Sequence[tuple[tuple[Rat, ...], Rat]],
     return tuple(coeffs)
 
 
+def _sample_rows(samples: Sequence[Rat], features, order: int) -> list[tuple]:
+    """One row (features(x), exact order-th derivative at x) per sample x:
+    the rows that both fits solve."""
+    return [(features(x), derivative_at_one(deform(x).deform, order))
+            for x in map(Fraction, samples)]
+
+
 def fit_d1(samples: Sequence[Rat]) -> tuple[Rat, Rat, Rat, Rat]:
     """Recover (α, β, γ, δ) exactly from first derivatives at the samples."""
-    rows = []
-    for s in samples:
-        x = Fraction(s)
-        rhs = derivative_at_one(deform(x).deform, 1)
-        rows.append((_d1_features(x), rhs))
-    return _solve_system(rows, 4)
+    return _solve_system(_sample_rows(samples, _d1_features, 1), 4)
 
 
 def fit_d2(samples: Sequence[Rat]) -> tuple[Rat, ...]:
@@ -91,12 +94,7 @@ def fit_d2(samples: Sequence[Rat]) -> tuple[Rat, ...]:
     Coefficient order follows D2_FEATURE_NAMES; the last entry is the weight
     of the lattice-sum column.
     """
-    rows = []
-    for s in samples:
-        x = Fraction(s)
-        rhs = derivative_at_one(deform(x).deform, 2)
-        rows.append((_d2_features(x.numerator, x.denominator), rhs))
-    return _solve_system(rows, 11)
+    return _solve_system(_sample_rows(samples, _d2_features, 2), 11)
 
 
 def default_d1_samples() -> list[Fraction]:

@@ -351,10 +351,12 @@ def _jet_width(m: int, depth: int) -> int:
     return bound.bit_length() + 1
 
 
-def _jet_walk(m: int, depth: int) -> Iterator[list[Frame]]:
-    """The walk of walk_qtree modulo (2^W − 1)³ (_jet_frame), W =
-    _jet_width(m, depth)."""
-    return _walk(m, depth, partial(_jet_frame, _jet_modulus(_jet_width(m, depth))))
+def _jet_walk(m: int, depth: int, build=_jet_frame, *extra) -> Iterator[list[Frame]]:
+    """The walk of walk_qtree modulo (2^W − 1)³, W = _jet_width(m, depth),
+    each node's frame made by build (_jet_frame, or identity_sweep's
+    _identity_frame) bound to the walk's constants (_jet_modulus) and then
+    to the extra arguments."""
+    return _walk(m, depth, partial(build, _jet_modulus(_jet_width(m, depth)), *extra))
 
 
 def build_qtree(m: int, depth: int) -> list[QRational]:
@@ -417,6 +419,17 @@ class Lineage:
         return len(self.members)
 
 
+def _member_one(stack: list[Frame], m: int) -> tuple[int, int]:
+    """The stack indices of members 1 and 2 of the order-m lineage of a
+    descent stack's last frame (see _lineage_members), the one rule that
+    _lineage_members and identity_sweep read member 1 by."""
+    first = len(stack) - m + 1  # stack index of member 2
+    if m == 2:
+        return (first - 1 if first > 2 else 0), first
+    third = stack[first + 1]
+    return (third.hi if third.lo == first else third.lo), first
+
+
 def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], tuple[tuple[int, int], ...]]:
     """The frames of the order-m lineage of a descent stack's last frame,
     and for each member n = 3..m the member indices (small, big) of its left
@@ -431,12 +444,7 @@ def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], tuple[tup
     1.  The same rules read a stack of the m members alone, member 1 first
     (lineage_extract's).
     """
-    first = len(stack) - m + 1  # stack index of member 2
-    if m == 2:
-        one = first - 1 if first > 2 else 0
-    else:
-        third = stack[first + 1]
-        one = third.hi if third.lo == first else third.lo
+    one, first = _member_one(stack, m)
     frames = [stack[one], *stack[first:]]
     shift = first - 2  # member n ≥ 2 is stack index n + shift
     return frames, tuple([(fr.lo - shift if fr.lo > shift else 1,
@@ -783,8 +791,8 @@ def identity_sweep(depth: int) -> dict:
     identity (_identity_frame).  T's s₁,₃ descent folds through one memo
     per call: a node's Euclid tail (b mod a)/a is a shallower tree node,
     so the nodes' chains share their tails and the call folds one
-    reciprocity step per node.  Per lineage: member 1 read off member 3's
-    parents, members 2..m the stack's last frames, and one integer sum,
+    reciprocity step per node.  Per lineage: member 1 by _member_one,
+    members 2..m the stack's last frames, and one integer sum,
     L·Λ(e[m − 4]), so no lcm is taken.  Only a failing lineage builds its
     two sides, the residual from the members' cleared jets and the
     correction (_cleared_correction), for its record.
@@ -797,16 +805,13 @@ def identity_sweep(depth: int) -> dict:
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
     shapes: dict = {}
-    build = partial(_identity_frame, _jet_modulus(_jet_width(0, depth)), {})
-    for stack in _walk(0, depth, build):
+    for stack in _jet_walk(0, depth, _identity_frame, {}):
         node = stack[-1]
         for m in (4, 5):
-            first = len(stack) - m + 1  # stack index of member 2
-            if first < 2:  # the node's depth is below m − 2
+            if len(stack) < m + 1:  # the node's depth is below m − 2
                 continue
-            third = stack[first + 1]
-            one = stack[third.hi if third.lo == first else third.lo]
-            if one.b == 1:  # vanishing
+            one, first = _member_one(stack, m)
+            if stack[one].b == 1:  # vanishing
                 continue
             checked[m] += 1
             key = m, node.path[2 - m:]
@@ -814,7 +819,7 @@ def identity_sweep(depth: int) -> dict:
             if shape is None:
                 shape = shapes[key] = _shape_checks(m, _lineage_members(stack, m)[1])
             L, c, moment = shape
-            frames = [one, *stack[first:]]
+            frames = [stack[one], *stack[first:]]
             if _lam(L, c, [fr.e[m - 4] for fr in frames]):
                 resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
                 num, den = _cleared_correction(frames, L, c)

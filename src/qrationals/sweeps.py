@@ -139,7 +139,7 @@ def _fits(_bound: None) -> Verdict:
         x = Fraction(a, b)
         for which, coeffs, feats, closed in (
                 ("d1", d1, _d1_features(x), closedforms.d1_closed(x)),
-                ("d2", d2, _d2_features(a, b), closedforms.d2_closed(a, b))):
+                ("d2", d2, _d2_features(x), closedforms.d2_closed(a, b))):
             fitted = sum(c * f for c, f in zip(coeffs, feats))
             if fitted != closed:
                 return _fail("fits", f"{which} at {a}/{b}", f"fitted {rat_to_str(fitted)}",

@@ -44,6 +44,7 @@ PACKED = "src/qrationals/packed.py"
 CLOSEDFORMS = "src/qrationals/closedforms.py"
 DEDEKIND = "src/qrationals/dedekind.py"
 EXACT = "src/qrationals/exact.py"
+SWEEPS = "src/qrationals/sweeps.py"
 T = "tests/test_sbtree.py::"
 Q = "tests/test_qdeform.py::"
 C = "tests/test_closedforms.py::"
@@ -217,25 +218,17 @@ MUTANTS = [
                   "tests/test_cli.py::test_check_delta_fails_where_b_does_not_divide_e5"],
     },
     {
-        # both branches pick member 2, so member 1 becomes a copy of it
-        "name": "identity-member-1-read-as-the-wrong-parent",
-        "file": SBTREE,
-        "old": "one = stack[third.hi if third.lo == first else third.lo]",
-        "new": "one = stack[third.lo if third.lo == first else third.hi]",
-        "tests": [T + "test_identity_sweep_small_depth",
-                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
-    },
-    {
-        # not the walker/lineage_extract comparison: both sides read member 1
-        # through _lineage_members
+        # both branches pick member 2, so member 1 becomes a copy of it; not
+        # the walker/lineage_extract comparison, nor the per-lineage oracle
+        # sweep: both sides read member 1 through _member_one
         "name": "lineage-member-1-read-as-the-wrong-parent",
         "file": SBTREE,
-        "old": "one = third.hi if third.lo == first else third.lo",
-        "new": "one = third.lo if third.lo == first else third.hi",
+        "old": "return (third.hi if third.lo == first else third.lo), first",
+        "new": "return (third.lo if third.lo == first else third.hi), first",
         "tests": [T + "test_member_1_is_member_3s_other_stern_brocot_parent",
                   T + "test_lineage_json_shape",
                   T + "test_lineage_order4_fixtures",
-                  T + "test_identity_sweep_matches_the_per_lineage_sweep"],
+                  T + "test_identity_sweep_small_depth"],
     },
     {
         # not the identity sweep: the weights at q = 1 are symmetric in the
@@ -468,12 +461,12 @@ MUTANTS = [
                   C + "test_closed_forms_match_exact_jets_on_long_expansions"],
     },
     {
+        # not s_sum's (1, 3) path, which reduces a mod b before the descent
         "name": "s13-a-not-reduced-mod-b",
         "file": DEDEKIND,
         "old": "    a, b = a // g % top, top\n",
         "new": "    a, b = a // g, top\n",
-        "tests": ["tests/test_dedekind.py::test_s13_cleared_is_the_literal_sum",
-                  "tests/test_dedekind.py::test_s13_descent_matches_literal_sum",
+        "tests": [D + "test_s13_cleared_is_the_literal_sum",
                   C + "test_closed_forms_equal_their_literal_form"],
     },
     {
@@ -558,8 +551,8 @@ MUTANTS = [
     {
         "name": "h-completion-also-at-index-one",
         "file": DEDEKIND,
-        "old": "    if i != 1 and j != 1:\n",
-        "new": "    if True:\n",
+        "old": "s_sum(i, j, a, b) if i == 1 or j == 1 else _s_inclusive",
+        "new": "s_sum(i, j, a, b) if False else _s_inclusive",
         "tests": [D + "test_h_fixtures",
                   D + "test_reciprocity_residual_is_the_literal_formula",
                   D + "test_battery_rows_are_the_literal_identities"],
@@ -591,6 +584,30 @@ MUTANTS = [
         "tests": [D + "test_check_identities_shape_and_success",
                   D + "test_battery_sweep_is_empty",
                   D + "test_battery_rows_are_the_literal_identities"],
+    },
+    {
+        # s_sum's a read modulo b − 1: values in [0, b − 1), so no recursion
+        "name": "s-sum-a-reduced-by-the-wrong-modulus",
+        "file": DEDEKIND,
+        "old": "        return s_sum(i, j, a % b, b)\n",
+        "new": "        return s_sum(i, j, a % (b - 1), b)\n",
+        "tests": [D + "test_s_sum_matches_literal_sum",
+                  D + "test_s_sum_runs_one_loop_per_residue"],
+    },
+    {
+        "name": "bernoulli-bound-one-too-high",
+        "file": DEDEKIND,
+        "old": "    if i > BERNOULLI_BOUND:\n",
+        "new": "    if i > BERNOULLI_BOUND + 1:\n",
+        "tests": [D + "test_bernoulli_number_takes_indices_0_to_the_bound",
+                  D + "test_bernoulli_poly_fixtures"],
+    },
+    {
+        "name": "bridges-fail-line-sides-swapped",
+        "file": SWEEPS,
+        "old": "f\"lhs {rat_to_str(lhs)}\",\n                         f\"rhs {rat_to_str(rhs)}\")",
+        "new": "f\"lhs {rat_to_str(rhs)}\",\n                         f\"rhs {rat_to_str(lhs)}\")",
+        "tests": ["tests/test_cli.py::test_check_bridges_fail_names_the_bridge_and_both_sides"],
     },
     {
         # no rank changes: a new row is still reduced against every kept row.

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import qrationals
-from qrationals import cli, closedforms, sbtree
+from qrationals import cli, closedforms, dedekind, fit, sbtree, sweeps
 from qrationals.cli import (
     MAX_CHECK_SCALE,
     MAX_DEFORM_DEGREE,
@@ -340,6 +340,103 @@ def test_check_delta_fails_where_b_does_not_divide_e5(capsys, monkeypatch):
                      "6b·J₂ = -7680, T = 4561"]
 
 
+def test_check_integrality_fail_names_the_counterexample(capsys, monkeypatch):
+    real = closedforms.d2_closed
+    monkeypatch.setattr(closedforms, "d2_closed",
+                        lambda a, b: real(a, b) + Fraction((a, b) == (1, 3), 54))
+    _bounds(monkeypatch, integrality=4)
+    assert check(capsys, "integrality") == (1, [
+        "FAIL integrality: counterexample 1/3: b^3 * closed -11/2, want an integer"],
+        "0/1 sweeps clean")
+
+
+def test_check_delta_fail_names_the_lineage_and_both_sides(capsys, monkeypatch):
+    """With s₁,₃(2, 5) one too large in the term T of the sweep's side, b
+    still divides E₅ at 2/5, and the first order-5 lineage through 2/5
+    fails its residual, unscaled."""
+    s13 = closedforms._s13_cleared
+    monkeypatch.setattr(closedforms, "_s13_cleared", lambda a, b, memo=None:
+                        s13(a, b, memo) + 120 * b ** 4 * ((a, b) == (2, 5)))
+    _bounds(monkeypatch, delta=4)
+    assert check(capsys, "delta") == (1, [
+        "FAIL delta: counterexample order-5 lineage of 4/11, residual: "
+        "lhs 14/1331, rhs -7486/1331"], "0/1 sweeps clean")
+
+
+def test_check_delta_fail_names_a_moment_identity(capsys, monkeypatch):
+    """The residual and the moment identities read the same Lagrange
+    numerators, so a wrong C₁ (here one too large) fails the residual
+    first; with the residual's integer sum blinded to 0 it reaches the
+    moment record, which names the first failing moment and both sides."""
+    real = sbtree._lagrange
+
+    def lagrange(f, g):
+        L, c = real(f, g)
+        return L, [c[0] + L, *c[1:]]
+    monkeypatch.setattr(sbtree, "_lagrange", lagrange)
+    monkeypatch.setattr(sbtree, "_lam", lambda L, c, h: 0)
+    _bounds(monkeypatch, delta=4)
+    assert check(capsys, "delta") == (1, [
+        "FAIL delta: counterexample order-4 lineage of 3/11, moment 2: lhs 2, rhs 1"],
+        "0/1 sweeps clean")
+
+
+def test_check_fits_fail_names_the_fitted_vector(capsys, monkeypatch):
+    """A d1 row with its x² feature doubled halves the fitted α."""
+    real = fit._d1_features
+    monkeypatch.setattr(fit, "_d1_features", lambda x: (2 * x * x, *real(x)[1:]))
+    assert check(capsys, "fits") == (1, [
+        "FAIL fits: counterexample d1: fitted (1/4, -1/2, 1/2, -1/2), "
+        "want (1/2, -1/2, 1/2, -1/2)"], "0/1 sweeps clean")
+
+
+def test_check_fits_fail_names_integer_samples_that_solve(capsys, monkeypatch):
+    """A d1 fit that returns a vector on the integer samples, where the
+    x² and f² columns collide, instead of raising RankDeficientError."""
+    real = sweeps.fit_d1
+    monkeypatch.setattr(sweeps, "fit_d1", lambda samples: sweeps.D1_WANT
+                        if samples == [1, 2, 3, 4, 5] else real(samples))
+    assert check(capsys, "fits") == (1, [
+        "FAIL fits: counterexample d1 on the integers 1..5: solvable, want rank-deficient"],
+        "0/1 sweeps clean")
+
+
+def _h_wrong_at_3_1_2_3(monkeypatch):
+    """h_{3,1}(2, 3) one too large where reciprocity_residual and the
+    battery read h.  The FAIL line recomputes the residual through
+    sweeps' own import of reciprocity_residual, so the fault sits below
+    it, in dedekind.h_val."""
+    real = dedekind.h_val
+    monkeypatch.setattr(dedekind, "h_val", lambda i, j, a, b:
+                        real(i, j, a, b) + ((i, j, a, b) == (3, 1, 2, 3)))
+
+
+def test_check_reciprocity_fail_names_the_pair_and_its_residual(capsys, monkeypatch):
+    _h_wrong_at_3_1_2_3(monkeypatch)
+    _bounds(monkeypatch, reciprocity=3)
+    assert check(capsys, "reciprocity") == (1, [
+        "FAIL reciprocity: counterexample (p, q) = (2, 3): (4,1) residual -27, want 0"],
+        "0/1 sweeps clean")
+
+
+def test_check_battery_fail_names_the_identity_and_its_residual(capsys, monkeypatch):
+    _h_wrong_at_3_1_2_3(monkeypatch)
+    _bounds(monkeypatch, battery=3)
+    assert check(capsys, "battery") == (1, [
+        "FAIL battery: counterexample parity 3 1 2 3: residual 1, want 0"],
+        "0/1 sweeps clean")
+
+
+def test_check_bridges_fail_names_the_bridge_and_both_sides(capsys, monkeypatch):
+    real = closedforms.bracket_weight_sum
+    monkeypatch.setattr(closedforms, "bracket_weight_sum",
+                        lambda a, b: real(a, b) + ((a, b) == (2, 5)))
+    _bounds(monkeypatch, bridges=6)
+    assert check(capsys, "bridges") == (1, [
+        "FAIL bridges: counterexample substitution at 2/5: lhs 628/625, rhs 3/625"],
+        "0/1 sweeps clean")
+
+
 def test_check_usage_errors(capsys):
     for scale in ("0", str(MAX_CHECK_SCALE + 1)):
         rc, out, err = run(capsys, "check", "thm1", "--scale", scale)
@@ -625,10 +722,25 @@ def _readme_names() -> list[str]:
     return names
 
 
+def _layout_names() -> list[tuple[str, str]]:
+    """(module, name) for every bare backticked identifier of two or more
+    characters in a Library layout row, the row's module named in its
+    first cell; the console script `qrat` is not a name."""
+    names = []
+    for row in _readme_section("## Library layout").splitlines():
+        first = re.match(r"\| `(qrationals\.\w+)` *\|", row)
+        if first:
+            names.extend((first.group(1), span)
+                         for span in re.findall(r"`(\w{2,})`", row[first.end():])
+                         if span != "qrat")
+    return names
+
+
 def test_readme_names_resolve():
     """Every package name README backticks is an attribute of the package:
     `qrationals.x.y` and `x.y` by import and attribute lookup, a bare
-    `_private` name in some module of the package.  A renamed or deleted
+    `_private` name in some module of the package, and a bare name in a
+    Library layout row in that row's module.  A renamed or deleted
     function fails here."""
     modules = [pkgutil.resolve_name(f"qrationals.{m.name}")
                for m in pkgutil.iter_modules(qrationals.__path__)]
@@ -639,3 +751,7 @@ def test_readme_names_resolve():
             assert any(hasattr(mod, name) for mod in modules), name
         else:
             pkgutil.resolve_name(name if name.startswith("qrationals.") else f"qrationals.{name}")
+    layout = _layout_names()
+    assert len(layout) >= 60
+    for module, name in layout:
+        assert hasattr(pkgutil.resolve_name(module), name), (module, name)

@@ -24,6 +24,7 @@ from oracles import (
 from qrationals import closedforms, dedekind
 from qrationals.closedforms import bracket_weight_sum, bridge_mismatches
 from qrationals.dedekind import (
+    BERNOULLI_BOUND,
     _s13_cleared,
     _s_loop,
     battery_report_csv,
@@ -60,6 +61,17 @@ def test_bernoulli_numbers():
     assert bernoulli_number(4) == Fr(-1, 30)
     assert bernoulli_number(12) == Fr(-691, 2730)
     with pytest.raises(ValueError):
+        bernoulli_number(-1)
+
+
+def test_bernoulli_number_takes_indices_0_to_the_bound():
+    """Like bernoulli_poly and s_sum, bernoulli_number takes 0…BERNOULLI_BOUND
+    and rejects an index past either end before any recurrence runs."""
+    assert bernoulli_number(BERNOULLI_BOUND) == bernoulli_poly(BERNOULLI_BOUND, 0)
+    with pytest.raises(ValueError, match=f"index {BERNOULLI_BOUND + 1} exceeds the "
+                                         f"configured bound {BERNOULLI_BOUND}"):
+        bernoulli_number(BERNOULLI_BOUND + 1)
+    with pytest.raises(ValueError, match="index must be nonnegative"):
         bernoulli_number(-1)
 
 
@@ -107,6 +119,14 @@ def test_periodic_bernoulli_fixtures():
        st.integers(-3, 3))
 def test_periodic_bernoulli_is_periodic(i, x, k):
     assert periodic_bernoulli(i, Fr(x) + k) == periodic_bernoulli(i, Fr(x))
+
+
+def test_periodic_bernoulli_cache_is_bounded():
+    periodic_bernoulli.cache_clear()
+    for n in range(1, 1001):
+        periodic_bernoulli(1, Fr(1, n))
+    info = periodic_bernoulli.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 1000
 
 
 def test_bernoulli_poly_is_the_literal_polynomial():
@@ -234,8 +254,22 @@ def test_s13_cleared_with_a_memo_is_the_descent(pairs, rnd):
 
 @given(st.integers(0, 4), st.integers(0, 4), coprime_pairs)
 def test_s_sum_shift_periodicity(i, j, ab):
+    """Both sides read the one cached sum at a mod b, so this checks s_sum's
+    reduction of a, not a second loop."""
     a, b = ab
     assert s_sum(i, j, a + b, b) == s_sum(i, j, a, b)
+
+
+def test_s_sum_runs_one_loop_per_residue(monkeypatch):
+    """s_sum reads any a outside [0, b) from the sum at a mod b, so the 6b
+    values of a in [−3b, 3b) run b loops in all, one per residue, and each
+    value is the one at its residue."""
+    loops = []
+    monkeypatch.setattr(dedekind, "_s_loop", lambda *args: loops.append(args) or _s_loop(*args))
+    s_sum.cache_clear()
+    values = {a: s_sum(2, 2, a, 7) for a in range(-21, 21)}
+    assert sorted(loops) == [(2, 2, r, 7) for r in range(7)]
+    assert all(values[a] == values[a % 7] for a in values)
 
 
 @given(st.integers(0, 4), st.integers(0, 4), coprime_pairs)

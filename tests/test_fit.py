@@ -98,7 +98,7 @@ def test_default_d2_samples_pool():
 def lattice_column(a, b):
     """The fit's λ column: the last feature of the second-derivative row."""
     assert D2_FEATURE_NAMES[-1] == "lambda"
-    return _d2_features(a, b)[-1]
+    return _d2_features(Fr(a, b))[-1]
 
 
 def literal_b3_sum(a, b):

@@ -805,7 +805,7 @@ def test_identity_values_are_the_literal_sides(start):
     of deform) and T = 6b(b − a) − 120·b⁴·s₁,₃ from the O(b) defining sum
     of s₁,₃."""
     built = 0
-    for stack in _walk(start, 6, partial(_identity_frame, _jet_modulus(_jet_width(start, 6)), {})):
+    for stack in _jet_walk(start, 6, _identity_frame, {}):
         node = stack[-1]
         a, b = node.a, node.b
         _, j1, j2 = _cleared_jets(deform(node.value).deform, 2)[1]
@@ -838,8 +838,7 @@ def test_identity_values_are_the_closed_forms_polynomial_parts(start):
     E₄ = 2·J₁ + 1 = a² − ab + b² and E₅/b = (6b·J₂ − T)/b =
     2·(a³ − 3a²b + 5ab² − 3b³): thm1 and thm2 read through J₁, J₂ and T."""
     nodes = 0
-    build = partial(_identity_frame, _jet_modulus(_jet_width(start, 9)), {})
-    for stack in _walk(start, 9, build):
+    for stack in _jet_walk(start, 9, _identity_frame, {}):
         node = stack[-1]
         a, b = node.a, node.b
         assert node.e == (a * a - a * b + b * b,
@@ -855,8 +854,7 @@ def test_identity_frames_fold_one_reciprocity_step_per_node():
     nodes, each with its own u.  A node's Euclid tail (b mod a)/a is a
     shallower node, so each pair is folded once."""
     memo, nodes = {}, set()
-    build = partial(_identity_frame, _jet_modulus(_jet_width(0, 12)), memo)
-    for stack in _walk(0, 12, build):
+    for stack in _jet_walk(0, 12, _identity_frame, memo):
         node = stack[-1]
         a, b = node.a, node.b
         assert 6 * b * node.cleared_jets[2] - b * node.e[1] == sbtree._term(a, b), node.value
