@@ -54,8 +54,10 @@ BERNOULLI_BOUND = 12
 # total index weight i + j of the identity battery
 BATTERY_WEIGHT = 4
 # `s_sum`'s cache bound, above the 52 829 entries one `qrat check --scale 2`
-# process leaves.  `bernoulli_number` needs none: it takes at most
-# BERNOULLI_BOUND + 1 indices.
+# process leaves.  Those are raw (i, j, a, b) keys, not distinct sums: 14 896
+# O(b) loops, 4 747 reduced s_{1,3} descents, 1 361 keys with b = 1, and
+# 31 825 keys whose a lies outside [0, b), each kept besides its reduced one.
+# `bernoulli_number` needs none: it takes at most BERNOULLI_BOUND + 1 indices.
 S_SUM_CACHE_SIZE = 65536
 
 
@@ -126,27 +128,10 @@ def s_sum(i: int, j: int, a: int, b: int) -> Rat:
     Both indices must lie in 0…BERNOULLI_BOUND and b ≥ 1, even when the sum
     is empty.  The sum depends on a only mod b, so an a outside [0, b) reads
     the cached sum at a mod b, and each (i, j, a mod b, b) is computed once.
-    Every (i, j) but (1, 3) is one O(b) pass (_s_loop).
-
-    s = s_{1,3}, the lattice term of the second derivative, takes O(log b)
-    integer steps instead.  The distribution relation of B̄_1 gives
-    s(a, b) = s(a/g, b/g) with g = gcd(a, b).  For coprime a, b ≥ 1,
-    Apostol's reciprocity law for odd p = 3 (Duke Math. J. 17, 1950, Thm 1)
-    reads
-
-        4·(a·b³·s(a, b) + b·a³·s(b, a)) = (5a²b² − a⁴ − b⁴ − 3)/30.
-
-    On the integers u(a, b) = 120·b⁴·s(a, b) (4b⁴·s is already one: the
-    factors have denominators 2b and 2b³) it becomes the exact division
-
-        u(a, b) = (a·b·(5a²b² − a⁴ − b⁴ − 3) − b²·u(b mod a, a)) / a²,
-
-    with u(·, 1) = 0 at the bottom of the Euclid chain of (a, b).  The chain
-    is recorded and folded bottom-up, so every intermediate u is the value
-    at its own pair, O(digits of b) in size.  That descent is one integer
-    kernel, _s13_cleared(a, b) = 120·b⁴·s(a, b); this path is the Fraction
-    u/(120·b⁴) over it, and closedforms._term, the non-cubic part of
-    d2_closed and of the order-5 lineage correction, reads u directly."""
+    It has two paths: s_{1,3}, the lattice term of the second derivative,
+    is the Fraction u/(120·b⁴) over the O(log b) integer descent
+    u = _s13_cleared(a, b), and every other (i, j) is one O(b) pass
+    (_s_loop)."""
     if b < 1:
         raise ValueError("modulus must be >= 1")
     _check_index(i)
@@ -180,10 +165,27 @@ def _s_loop(i: int, j: int, a: int, b: int) -> Rat:
 
 
 def _s13_cleared(a: int, b: int, memo: dict | None = None) -> int:
-    """u = 120·b⁴·s_{1,3}(a, b), an integer, for any a and b ≥ 1, by the
-    Euclid descent in s_sum's docstring: the one descent loop that s_sum's
-    (1, 3) path, the closed forms and the lineage correction share.  A
-    remainder in its exact division would be a bug, so it raises.
+    """u = 120·b⁴·s(a, b), s = s_{1,3}, an integer, for any a and b ≥ 1, in
+    O(log b) integer steps: the one descent loop that s_sum's (1, 3) path
+    and closedforms._term, the non-cubic part of d2_closed and of the
+    order-5 lineage correction, share.
+
+    The distribution relation of B̄_1 gives s(a, b) = s(a/g, b/g) with
+    g = gcd(a, b), so u(a, b) = g⁴·u(a/g, b/g), and s depends on a only
+    mod b.  For coprime a, b ≥ 1, Apostol's reciprocity law for odd p = 3
+    (Duke Math. J. 17, 1950, Thm 1) reads
+
+        4·(a·b³·s(a, b) + b·a³·s(b, a)) = (5a²b² − a⁴ − b⁴ − 3)/30.
+
+    On the integers u(a, b) = 120·b⁴·s(a, b) (4b⁴·s is already one: the
+    factors have denominators 2b and 2b³) it becomes the exact division
+
+        u(a, b) = (a·b·(5a²b² − a⁴ − b⁴ − 3) − b²·u(b mod a, a)) / a²,
+
+    with u(·, 1) = 0 at the bottom of the Euclid chain of (a, b).  The chain
+    is recorded and folded bottom-up, so every intermediate u is the value
+    at its own pair, O(digits of b) in size.  A remainder in the exact
+    division would be a bug, so it raises.
 
     memo, if given, maps reduced pairs (a, b), b > 1, to their u: the chain
     stops at the first pair in it, and the fold stores every pair it

@@ -6,16 +6,17 @@ One depth-first walk yields the tree's ancestor stack, and lineages are
 read off such stacks.  Every node is built by one step (_mediant), its
 parents' weighted mediant on packed integers (qrationals.packed).  The
 packed walk keeps the pairs, canonical as built (_packed_frame), for
-walk_qtree, build_qtree, lineage_extract's members 3..m and appendixA,
-which compares them with the packed continued-fraction towers at the same
-width (_cfrac_table); the lineage weights 𝔉, 𝔊 run the step's recurrence
-too (_weights).  The identity sweep and the plot data walk it modulo
-(2^W − 1)³ and take each node's cleared jets from its Taylor digits
-(_jet_frame); the identity sweep also folds every node's s₁,₃ descent
-through one memo per walk and keys lineage shapes by the last letters of
-the target's path (identity_sweep).  The tree takes the continued-fraction
-tower only for pairs it does not build (the window endpoints, lineage
-members 1 and 2); their bit-exact agreement elsewhere is a verified
+walk_qtree, build_qtree, lineage_extract's short stack from member 2's
+parent and appendixA, which compares them with the packed
+continued-fraction towers at the same width (_cfrac_table); the lineage
+weights 𝔉, 𝔊 run the step's recurrence too (_weights).  The identity
+sweep and the plot data walk it modulo (2^W − 1)³ and take each node's
+cleared jets from its Taylor digits (_jet_frame); the identity sweep also
+folds every node's s₁,₃ descent through one memo per walk and keys
+lineage shapes by the last letters of the target's path (identity_sweep).
+The tree takes the continued-fraction tower only for pairs it does not
+build (the window endpoints, and the two interval ends lineage_extract's
+stack starts from); their bit-exact agreement elsewhere is a verified
 equivalence, not a dependency.
 """
 from __future__ import annotations
@@ -105,8 +106,10 @@ class Frame:
     """A descent-stack entry: a tree value a/b as its reduced ints a and
     b > 0, the stack indices of its left (smaller) parent lo and right
     (greater) parent hi and the degree gap xi of their weighted mediant
-    (None at the window endpoints), and, computed on first use, the value
-    a/b as a Fraction and the node (value, canonical pair, depth, path).
+    (None where no step built it: at the window endpoints and
+    lineage_extract's two interval ends), and, computed on first use, the
+    value a/b as a Fraction and the node (value, canonical pair, depth,
+    path).
 
     The packed builder keeps the node's pair as packed = (N, D, deg D) at
     q = 2^width (qrationals.packed), with the walk's depth and path, and
@@ -117,7 +120,7 @@ class Frame:
     node's path and its identity values e = (E₄, E₅/b), indexed by the
     order less 4 (_identity_frame; b divides E₅ at every node).
     Depth −1 and the empty path are the window endpoints'; lineage_extract
-    sets its first two members' own."""
+    sets its two interval ends' own."""
 
     xi: int | None = None
     packed: tuple[int, int, int] | None = None
@@ -223,9 +226,9 @@ def _identity_frame(modulus: tuple[int, int, int], memo: dict, stack: list[Frame
 
 def _pack(frame: Frame, width: int) -> tuple[int, int, int]:
     """packed for a frame that no build step made (a window endpoint, or
-    lineage_extract's members 1 and 2): the packed pair of its value's
-    continued-fraction tower at q = 2^width (qdeform._packed_pair), and
-    deg D read off D's top word."""
+    one of the two interval ends lineage_extract's stack starts from): the
+    packed pair of its value's continued-fraction tower at q = 2^width
+    (qdeform._packed_pair), and deg D read off D's top word."""
     N, D = _packed_pair(_expansion(frame.a, frame.b), width)
     frame.packed, frame.width = (N, D, (D.bit_length() - 1) // width), width
     return frame.packed
@@ -441,8 +444,9 @@ def _lineage_members(stack: list[Frame], m: int) -> tuple[list[Frame], tuple[tup
     the shallow parent of member 3, or for m = 2 the target's deeper parent
     (the left endpoint at depth 0).  Member n's parents are members n − 1
     and ζ_n, which is n − 2 or ζ_{n−1}, so a parent below first is member
-    1.  The same rules read a stack of the m members alone, member 1 first
-    (lineage_extract's).
+    1.  The same rules read lineage_extract's shorter stack: below member
+    2 it holds member 2's parent and that parent's two interval ends
+    (member 2's own at depth 0), among which is member 1.
     """
     one, first = _member_one(stack, m)
     frames = [stack[one], *stack[first:]]
@@ -496,21 +500,22 @@ def _lineage_from_stack(stack: list[Frame], m: int) -> tuple[Lineage, list[Frame
 
 def lineage_extract(x: Rat, m: int) -> Lineage:
     """Extract the order-m lineage of x (see _lineage_from_stack) from a
-    stack of its m members alone.
+    short descent stack built as the walk builds its own.
 
-    The descent from ⌊x⌋ and ⌊x⌋ + 1 to member 2 runs along x's branch
+    The descent from ⌊x⌋ and ⌊x⌋ + 1 to depth s = max(depth − m + 1, 0),
+    member 2's parent (member 2 itself at depth 0), runs along x's branch
     word (qdeform._branch_runs) one run at a time, on (numerator,
     denominator, depth) triples: k equal moves from the interval (l, r),
     whose node l + r is at depth d, reach (l, k·l + r) going left and
     (l + k·r, r) going right, the new end at depth d + k − 1, so the
     search takes one step per partial quotient and keeps no frame per
-    level.  Member 1 is the parent of member 3 that the next move keeps
-    (for m = 2, the target's deeper parent, the left endpoint at depth 0).
-    Members 1 and 2 take their continued-fraction towers' packed pairs
-    (_pack), and members 3..m are built from their two parents, which are
-    earlier members, by the walker's packed step (_packed_frame), all at
-    one width for x's window (_window_width), with depth and path sliced
-    from x's."""
+    level.  The stack starts with the depth-s node's two interval ends, as
+    the walk's starts with its window's endpoints: packed on first use from
+    their continued-fraction towers (_pack).  Every node from depth s to x
+    is then built from its two parents by the walker's packed step
+    (_packed_frame), all at one width for x's window (_window_width), with
+    depth and path sliced from x's, and the lineage is read off the stack
+    as off the walk's (_lineage_members, member 1 by _member_one)."""
     x = Fraction(x)
     if m < 2:
         raise ValueError("lineage order must be >= 2")
@@ -518,7 +523,7 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
     depth, path = _depth_and_path(cf)  # an integer has depth −1
     if depth < m - 2:
         raise InsufficientDepthError(requested=m, max_order=depth + 2)
-    top = depth - m + 2  # member 2's depth
+    top = max(depth - m + 1, 0)  # the first node built
     # (a, b, depth): the node left + right is at depth d
     left, right = (cf.terms[0], 1, -1), (cf.terms[0] + 1, 1, -1)
     d = 0
@@ -531,24 +536,18 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
         else:
             left = (left[0] + k * right[0], left[1] + k * right[1], d + k - 1)
         d += k
-    if m == 2:
-        first = right if depth and path[depth] == "L" else left
-    else:
-        first = left if path[top + 1] == "L" else right
     width = _window_width(cf.terms[0], x.denominator)
     stack = []
-    for a, b, d in (first, (left[0] + right[0], left[1] + right[1], top)):
-        frame = Frame(a, b)
-        frame.depth, frame.path = d, path[:d + 1]
-        _pack(frame, width)
-        stack.append(frame)
-    lo = hi = 0
-    for d in range(top + 1, depth + 1):
-        if path[d] == "L":
+    for a, b, d in (left, right):
+        stack.append(Frame(a, b))
+        stack[-1].depth, stack[-1].path = d, path[:d + 1]
+    lo, hi = 0, 1
+    for d in range(top, depth + 1):
+        stack.append(_packed_frame(width, stack, lo, hi, d, path[:d + 1]))
+        if path[d + 1:d + 2] == "L":
             hi = len(stack) - 1
         else:
             lo = len(stack) - 1
-        stack.append(_packed_frame(width, stack, lo, hi, d, path[:d + 1]))
     return _lineage_from_stack(stack, m)[0]
 
 
@@ -557,7 +556,7 @@ def _lagrange(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, list[int]]:
     members 1..m: L is the lcm of the reduced denominators of
     C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i)."""
     m = len(f)
-    nums, dens = [], []
+    C = []
     for i in range(m - 1):
         num = den = 1
         for n in range(m - 1):
@@ -568,11 +567,9 @@ def _lagrange(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, list[int]]:
             if dn == 0:
                 raise DegenerateWeightsError(f"members {i + 1} and {n + 1} have dependent weights")
             den *= dn
-        r = math.gcd(num, den)
-        nums.append(num // r)
-        dens.append(den // r)
-    L = math.lcm(*dens)
-    return L, [num * (L // den) for num, den in zip(nums, dens)]
+        C.append(Fraction(num, den))
+    L = math.lcm(*(ci.denominator for ci in C))
+    return L, [ci.numerator * (L // ci.denominator) for ci in C]
 
 
 def _lineage_lagrange(lin: Lineage) -> tuple[int, list[int]]:
@@ -598,12 +595,6 @@ def lagrange_coefficients(lin: Lineage) -> tuple[Rat, ...]:
 # below is computed times L·b_m^{m−2}, which makes the derivative residual
 # an integer (_cleared_jets), and divided once at the end.
 
-def _identity_order(lin: Lineage) -> int:
-    if lin.order not in (4, 5):
-        raise ValueError("identity instances exist for orders 4 and 5")
-    return lin.order
-
-
 def _lam(L: int, c: list[int], h: list) -> Rat:
     """L·Λ(h) = L·h_m − Σ_{i<m} c_i·h_i for values h_1..h_m of the members."""
     return L * h[-1] - sum(map(mul, c, h))
@@ -614,8 +605,15 @@ def _scale(L: int, values: list[Fraction]) -> int:
     return L * values[-1].denominator ** (len(values) - 2)
 
 
-def _values(lin: Lineage) -> list[Fraction]:
-    return [mem.value for mem in lin.members]
+def _identity_head(lin: Lineage) -> tuple[int, int, list[int], int]:
+    """(m, L, c, L·b_m^{m−2}) for an order-4 or order-5 lineage: its order,
+    its Lagrange numerators c_i over L (_lagrange) and the scale every
+    residual and correction is computed times."""
+    m = lin.order
+    if m not in (4, 5):
+        raise ValueError("identity instances exist for orders 4 and 5")
+    L, c = _lineage_lagrange(lin)
+    return m, L, c, _scale(L, [mem.value for mem in lin.members])
 
 
 def delta_identity_residual(lin: Lineage) -> Rat:
@@ -627,20 +625,18 @@ def delta_identity_residual(lin: Lineage) -> Rat:
     forms coincide, for order 5 they differ because Δ_2 is representative-
     dependent.
     """
-    m = _identity_order(lin)
+    m, L, c, scale = _identity_head(lin)
     h = [mem.value.denominator ** (m - 2) * delta(mem.deform, m - 3) for mem in lin.members]
-    L, c = _lineage_lagrange(lin)
-    return _lam(L, c, h) / _scale(L, _values(lin))
+    return _lam(L, c, h) / scale
 
 
 def derivative_identity_residual(lin: Lineage) -> Rat:
     """Residual of the plain d^{m−3}/dq^{m−3} linear-dependence form; times
     L·b_m^{m−2} it is L·J_m − Σ c_i·J_i on the cleared jets J_i =
     b_i^{m−2}·f_i^{(m−3)}(1)."""
-    m = _identity_order(lin)
+    m, L, c, scale = _identity_head(lin)
     J = [_cleared_jets(mem.deform, m - 3)[1][m - 3] for mem in lin.members]
-    L, c = _lineage_lagrange(lin)
-    return Fraction(_lam(L, c, J), _scale(L, _values(lin)))
+    return Fraction(_lam(L, c, J), scale)
 
 
 def identity_correction(lin: Lineage) -> Rat:
@@ -653,24 +649,23 @@ def identity_correction(lin: Lineage) -> Rat:
     Computed in integers (_cleared_correction), which identity_sweep, as it
     checks Λ(E) = 0, builds only for a failing record.
     """
-    _identity_order(lin)
-    L, c = _lineage_lagrange(lin)
-    values = _values(lin)
-    num, den = _cleared_correction([Frame(x.numerator, x.denominator) for x in values], L, c)
-    return Fraction(num, den * _scale(L, values))
+    _, L, c, scale = _identity_head(lin)
+    num, den = _cleared_correction([mem.value for mem in lin.members], L, c)
+    return Fraction(num, den * scale)
 
 
-def _cleared_correction(frames: list[Frame], L: int, c: list[int]) -> tuple[int, int]:
-    """L·b_m^{m−2} times the correction, for the members' frames, as
+def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> tuple[int, int]:
+    """L·b_m^{m−2} times the correction, for the members' values, as
     (numerator, denominator): (Σc − L)/2 at order 4, which depends on the
     lineage's weights alone.  At order 5, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) is
     L·Λ(T/(6b)) on the members' integer terms T (closedforms._term), so over
     B = lcm(b_i) it is one integer sum, L·Λ(T·(B/b)), over 6B.
     identity_sweep checks Λ(E) = 0 and builds this for a failing record."""
-    if len(frames) == 4:
+    if len(values) == 4:
         return sum(c) - L, 2
-    B = math.lcm(*(fr.b for fr in frames))
-    return _lam(L, c, [_term(fr.a, fr.b) * (B // fr.b) for fr in frames]), 6 * B
+    B = math.lcm(*(x.denominator for x in values))
+    return _lam(L, c, [_term(x.numerator, x.denominator) * (B // x.denominator)
+                       for x in values]), 6 * B
 
 
 # --------------------------------------------------------------------------
@@ -754,7 +749,16 @@ def _equivalence_records(depth: int) -> list[tuple[Fraction, tuple | None, tuple
 def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
     """What an order-m lineage's identities need of its shape (its parent
     pattern) alone: (L, c) and the first failing moment identity as the
-    tail of a failure record (None if all hold)."""
+    tail of a failure record (None if all hold).
+
+    The moment identities hold for any weights whose points (f_i, g_i) are
+    pairwise independent: C_i is the Lagrange weight ℓ_i(f_m, g_m),
+    ℓ_i(x, y) = Π_{n≠i} (x·g_n − f_n·y)/(f_i·g_n − f_n·g_i), the form of
+    degree m − 2 that is 1 at member i's point and 0 at the other m − 2,
+    so Σ C_i·P(f_i, g_i) = P(f_m, g_m) for every form P of degree m − 2,
+    the moments f^j·g^{m−2−j} among them.  So they check _lagrange, not
+    the lineage, and identity_sweep reads them only where L·Λ(e) = 0: a
+    moment record names a wrong _lagrange whose c still passes it."""
     f, g = _weights(parents, [0] * (m - 2))
     L, c = _lagrange(f, g)
     moment = None
@@ -778,9 +782,12 @@ def identity_sweep(depth: int) -> dict:
     naming it otherwise); appendixA's walk checks the full canonical pairs.
     Per lineage shape, computed once: the weights at q = 1, the Lagrange
     numerators c_i over their common denominator L, and the moment
-    identities.  An order-m lineage's parent pattern is fixed by the last
-    m − 2 letters of its target's path, the letters into members 3..m:
-    ζ₃ = 1, ζ_n = n − 2 where the letters into members n − 1 and n differ
+    identities, which hold for any weights because the C_i are Lagrange
+    weights by construction (_shape_checks): they check _lagrange alone,
+    so only a wrong c that still passes the residual check reaches one.
+    An order-m lineage's parent pattern is fixed by the last m − 2 letters
+    of its target's path, the letters into members 3..m: ζ₃ = 1,
+    ζ_n = n − 2 where the letters into members n − 1 and n differ
     and ζ_{n−1} otherwise, and the letter into member n says whether
     member n − 1 is its greater or smaller parent.  So the key is (m,
     path[2 − m:]), 2^{m−2} keys per order, and _lineage_members, which
@@ -822,8 +829,9 @@ def identity_sweep(depth: int) -> dict:
             frames = [stack[one], *stack[first:]]
             if _lam(L, c, [fr.e[m - 4] for fr in frames]):
                 resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
-                num, den = _cleared_correction(frames, L, c)
-                scale = _scale(L, [fr.value for fr in frames])
+                values = [fr.value for fr in frames]
+                num, den = _cleared_correction(values, L, c)
+                scale = _scale(L, values)
                 failures.append((m, node.value, "residual", Fraction(resid, scale),
                                  Fraction(num, den * scale)))
             elif moment:

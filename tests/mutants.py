@@ -167,11 +167,32 @@ MUTANTS = [
         # the sweep builds the correction only for a failing record
         "name": "correction-lcm-replaced-by-last-denominator",
         "file": SBTREE,
-        "old": "        return sum(c) - L, 2\n    B = math.lcm(*(fr.b for fr in frames))\n",
-        "new": "        return sum(c) - L, 2\n    B = frames[-1].b\n",
+        "old": "        return sum(c) - L, 2\n"
+               "    B = math.lcm(*(x.denominator for x in values))\n",
+        "new": "        return sum(c) - L, 2\n    B = values[-1].denominator\n",
         "tests": [T + "test_identity_correction_equals_the_literal_form",
                   T + "test_identity_sweep_reports_unscaled_failures",
                   T + "test_identity_sweep_fails_where_a_nodes_jets_are_wrong"],
+    },
+    {
+        # the sweep builds the correction only for a failing record
+        "name": "correction-term-scaled-over-the-numerator",
+        "file": SBTREE,
+        "old": " * (B // x.denominator)",
+        "new": " * (B // x.numerator)",
+        "tests": [T + "test_identity_correction_equals_the_literal_form",
+                  T + "test_identity_delta_and_derivative_forms_differ_at_order5",
+                  T + "test_identity_sweep_reports_unscaled_failures"],
+    },
+    {
+        "name": "lagrange-lcm-over-the-numerators",
+        "file": SBTREE,
+        "old": "    L = math.lcm(*(ci.denominator for ci in C))\n",
+        "new": "    L = math.lcm(*(ci.numerator for ci in C))\n",
+        # not the identity sweep: every order-4 and order-5 lineage's C_i are
+        # integers, so L = 1 and the lcm over the numerators scales c and L alike
+        "tests": [T + "test_lagrange_coefficients_with_a_common_denominator",
+                  T + "test_moment_identities_hold_for_any_weights"],
     },
     {
         "name": "identity-e4-without-its-plus-one",
@@ -264,8 +285,21 @@ MUTANTS = [
         "file": SBTREE,
         "old": "        k = min(u - (i == 0), top - d)",
         "new": "        k = min(u, top - d)",
+        # not the order-4 fixtures: each stops its descent within the first run
         "tests": [T + "test_lineage_extract_matches_the_farey_step_search",
-                  T + "test_lineage_order4_fixtures"],
+                  T + "test_lineage_order2"],
+    },
+    {
+        # m ≥ 3 still finds member 1 among member 2's interval ends; at m = 2
+        # the target's deeper parent is not on the stack
+        "name": "lineage-extract-from-member-2s-own-depth",
+        "file": SBTREE,
+        "old": "    top = max(depth - m + 1, 0)  # the first node built\n",
+        "new": "    top = depth - m + 2  # the first node built\n",
+        "tests": [T + "test_lineages_off_the_walker_match_lineage_extract",
+                  T + "test_lineage_order2",
+                  T + "test_lineage_extract_matches_the_farey_step_search",
+                  T + "test_lineage_extract_checks_members_1_and_2_as_built"],
     },
     {
         "name": "packed-mask-guard-deleted",

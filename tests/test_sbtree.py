@@ -7,6 +7,7 @@ literal zero-residual form and the corrected closed-form residual.
 import math
 from fractions import Fraction as Fr
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -479,6 +480,9 @@ def test_lineage_order2():
     assert lin.zeta == () and lin.xi == ()
     assert not lin.vanishing
 
+    lin = lineage_extract(Fr(3, 5), 2)  # the deeper parent on the right
+    assert _values(lin) == [Fr(2, 3), Fr(3, 5)]
+
     lin = lineage_extract(Fr(1, 2), 2)  # depth-0 target ties to the left
     assert _values(lin) == [Fr(0), Fr(1, 2)]
     assert lin.vanishing
@@ -575,9 +579,10 @@ def test_lineage_extract_weights_rebuild_members_by_products(x, m):
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=200))
 @example(Fr(1346269, 832040))  # F₃₁/F₃₀, depth 27
 def test_lineage_extract_members_equal_their_deformations(x):
-    """lineage_extract builds members 3..m as weighted mediants of earlier
-    members; at every order the depth allows, each member must be the
-    continued-fraction deformation of its value: pair, depth and path."""
+    """lineage_extract builds every node from member 2's parent on as the
+    weighted mediant of its parents; at every order the depth allows, each
+    member must be the continued-fraction deformation of its value: pair,
+    depth and path."""
     for m in range(2, deform(x).depth + 3):
         for mem in lineage_extract(x, m).members:
             want = deform(mem.value)
@@ -596,7 +601,9 @@ def test_lineage_extract_members_equal_their_deformations(x):
 def test_lineage_extract_matches_the_farey_step_search(ab, m):
     """The run-length descent gives the lineage the one-step Stern–Brocot
     search gives, in every field, at the largest order the depth allows up
-    to m."""
+    to m.  The search packs members 1 and 2 from their continued-fraction
+    towers, so this also compares lineage_extract's member 2, built from
+    its parents, with its tower."""
     x = Fr(*ab)
     depth = deform(x).depth
     assume(depth >= 0)
@@ -702,6 +709,36 @@ def test_coefficient_moments():
         for j in range(m - 1):
             lhs = sum(C[i] * f[i] ** j * g[i] ** (m - 2 - j) for i in range(m - 1))
             assert lhs == f[m - 1] ** j * g[m - 1] ** (m - 2 - j), (x, m, j)
+
+
+def test_lagrange_coefficients_with_a_common_denominator():
+    """Through order 6 every lineage's C_i in window 0 to depth 10 are
+    integers; 9/20's order-7 lineage has C_i over L = 4, the lcm of their
+    reduced denominators."""
+    lin = lineage_extract(Fr(9, 20), 7)
+    assert (lin.f, lin.g) == ((1, 0, 1, 2, 3, 4, 7), (0, 1, 1, 1, 1, 1, 2))
+    assert lagrange_coefficients(lin) == (-105, Fr(-5, 4), 7, Fr(-35, 2), 35, Fr(35, 4))
+    assert sbtree._lagrange(lin.f, lin.g) == (4, [-420, -5, 28, -70, 140, 35])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda m: st.tuples(
+    *[st.tuples(st.integers(-9, 9), st.integers(-9, 9))] * m)))
+def test_moment_identities_hold_for_any_weights(points):
+    """For any weights whose points (f_i, g_i), i < m, are pairwise
+    independent, not only a lineage's, _lagrange gives the literal C_i
+    over the lcm of their denominators, and the moment identities hold:
+    the C_i are Lagrange weights by construction (sbtree._shape_checks)."""
+    f, g = (list(w) for w in zip(*points))
+    m = len(f)
+    assume(all(f[i] * g[n] != f[n] * g[i] for i in range(m - 1) for n in range(i)))
+    L, c = sbtree._lagrange(f, g)
+    C = oracles.lagrange_coefficients(SimpleNamespace(f=f, g=g, order=m))
+    assert L == math.lcm(*(x.denominator for x in C))
+    assert [Fr(ci, L) for ci in c] == list(C)
+    for j in range(m - 1):
+        assert sum(C[i] * f[i] ** j * g[i] ** (m - 2 - j) for i in range(m - 1)) == \
+            f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
 
 
 def test_identity_sweep_small_depth():
@@ -970,6 +1007,20 @@ def test_identity_sweep_rejects_a_node_that_is_not_its_parents_mediant(monkeypat
             run()
 
 
+@pytest.mark.parametrize("x, m, member", [(Fr(3, 8), 3, 2), (Fr(3, 8), 2, 1), (Fr(5, 13), 4, 2)])
+def test_lineage_extract_checks_members_1_and_2_as_built(monkeypatch, x, m, member):
+    """lineage_extract builds every node from member 2's parent down to x,
+    as the walk builds its nodes, and checks each as built: 2/5 is member 2
+    of 3/8's order-3 and 5/13's order-4 lineage, and member 1, member 2's
+    parent, of 3/8's order-2 one.  With 2/5 built with the degree gap 0,
+    each raises naming 2/5; a member packed from its continued-fraction
+    tower would pass unchecked."""
+    assert lineage_extract(x, m).members[member - 1].value == Fr(2, 5)
+    _build_as(monkeypatch, Fr(2, 5))
+    with pytest.raises(ValueError, match="at node 2/5: not the weighted mediant"):
+        lineage_extract(x, m)
+
+
 def test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built(monkeypatch):
     """With the degree gap floored at 0, a node whose parents' denominator
     degrees leave no gap is built as their plain sum, and its q⁰ words are
@@ -978,12 +1029,13 @@ def test_equivalence_sweep_rejects_a_pair_that_is_not_canonical_as_built(monkeyp
     the denominators' q⁰ terms are both 0, so only the numerator's word
     shows it; in window −2 every denominator's q⁰ term is 0.  The packed
     build step rejects each, naming the node, in the equivalence sweep,
-    the walk and lineage_extract."""
+    the walk and lineage_extract, which builds 3/8's lineage from 1/3, its
+    first node, and −7/5's from −7/5 itself."""
     monkeypatch.setattr(sbtree, "_degree_gap", lambda left, right: max(0, left - right + 1))
     for run, node in ((lambda: equivalence_mismatches(4), "1/3"),
                       (lambda: list(walk_qtree(0, 4)), "1/3"),
                       (lambda: list(walk_qtree(-1, 4)), "-2/3"),
-                      (lambda: lineage_extract(Fr(3, 8), 3), "3/8"),
+                      (lambda: lineage_extract(Fr(3, 8), 3), "1/3"),
                       (lambda: lineage_extract(Fr(-7, 5), 3), "-7/5")):
         with pytest.raises(ValueError, match=f"at node {node}: not the weighted mediant"):
             run()
