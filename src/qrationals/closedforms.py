@@ -73,8 +73,8 @@ def bracket(n: int, a: int, b: int) -> Rat:
 
 def d1_closed(x: Rat) -> Rat:
     """(x² − x + 1 − f(x)²)/2 — the first derivative of the deformation at
-    q = 1, in closed form: (a² − a·b + b² − 1)/(2b²) on the reduced a/b."""
-    x = Fraction(x)
+    q = 1, in closed form: (a² − a·b + b² − 1)/(2b²) on the reduced a/b, read
+    off an int or a Fraction x."""
     a, b = x.numerator, x.denominator
     return Fraction(a * a - a * b + b * b - 1, 2 * b * b)
 

@@ -208,13 +208,16 @@ class RatFunc:
 def _taylor_at_one(p: IntPoly, k: int) -> list[int]:
     """Coefficients s_0..s_k of h^0..h^k in p(1 + h): the Taylor shift by
     Horner's scheme at q = 1, stopped after k + 1 synthetic divisions by
-    q − 1.  Division j's remainder is s_j; its quotient, the running sums of
-    the coefficients from the top, is one `accumulate` pass."""
+    q − 1.  Division j is one `accumulate` pass, the running sums of the
+    coefficients from the top: the last is the remainder s_j and the others
+    are the quotient.  The last division needs only its remainder, so s_k
+    is the sum of the quotient before it."""
     sums = p.coeffs[::-1]
     s = []
-    for _ in range(k + 1):
+    for _ in range(k):
         sums = list(itertools.accumulate(sums))
         s.append(sums.pop() if sums else 0)
+    s.append(sum(sums))
     return s
 
 

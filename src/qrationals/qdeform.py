@@ -15,6 +15,8 @@ The tower runs on packed integers (qrationals.packed), one step per level
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,8 +190,7 @@ def _depth_and_path(cf: CFrac) -> tuple[int, str]:
     cf: the word spells out _branch_runs, and depth is Σu − 1 (integers:
     empty word, depth −1)."""
     u = _branch_runs(cf)
-    path = "".join(("L" if i % 2 == 0 else "R") * v for i, v in enumerate(u))
-    return sum(u) - 1, path
+    return sum(u) - 1, "".join(map(operator.mul, itertools.cycle("LR"), u))
 
 
 # `deform`'s reuse is short-range: thm2 re-reads thm1's 3933 deformations at
@@ -202,7 +203,7 @@ def deform(x: Rat) -> QRational:
     """Canonical q-deformation of x with depth and branch word attached
     (_depth_and_path)."""
     x = Fraction(x)
-    cf = to_cfrac(x)
+    cf = CFrac(_expansion(x.numerator, x.denominator))
     return QRational(x, deform_from_cfrac(cf), *_depth_and_path(cf))
 
 

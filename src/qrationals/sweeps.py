@@ -4,7 +4,8 @@
 tests/test_acceptance.py pins the thm1, thm2 and integrality lines and keeps
 its own pinned gates for the rest.  A sweep's run(bound) returns a Verdict:
 its PASS line with the case counts, or its FAIL line naming the first
-counterexample and both sides.
+counterexample and both sides; thm1's and thm2's FAIL lines also end with the
+`qrat derive` command that re-runs just that case.
 """
 from __future__ import annotations
 
@@ -51,8 +52,9 @@ def _pass(name: str, summary: str) -> Verdict:
     return Verdict(f"PASS {name}: {summary}")
 
 
-def _fail(name: str, case: str, lhs: str, rhs: str) -> Verdict:
-    return Verdict(f"FAIL {name}: counterexample {case}: {lhs}, {rhs}", (case, lhs, rhs))
+def _fail(name: str, case: str, lhs: str, rhs: str, rerun: str = "") -> Verdict:
+    line = f"FAIL {name}: counterexample {case}: {lhs}, {rhs}"
+    return Verdict(f"{line}; rerun: {rerun}" if rerun else line, (case, lhs, rhs))
 
 
 def _sweep(max_b: int, min_b: int = 1) -> Iterator[tuple[int, int]]:
@@ -74,7 +76,8 @@ def _closed_form(order: int) -> Callable[[int], Verdict]:
             closed = closedforms.d1_closed(x) if order == 1 else closedforms.d2_closed(a, b)
             if exact != closed:
                 return _fail(name, f"{a}/{b}", f"exact {rat_to_str(exact)}",
-                             f"closed {rat_to_str(closed)}")
+                             f"closed {rat_to_str(closed)}",
+                             f"qrat derive {a}/{b} --order {order}")
             count += 1
         return _pass(name, f"order-{order} closed form matches the exact derivative on all "
                            f"{count} reduced a/b with b <= {max_b}, 0 <= a <= 2b")

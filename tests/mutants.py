@@ -190,9 +190,11 @@ MUTANTS = [
         "old": "    L = math.lcm(*(ci.denominator for ci in C))\n",
         "new": "    L = math.lcm(*(ci.numerator for ci in C))\n",
         # not the identity sweep: every order-4 and order-5 lineage's C_i are
-        # integers, so L = 1 and the lcm over the numerators scales c and L alike
+        # integers, so L = 1 and the lcm over the numerators scales c and L
+        # alike; the exhaustion test sees L move off 1
         "tests": [T + "test_lagrange_coefficients_with_a_common_denominator",
-                  T + "test_moment_identities_hold_for_any_weights"],
+                  T + "test_moment_identities_hold_for_any_weights",
+                  T + "test_every_order_4_and_5_shape_has_lagrange_denominator_1"],
     },
     {
         "name": "identity-e4-without-its-plus-one",
@@ -468,6 +470,14 @@ MUTANTS = [
                   T + "test_packed_walker_matches_deform"],
     },
     {
+        "name": "branch-word-starts-with-r",
+        "file": QDEFORM,
+        "old": "itertools.cycle(\"LR\")",
+        "new": "itertools.cycle(\"RL\")",
+        "tests": [Q + "test_depth_and_path_fixtures",
+                  "tests/test_cli.py::test_deform_json"],
+    },
+    {
         "name": "d2-thomae-part-sign-flipped",
         "file": CLOSEDFORMS,
         "old": "6 * b * (b - a)",
@@ -653,6 +663,14 @@ MUTANTS = [
                   "tests/test_exact.py::test_solver_inverts_matrix_action",
                   "tests/test_crosscheck_cas.py::test_linear_solver_matches_cas",
                   "tests/test_fit.py::test_fit_d1_recovers_coefficients"],
+    },
+    {
+        # s_k, the last division's remainder, without the quotient's top term
+        "name": "last-taylor-remainder-without-its-top-term",
+        "file": EXACT,
+        "old": "    s.append(sum(sums))\n",
+        "new": "    s.append(sum(sums[:-1]))\n",
+        "tests": ["tests/test_exact.py::test_shifted_coeff_is_taylor_coefficient_at_one"],
     },
 ]
 

@@ -250,12 +250,33 @@ def test_check_dedekind(capsys, monkeypatch):
 
 
 def test_check_fail_names_the_counterexample(capsys, monkeypatch):
+    """The FAIL line ends with the command that re-runs the case, and that
+    command shows the same two sides; the Verdict's counterexample is the
+    case and both sides alone."""
     real = closedforms.d1_closed
-    monkeypatch.setattr(closedforms, "d1_closed",
-                        lambda x: real(x) + (x == Fraction(2, 5)))
+
+    def wrong(x):
+        return real(x) + (x == Fraction(2, 5))
+    monkeypatch.setattr(closedforms, "d1_closed", wrong)
+    monkeypatch.setattr(cli, "d1_closed", wrong)
     _bounds(monkeypatch, thm1=6)
     assert check(capsys, "thm1") == (1, [
-        "FAIL thm1: counterexample 2/5: exact 9/25, closed 34/25"], "0/1 sweeps clean")
+        "FAIL thm1: counterexample 2/5: exact 9/25, closed 34/25; "
+        "rerun: qrat derive 2/5 --order 1"], "0/1 sweeps clean")
+    thm1 = next(s for s in SWEEPS if s.name == "thm1")
+    assert thm1.run(6).counterexample == ("2/5", "exact 9/25", "closed 34/25")
+    assert run(capsys, "derive", "2/5", "--order", "1")[:2] == (
+        1, "exact 9/25, closed 34/25, MISMATCH\n")
+
+
+def test_check_thm2_fail_reruns_at_order_2(capsys, monkeypatch):
+    real = closedforms.d2_closed
+    monkeypatch.setattr(closedforms, "d2_closed",
+                        lambda a, b: real(a, b) + ((a, b) == (3, 4)))
+    _bounds(monkeypatch, thm2=4)
+    assert check(capsys, "thm2") == (1, [
+        "FAIL thm2: counterexample 3/4: exact -5/8, closed 3/8; "
+        "rerun: qrat derive 3/4 --order 2"], "0/1 sweeps clean")
 
 
 def test_check_equivalence_fail_names_the_node_and_both_polynomials(capsys, monkeypatch):

@@ -97,6 +97,10 @@ def test_d1_closed_fixtures():
     assert d1_closed(Fr(0)) == 0
     assert d1_closed(Fr(1)) == 0
     assert d1_closed(Fr(3)) == 3
+    assert d1_closed(Fr(-2, 5)) == Fr(19, 25)
+    # a plain int is read as n/1, as its Fraction is
+    for n, want in ((0, 0), (1, 0), (3, 3), (-2, 3)):
+        assert d1_closed(n) == want == d1_closed(Fr(n)), n
 
 
 def test_d2_closed_fixtures():

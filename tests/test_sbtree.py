@@ -4,6 +4,7 @@ The lineage weight tables and residual values here were computed by hand
 from the mediant-descent chains; the identity tests pin both the failing
 literal zero-residual form and the corrected closed-form residual.
 """
+import itertools
 import math
 from fractions import Fraction as Fr
 from functools import partial
@@ -719,6 +720,27 @@ def test_lagrange_coefficients_with_a_common_denominator():
     assert (lin.f, lin.g) == ((1, 0, 1, 2, 3, 4, 7), (0, 1, 1, 1, 1, 1, 2))
     assert lagrange_coefficients(lin) == (-105, Fr(-5, 4), 7, Fr(-35, 2), 35, Fr(35, 4))
     assert sbtree._lagrange(lin.f, lin.g) == (4, [-420, -5, 28, -70, 140, 35])
+
+
+def test_every_order_4_and_5_shape_has_lagrange_denominator_1():
+    """L = 1 for every order-4 and order-5 lineage, by exhaustion:
+    identity_sweep keys a lineage by (m, the last m − 2 letters of its
+    target's path), the key fixes its parent pattern and the pattern its
+    weights at q = 1, so the 2² + 2³ keys are every shape there is.  A walk
+    to depth 6 meets each key many times, each with one pattern, and each
+    pattern's _lagrange gives L = 1 (integer C_i)."""
+    patterns: dict = {}
+    for stack in _jet_walk(0, 6, _identity_frame, {}):
+        for m in (4, 5):
+            if len(stack) < m + 1 or stack[sbtree._member_one(stack, m)[0]].b == 1:
+                continue
+            key = m, stack[-1].path[2 - m:]
+            patterns.setdefault(key, set()).add(_lineage_members(stack, m)[1])
+    assert sorted(patterns) == [(m, "".join(w)) for m in (4, 5)
+                                for w in itertools.product("LR", repeat=m - 2)]
+    for (m, _), found in patterns.items():
+        (parents,) = found
+        assert sbtree._lagrange(*sbtree._weights(parents, [0] * (m - 2)))[0] == 1, (m, parents)
 
 
 @settings(max_examples=80, deadline=None)
