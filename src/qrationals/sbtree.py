@@ -209,10 +209,10 @@ def _identity_frame(modulus: tuple[int, int, int], memo: dict, stack: list[Frame
     and 4b⁴·s₁,₃ = Σ (2n − b)(2r³ − 3r²b + rb²) over n < b, r = a·n mod b,
     is 4a³·Σ n⁴ modulo b, so u ≡ 120·a³·Σ n⁴ = 4a³(b − 1)b(2b − 1)(3b² −
     3b − 1) ≡ 0.  A remainder would be a bug, so it raises ArithmeticError
-    naming the node and both sides.  As Λ is linear and Λ(1) = L − Σc, a
+    naming the node and both sides.  As Λ is linear and Λ(1) = 1 − Σc, a
     lineage's residual equals its correction exactly when Λ(E₄) = 0 at
     order 4 and Λ(E₅·B/b) = B·Λ(E₅/b) = 0 at order 5, B = lcm(b_i), so
-    both orders check Λ(e[m − 4]) = 0 (identity_sweep)."""
+    both orders check Λ(e[m − 4]) = 0; identity_sweep says why it holds."""
     frame = _jet_frame(modulus, stack, lo, hi, depth, path)
     frame.path = path
     _, j1, j2 = frame.cleared_jets
@@ -591,29 +591,27 @@ def lagrange_coefficients(lin: Lineage) -> tuple[Rat, ...]:
 # Order-m identity residuals
 # --------------------------------------------------------------------------
 #
-# With C_i = c_i/L and member values a_i/b_i, every residual and correction
-# below is computed times L·b_m^{m−2}, which makes the derivative residual
-# an integer (_cleared_jets), and divided once at the end.
+# With member values a_i/b_i, every residual and correction below is
+# computed times b_m^{m−2}, which makes the derivative residual an integer
+# (_cleared_jets), and divided once at the end.
 
-def _lam(L: int, c: list[int], h: list) -> Rat:
-    """L·Λ(h) = L·h_m − Σ_{i<m} c_i·h_i for values h_1..h_m of the members."""
-    return L * h[-1] - sum(map(mul, c, h))
-
-
-def _scale(L: int, values: list[Fraction]) -> int:
-    """L·b_m^{m−2} for member values a_1/b_1 ... a_m/b_m."""
-    return L * values[-1].denominator ** (len(values) - 2)
+def _lam(c: list[int], h: list) -> Rat:
+    """Λ(h) = h_m − Σ_{i<m} c_i·h_i for values h_1..h_m of the members."""
+    return h[-1] - sum(map(mul, c, h))
 
 
-def _identity_head(lin: Lineage) -> tuple[int, int, list[int], int]:
-    """(m, L, c, L·b_m^{m−2}) for an order-4 or order-5 lineage: its order,
-    its Lagrange numerators c_i over L (_lagrange) and the scale every
-    residual and correction is computed times."""
+def _identity_head(lin: Lineage) -> tuple[int, list[int], int]:
+    """(m, c, b_m^{m−2}) for an order-4 or order-5 lineage: its order, its
+    Lagrange coefficients C_i = c_i and the scale every residual and
+    correction is computed times.  c is _lagrange's numerators, taken
+    without their denominator L: L = 1 at orders 4 and 5, by exhaustion
+    over the 12 lineage shapes there are
+    (test_every_order_4_and_5_shape_has_lagrange_denominator_1), so a
+    check of L here could never fire."""
     m = lin.order
     if m not in (4, 5):
         raise ValueError("identity instances exist for orders 4 and 5")
-    L, c = _lineage_lagrange(lin)
-    return m, L, c, _scale(L, [mem.value for mem in lin.members])
+    return m, _lineage_lagrange(lin)[1], lin.members[-1].value.denominator ** (m - 2)
 
 
 def delta_identity_residual(lin: Lineage) -> Rat:
@@ -625,18 +623,18 @@ def delta_identity_residual(lin: Lineage) -> Rat:
     forms coincide, for order 5 they differ because Δ_2 is representative-
     dependent.
     """
-    m, L, c, scale = _identity_head(lin)
+    m, c, scale = _identity_head(lin)
     h = [mem.value.denominator ** (m - 2) * delta(mem.deform, m - 3) for mem in lin.members]
-    return _lam(L, c, h) / scale
+    return _lam(c, h) / scale
 
 
 def derivative_identity_residual(lin: Lineage) -> Rat:
     """Residual of the plain d^{m−3}/dq^{m−3} linear-dependence form; times
-    L·b_m^{m−2} it is L·J_m − Σ c_i·J_i on the cleared jets J_i =
+    b_m^{m−2} it is J_m − Σ c_i·J_i on the cleared jets J_i =
     b_i^{m−2}·f_i^{(m−3)}(1)."""
-    m, L, c, scale = _identity_head(lin)
+    m, c, scale = _identity_head(lin)
     J = [_cleared_jets(mem.deform, m - 3)[1][m - 3] for mem in lin.members]
-    return Fraction(_lam(L, c, J), scale)
+    return Fraction(_lam(c, J), scale)
 
 
 def identity_correction(lin: Lineage) -> Rat:
@@ -649,23 +647,23 @@ def identity_correction(lin: Lineage) -> Rat:
     Computed in integers (_cleared_correction), which identity_sweep, as it
     checks Λ(E) = 0, builds only for a failing record.
     """
-    _, L, c, scale = _identity_head(lin)
-    num, den = _cleared_correction([mem.value for mem in lin.members], L, c)
+    _, c, scale = _identity_head(lin)
+    num, den = _cleared_correction([mem.value for mem in lin.members], c)
     return Fraction(num, den * scale)
 
 
-def _cleared_correction(values: list[Fraction], L: int, c: list[int]) -> tuple[int, int]:
-    """L·b_m^{m−2} times the correction, for the members' values, as
-    (numerator, denominator): (Σc − L)/2 at order 4, which depends on the
-    lineage's weights alone.  At order 5, L·Λ(b − a) − 20·L·Λ(b³·s₁,₃) is
-    L·Λ(T/(6b)) on the members' integer terms T (closedforms._term), so over
-    B = lcm(b_i) it is one integer sum, L·Λ(T·(B/b)), over 6B.
+def _cleared_correction(values: list[Fraction], c: list[int]) -> tuple[int, int]:
+    """b_m^{m−2} times the correction, for the members' values, as
+    (numerator, denominator): (Σc − 1)/2 at order 4, which depends on the
+    lineage's weights alone.  At order 5, Λ(b − a) − 20·Λ(b³·s₁,₃) is
+    Λ(T/(6b)) on the members' integer terms T (closedforms._term), so over
+    B = lcm(b_i) it is one integer sum, Λ(T·(B/b)), over 6B.
     identity_sweep checks Λ(E) = 0 and builds this for a failing record."""
     if len(values) == 4:
-        return sum(c) - L, 2
+        return sum(c) - 1, 2
     B = math.lcm(*(x.denominator for x in values))
-    return _lam(L, c, [_term(x.numerator, x.denominator) * (B // x.denominator)
-                       for x in values]), 6 * B
+    return _lam(c, [_term(x.numerator, x.denominator) * (B // x.denominator)
+                    for x in values]), 6 * B
 
 
 # --------------------------------------------------------------------------
@@ -746,68 +744,49 @@ def _equivalence_records(depth: int) -> list[tuple[Fraction, tuple | None, tuple
     return sorted(bad, key=itemgetter(0))
 
 
-def _shape_checks(m: int, parents: list[tuple[int, int]]) -> tuple:
-    """What an order-m lineage's identities need of its shape (its parent
-    pattern) alone: (L, c) and the first failing moment identity as the
-    tail of a failure record (None if all hold).
-
-    The moment identities hold for any weights whose points (f_i, g_i) are
-    pairwise independent: C_i is the Lagrange weight ℓ_i(f_m, g_m),
-    ℓ_i(x, y) = Π_{n≠i} (x·g_n − f_n·y)/(f_i·g_n − f_n·g_i), the form of
-    degree m − 2 that is 1 at member i's point and 0 at the other m − 2,
-    so Σ C_i·P(f_i, g_i) = P(f_m, g_m) for every form P of degree m − 2,
-    the moments f^j·g^{m−2−j} among them.  So they check _lagrange, not
-    the lineage, and identity_sweep reads them only where L·Λ(e) = 0: a
-    moment record names a wrong _lagrange whose c still passes it."""
-    f, g = _weights(parents, [0] * (m - 2))
-    L, c = _lagrange(f, g)
-    moment = None
-    for j in range(m - 1):
-        lhs = sum(ci * f[i] ** j * g[i] ** (m - 2 - j) for i, ci in enumerate(c))
-        rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
-        if lhs != L * rhs:
-            moment = (f"moment {j}", Fraction(lhs, L), rhs)
-            break
-    return L, c, moment
-
-
 def identity_sweep(depth: int) -> dict:
     """Verify, for every non-vanishing lineage of orders 4 and 5 rooted at
-    tree nodes to the given depth:  the derivative linear-dependence residual
-    equals its closed-form correction, and the coefficient moment identities
-    Σ C_i·f_i^j·g_i^{m−2−j} = f_m^j·g_m^{m−2−j} hold for j = 0..m−2.
+    tree nodes to the given depth, that the derivative linear-dependence
+    residual equals its closed-form correction.
+
+    Why it holds.  H2: every member i is f_i·(member 1) + g_i·(member 2)
+    on its ints (a_i, b_i), with f, g the lineage's weights at q = 1
+    (_lineage_from_stack).  H1: a node's identity value e[m − 4] is a form
+    of degree m − 2 in its (a, b) (_identity_frame).  So on member i it is
+    P(f_i, g_i) for one form P of degree m − 2.  The Lagrange lemma: C_i is
+    the Lagrange weight ℓ_i(f_m, g_m), ℓ_i(x, y) = Π_{n≠i} (x·g_n −
+    f_n·y)/(f_i·g_n − f_n·g_i), the form of degree m − 2 that is 1 at
+    member i's point and 0 at the other m − 2, so Σ C_i·P(f_i, g_i) =
+    P(f_m, g_m) for every such P when the points are pairwise independent.
+    Together they give Λ(e[m − 4]) = 0, which is the identity
+    (_identity_frame).  At orders 4 and 5 every C_i is an integer (L = 1),
+    by exhaustion over the 2² + 2³ lineage shapes below.
 
     The walk is _jet_walk's, the packed walk modulo (2^W − 1)³, which checks
     at each node that the built N(1), D(1) are its reduced a, b (ValueError
     naming it otherwise); appendixA's walk checks the full canonical pairs.
-    Per lineage shape, computed once: the weights at q = 1, the Lagrange
-    numerators c_i over their common denominator L, and the moment
-    identities, which hold for any weights because the C_i are Lagrange
-    weights by construction (_shape_checks): they check _lagrange alone,
-    so only a wrong c that still passes the residual check reaches one.
-    An order-m lineage's parent pattern is fixed by the last m − 2 letters
-    of its target's path, the letters into members 3..m: ζ₃ = 1,
-    ζ_n = n − 2 where the letters into members n − 1 and n differ
-    and ζ_{n−1} otherwise, and the letter into member n says whether
-    member n − 1 is its greater or smaller parent.  So the key is (m,
-    path[2 − m:]), 2^{m−2} keys per order, and _lineage_members, which
+    Per lineage shape, computed once: the weights at q = 1 and the integer
+    C_i (_lagrange).  An order-m lineage's parent pattern is fixed by the
+    last m − 2 letters of its target's path, the letters into members
+    3..m: ζ₃ = 1, ζ_n = n − 2 where the letters into members n − 1 and n
+    differ and ζ_{n−1} otherwise, and the letter into member n says
+    whether member n − 1 is its greater or smaller parent.  So the key is
+    (m, path[2 − m:]), 2^{m−2} keys per order, and _lineage_members, which
     defines the pattern, runs on each key's first lineage only.
 
     Per node, where the walk builds it: its path and its identity values
-    e = (E₄, E₅/b), with why b divides E₅ and why Λ(e[m − 4]) = 0 is the
-    identity (_identity_frame).  T's s₁,₃ descent folds through one memo
-    per call: a node's Euclid tail (b mod a)/a is a shallower tree node,
-    so the nodes' chains share their tails and the call folds one
-    reciprocity step per node.  Per lineage: member 1 by _member_one,
-    members 2..m the stack's last frames, and one integer sum,
-    L·Λ(e[m − 4]), so no lcm is taken.  Only a failing lineage builds its
-    two sides, the residual from the members' cleared jets and the
-    correction (_cleared_correction), for its record.
+    e = (E₄, E₅/b), with why b divides E₅ (_identity_frame).  T's s₁,₃
+    descent folds through one memo per call: a node's Euclid tail
+    (b mod a)/a is a shallower tree node, so the nodes' chains share their
+    tails and the call folds one reciprocity step per node.  Per lineage:
+    member 1 by _member_one, members 2..m the stack's last frames, and one
+    integer sum, Λ(e[m − 4]), so no lcm is taken.  Only a failing lineage
+    builds its two sides, the residual from the members' cleared jets and
+    the correction (_cleared_correction), for its record.
 
     Returns {"checked": {4: n4, 5: n5}, "failures": [...]} with one failure
-    tuple (m, value, identity, lhs, rhs) per failing lineage (empty = pass),
-    the residual checked first; lhs and rhs are the unscaled residual and
-    correction, or moment and target.
+    tuple (m, value, "residual", lhs, rhs) per failing lineage (empty =
+    pass); lhs and rhs are the unscaled residual and correction.
     """
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
@@ -822,20 +801,17 @@ def identity_sweep(depth: int) -> dict:
                 continue
             checked[m] += 1
             key = m, node.path[2 - m:]
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = _shape_checks(m, _lineage_members(stack, m)[1])
-            L, c, moment = shape
+            c = shapes.get(key)
+            if c is None:
+                parents = _lineage_members(stack, m)[1]
+                c = shapes[key] = _lagrange(*_weights(parents, [0] * (m - 2)))[1]
             frames = [stack[one], *stack[first:]]
-            if _lam(L, c, [fr.e[m - 4] for fr in frames]):
-                resid = _lam(L, c, [fr.cleared_jets[m - 3] for fr in frames])
-                values = [fr.value for fr in frames]
-                num, den = _cleared_correction(values, L, c)
-                scale = _scale(L, values)
+            if _lam(c, [fr.e[m - 4] for fr in frames]):
+                resid = _lam(c, [fr.cleared_jets[m - 3] for fr in frames])
+                num, den = _cleared_correction([fr.value for fr in frames], c)
+                scale = node.b ** (m - 2)
                 failures.append((m, node.value, "residual", Fraction(resid, scale),
                                  Fraction(num, den * scale)))
-            elif moment:
-                failures.append((m, node.value, *moment))
     return {"checked": checked, "failures": failures}
 
 

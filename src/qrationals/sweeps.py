@@ -116,8 +116,8 @@ def _delta(depth: int) -> Verdict:
         return _fail("delta", f"order-{m} lineage of {rat_to_str(value)}, {identity}",
                      f"lhs {rat_to_str(lhs)}", f"rhs {rat_to_str(rhs)}")
     c = res["checked"]
-    return _pass("delta", f"residual and moment identities hold on {c[4]} order-4 "
-                          f"and {c[5]} order-5 lineages to depth {depth}")
+    return _pass("delta", f"corrected linear-dependence identities hold on {c[4]} "
+                          f"order-4 and {c[5]} order-5 lineages to depth {depth}")
 
 
 def _fits(_bound: None) -> Verdict:

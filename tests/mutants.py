@@ -143,6 +143,26 @@ MUTANTS = [
                   T + "test_identity_sweep_matches_the_per_lineage_sweep"],
     },
     {
+        # every lineage that holds is recorded, and none that fails
+        "name": "identity-sweep-verdict-inverted",
+        "file": SBTREE,
+        "old": "            if _lam(c, [fr.e[m - 4] for fr in frames]):\n",
+        "new": "            if not _lam(c, [fr.e[m - 4] for fr in frames]):\n",
+        "tests": [T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_reports_unscaled_failures",
+                  "tests/test_cli.py::test_check_delta"],
+    },
+    {
+        # a lineage from a window endpoint reaches the sum; the endpoint has no e
+        "name": "identity-sweep-vanishing-skip-on-b-0",
+        "file": SBTREE,
+        "old": "            if stack[one].b == 1:  # vanishing\n",
+        "new": "            if stack[one].b == 0:  # vanishing\n",
+        "tests": [T + "test_identity_sweep_small_depth",
+                  T + "test_identity_sweep_matches_the_per_lineage_sweep",
+                  "tests/test_cli.py::test_check_delta"],
+    },
+    {
         "name": "correction-term-s13-sign-flipped",
         "file": CLOSEDFORMS,
         "old": "    return 6 * b * (b - a) - _s13_cleared(a, b, memo)\n",
@@ -167,9 +187,9 @@ MUTANTS = [
         # the sweep builds the correction only for a failing record
         "name": "correction-lcm-replaced-by-last-denominator",
         "file": SBTREE,
-        "old": "        return sum(c) - L, 2\n"
+        "old": "        return sum(c) - 1, 2\n"
                "    B = math.lcm(*(x.denominator for x in values))\n",
-        "new": "        return sum(c) - L, 2\n    B = values[-1].denominator\n",
+        "new": "        return sum(c) - 1, 2\n    B = values[-1].denominator\n",
         "tests": [T + "test_identity_correction_equals_the_literal_form",
                   T + "test_identity_sweep_reports_unscaled_failures",
                   T + "test_identity_sweep_fails_where_a_nodes_jets_are_wrong"],
@@ -189,12 +209,14 @@ MUTANTS = [
         "file": SBTREE,
         "old": "    L = math.lcm(*(ci.denominator for ci in C))\n",
         "new": "    L = math.lcm(*(ci.numerator for ci in C))\n",
-        # not the identity sweep: every order-4 and order-5 lineage's C_i are
-        # integers, so L = 1 and the lcm over the numerators scales c and L
-        # alike; the exhaustion test sees L move off 1
+        # every order-4 and order-5 lineage's C_i are integers, so the lcm
+        # over the numerators scales c by L, which the identity sweep, taking
+        # c for the C_i (L = 1), reads as wrong C_i; the exhaustion test sees
+        # L move off 1
         "tests": [T + "test_lagrange_coefficients_with_a_common_denominator",
                   T + "test_moment_identities_hold_for_any_weights",
-                  T + "test_every_order_4_and_5_shape_has_lagrange_denominator_1"],
+                  T + "test_every_order_4_and_5_shape_has_lagrange_denominator_1",
+                  T + "test_identity_sweep_small_depth"],
     },
     {
         "name": "identity-e4-without-its-plus-one",
@@ -652,6 +674,15 @@ MUTANTS = [
         "old": "f\"lhs {rat_to_str(lhs)}\",\n                         f\"rhs {rat_to_str(rhs)}\")",
         "new": "f\"lhs {rat_to_str(rhs)}\",\n                         f\"rhs {rat_to_str(lhs)}\")",
         "tests": ["tests/test_cli.py::test_check_bridges_fail_names_the_bridge_and_both_sides"],
+    },
+    {
+        "name": "delta-verdict-inverted",
+        "file": SWEEPS,
+        "old": "    if res[\"failures\"]:\n",
+        "new": "    if not res[\"failures\"]:\n",
+        "tests": ["tests/test_cli.py::test_check_delta",
+                  "tests/test_cli.py::test_check_delta_fail_names_the_lineage_and_both_sides",
+                  "tests/test_cli.py::test_check_delta_fail_names_a_wrong_lagrange_coefficient"],
     },
     {
         # no rank changes: a new row is still reduced against every kept row.

@@ -17,9 +17,10 @@ mediant, the quotient rule and the Taylor shift) use poly_add, poly_shift
 and this schoolbook convolution, which share no code with the packed
 integers they check.
 
-The package computes the lineage identity in integers, over the common
-denominator L of the Lagrange coefficients and with cleared jets; the
-literal forms here take one Fraction per coefficient and per term.
+The package computes the order-4/5 lineage identity in integers, with
+integer Lagrange coefficients (their denominator L is 1 at those orders)
+and cleared jets; the literal forms here take one Fraction per coefficient
+and per term, whatever L is.
 
 The package's closed forms are one integer numerator over one denominator
 each, with s₁,₃ from the Euclid descent; d1_literal and d2_literal here
@@ -41,9 +42,10 @@ of a^{−1}.
 The package's identity sweep walks the tree's pairs modulo (2^W − 1)³,
 checks each lineage shape once and sums one integer term per member for
 the order-5 correction; identity_sweep here walks polynomials, repeats
-every check per lineage and takes the correction in its literal Fraction
-form (correction, with s₁,₃ from s_sum as imported here).  The package's
-lineage_extract jumps along the branch word one run at a time;
+every check per lineage with its own Fraction C_i (lagrange_coefficients
+here) and takes the correction in its literal Fraction form (correction,
+with s₁,₃ from s_sum as imported here).  The package's lineage_extract
+jumps along the branch word one run at a time;
 lineage_extract_by_search here takes one checked Farey step and keeps one
 frame per level, then rebuilds members 3..m by the package's packed build
 step.  Both call the package's other helpers through the sbtree module,
@@ -362,9 +364,10 @@ def lineage_extract_by_search(x, m: int):
 
 def identity_sweep(depth: int) -> dict:
     """sbtree.identity_sweep lineage by lineage on the polynomial walker:
-    each lineage's weights, Lagrange numerators and moment identities
-    computed anew, and its residual compared as a Fraction with the literal
-    correction."""
+    each lineage's weights and its Fraction C_i (lagrange_coefficients
+    here, whose reduced denominators carry whatever L they have) computed
+    anew, and its residual, (J_m − Σ C_i·J_i)/b_m^{m−2} on the members'
+    cleared jets, compared as a Fraction with the literal correction."""
     checked = {4: 0, 5: 0}
     failures: list[tuple] = []
     for stack in sbtree.walk_qtree(0, depth):
@@ -372,24 +375,15 @@ def identity_sweep(depth: int) -> dict:
         for m in (4, 5):
             if node.node.depth < m - 2:
                 continue
-            frames, parents = sbtree._lineage_members(stack, m)
-            if frames[0].value.denominator == 1:  # vanishing
+            lin = sbtree._lineage_from_stack(stack, m)[0]
+            if lin.vanishing:
                 continue
             checked[m] += 1
-            f, g = sbtree._weights(parents, [0] * (m - 2))
-            L, c = sbtree._lagrange(f, g)
-            scale = sbtree._scale(L, [fr.value for fr in frames])
-            resid = Fraction(sbtree._lam(L, c, [_cleared_jets(fr.node.deform, 2)[1][m - 3]
-                                                for fr in frames]), scale)
-            corr = correction(sbtree._lineage_from_stack(stack, m)[0],
-                              tuple(Fraction(ci, L) for ci in c))
+            C = lagrange_coefficients(lin)
+            J = [_cleared_jets(mem.deform, 2)[1][m - 3] for mem in lin.members]
+            resid = Fraction(J[-1] - sum(ci * ji for ci, ji in zip(C, J)),
+                             node.value.denominator ** (m - 2))
+            corr = correction(lin, C)
             if resid != corr:
                 failures.append((m, node.value, "residual", resid, corr))
-                continue
-            for j in range(m - 1):
-                lhs = sum(ci * f[i] ** j * g[i] ** (m - 2 - j) for i, ci in enumerate(c))
-                rhs = f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
-                if lhs != L * rhs:
-                    failures.append((m, node.value, f"moment {j}", Fraction(lhs, L), rhs))
-                    break
     return {"checked": checked, "failures": failures}

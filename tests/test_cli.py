@@ -234,8 +234,8 @@ def test_check_equivalence(capsys, monkeypatch):
 def test_check_delta(capsys, monkeypatch):
     _bounds(monkeypatch, delta=4)
     assert check(capsys, "delta") == (0, [
-        "PASS delta: residual and moment identities hold on 16 order-4 and "
-        "8 order-5 lineages to depth 4"], "1/1 sweeps clean")
+        "PASS delta: corrected linear-dependence identities hold on 16 order-4 "
+        "and 8 order-5 lineages to depth 4"], "1/1 sweeps clean")
 
 
 def test_check_dedekind(capsys, monkeypatch):
@@ -384,21 +384,19 @@ def test_check_delta_fail_names_the_lineage_and_both_sides(capsys, monkeypatch):
         "lhs 14/1331, rhs -7486/1331"], "0/1 sweeps clean")
 
 
-def test_check_delta_fail_names_a_moment_identity(capsys, monkeypatch):
-    """The residual and the moment identities read the same Lagrange
-    numerators, so a wrong C₁ (here one too large) fails the residual
-    first; with the residual's integer sum blinded to 0 it reaches the
-    moment record, which names the first failing moment and both sides."""
+def test_check_delta_fail_names_a_wrong_lagrange_coefficient(capsys, monkeypatch):
+    """With every lineage's C₁ one too large, the first order-4 lineage,
+    3/11's, fails its residual: Λ(J₁) drops by member 1's J₁ = 3 (1/3's)
+    and the correction (ΣC − 1)/(2b²) rises by 1/(2b²), both unscaled."""
     real = sbtree._lagrange
 
     def lagrange(f, g):
         L, c = real(f, g)
         return L, [c[0] + L, *c[1:]]
     monkeypatch.setattr(sbtree, "_lagrange", lagrange)
-    monkeypatch.setattr(sbtree, "_lam", lambda L, c, h: 0)
     _bounds(monkeypatch, delta=4)
     assert check(capsys, "delta") == (1, [
-        "FAIL delta: counterexample order-4 lineage of 3/11, moment 2: lhs 2, rhs 1"],
+        "FAIL delta: counterexample order-4 lineage of 3/11, residual: lhs -2/121, rhs 3/242"],
         "0/1 sweeps clean")
 
 

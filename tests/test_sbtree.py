@@ -750,7 +750,8 @@ def test_moment_identities_hold_for_any_weights(points):
     """For any weights whose points (f_i, g_i), i < m, are pairwise
     independent, not only a lineage's, _lagrange gives the literal C_i
     over the lcm of their denominators, and the moment identities hold:
-    the C_i are Lagrange weights by construction (sbtree._shape_checks)."""
+    the C_i are Lagrange weights by construction, the lemma that
+    sbtree.identity_sweep's identity rests on."""
     f, g = (list(w) for w in zip(*points))
     m = len(f)
     assume(all(f[i] * g[n] != f[n] * g[i] for i in range(m - 1) for n in range(i)))
@@ -1086,9 +1087,9 @@ def test_identity_sweep_matches_the_per_lineage_sweep():
 
 def test_identity_sweep_matches_the_per_lineage_sweep_under_faults(monkeypatch):
     """The per-shape checks fail exactly where the per-lineage checks fail:
-    with s₁,₃ wrong at 2/5, and with the Lagrange numerators of one order-4
-    shape perturbed (with its mirror image, which has the same weights at
-    q = 1), where every lineage of those shapes fails."""
+    with s₁,₃ wrong at 2/5, and with C₁ of one order-4 shape one too large
+    on both sides alike (with its mirror image, which has the same weights
+    at q = 1), where every lineage of those shapes fails."""
     with monkeypatch.context() as patch:
         _s13_wrong_at_2_5(patch)
         res = identity_sweep(6)
@@ -1096,12 +1097,17 @@ def test_identity_sweep_matches_the_per_lineage_sweep_under_faults(monkeypatch):
 
     shape = [(1, 2), (1, 3)]  # member 3 = a_1 ⊕ a_2, member 4 = a_1 ⊕ a_3
     weights = sbtree._weights(shape, [0, 0])
-    lagrange = sbtree._lagrange
+    lagrange, literal = sbtree._lagrange, oracles.lagrange_coefficients
 
     def perturbed(f, g):
         L, c = lagrange(f, g)
         return (L, [c[0] + 1, *c[1:]]) if (f, g) == weights else (L, c)
+
+    def literal_perturbed(lin):
+        C = literal(lin)
+        return (C[0] + 1, *C[1:]) if (list(lin.f), list(lin.g)) == weights else C
     monkeypatch.setattr(sbtree, "_lagrange", perturbed)
+    monkeypatch.setattr(oracles, "lagrange_coefficients", literal_perturbed)
     res = identity_sweep(6)
     assert res == oracles.identity_sweep(6)
     of_shape = [stack[-1].value for stack in walk_qtree(0, 6) if len(stack) >= 5
