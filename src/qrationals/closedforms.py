@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Literal
+from typing import Iterator, Literal
 
 from .exact import Rat, _taylor_at_one
 from .qdeform import _depth_and_path, deform, to_cfrac
@@ -111,9 +111,16 @@ def bracket_weight_sum(a: int, b: int) -> Rat:
                     2 * b ** 4)
 
 
+def _unit_pairs(max_b: int) -> Iterator[tuple[int, int]]:
+    """The reduced a/b with 1 ≤ a ≤ b ≤ max_b, as (a, b), in (b, a) order:
+    the domain of the bridges and of both calibrations."""
+    return ((a, b) for b in range(1, max_b + 1) for a in range(1, b + 1)
+            if math.gcd(a, b) == 1)
+
+
 def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
     """Check the bridges between the bracket lattice sums and the generalized
-    Dedekind sums over all reduced a/b with 1 ≤ a ≤ b ≤ max_b:
+    Dedekind sums over all reduced a/b with 1 ≤ a ≤ b ≤ max_b (_unit_pairs):
       substitution: Σ ⟨n/a⟩_b·H(n/b) = −s_{1,3}(a, b)
       symmetry:     s_{3,1}(a^{−1}, b) = s_{1,3}(a, b)
       zero_sum:     Σ ⟨n/a⟩_b·(n/b)(1 − n/b) = 0
@@ -123,21 +130,18 @@ def bridge_mismatches(max_b: int) -> dict[str, list[tuple[int, int, Rat, Rat]]]:
     recorded as (a, b, lhs, rhs); empty lists = all hold.
     """
     out = {"substitution": [], "symmetry": [], "zero_sum": []}
-    for b in range(1, max_b + 1):
-        for a in range(1, b + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            inv = mod_inverse(a, b)
-            s13 = s_sum(1, 3, a, b)
-            zero = sum((2 * (inv * n % b) - b) * n * (b - n) for n in range(1, b))
-            sides = {
-                "substitution": (bracket_weight_sum(a, b), -s13),
-                "symmetry": (s_sum(3, 1, inv, b), s13),
-                "zero_sum": (Fraction(zero, 2 * b ** 3), 0),
-            }
-            for name, (lhs, rhs) in sides.items():
-                if lhs != rhs:
-                    out[name].append((a, b, lhs, rhs))
+    for a, b in _unit_pairs(max_b):
+        inv = mod_inverse(a, b)
+        s13 = s_sum(1, 3, a, b)
+        zero = sum((2 * (inv * n % b) - b) * n * (b - n) for n in range(1, b))
+        sides = {
+            "substitution": (bracket_weight_sum(a, b), -s13),
+            "symmetry": (s_sum(3, 1, inv, b), s13),
+            "zero_sum": (Fraction(zero, 2 * b ** 3), 0),
+        }
+        for name, (lhs, rhs) in sides.items():
+            if lhs != rhs:
+                out[name].append((a, b, lhs, rhs))
     return out
 
 
@@ -189,18 +193,17 @@ def denominator_derivative(a: int, b: int) -> Rat:
 
 def lemma_calibration(max_b: int) -> dict:
     """Per-convention mismatch sets of the depth-based formulas against the
-    exact polynomial derivatives, over reduced a/b with 1 ≤ a ≤ b ≤ max_b.
+    exact polynomial derivatives, over reduced a/b with 1 ≤ a ≤ b ≤ max_b
+    (_unit_pairs).
 
     Returns {"numerator": {convention: [(a, b), ...]},
              "denominator": {convention: [(a, b), ...]}}.
     """
     out = {"numerator": {}, "denominator": {}}
-    pairs = [(a, b) for b in range(1, max_b + 1) for a in range(1, b + 1)
-             if math.gcd(a, b) == 1]
     for conv in ("depth", "mediants"):
         num_mism = []
         den_mism = []
-        for a, b in pairs:
+        for a, b in _unit_pairs(max_b):
             if numerator_d1_closed(a, b, conv) != numerator_derivative(a, b):
                 num_mism.append((a, b))
             if denominator_d1_closed(a, b, conv) != denominator_derivative(a, b):

@@ -29,6 +29,7 @@ import io
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .exact import Rat, rat_to_str
 
@@ -310,23 +311,24 @@ def check_identities(p: int, q: int) -> list[dict]:
 # Sweeps
 # --------------------------------------------------------------------------
 
+def _coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
+    """The coprime pairs p, q ≤ bound, in (p, q) order: the domain of both
+    sweeps."""
+    return ((p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)
+            if math.gcd(p, q) == 1)
+
+
 def reciprocity_sweep(bound: int) -> list[tuple[int, int]]:
-    """Coprime pairs p, q ≤ bound where the (4,1) reciprocity residual is
-    nonzero.  Empty list = formula verified."""
-    return [(p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)
-            if math.gcd(p, q) == 1 and reciprocity_residual(4, 1, p, q) != 0]
+    """Coprime pairs p, q ≤ bound (_coprime_pairs) where the (4,1)
+    reciprocity residual is nonzero.  Empty list = formula verified."""
+    return [pq for pq in _coprime_pairs(bound) if reciprocity_residual(4, 1, *pq) != 0]
 
 
 def battery_sweep(bound: int) -> list[dict]:
     """Every failing identity-battery record over coprime p, q ≤ bound
-    (empty = all identities hold)."""
-    bad = []
-    for p in range(1, bound + 1):
-        for q in range(1, bound + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            bad.extend(row for row in check_identities(p, q) if not row["ok"])
-    return bad
+    (_coprime_pairs; empty = all identities hold)."""
+    return [row for p, q in _coprime_pairs(bound) for row in check_identities(p, q)
+            if not row["ok"]]
 
 
 def battery_report_csv(p: int, q: int) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter, mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .exact import (
     IntPoly,
@@ -551,10 +551,10 @@ def lineage_extract(x: Rat, m: int) -> Lineage:
     return _lineage_from_stack(stack, m)[0]
 
 
-def _lagrange(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, list[int]]:
-    """(L, [c_1, ..., c_{m−1}]) with C_i = c_i/L, for the weights f, g of
-    members 1..m: L is the lcm of the reduced denominators of
-    C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i)."""
+def _lagrange(f: tuple[int, ...], g: tuple[int, ...]) -> list[Rat]:
+    """[C_1, ..., C_{m−1}] for the weights f, g of members 1..m, one
+    Fraction each: C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i)
+    (DegenerateWeightsError where a denominator factor is 0)."""
     m = len(f)
     C = []
     for i in range(m - 1):
@@ -568,23 +568,19 @@ def _lagrange(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, list[int]]:
                 raise DegenerateWeightsError(f"members {i + 1} and {n + 1} have dependent weights")
             den *= dn
         C.append(Fraction(num, den))
-    L = math.lcm(*(ci.denominator for ci in C))
-    return L, [ci.numerator * (L // ci.denominator) for ci in C]
-
-
-def _lineage_lagrange(lin: Lineage) -> tuple[int, list[int]]:
-    if lin.vanishing:
-        raise VanishingLineageError("lineage starts at an integer")
-    return _lagrange(lin.f, lin.g)
+    return C
 
 
 def lagrange_coefficients(lin: Lineage) -> tuple[Rat, ...]:
-    """C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i), i < m.
+    """C_i = Π_{n<m, n≠i} (f_m·g_n − f_n·g_m)/(f_i·g_n − f_n·g_i), i < m
+    (_lagrange), the one reading of the C_i that the identity residuals and
+    the correction share, for any weights.
 
     Only defined for non-vanishing lineages with pairwise independent weights.
     """
-    L, c = _lineage_lagrange(lin)
-    return tuple(Fraction(ci, L) for ci in c)
+    if lin.vanishing:
+        raise VanishingLineageError("lineage starts at an integer")
+    return tuple(_lagrange(lin.f, lin.g))
 
 
 # --------------------------------------------------------------------------
@@ -592,26 +588,23 @@ def lagrange_coefficients(lin: Lineage) -> tuple[Rat, ...]:
 # --------------------------------------------------------------------------
 #
 # With member values a_i/b_i, every residual and correction below is
-# computed times b_m^{m−2}, which makes the derivative residual an integer
-# (_cleared_jets), and divided once at the end.
+# computed times b_m^{m−2}, which clears the members' jets (_cleared_jets),
+# and divided once at the end.
 
-def _lam(c: list[int], h: list) -> Rat:
+def _lam(c: Sequence[Rat | int], h: list) -> Rat:
     """Λ(h) = h_m − Σ_{i<m} c_i·h_i for values h_1..h_m of the members."""
     return h[-1] - sum(map(mul, c, h))
 
 
-def _identity_head(lin: Lineage) -> tuple[int, list[int], int]:
-    """(m, c, b_m^{m−2}) for an order-4 or order-5 lineage: its order, its
-    Lagrange coefficients C_i = c_i and the scale every residual and
-    correction is computed times.  c is _lagrange's numerators, taken
-    without their denominator L: L = 1 at orders 4 and 5, by exhaustion
-    over the 12 lineage shapes there are
-    (test_every_order_4_and_5_shape_has_lagrange_denominator_1), so a
-    check of L here could never fire."""
+def _identity_head(lin: Lineage) -> tuple[int, tuple[Rat, ...], int]:
+    """(m, C, b_m^{m−2}) for an order-4 or order-5 lineage: its order, its
+    Lagrange coefficients (lagrange_coefficients, Fractions for any
+    weights) and the scale every residual and correction is computed
+    times."""
     m = lin.order
     if m not in (4, 5):
         raise ValueError("identity instances exist for orders 4 and 5")
-    return m, _lineage_lagrange(lin)[1], lin.members[-1].value.denominator ** (m - 2)
+    return m, lagrange_coefficients(lin), lin.members[-1].value.denominator ** (m - 2)
 
 
 def delta_identity_residual(lin: Lineage) -> Rat:
@@ -630,7 +623,7 @@ def delta_identity_residual(lin: Lineage) -> Rat:
 
 def derivative_identity_residual(lin: Lineage) -> Rat:
     """Residual of the plain d^{m−3}/dq^{m−3} linear-dependence form; times
-    b_m^{m−2} it is J_m − Σ c_i·J_i on the cleared jets J_i =
+    b_m^{m−2} it is J_m − Σ C_i·J_i on the cleared jets J_i =
     b_i^{m−2}·f_i^{(m−3)}(1)."""
     m, c, scale = _identity_head(lin)
     J = [_cleared_jets(mem.deform, m - 3)[1][m - 3] for mem in lin.members]
@@ -640,25 +633,27 @@ def derivative_identity_residual(lin: Lineage) -> Rat:
 def identity_correction(lin: Lineage) -> Rat:
     """Predicted value of derivative_identity_residual, in closed form.
 
-    Order 4: (ΣC − 1)/(2·b_m²) — and ΣC is always 3, so the correction is
-    1/b_m².  Order 5: [Λ(b−a) − 20·Λ(b³·s)]/b_m³, where Λ(h) = h(member m) −
-    Σ C_i·h(member i) on the reduced members and s is the (1,3) generalized
-    Dedekind sum.  Both forms hold exactly on every non-vanishing lineage.
-    Computed in integers (_cleared_correction), which identity_sweep, as it
-    checks Λ(E) = 0, builds only for a failing record.
+    Order 4: (ΣC − 1)/(2·b_m²) — and ΣC is 3 on every lineage
+    lineage_extract builds, so the correction is 1/b_m².  Order 5:
+    [Λ(b−a) − 20·Λ(b³·s)]/b_m³, where Λ(h) = h(member m) − Σ C_i·h(member i)
+    on the reduced members and s is the (1,3) generalized Dedekind sum.
+    Both forms hold exactly on every non-vanishing lineage.  Computed as
+    one sum over the members (_cleared_correction), which identity_sweep, as
+    it checks Λ(E) = 0, builds only for a failing record.
     """
     _, c, scale = _identity_head(lin)
     num, den = _cleared_correction([mem.value for mem in lin.members], c)
     return Fraction(num, den * scale)
 
 
-def _cleared_correction(values: list[Fraction], c: list[int]) -> tuple[int, int]:
-    """b_m^{m−2} times the correction, for the members' values, as
+def _cleared_correction(values: list[Fraction], c: Sequence[Rat | int]) -> tuple[Rat, int]:
+    """b_m^{m−2} times the correction, for the members' values and their
+    Lagrange coefficients c (Fractions, or identity_sweep's integers), as
     (numerator, denominator): (Σc − 1)/2 at order 4, which depends on the
     lineage's weights alone.  At order 5, Λ(b − a) − 20·Λ(b³·s₁,₃) is
     Λ(T/(6b)) on the members' integer terms T (closedforms._term), so over
-    B = lcm(b_i) it is one integer sum, Λ(T·(B/b)), over 6B.
-    identity_sweep checks Λ(E) = 0 and builds this for a failing record."""
+    B = lcm(b_i) it is one sum, Λ(T·(B/b)), over 6B.  identity_sweep checks
+    Λ(E) = 0 and builds this for a failing record."""
     if len(values) == 4:
         return sum(c) - 1, 2
     B = math.lcm(*(x.denominator for x in values))
@@ -759,15 +754,14 @@ def identity_sweep(depth: int) -> dict:
     member i's point and 0 at the other m − 2, so Σ C_i·P(f_i, g_i) =
     P(f_m, g_m) for every such P when the points are pairwise independent.
     Together they give Λ(e[m − 4]) = 0, which is the identity
-    (_identity_frame).  At orders 4 and 5 every C_i is an integer (L = 1),
-    by exhaustion over the 2² + 2³ lineage shapes below.
+    (_identity_frame).
 
     The walk is _jet_walk's, the packed walk modulo (2^W − 1)³, which checks
     at each node that the built N(1), D(1) are its reduced a, b (ValueError
     naming it otherwise); appendixA's walk checks the full canonical pairs.
-    Per lineage shape, computed once: the weights at q = 1 and the integer
-    C_i (_lagrange).  An order-m lineage's parent pattern is fixed by the
-    last m − 2 letters of its target's path, the letters into members
+    Per lineage shape, computed once: the weights at q = 1 and the C_i
+    (_lagrange) as integers.  An order-m lineage's parent pattern is fixed
+    by the last m − 2 letters of its target's path, the letters into members
     3..m: ζ₃ = 1, ζ_n = n − 2 where the letters into members n − 1 and n
     differ and ζ_{n−1} otherwise, and the letter into member n says
     whether member n − 1 is its greater or smaller parent.  So the key is
@@ -803,8 +797,12 @@ def identity_sweep(depth: int) -> dict:
             key = m, node.path[2 - m:]
             c = shapes.get(key)
             if c is None:
-                parents = _lineage_members(stack, m)[1]
-                c = shapes[key] = _lagrange(*_weights(parents, [0] * (m - 2)))[1]
+                # every C_i has denominator 1 here: by exhaustion over the
+                # 2² + 2³ keys, one weight pattern each
+                # (test_every_order_4_and_5_shape_has_lagrange_denominator_1),
+                # so the numerators are the C_i and Λ is an integer sum
+                weights = _weights(_lineage_members(stack, m)[1], [0] * (m - 2))
+                c = shapes[key] = [ci.numerator for ci in _lagrange(*weights)]
             frames = [stack[one], *stack[first:]]
             if _lam(c, [fr.e[m - 4] for fr in frames]):
                 resid = _lam(c, [fr.cleared_jets[m - 3] for fr in frames])

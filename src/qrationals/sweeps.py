@@ -16,7 +16,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .exact import derivative_at_one, rat_to_str
 from . import closedforms
-from .closedforms import bridge_mismatches
+from .closedforms import _unit_pairs, bridge_mismatches
 from .dedekind import battery_sweep, reciprocity_residual, reciprocity_sweep
 from .fit import (
     RankDeficientError,
@@ -183,17 +183,14 @@ def _battery(bound: int) -> Verdict:
 
 def _calibration(max_b: int) -> Verdict:
     count = 0
-    for b in range(1, max_b + 1):
-        for a in range(1, b + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            lhs = (closedforms.numerator_derivative(a, b) * b
-                   - a * closedforms.denominator_derivative(a, b))
-            rhs = b * b * closedforms.d1_closed(Fraction(a, b))
-            if lhs != rhs:
-                return _fail("calibration", f"{a}/{b}", f"a'(1)b - ab'(1) {rat_to_str(lhs)}",
-                             f"b^2 d1 {rat_to_str(rhs)}")
-            count += 1
+    for a, b in _unit_pairs(max_b):
+        lhs = (closedforms.numerator_derivative(a, b) * b
+               - a * closedforms.denominator_derivative(a, b))
+        rhs = b * b * closedforms.d1_closed(Fraction(a, b))
+        if lhs != rhs:
+            return _fail("calibration", f"{a}/{b}", f"a'(1)b - ab'(1) {rat_to_str(lhs)}",
+                         f"b^2 d1 {rat_to_str(rhs)}")
+        count += 1
     return _pass("calibration", f"the quotient-rule combination a'(1)b - ab'(1) = b^2 d1 "
                                 f"holds on all {count} reduced a/b with 1 <= a <= b <= {max_b}")
 

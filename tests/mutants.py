@@ -205,17 +205,23 @@ MUTANTS = [
                   T + "test_identity_sweep_reports_unscaled_failures"],
     },
     {
-        "name": "lagrange-lcm-over-the-numerators",
+        # the identity sweep's reading of the C_i, right only where L = 1:
+        # no lineage_extract lineage tells, hand-built weights with L = 2, 3 do
+        "name": "identity-head-reads-the-numerators",
         "file": SBTREE,
-        "old": "    L = math.lcm(*(ci.denominator for ci in C))\n",
-        "new": "    L = math.lcm(*(ci.numerator for ci in C))\n",
-        # every order-4 and order-5 lineage's C_i are integers, so the lcm
-        # over the numerators scales c by L, which the identity sweep, taking
-        # c for the C_i (L = 1), reads as wrong C_i; the exhaustion test sees
-        # L move off 1
+        "old": "    return m, lagrange_coefficients(lin), lin.members",
+        "new": "    return m, [ci.numerator for ci in lagrange_coefficients(lin)], lin.members",
+        "tests": [T + "test_identity_functions_read_fractional_lagrange_coefficients"],
+    },
+    {
+        # m − 2 factors flip, so C_i change sign at odd orders only
+        "name": "lagrange-numerator-factor-sign-flipped",
+        "file": SBTREE,
+        "old": "            num *= f[m - 1] * g[n] - f[n] * g[m - 1]\n",
+        "new": "            num *= f[n] * g[m - 1] - f[m - 1] * g[n]\n",
         "tests": [T + "test_lagrange_coefficients_with_a_common_denominator",
                   T + "test_moment_identities_hold_for_any_weights",
-                  T + "test_every_order_4_and_5_shape_has_lagrange_denominator_1",
+                  T + "test_identity_functions_read_fractional_lagrange_coefficients",
                   T + "test_identity_sweep_small_depth"],
     },
     {
@@ -592,9 +598,27 @@ MUTANTS = [
     {
         "name": "zero-sum-pass-replaced-by-0",
         "file": CLOSEDFORMS,
-        "old": "            zero = sum((2 * (inv * n % b) - b) * n * (b - n) for n in range(1, b))\n",
-        "new": "            zero = 0\n",
+        "old": "        zero = sum((2 * (inv * n % b) - b) * n * (b - n) for n in range(1, b))\n",
+        "new": "        zero = 0\n",
         "tests": [D + "test_zero_sum_bridge_reports_a_multiplier_that_is_not_a_unit"],
+    },
+    {
+        # the bridges and both calibrations lose b = max_b
+        "name": "unit-pairs-bound-one-short",
+        "file": CLOSEDFORMS,
+        "old": "    return ((a, b) for b in range(1, max_b + 1)",
+        "new": "    return ((a, b) for b in range(1, max_b)",
+        "tests": [C + "test_calibration_mismatch_sets_are_pinned",
+                  D + "test_zero_sum_bridge_reports_a_multiplier_that_is_not_a_unit"],
+    },
+    {
+        # reciprocity and the battery lose q = bound
+        "name": "coprime-pairs-bound-one-short",
+        "file": DEDEKIND,
+        "old": "for q in range(1, bound + 1)",
+        "new": "for q in range(1, bound)",
+        "tests": [D + "test_reciprocity_residual_is_the_literal_formula",
+                  D + "test_battery_rows_are_the_literal_identities"],
     },
     {
         "name": "bernoulli-row-scaled-by-b-to-the-i-minus-k",
@@ -674,6 +698,47 @@ MUTANTS = [
         "old": "f\"lhs {rat_to_str(lhs)}\",\n                         f\"rhs {rat_to_str(rhs)}\")",
         "new": "f\"lhs {rat_to_str(rhs)}\",\n                         f\"rhs {rat_to_str(lhs)}\")",
         "tests": ["tests/test_cli.py::test_check_bridges_fail_names_the_bridge_and_both_sides"],
+    },
+    {
+        "name": "closed-form-verdict-inverted",
+        "file": SWEEPS,
+        "old": "            if exact != closed:\n",
+        "new": "            if exact == closed:\n",
+        "tests": ["tests/test_acceptance.py::test_01_first_derivative_closed_form",
+                  "tests/test_cli.py::test_check_thm1",
+                  "tests/test_cli.py::test_check_fail_names_the_counterexample"],
+    },
+    {
+        "name": "integrality-verdict-inverted",
+        "file": SWEEPS,
+        "old": "        if cleared.denominator != 1:\n",
+        "new": "        if cleared.denominator == 1:\n",
+        "tests": ["tests/test_acceptance.py::test_09_cleared_second_derivative_is_integral",
+                  "tests/test_cli.py::test_check_integrality_fail_names_the_counterexample"],
+    },
+    {
+        # a clean run reads bad[0] and raises, which `qrat check` reports
+        "name": "reciprocity-verdict-inverted",
+        "file": SWEEPS,
+        "old": "    bad = reciprocity_sweep(bound)\n    if bad:\n",
+        "new": "    bad = reciprocity_sweep(bound)\n    if not bad:\n",
+        "tests": ["tests/test_cli.py::test_check_dedekind",
+                  "tests/test_cli.py::test_check_reciprocity_fail_names_the_pair_and_its_residual"],
+    },
+    {
+        "name": "battery-verdict-inverted",
+        "file": SWEEPS,
+        "old": "    bad = battery_sweep(bound)\n    if bad:\n",
+        "new": "    bad = battery_sweep(bound)\n    if not bad:\n",
+        "tests": ["tests/test_cli.py::test_check_dedekind",
+                  "tests/test_cli.py::test_check_battery_fail_names_the_identity_and_its_residual"],
+    },
+    {
+        "name": "calibration-verdict-inverted",
+        "file": SWEEPS,
+        "old": "        if lhs != rhs:\n",
+        "new": "        if lhs == rhs:\n",
+        "tests": ["tests/test_cli.py::test_calibration_sweep_fails_on_a_wrong_numerator_derivative"],
     },
     {
         "name": "delta-verdict-inverted",

@@ -8,8 +8,11 @@ import dataclasses
 import doctest
 import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -78,6 +81,15 @@ def test_derive_orders(capsys):
     assert (rc, out) == (0, "exact 2/5, closed 2/5, match\n")
     rc, out, _ = run(capsys, "derive", "2/5")  # order defaults to 1
     assert (rc, out) == (0, "exact 9/25, closed 9/25, match\n")
+
+
+def test_module_entry_point_runs_main():
+    """`python -m qrationals.cli` runs main and exits with its status."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "qrationals.cli", "derive", "2/5", "--order", "1"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "exact 9/25, closed 9/25, match\n")
 
 
 def test_derive_negative_fraction(capsys):
@@ -391,8 +403,8 @@ def test_check_delta_fail_names_a_wrong_lagrange_coefficient(capsys, monkeypatch
     real = sbtree._lagrange
 
     def lagrange(f, g):
-        L, c = real(f, g)
-        return L, [c[0] + L, *c[1:]]
+        C = real(f, g)
+        return [C[0] + 1, *C[1:]]
     monkeypatch.setattr(sbtree, "_lagrange", lagrange)
     _bounds(monkeypatch, delta=4)
     assert check(capsys, "delta") == (1, [

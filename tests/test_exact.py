@@ -70,6 +70,7 @@ def test_poly_normalization():
     assert IntPoly().degree() == -1
     assert IntPoly().leading() == 0
     assert IntPoly([0, 0, 3]).trailing_order() == 2
+    assert IntPoly().trailing_order() == 0
     assert IntPoly([4, 6]).content() == 2
 
 
@@ -143,6 +144,10 @@ def test_ratfunc_normalizes_sign_and_content():
     # only the monomial part of a common factor q(1 + q) goes
     rf = RatFunc(IntPoly([0, 1, 1]), IntPoly([0, 0, 1, 1]))
     assert (rf.num, rf.den) == (IntPoly([1, 1]), IntPoly([0, 1, 1]))
+
+
+def test_ratfunc_str_shows_both_polynomials():
+    assert str(RatFunc(IntPoly([0, 1]), IntPoly([1, 1]))) == "(q) / (1 + q)"
 
 
 def test_ratfunc_zero_numerator_collapses():

@@ -4,6 +4,7 @@ The lineage weight tables and residual values here were computed by hand
 from the mediant-descent chains; the identity tests pin both the failing
 literal zero-residual form and the corrected closed-form residual.
 """
+import dataclasses
 import itertools
 import math
 from fractions import Fraction as Fr
@@ -662,8 +663,6 @@ def test_lagrange_rejects_vanishing_lineage():
 
 
 def test_lagrange_rejects_degenerate_weights():
-    import dataclasses
-
     lin = dataclasses.replace(lineage_extract(Fr(2, 5), 3),
                               f=(1, 1, 2), g=(1, 1, 2))
     with pytest.raises(DegenerateWeightsError):
@@ -714,21 +713,23 @@ def test_coefficient_moments():
 
 def test_lagrange_coefficients_with_a_common_denominator():
     """Through order 6 every lineage's C_i in window 0 to depth 10 are
-    integers; 9/20's order-7 lineage has C_i over L = 4, the lcm of their
-    reduced denominators."""
+    integers; 9/20's order-7 lineage has C_i with denominators up to 4,
+    and _lagrange gives them as those Fractions."""
     lin = lineage_extract(Fr(9, 20), 7)
     assert (lin.f, lin.g) == ((1, 0, 1, 2, 3, 4, 7), (0, 1, 1, 1, 1, 1, 2))
-    assert lagrange_coefficients(lin) == (-105, Fr(-5, 4), 7, Fr(-35, 2), 35, Fr(35, 4))
-    assert sbtree._lagrange(lin.f, lin.g) == (4, [-420, -5, 28, -70, 140, 35])
+    C = [-105, Fr(-5, 4), 7, Fr(-35, 2), 35, Fr(35, 4)]
+    assert lagrange_coefficients(lin) == tuple(C)
+    assert sbtree._lagrange(lin.f, lin.g) == C
 
 
 def test_every_order_4_and_5_shape_has_lagrange_denominator_1():
-    """L = 1 for every order-4 and order-5 lineage, by exhaustion:
-    identity_sweep keys a lineage by (m, the last m − 2 letters of its
-    target's path), the key fixes its parent pattern and the pattern its
-    weights at q = 1, so the 2² + 2³ keys are every shape there is.  A walk
-    to depth 6 meets each key many times, each with one pattern, and each
-    pattern's _lagrange gives L = 1 (integer C_i)."""
+    """Every C_i of every order-4 and order-5 lineage has denominator 1,
+    by exhaustion: identity_sweep keys a lineage by (m, the last m − 2
+    letters of its target's path), the key fixes its parent pattern and
+    the pattern its weights at q = 1, so the 2² + 2³ keys are every shape
+    there is.  A walk
+    to depth 6 meets each key many times, each with one pattern, and every
+    C_i that each pattern's _lagrange gives has denominator 1."""
     patterns: dict = {}
     for stack in _jet_walk(0, 6, _identity_frame, {}):
         for m in (4, 5):
@@ -740,7 +741,8 @@ def test_every_order_4_and_5_shape_has_lagrange_denominator_1():
                                 for w in itertools.product("LR", repeat=m - 2)]
     for (m, _), found in patterns.items():
         (parents,) = found
-        assert sbtree._lagrange(*sbtree._weights(parents, [0] * (m - 2)))[0] == 1, (m, parents)
+        C = sbtree._lagrange(*sbtree._weights(parents, [0] * (m - 2)))
+        assert all(ci.denominator == 1 for ci in C), (m, parents)
 
 
 @settings(max_examples=80, deadline=None)
@@ -748,17 +750,15 @@ def test_every_order_4_and_5_shape_has_lagrange_denominator_1():
     *[st.tuples(st.integers(-9, 9), st.integers(-9, 9))] * m)))
 def test_moment_identities_hold_for_any_weights(points):
     """For any weights whose points (f_i, g_i), i < m, are pairwise
-    independent, not only a lineage's, _lagrange gives the literal C_i
-    over the lcm of their denominators, and the moment identities hold:
-    the C_i are Lagrange weights by construction, the lemma that
-    sbtree.identity_sweep's identity rests on."""
+    independent, not only a lineage's, _lagrange gives the literal C_i as
+    Fractions, and the moment identities hold: the C_i are Lagrange
+    weights by construction, the lemma that sbtree.identity_sweep's
+    identity rests on."""
     f, g = (list(w) for w in zip(*points))
     m = len(f)
     assume(all(f[i] * g[n] != f[n] * g[i] for i in range(m - 1) for n in range(i)))
-    L, c = sbtree._lagrange(f, g)
     C = oracles.lagrange_coefficients(SimpleNamespace(f=f, g=g, order=m))
-    assert L == math.lcm(*(x.denominator for x in C))
-    assert [Fr(ci, L) for ci in c] == list(C)
+    assert sbtree._lagrange(f, g) == list(C)
     for j in range(m - 1):
         assert sum(C[i] * f[i] ** j * g[i] ** (m - 2 - j) for i in range(m - 1)) == \
             f[m - 1] ** j * g[m - 1] ** (m - 2 - j)
@@ -794,6 +794,29 @@ def test_identity_functions_match_literal_forms_off_the_walker(start):
             assert delta_identity_residual(lin) == oracles.scaled_sum(lin, C, deltas)
             read += 1
     assert read == 436
+
+
+@pytest.mark.parametrize("x, f, g, C, want", [
+    (Fr(3, 8), (1, 0, 1, 3), (0, 1, 2, 1), (Fr(15, 2), -5, Fr(3, 2)),
+     (Fr(9, 32), Fr(9, 32), Fr(3, 128))),
+    (Fr(5, 13), (1, 0, 1, 1, 2), (0, 1, 1, 3, 1), (Fr(10, 3), 5, 5, Fr(-1, 3)),
+     (Fr(25328, 6591), Fr(-1682, 6591), Fr(218, 2197))),
+])
+def test_identity_functions_read_fractional_lagrange_coefficients(x, f, g, C, want):
+    """On hand-built weights whose C_i are not all integers, the residuals
+    and the correction read the same Fraction C_i as lagrange_coefficients
+    and equal the literal forms: the Δ and quotient-rule sums, and the
+    correction, on the oracle's C_i.  want is (Δ residual, derivative
+    residual, correction)."""
+    lin = dataclasses.replace(lineage_extract(x, len(f)), f=f, g=g)
+    assert lagrange_coefficients(lin) == oracles.lagrange_coefficients(lin) == C
+    m = lin.order
+    jets = [derivative_at_one_quotient(mem.deform, m - 3) for mem in lin.members]
+    deltas = [delta(mem.deform, m - 3) for mem in lin.members]
+    got = (delta_identity_residual(lin), derivative_identity_residual(lin),
+           identity_correction(lin))
+    assert got == (oracles.scaled_sum(lin, C, deltas), oracles.scaled_sum(lin, C, jets),
+                   oracles.correction(lin, C)) == want
 
 
 def _non_vanishing_order5(head):
@@ -1100,8 +1123,8 @@ def test_identity_sweep_matches_the_per_lineage_sweep_under_faults(monkeypatch):
     lagrange, literal = sbtree._lagrange, oracles.lagrange_coefficients
 
     def perturbed(f, g):
-        L, c = lagrange(f, g)
-        return (L, [c[0] + 1, *c[1:]]) if (f, g) == weights else (L, c)
+        C = lagrange(f, g)
+        return [C[0] + 1, *C[1:]] if (f, g) == weights else C
 
     def literal_perturbed(lin):
         C = literal(lin)
